@@ -24,7 +24,6 @@ from .errors import (
 from .model import (
     ClassEncoding,
     Dataset,
-    RidgeConfig,
     classify,
     decision_values,
     grad_label_objective_u,
@@ -33,6 +32,7 @@ from .model import (
     grad_responsibility_objective_w,
     label_objective,
     responsibility_objective,
+    ridge_operator,
     ridge_solve,
     supervised_objective,
 )

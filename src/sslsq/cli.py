@@ -54,7 +54,7 @@ from .experiments import (
     run_learning_curve,
     run_local_optima_study,
 )
-from .model import RidgeConfig, ridge_solve, supervised_objective
+from .model import ridge_solve, supervised_objective
 from .selflearn import fit_hard, fit_soft
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def _write_manifest(output_path, subcommand, params, inputs, seed=None):
 
 
 def _load(path, intercept=True):
-    return load_csv(path, CsvSchema(), RidgeConfig(intercept=intercept))
+    return load_csv(path, CsvSchema(), intercept=intercept)
 
 
 def _weight_columns(d):
@@ -392,33 +392,29 @@ def cmd_local_optima(args):
     rows = []
     for record in report.records:
         rows.append((record.name, "supervised", "supervised", -1, record.supervised_error, "ok"))
-        rows.append(
-            (record.name, "soft", "supervised", -1, record.soft_from_supervised_error, "ok")
-        )
-        rows.append(
-            (record.name, "hard", "supervised", -1, record.hard_from_supervised_error, "ok")
-        )
-        for i, error in enumerate(record.soft_random_errors):
-            rows.append((record.name, "soft", "random", i, error, "ok"))
-        for i, error in enumerate(record.hard_random_errors):
-            rows.append((record.name, "hard", "random", i, error, "ok"))
+        for method, study in record.studies.items():
+            start = study.supervised_record
+            rows.append((record.name, method, "supervised", -1, start.test_error, start.status))
+        for method, study in record.studies.items():
+            for i, start in enumerate(study.records):
+                rows.append((record.name, method, "random", i, start.test_error, start.status))
     for name, reason in report.skipped:
         rows.append((name, "", "", None, None, f"skipped: {reason}"))
     _write_csv(args.out, ["dataset", "method", "init", "start", "error", "status"], rows)
 
     agg_rows = []
     for record in report.records:
-        for method in ("soft", "hard"):
-            errors = getattr(record, f"{method}_random_errors")
+        for method, study in record.studies.items():
+            errors = [start.test_error for start in study.records]
             agg_rows.append(
                 (
                     record.name,
                     method,
                     record.supervised_error,
-                    getattr(record, f"{method}_from_supervised_error"),
+                    study.supervised_record.test_error,
                     float(np.mean(errors)),
                     float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else None,
-                    getattr(record, f"{method}_unique_minima"),
+                    study.unique_optima_count,
                 )
             )
     _write_csv(
@@ -525,8 +521,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    p.add_argument("--kind", choices=[k.value for k in SyntheticKind if k.value != "custom"],
-                   default="two-cluster-1d")
+    p.add_argument("--kind", choices=[k.value for k in SyntheticKind], default="two-cluster-1d")
     p.add_argument("--labeled-per-class", type=int, default=2)
     p.add_argument("--unlabeled", type=int, default=396)
     p.add_argument("--separation", type=float, default=4.0)

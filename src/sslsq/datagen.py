@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import Dataset, RidgeConfig
+from .model import Dataset
 
 __all__ = [
     "CsvSchema",
@@ -66,7 +67,6 @@ def derive_rng(seed, *key):
 class SyntheticKind(enum.Enum):
     TWO_CLUSTER_1D = "two-cluster-1d"
     TWO_GAUSSIAN_2D = "two-gaussian-2d"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class SyntheticSpec:
     intercept: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.kind, SyntheticKind):
+            raise InvalidInputError(f"kind must be a SyntheticKind, got {self.kind!r}")
         if self.labeled_per_class < 1:
             raise InvalidInputError("labeled_per_class must be at least 1")
         if self.unlabeled_total < 0:
@@ -109,8 +111,6 @@ def generate(spec):
     The true class of every unlabeled point is returned separately and is
     never part of the dataset itself, so solvers cannot see it.
     """
-    if spec.kind not in _KIND_DIMS:
-        raise InvalidInputError(f"kind {spec.kind.value!r} has no built-in generator")
     dim = _KIND_DIMS[spec.kind]
     rng = derive_rng(spec.seed)
     offset = spec.class_separation / 2.0
@@ -207,15 +207,16 @@ def _parse_label(token, schema, row_number):
     return value
 
 
-def load_csv(path, schema=CsvSchema(), ridge=RidgeConfig(), standardize=False):
+def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
     """Read a dataset file; returns ``(dataset, unlabeled_truth_or_None)``.
 
     Rows whose label field equals the missing token become the unlabeled
     block (file order preserved within each block). When a ``true_label``
     column is present its values for the unlabeled rows are returned as
-    the hidden ground truth. ``ridge.intercept`` appends a trailing ones
-    column; ``standardize`` z-scores features using labeled statistics
-    only (constant columns are left untouched).
+    the hidden ground truth. Feature fields must be finite numbers.
+    ``intercept`` appends a trailing ones column; ``standardize`` z-scores
+    features using labeled statistics only (constant columns are left
+    untouched).
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle, delimiter=schema.delimiter))
@@ -252,13 +253,17 @@ def load_csv(path, schema=CsvSchema(), ridge=RidgeConfig(), standardize=False):
         for j, column in enumerate(feature_indices):
             token = row[column].strip()
             try:
-                features[j] = float(token)
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ParseError(
-                    f"row {row_number}, column {column + 1}: cannot parse {token!r} as a number",
+                    f"row {row_number}, column {column + 1}: "
+                    f"cannot parse {token!r} as a finite number",
                     row=row_number,
                     column=column + 1,
-                ) from None
+                )
+            features[j] = value
         label = _parse_label(row[label_index], schema, row_number)
         if label is None:
             unlabeled_rows.append(features)
@@ -286,7 +291,7 @@ def load_csv(path, schema=CsvSchema(), ridge=RidgeConfig(), standardize=False):
 
     if standardize:
         labeled, unlabeled = _zscore_blocks(labeled, unlabeled)
-    if ridge.intercept:
+    if intercept:
         labeled = np.hstack([labeled, np.ones((labeled.shape[0], 1))])
         unlabeled = np.hstack([unlabeled, np.ones((unlabeled.shape[0], 1))])
 

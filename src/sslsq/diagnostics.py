@@ -20,7 +20,13 @@ from .errors import (
     InvalidInputError,
     NoWitnessError,
 )
-from .model import ClassEncoding, label_objective, responsibility_objective, supervised_objective
+from .model import (
+    ClassEncoding,
+    label_objective,
+    responsibility_objective,
+    ridge_operator,
+    supervised_objective,
+)
 from .selflearn import update_weights
 
 __all__ = [
@@ -160,14 +166,6 @@ def find_witness(data, kind, encoding=ClassEncoding(), lam=0.0):
     return NonconvexityWitness(z1=z1, z2=z2, quadratic_form_value=value)
 
 
-def _extended_operator(data, lam):
-    extended = data.extended_features
-    if lam == 0.0:
-        return np.linalg.pinv(extended)
-    gram = extended.T @ extended + lam * np.eye(extended.shape[1])
-    return np.linalg.solve(gram, extended.T)
-
-
 def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096):
     """Exhaustive global minimum of the responsibility objective.
 
@@ -185,7 +183,7 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
         w = update_weights(data, np.zeros(0), lam)
         return BruteForceResult(np.zeros(0), w, supervised_objective(data, w, lam))
 
-    operator = _extended_operator(data, lam)
+    operator = ridge_operator(data.extended_features, lam)
     labeled = data.labeled_features
     unlabeled = data.unlabeled_features
     y = data.labels
@@ -249,8 +247,8 @@ def grid_soft_minimum(data, lam=0.0, step=0.05):
 
     grids = np.meshgrid(*([axis] * unlabeled_count), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    operator = _extended_operator(data, lam)
     extended = data.extended_features
+    operator = ridge_operator(extended, lam)
     targets = np.hstack([np.tile(data.labels, (len(points), 1)), points])
     weights = targets @ operator.T
     residuals = weights @ extended.T - targets
@@ -277,7 +275,7 @@ def soft_grid_slack(data, lam=0.0, step=0.05):
     if unlabeled_count == 0:
         return 0.0
     extended = data.extended_features
-    operator = _extended_operator(data, lam)
+    operator = ridge_operator(extended, lam)
     fitted = extended @ operator - np.eye(extended.shape[0])
     reduced = fitted.T @ fitted
     if lam > 0.0:

@@ -212,16 +212,15 @@ def run_basin_study(
 
 @dataclass
 class DatasetOptimaRecord:
-    """Per-dataset outcome of the local-optima study."""
+    """Per-dataset outcome of the local-optima study.
+
+    ``studies`` maps each method ("soft", "hard") to its basin study on
+    the training split, with test errors measured on the held-out part.
+    """
 
     name: str
     supervised_error: float
-    soft_from_supervised_error: float
-    hard_from_supervised_error: float
-    soft_random_errors: np.ndarray
-    hard_random_errors: np.ndarray
-    soft_unique_minima: int
-    hard_unique_minima: int
+    studies: dict[str, BasinStudyResult]
     partition_hash: str
 
 
@@ -246,9 +245,9 @@ def run_local_optima_study(
     """Random-restart comparison of both solvers across named datasets.
 
     Each fully labeled dataset is split (test fraction, then hidden-label
-    fraction), both solvers run once from the supervised solution and
-    ``restarts`` times from random perturbations of it, and test errors
-    plus unique-minima counts are collected. Datasets whose split is
+    fraction), and one basin study per solver runs it from the supervised
+    solution and from ``restarts`` random perturbations of it, collecting
+    test errors and unique-minima counts. Datasets whose split is
     degenerate are skipped with a recorded reason.
     """
     if restarts < 1:
@@ -268,39 +267,15 @@ def run_local_optima_study(
         starts = random_init_near_supervised(
             train, lam, restarts, scale, derive_rng(seed, position, 1)
         )
-
-        method_outputs = {}
-        for method in ("soft", "hard"):
-            from_supervised = _fit_method(method, train, lam, encoding, config)
-
-            def run_start(w0, method=method):
-                result = _fit_method(
-                    method, train, lam, encoding, replace(config, init=GivenWeights(w0))
-                )
-                error = evaluate_error(result.weights, split.test_features, split.test_labels)
-                return result.weights, error
-
-            outcomes = _map_indexed(run_start, list(starts), threads)
-            finals = [from_supervised.weights] + [w for w, _ in outcomes]
-            unique, _ = count_unique_optima(finals)
-            method_outputs[method] = (
-                evaluate_error(from_supervised.weights, split.test_features, split.test_labels),
-                np.array([error for _, error in outcomes]),
-                unique,
+        studies = {
+            method: run_basin_study(
+                train, lam, method, starts, split.test_features, split.test_labels,
+                encoding, config, threads,
             )
-
+            for method in ("soft", "hard")
+        }
         records.append(
-            DatasetOptimaRecord(
-                name=name,
-                supervised_error=supervised_error,
-                soft_from_supervised_error=method_outputs["soft"][0],
-                hard_from_supervised_error=method_outputs["hard"][0],
-                soft_random_errors=method_outputs["soft"][1],
-                hard_random_errors=method_outputs["hard"][1],
-                soft_unique_minima=method_outputs["soft"][2],
-                hard_unique_minima=method_outputs["hard"][2],
-                partition_hash=split.partition_hash,
-            )
+            DatasetOptimaRecord(name, supervised_error, studies, split.partition_hash)
         )
     return LocalOptimaReport(records=records, skipped=skipped)
 

@@ -21,7 +21,6 @@ from .errors import DimensionError, InvalidInputError
 __all__ = [
     "ClassEncoding",
     "Dataset",
-    "RidgeConfig",
     "classify",
     "decision_values",
     "grad_label_objective_u",
@@ -30,6 +29,7 @@ __all__ = [
     "grad_responsibility_objective_w",
     "label_objective",
     "responsibility_objective",
+    "ridge_operator",
     "ridge_solve",
     "supervised_objective",
 ]
@@ -61,7 +61,8 @@ class Dataset:
     U >= 0 (``None`` means an empty block). Both blocks share the column
     count d; an intercept, when used, is an ordinary constant-ones column
     (by convention the last one). Instances are immutable; the wrapped
-    arrays are copies with the writeable flag cleared.
+    arrays, and the extended design stacked from them once at
+    construction, are copies with the writeable flag cleared.
     """
 
     labeled_features: np.ndarray
@@ -92,6 +93,9 @@ class Dataset:
         object.__setattr__(self, "labeled_features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unlabeled_features", unlabeled)
+        extended = np.vstack([features, unlabeled])
+        extended.setflags(write=False)
+        object.__setattr__(self, "_extended_features", extended)
 
     @property
     def n_labeled(self):
@@ -108,7 +112,7 @@ class Dataset:
     @property
     def extended_features(self):
         """Row concatenation of the labeled and unlabeled blocks."""
-        return np.vstack([self.labeled_features, self.unlabeled_features])
+        return self._extended_features
 
     def extended_targets(self, imputed):
         """Concatenate the known labels with imputed targets for the unlabeled block."""
@@ -137,17 +141,6 @@ class ClassEncoding:
         return 0.5 * (self.positive_code + self.negative_code)
 
 
-@dataclass(frozen=True)
-class RidgeConfig:
-    """Ridge penalty and intercept convention for solves and loaders."""
-
-    lam: float = 0.0
-    intercept: bool = True
-
-    def __post_init__(self):
-        _check_lam(self.lam)
-
-
 def _check_weights(data, w):
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n_features,):
@@ -157,25 +150,29 @@ def _check_weights(data, w):
     return w
 
 
-def ridge_solve(features, targets, lam=0.0, *, penalize_intercept=True):
-    """Minimizer of ``||X w - t||^2 + lam * ||w||^2``.
+def ridge_operator(features, lam=0.0):
+    """The (d, N) matrix ``P`` for which ``P @ t`` minimizes ``||X w - t||^2 + lam * ||w||^2``.
 
-    Parameters
-    ----------
-    features : (N, d) array
-    targets : (N,) array
-    lam : nonnegative float
-        Ridge penalty. With ``lam == 0`` the solve goes through a
-        rank-revealing least-squares factorization and returns the
-        minimum-norm solution, so rank-deficient systems are accepted.
-    penalize_intercept : bool
-        When False the last column is treated as the intercept and its
-        coefficient is excluded from the penalty. The default penalizes
-        every coefficient.
+    Every least-squares solve in the package goes through this function.
+    The penalty becomes d extra rows ``sqrt(lam) I`` under the design, and
+    ``P`` is the first N columns of the pseudo-inverse (SVD) of that
+    augmented matrix, so the condition number is never squared. Singular
+    values below ``max(rows, d) * eps`` times the largest are dropped.
+    With ``lam == 0`` nothing is appended and ``P @ t`` is the
+    minimum-norm solution, so rank-deficient designs are accepted.
+    """
+    X = np.asarray(features, dtype=float)
+    n = X.shape[0]
+    lam = _check_lam(lam)
+    if lam > 0.0:
+        X = np.vstack([X, np.sqrt(lam) * np.eye(X.shape[1])])
+    return np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)[:, :n]
 
-    Returns
-    -------
-    (d,) weight array.
+
+def ridge_solve(features, targets, lam=0.0):
+    """Minimizer of ``||X w - t||^2 + lam * ||w||^2`` for (N, d) ``X`` and (N,) ``t``.
+
+    Returns the (d,) weights ``ridge_operator(X, lam) @ t``.
     """
     X = _as_float_array(features, "features", 2)
     t = _as_float_array(targets, "targets", 1)
@@ -183,18 +180,7 @@ def ridge_solve(features, targets, lam=0.0, *, penalize_intercept=True):
         raise InvalidInputError("need at least one row to solve")
     if t.shape[0] != X.shape[0]:
         raise DimensionError(f"{t.shape[0]} targets for {X.shape[0]} rows")
-    lam = _check_lam(lam)
-    if lam > 0.0:
-        # Augmented rows turn the penalty into ordinary squared error, so
-        # one factorization covers both the regularized and the
-        # unregularized (minimum-norm) case.
-        penalty = np.full(X.shape[1], np.sqrt(lam))
-        if not penalize_intercept:
-            penalty[-1] = 0.0
-        X = np.vstack([X, np.diag(penalty)])
-        t = np.concatenate([t, np.zeros(X.shape[1])])
-    solution, *_ = np.linalg.lstsq(X, t, rcond=None)
-    return solution
+    return ridge_operator(X, lam) @ t
 
 
 def decision_values(features, w):

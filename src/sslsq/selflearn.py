@@ -2,11 +2,12 @@
 
 Both solvers alternate exact block updates: impute targets for the
 unlabeled block from the current weights, then re-fit the weights by the
-closed-form ridge solve on the extended system. Each half-step minimizes
-its block exactly, so the objective never increases. The soft variant
-imputes clamped decision values and stops on a relative objective
-decrease; the hard variant imputes 0/1 responsibilities and stops when
-they no longer change between rounds.
+closed-form ridge solve on the extended system, through one ridge
+operator built per fit. Each half-step minimizes its block exactly, so
+the objective never increases. The soft variant imputes clamped
+decision values and stops on a relative objective decrease; the hard
+variant imputes 0/1 responsibilities and stops when they no longer
+change between rounds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import (
     _check_lam,
     label_objective,
     responsibility_objective,
+    ridge_operator,
     ridge_solve,
     supervised_objective,
 )
@@ -66,19 +68,16 @@ class GivenLabels:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping rules and initialization.
+    """Iteration budget, stopping rule and initialization.
 
-    ``stop_rule`` applies to the soft solver only: "objective" stops on a
-    relative objective decrease below ``objective_tolerance``, "labels"
-    stops when the imputed labels move by at most ``label_tolerance`` in
-    max-norm. The hard solver always stops on exact label stability.
+    The soft solver stops on a relative objective decrease below
+    ``objective_tolerance``; the hard solver stops on exact label
+    stability.
     """
 
     max_iterations: int = 1000
     objective_tolerance: float = 1e-10
     init: str | GivenWeights | GivenLabels = SUPERVISED_INIT
-    stop_rule: str = "objective"
-    label_tolerance: float = 1e-12
     trace_limit: int = 10_000
 
     def __post_init__(self):
@@ -86,10 +85,6 @@ class SolverConfig:
             raise InvalidInputError("max_iterations must be at least 1")
         if self.objective_tolerance < 0.0:
             raise InvalidInputError("objective_tolerance must be nonnegative")
-        if self.label_tolerance < 0.0:
-            raise InvalidInputError("label_tolerance must be nonnegative")
-        if self.stop_rule not in ("objective", "labels"):
-            raise InvalidInputError(f"unknown stop_rule {self.stop_rule!r}")
         ok = self.init == SUPERVISED_INIT or isinstance(self.init, (GivenWeights, GivenLabels))
         if not ok:
             raise InvalidInputError(f"unknown init {self.init!r}")
@@ -164,16 +159,7 @@ def update_weights(data, imputed, lam=0.0):
     return ridge_solve(data.extended_features, targets, lam)
 
 
-def _extended_solver(extended, lam):
-    # Linear map from extended targets to the penalized least-squares
-    # minimizer; factorized once per fit since the design stays fixed.
-    if lam == 0.0:
-        return np.linalg.pinv(extended)
-    gram = extended.T @ extended + lam * np.eye(extended.shape[1])
-    return np.linalg.solve(gram, extended.T)
-
-
-def _initial_weights(data, lam, config, to_targets):
+def _initial_weights(data, lam, config, to_targets, solve):
     init = config.init
     if init == SUPERVISED_INIT:
         return ridge_solve(data.labeled_features, data.labels, lam)
@@ -193,7 +179,7 @@ def _initial_weights(data, lam, config, to_targets):
         )
     if labels.size and (np.any(labels < 0.0) or np.any(labels > 1.0)):
         raise InvalidInputError("initial labels must lie in [0, 1]")
-    return update_weights(data, to_targets(labels), lam)
+    return solve @ data.extended_targets(to_targets(labels))
 
 
 def _supervised_result(data, lam, hard):
@@ -219,9 +205,10 @@ def _thin(records, limit):
 
 def _run_descent(data, lam, config, impute, to_targets, objective, hard):
     lam = _check_lam(lam)
-    solve = _extended_solver(data.extended_features, lam)
+    # The design stays fixed over the fit, so it is factorized once.
+    solve = ridge_operator(data.extended_features, lam)
     labels_vec = data.labels
-    w = _initial_weights(data, lam, config, to_targets)
+    w = _initial_weights(data, lam, config, to_targets, solve)
 
     records = []
     converged = False
@@ -230,21 +217,14 @@ def _run_descent(data, lam, config, impute, to_targets, objective, hard):
     previous_objective = None
     for k in range(config.max_iterations):
         labels = impute(w)
-        if previous_labels is not None:
-            if hard:
-                if np.array_equal(labels, previous_labels):
-                    converged = True
-                    reason = StopReason.LABELS_STABLE
-                    break
-            elif config.stop_rule == "labels":
-                if np.max(np.abs(labels - previous_labels)) <= config.label_tolerance:
-                    converged = True
-                    reason = StopReason.LABELS_STABLE
-                    break
+        if hard and previous_labels is not None and np.array_equal(labels, previous_labels):
+            converged = True
+            reason = StopReason.LABELS_STABLE
+            break
         w = solve @ np.concatenate([labels_vec, to_targets(labels)])
         value = objective(w, labels)
         records.append(TraceRecord(k, w, labels, value))
-        if not hard and config.stop_rule == "objective" and previous_objective is not None:
+        if not hard and previous_objective is not None:
             if previous_objective - value <= config.objective_tolerance * (
                 1.0 + abs(previous_objective)
             ):
@@ -265,7 +245,8 @@ def fit_soft(data, lam=0.0, config=SolverConfig()):
 
     Starting weights come from ``config.init`` (the supervised solution
     by default); every round imputes clamped decision values and re-fits
-    the weights. Stops on the configured rule or at ``max_iterations``.
+    the weights. Stops when the relative objective decrease falls to
+    ``config.objective_tolerance`` or at ``max_iterations``.
     """
     if data.n_unlabeled == 0:
         return _supervised_result(data, lam, hard=False)

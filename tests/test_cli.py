@@ -103,6 +103,16 @@ class TestFit:
         assert run_cli(["fit", "--data", str(path), "--method", "oracle"]) == EXIT_PARSE
         assert "true_label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, location", [
+        ("0.0,1.0,0\n1.0,nan,1\n2.0,3.0,\n", "row 2, column 2"),
+        ("0.0,1.0,0\n1.0,2.0,1\ninf,3.0,\n", "row 3, column 1"),
+    ])
+    def test_non_finite_feature_is_parse_error(self, tmp_path, capsys, body, location):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("x0,x1,label\n" + body)
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
+        assert location in capsys.readouterr().err
+
     def test_oracle_uses_truth_column(self, tmp_path, capsys):
         data = write_cluster_data(tmp_path, unlabeled=20)
         capsys.readouterr()

@@ -10,7 +10,6 @@ from sslsq import (
     DegenerateSplitError,
     InvalidInputError,
     ParseError,
-    RidgeConfig,
     SchemaError,
     SyntheticKind,
     SyntheticSpec,
@@ -66,7 +65,7 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             SyntheticSpec(noise_sd=0.0)
         with pytest.raises(InvalidInputError):
-            generate(SyntheticSpec(kind=SyntheticKind.CUSTOM))
+            SyntheticSpec(kind="two-cluster-1d")
 
 
 class TestCsvRoundTrip:
@@ -91,7 +90,7 @@ class TestCsvRoundTrip:
     def test_no_intercept_option(self, tmp_path):
         path = tmp_path / "mini.csv"
         path.write_text("x0,label\n1.5,1\n2.5,0\n")
-        data, _ = load_csv(path, ridge=RidgeConfig(intercept=False))
+        data, _ = load_csv(path, intercept=False)
         assert data.n_features == 1
 
     def test_parse_error_coordinates(self, tmp_path):
@@ -150,7 +149,7 @@ class TestCsvRoundTrip:
     def test_standardize_uses_labeled_statistics(self, tmp_path):
         path = tmp_path / "std.csv"
         path.write_text("x0,label\n0,0\n4,1\n100,\n")
-        data, _ = load_csv(path, standardize=True, ridge=RidgeConfig(intercept=False))
+        data, _ = load_csv(path, standardize=True, intercept=False)
         np.testing.assert_allclose(data.labeled_features[:, 0], [-1.0, 1.0])
         np.testing.assert_allclose(data.unlabeled_features[:, 0], [(100 - 2) / 2.0])
 

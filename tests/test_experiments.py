@@ -167,14 +167,14 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study(datasets, restarts=1, lam=0.0, seed=0)
         assert [r.name for r in report.records] == ["a", "b"]
         for record in report.records:
-            assert record.soft_random_errors.shape == (1,)
-            assert record.hard_random_errors.shape == (1,)
+            assert [len(record.studies[m].records) for m in ("soft", "hard")] == [1, 1]
 
     def test_soft_has_no_more_minima_than_hard(self):
         datasets = {"clusters": fully_labeled_pool(120, 3)}
         report = run_local_optima_study(datasets, restarts=12, lam=0.0, seed=5)
         record = report.records[0]
-        assert record.soft_unique_minima <= record.hard_unique_minima
+        assert (record.studies["soft"].unique_optima_count
+                <= record.studies["hard"].unique_optima_count)
 
     def test_degenerate_dataset_is_skipped(self):
         ok = fully_labeled_pool(40, 1)
@@ -188,11 +188,9 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study({"a": fully_labeled_pool(60, 9)},
                                         restarts=5, seed=1)
         record = report.records[0]
-        values = np.concatenate(
-            [record.soft_random_errors, record.hard_random_errors,
-             [record.supervised_error, record.soft_from_supervised_error,
-              record.hard_from_supervised_error]]
-        )
+        values = np.array([record.supervised_error] + [
+            start.test_error for study in record.studies.values() for start in study.all_records
+        ])
         assert np.all((values >= 0.0) & (values <= 1.0))
 
 

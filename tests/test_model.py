@@ -59,15 +59,6 @@ class TestRidgeSolve:
             residual = (X.T @ X + lam * np.eye(d)) @ w - rhs
             assert np.linalg.norm(residual) < 1e-8 * (1.0 + np.linalg.norm(rhs))
 
-    def test_unpenalized_intercept(self):
-        X = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
-        y = np.array([2.0, 4.0, 6.0])
-        lam = 5.0
-        w = ridge_solve(X, y, lam, penalize_intercept=False)
-        # Stationarity of |Xw - y|^2 + lam * w_0^2 (intercept exempt).
-        grad = 2.0 * X.T @ (X @ w - y) + 2.0 * lam * np.array([w[0], 0.0])
-        np.testing.assert_allclose(grad, 0.0, atol=1e-9)
-
     def test_errors(self):
         with pytest.raises(InvalidInputError):
             ridge_solve([[np.nan, 0]], [1], 0.0)
