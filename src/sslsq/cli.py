@@ -54,8 +54,8 @@ from .experiments import (
     run_learning_curve,
     run_local_optima_study,
 )
-from .model import ridge_solve, supervised_objective
-from .selflearn import fit_hard, fit_soft
+from .model import label_objective, ridge_solve, supervised_objective
+from .selflearn import SolverConfig, StopReason, fit_hard, fit_soft, update_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,9 +163,7 @@ def cmd_generate(args):
 def _fit_oracle(data, truth, lam):
     if truth is None:
         raise SchemaError("oracle fitting needs a true_label column in the data file")
-    pooled = np.vstack([data.labeled_features, data.unlabeled_features])
-    targets = np.concatenate([data.labels, truth])
-    return ridge_solve(pooled, targets, lam)
+    return update_weights(data, truth, lam)
 
 
 def cmd_fit(args):
@@ -183,13 +181,21 @@ def cmd_fit(args):
         trace_rows = [(0, objective, *weights)]
     elif args.method == "oracle":
         weights = _fit_oracle(data, truth, lam)
-        pooled = np.vstack([data.labeled_features, data.unlabeled_features])
-        residual = pooled @ weights - np.concatenate([data.labels, truth])
-        objective = float(residual @ residual + lam * (weights @ weights))
+        objective = label_objective(data, weights, truth, lam)
         iterations, converged, stop_reason = 1, True, "oracle"
         trace_rows = [(0, objective, *weights)]
     else:
-        fit = fit_soft(data, lam) if args.method == "soft" else fit_hard(data, lam)
+        config = SolverConfig()
+        if args.method == "soft":
+            fit = fit_soft(data, lam, config)
+        else:
+            fit = fit_hard(data, lam, config=config)
+        if fit.trace.stop_reason is StopReason.MAX_ITERATIONS:
+            print(
+                f"warning: {args.method} fit stopped at the round cap of "
+                f"{config.max_iterations} rounds before converging",
+                file=sys.stderr,
+            )
         weights = fit.weights
         objective = fit.final_objective
         iterations = fit.iterations

@@ -207,7 +207,11 @@ def supervised_objective(data, w, lam=0.0):
     """Squared error on the labeled block plus the ridge penalty."""
     w = _check_weights(data, w)
     lam = _check_lam(lam)
-    residual = data.labeled_features @ w - data.labels
+    return _squared_objective(data.labeled_features @ w - data.labels, w, lam)
+
+
+def _squared_objective(residual, w, lam):
+    """``||residual||^2 + lam * ||w||^2`` as a Python float."""
     return float(residual @ residual + lam * (w @ w))
 
 
@@ -215,8 +219,7 @@ def label_objective(data, w, u, lam=0.0):
     """Squared error over both blocks with imputed targets ``u`` for the unlabeled one."""
     w = _check_weights(data, w)
     lam = _check_lam(lam)
-    residual = data.extended_features @ w - data.extended_targets(u)
-    return float(residual @ residual + lam * (w @ w))
+    return _squared_objective(data.extended_features @ w - data.extended_targets(u), w, lam)
 
 
 def _check_responsibilities(data, q):
@@ -240,12 +243,21 @@ def responsibility_objective(data, w, q, encoding=ClassEncoding(), lam=0.0):
     w = _check_weights(data, w)
     q = _check_responsibilities(data, q)
     lam = _check_lam(lam)
-    residual = data.labeled_features @ w - data.labels
-    total = residual @ residual + lam * (w @ w)
-    if data.n_unlabeled:
-        s = data.unlabeled_features @ w
+    return _responsibility_value(
+        data.labeled_features @ w - data.labels, data.unlabeled_features @ w, q, w, encoding, lam
+    )
+
+
+def _responsibility_value(labeled_residual, scores, q, w, encoding, lam):
+    """Responsibility objective from labeled residuals and unlabeled decision values.
+
+    The terms are summed in a fixed order (labeled error, penalty, then
+    the per-point mix) so every caller gets the same bits.
+    """
+    total = labeled_residual @ labeled_residual + lam * (w @ w)
+    if scores.size:
         m, n = encoding.positive_code, encoding.negative_code
-        total = total + np.sum(q * (s - m) ** 2 + (1.0 - q) * (s - n) ** 2)
+        total = total + np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2)
     return float(total)
 
 

@@ -13,7 +13,7 @@ change between rounds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .errors import DimensionError, InvalidInputError
 from .model import (
     ClassEncoding,
     _check_lam,
-    label_objective,
-    responsibility_objective,
+    _responsibility_value,
+    _squared_objective,
     ridge_operator,
     ridge_solve,
     supervised_objective,
@@ -92,6 +92,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One descent round: its index, the re-fitted weights and the objective.
+
+    Only the final record carries the round's imputed labels (the same
+    array as ``FitResult.imputed``); every earlier record holds an empty
+    array, so a trace costs O(rounds * d + U) memory rather than
+    O(rounds * U).
+    """
+
     iteration: int
     weights: np.ndarray
     labels: np.ndarray
@@ -100,7 +108,11 @@ class TraceRecord:
 
 @dataclass
 class FitTrace:
-    """Per-round records of a descent run; objectives are non-increasing."""
+    """Per-round records of a descent run; objectives are non-increasing.
+
+    Every record keeps the round's weights and objective; imputed labels
+    appear on the final record only.
+    """
 
     records: list[TraceRecord]
     converged: bool
@@ -136,7 +148,11 @@ def update_soft_labels(data, w):
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n_features,):
         raise DimensionError(f"weights have shape {w.shape}, expected ({data.n_features},)")
-    return np.clip(data.unlabeled_features @ w, 0.0, 1.0)
+    return _soft_labels(data.unlabeled_features @ w)
+
+
+def _soft_labels(scores):
+    return np.clip(scores, 0.0, 1.0)
 
 
 def update_hard_labels(data, w, encoding=ClassEncoding()):
@@ -148,8 +164,12 @@ def update_hard_labels(data, w, encoding=ClassEncoding()):
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n_features,):
         raise DimensionError(f"weights have shape {w.shape}, expected ({data.n_features},)")
+    return _hard_labels(data.unlabeled_features @ w, encoding)
+
+
+def _hard_labels(scores, encoding):
     m, n = encoding.positive_code, encoding.negative_code
-    slope = (m * m - n * n) - 2.0 * (m - n) * (data.unlabeled_features @ w)
+    slope = (m * m - n * n) - 2.0 * (m - n) * scores
     return np.where(slope < 0.0, 1.0, 0.0)
 
 
@@ -203,27 +223,44 @@ def _thin(records, limit):
     return thinned
 
 
+# Shared by every trace record but the last, which holds the imputed labels.
+_NO_LABELS = np.zeros(0)
+_NO_LABELS.setflags(write=False)
+
+
 def _run_descent(data, lam, config, impute, to_targets, objective, hard):
-    lam = _check_lam(lam)
+    """Alternate label imputation and weight re-fits on the extended system.
+
+    ``impute`` maps unlabeled decision values to labels, ``to_targets``
+    maps labels to regression targets, and ``objective(fitted, targets,
+    labels, w)`` scores a round from the fitted values ``X w`` of the
+    stacked design. One product ``X w`` per round serves both that
+    round's objective and the next round's imputation.
+    """
+    extended = data.extended_features
+    n_labeled = data.n_labeled
     # The design stays fixed over the fit, so it is factorized once.
-    solve = ridge_operator(data.extended_features, lam)
-    labels_vec = data.labels
+    solve = ridge_operator(extended, lam)
     w = _initial_weights(data, lam, config, to_targets, solve)
+    scores = data.unlabeled_features @ w
 
     records = []
     converged = False
     reason = StopReason.MAX_ITERATIONS
-    previous_labels = None
+    labels = None
     previous_objective = None
     for k in range(config.max_iterations):
-        labels = impute(w)
-        if hard and previous_labels is not None and np.array_equal(labels, previous_labels):
+        candidate = impute(scores)
+        if hard and labels is not None and np.array_equal(candidate, labels):
             converged = True
             reason = StopReason.LABELS_STABLE
             break
-        w = solve @ np.concatenate([labels_vec, to_targets(labels)])
-        value = objective(w, labels)
-        records.append(TraceRecord(k, w, labels, value))
+        labels = candidate
+        targets = np.concatenate([data.labels, to_targets(labels)])
+        w = solve @ targets
+        fitted = extended @ w
+        value = objective(fitted, targets, labels, w)
+        records.append(TraceRecord(k, w, _NO_LABELS, value))
         if not hard and previous_objective is not None:
             if previous_objective - value <= config.objective_tolerance * (
                 1.0 + abs(previous_objective)
@@ -231,13 +268,13 @@ def _run_descent(data, lam, config, impute, to_targets, objective, hard):
                 converged = True
                 reason = StopReason.OBJECTIVE_TOLERANCE
                 break
-        previous_labels = labels
         previous_objective = value
+        scores = fitted[n_labeled:]
 
     records = _thin(records, config.trace_limit)
-    last = records[-1]
+    last = records[-1] = replace(records[-1], labels=labels)
     trace = FitTrace(records, converged, reason)
-    return FitResult(last.weights, last.labels, last.objective, trace)
+    return FitResult(last.weights, labels, last.objective, trace)
 
 
 def fit_soft(data, lam=0.0, config=SolverConfig()):
@@ -248,15 +285,16 @@ def fit_soft(data, lam=0.0, config=SolverConfig()):
     the weights. Stops when the relative objective decrease falls to
     ``config.objective_tolerance`` or at ``max_iterations``.
     """
+    lam = _check_lam(lam)
     if data.n_unlabeled == 0:
         return _supervised_result(data, lam, hard=False)
     return _run_descent(
         data,
         lam,
         config,
-        impute=lambda w: update_soft_labels(data, w),
+        impute=_soft_labels,
         to_targets=lambda labels: labels,
-        objective=lambda w, labels: label_objective(data, w, labels, lam),
+        objective=lambda fitted, targets, labels, w: _squared_objective(fitted - targets, w, lam),
         hard=False,
     )
 
@@ -269,15 +307,19 @@ def fit_hard(data, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
     when the responsibilities repeat exactly; equal-objective cycles are
     cut off by ``max_iterations`` with stop reason MAX_ITERATIONS.
     """
+    lam = _check_lam(lam)
     if data.n_unlabeled == 0:
         return _supervised_result(data, lam, hard=True)
     m, n = encoding.positive_code, encoding.negative_code
+    n_labeled = data.n_labeled
     return _run_descent(
         data,
         lam,
         config,
-        impute=lambda w: update_hard_labels(data, w, encoding),
+        impute=lambda scores: _hard_labels(scores, encoding),
         to_targets=lambda labels: n + labels * (m - n),
-        objective=lambda w, labels: responsibility_objective(data, w, labels, encoding, lam),
+        objective=lambda fitted, targets, labels, w: _responsibility_value(
+            fitted[:n_labeled] - targets[:n_labeled], fitted[n_labeled:], labels, w, encoding, lam
+        ),
         hard=True,
     )

@@ -97,6 +97,27 @@ class TestFit:
         )
         assert (tmp_path / "trace.manifest.txt").exists()
 
+    def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
+        # Soft BCD on these overlapping clusters is still descending at the
+        # default 1000-round cap; the hard fit on them converges.
+        path = tmp_path / "overlap.csv"
+        assert run_cli([
+            "generate", "--kind", "two-gaussian-2d", "--seed", "0",
+            "--unlabeled", "1000", "--out", str(path),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "stop_reason = max-iterations" in captured.out
+        assert "warning" not in captured.out
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning:") and "1000 rounds" in warnings[0]
+        assert run_cli(["fit", "--data", str(path), "--method", "hard"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "stop_reason = labels-stable" in captured.out
+        assert captured.err == ""
+
     def test_oracle_needs_truth_column(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"
         path.write_text("x0,label\n0.0,0\n1.0,1\n2.0,\n")

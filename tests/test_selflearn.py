@@ -12,11 +12,14 @@ from sslsq import (
     InvalidInputError,
     SolverConfig,
     StopReason,
+    SyntheticKind,
+    SyntheticSpec,
     brute_force_hard_minimum,
     classify,
     decision_values,
     fit_hard,
     fit_soft,
+    generate,
     grad_label_objective_w,
     label_objective,
     responsibility_objective,
@@ -131,9 +134,9 @@ class TestFitSoft:
         np.testing.assert_allclose(supervised, [1.0, -1.0], atol=1e-10)
         assert (0.5 - supervised[1]) / supervised[0] == pytest.approx(1.5)
 
+        np.testing.assert_array_equal(update_soft_labels(data, supervised), [0.0, 1.0])
         result = fit_soft(data, 0.0)
         first = result.trace.records[0]
-        np.testing.assert_array_equal(first.labels, [0.0, 1.0])
         np.testing.assert_allclose(first.weights, [3.0 / 14.0, 1.0 / 14.0], atol=1e-10)
         boundary = (0.5 - first.weights[1]) / first.weights[0]
         assert boundary == pytest.approx(2.0, abs=1e-9)
@@ -228,6 +231,89 @@ class TestFitHard:
         assert not result.trace.converged
         assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
         assert result.iterations == 1
+
+
+def reference_descent(data, lam, config, hard):
+    """The textbook BCD loop, written out of the public block functions.
+
+    Returns per-round weights and objectives, the last round's imputed
+    labels and the stop reason, with the solvers' stopping rules.
+    """
+    w = ridge_solve(data.labeled_features, data.labels, lam)
+    weights, objectives = [], []
+    labels = previous_objective = None
+    reason = StopReason.MAX_ITERATIONS
+    for _ in range(config.max_iterations):
+        candidate = update_hard_labels(data, w) if hard else update_soft_labels(data, w)
+        if hard and labels is not None and np.array_equal(candidate, labels):
+            reason = StopReason.LABELS_STABLE
+            break
+        labels = candidate
+        w = update_weights(data, labels, lam)
+        if hard:
+            value = responsibility_objective(data, w, labels, ClassEncoding(), lam)
+        else:
+            value = label_objective(data, w, labels, lam)
+        weights.append(w)
+        objectives.append(value)
+        if not hard and previous_objective is not None and (
+            previous_objective - value <= config.objective_tolerance * (1.0 + abs(previous_objective))
+        ):
+            reason = StopReason.OBJECTIVE_TOLERANCE
+            break
+        previous_objective = value
+    return np.array(weights), np.array(objectives), labels, reason
+
+
+class TestReferenceLoop:
+    """``fit_soft``/``fit_hard`` run the same rounds as the textbook loop.
+
+    The solvers take the objective and the next labels from one product
+    with the stacked design, where the reference makes separate products
+    per block; a BLAS may round those differently in the last bit, so
+    weights and objectives are compared to 1e-12 relative.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("hard, config, expected", [
+        (False, SolverConfig(), StopReason.OBJECTIVE_TOLERANCE),
+        (False, SolverConfig(max_iterations=5), StopReason.MAX_ITERATIONS),
+        (True, SolverConfig(), StopReason.LABELS_STABLE),
+        (True, SolverConfig(max_iterations=1), StopReason.MAX_ITERATIONS),
+    ])
+    def test_matches_reference(self, seed, lam, hard, config, expected):
+        data = make_dataset(np.random.default_rng(seed), 8, 30, 3)
+        weights, objectives, labels, reason = reference_descent(data, lam, config, hard)
+        assert reason is expected
+        result = fit_hard(data, lam, config=config) if hard else fit_soft(data, lam, config)
+        assert result.iterations == len(objectives)
+        assert result.trace.stop_reason is reason
+        np.testing.assert_allclose(result.trace.weight_path, weights, rtol=1e-12)
+        np.testing.assert_allclose(result.trace.objectives, objectives, rtol=1e-12)
+        if hard:
+            np.testing.assert_array_equal(result.imputed, labels)
+        else:
+            np.testing.assert_allclose(result.imputed, labels, rtol=1e-12)
+
+
+class TestTraceMemory:
+    def test_only_final_record_holds_labels(self):
+        # Soft BCD on these overlapping clusters is still descending after
+        # 500 rounds, so the zero tolerance never stops it early.
+        data, _ = generate(SyntheticSpec(kind=SyntheticKind.TWO_GAUSSIAN_2D,
+                                         labeled_per_class=2, unlabeled_total=1000, seed=0))
+        config = SolverConfig(max_iterations=500, objective_tolerance=0.0)
+        result = fit_soft(data, 0.0, config)
+        records = result.trace.records
+        assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
+        assert len(records) == 500
+        assert sum(r.labels.nbytes for r in records) == 8 * data.n_unlabeled
+        assert all(r.labels.size == 0 for r in records[:-1])
+        assert records[-1].labels is result.imputed
+        np.testing.assert_allclose(
+            result.imputed, update_soft_labels(data, records[-2].weights), rtol=1e-12
+        )
 
 
 class TestConfig:
