@@ -44,8 +44,10 @@ from .selflearn import (
     SolverConfig,
     StopReason,
     TraceRecord,
+    check_start,
     fit_hard,
     fit_soft,
+    fit_starts,
     update_hard_labels,
     update_soft_labels,
     update_weights,

@@ -68,6 +68,8 @@ MANIFEST_FORMAT = "sslsq-manifest-v1"
 
 def _fmt(value):
     """Render a value for CSV/manifest output; floats round-trip exactly."""
+    if type(value) is float:
+        return "" if math.isnan(value) else repr(value)
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
@@ -84,7 +86,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _sha256(path):
@@ -201,7 +203,13 @@ def cmd_fit(args):
         iterations = fit.iterations
         converged = fit.trace.converged
         stop_reason = fit.trace.stop_reason.value
-        trace_rows = [(r.iteration, r.objective, *r.weights) for r in fit.trace.records]
+        trace = fit.trace
+        trace_rows = [
+            (iteration, objective, *w)
+            for iteration, objective, w in zip(
+                trace.rounds.tolist(), trace.objectives.tolist(), trace.weight_path.tolist()
+            )
+        ]
 
     print(f"method = {args.method}")
     print(f"lambda = {_fmt(lam)}")
@@ -287,7 +295,6 @@ def cmd_basin(args):
         list(starts),
         test_features,
         test_labels,
-        threads=args.threads,
     )
 
     d = data.n_features
@@ -362,12 +369,16 @@ def cmd_basin(args):
     )
 
     if args.paths:
-        path_rows = []
-        for record in result.all_records:
-            for iteration, (objective, weights) in enumerate(
-                zip(record.objective_path, record.weight_path)
-            ):
-                path_rows.append((record.start_index, iteration, objective, *weights))
+        # Rows stream to the file; Python floats from tolist() take _fmt's fast path.
+        path_rows = (
+            (record.start_index, iteration, objective, *weights)
+            for record in result.all_records
+            for iteration, objective, weights in zip(
+                record.iteration_path.tolist(),
+                record.objective_path.tolist(),
+                record.weight_path.tolist(),
+            )
+        )
         _write_csv(
             args.paths,
             ["start", "iteration", "objective"] + _weight_columns(d),
@@ -392,7 +403,6 @@ def cmd_local_optima(args):
         lam=args.lam,
         seed=args.seed,
         scale=args.scale,
-        threads=args.threads,
     )
 
     rows = []
@@ -514,7 +524,9 @@ def _add_common(parser, *, seed_required, threads=False):
         parser.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
     if threads:
         parser.add_argument("--threads", type=int, default=1,
-                            help="parallel workers; never changes the output content")
+                            help="parallel workers for learning-curve repeats; basin and "
+                            "local-optima run their starts as one batch and ignore it; "
+                            "never changes the output content")
 
 
 def build_parser():

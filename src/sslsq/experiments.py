@@ -1,21 +1,23 @@
 """Experiment harnesses: basin studies, local-optima studies, learning curves.
 
-All runners are deterministic functions of their inputs and a base seed;
-parallel repeats derive their own seed from (base seed, task index), so
-reports are identical regardless of thread count.
+All runners are deterministic functions of their inputs and a base seed.
+Basin and local-optima studies run all starts of a study as one batch,
+advanced in lock-step by ``fit_starts``. Only the learning curve uses
+threads: its repeats derive their own seed from (base seed, task index),
+so reports are identical regardless of thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import derive_rng, sample_learning_curve_split, split_for_local_optima
 from .errors import DegenerateInputError, DegenerateSplitError, Error, InvalidInputError
 from .model import ClassEncoding, classify, decision_values, ridge_solve
-from .selflearn import GivenWeights, SolverConfig, StopReason, fit_hard, fit_soft
+from .selflearn import SolverConfig, StopReason, check_start, fit_hard, fit_soft, fit_starts
 
 __all__ = [
     "BasinStudyResult",
@@ -109,6 +111,7 @@ class StartRecord:
     stop_reason: StopReason | None
     objective_path: np.ndarray
     weight_path: np.ndarray
+    iteration_path: np.ndarray
     status: str
     optimum_id: int = -1
 
@@ -131,14 +134,6 @@ def _map_indexed(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _fit_method(method, data, lam, encoding, config):
-    if method == "soft":
-        return fit_soft(data, lam, config)
-    if method == "hard":
-        return fit_hard(data, lam, encoding, config)
-    raise InvalidInputError(f"unknown method {method!r}")
-
-
 def run_basin_study(
     data,
     lam,
@@ -148,24 +143,24 @@ def run_basin_study(
     test_labels=None,
     encoding=ClassEncoding(),
     config=SolverConfig(),
-    threads=1,
 ):
     """Run one solver from many starting weights and cluster the optima.
 
     ``starts`` is a sequence of weight vectors; a run from the supervised
-    solution is always added. Per-start failures are recorded in the
-    ``status`` field rather than raised. Unique optima are counted over
-    all successful runs, supervised start included.
+    solution is always added. All valid starts run as one lock-step
+    batch. A start of the wrong shape or with a non-finite entry is
+    recorded with an ``error: ...`` status rather than raised. Unique
+    optima are counted over all successful runs, supervised start
+    included.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if not starts:
         raise InvalidInputError("need at least one starting point")
     has_test = test_labels is not None and np.asarray(test_labels).size > 0
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
-
-    def run_one(task):
-        index, kind, w0 = task
-        record = StartRecord(
+    tasks = [(-1, "supervised", w_sup)] + [(i, "random", w0) for i, w0 in enumerate(starts)]
+    outcomes = [
+        StartRecord(
             start_index=index,
             init_kind=kind,
             initial_weights=w0,
@@ -177,15 +172,24 @@ def run_basin_study(
             stop_reason=None,
             objective_path=np.zeros(0),
             weight_path=np.zeros((0, w0.size)),
+            iteration_path=np.zeros(0, dtype=int),
             status="ok",
         )
+        for index, kind, w0 in tasks
+    ]
+
+    successful = []
+    for record in outcomes:
         try:
-            result = _fit_method(
-                method, data, lam, encoding, replace(config, init=GivenWeights(w0))
-            )
+            check_start(data, record.initial_weights)
         except Error as exc:
             record.status = f"error: {exc}"
-            return record
+        else:
+            successful.append(record)
+    results = fit_starts(
+        data, [r.initial_weights for r in successful], method, lam, encoding, config
+    )
+    for record, result in zip(successful, results):
         record.final_weights = result.weights
         record.final_objective = result.final_objective
         record.iterations = result.iterations
@@ -193,20 +197,15 @@ def run_basin_study(
         record.stop_reason = result.trace.stop_reason
         record.objective_path = result.trace.objectives
         record.weight_path = result.trace.weight_path
+        record.iteration_path = result.trace.rounds
         if has_test:
             record.test_error = evaluate_error(result.weights, test_features, test_labels)
-        return record
 
-    tasks = [(-1, "supervised", w_sup)] + [(i, "random", w0) for i, w0 in enumerate(starts)]
-    outcomes = _map_indexed(run_one, tasks, threads)
-    supervised_record, records = outcomes[0], outcomes[1:]
-
-    successful = [r for r in outcomes if r.final_weights is not None]
     count, cluster_ids = count_unique_optima([r.final_weights for r in successful])
     for record, cluster in zip(successful, cluster_ids):
         record.optimum_id = int(cluster)
     return BasinStudyResult(
-        records=records, supervised_record=supervised_record, unique_optima_count=count
+        records=outcomes[1:], supervised_record=outcomes[0], unique_optima_count=count
     )
 
 
@@ -240,7 +239,6 @@ def run_local_optima_study(
     unlabel_fraction=0.8,
     encoding=ClassEncoding(),
     config=SolverConfig(),
-    threads=1,
 ):
     """Random-restart comparison of both solvers across named datasets.
 
@@ -270,7 +268,7 @@ def run_local_optima_study(
         studies = {
             method: run_basin_study(
                 train, lam, method, starts, split.test_features, split.test_labels,
-                encoding, config, threads,
+                encoding, config,
             )
             for method in ("soft", "hard")
         }

@@ -207,19 +207,35 @@ def supervised_objective(data, w, lam=0.0):
     """Squared error on the labeled block plus the ridge penalty."""
     w = _check_weights(data, w)
     lam = _check_lam(lam)
-    return _squared_objective(data.labeled_features @ w - data.labels, w, lam)
+    return float(_squared_objective(data.labeled_features @ w - data.labels, w, lam))
+
+
+def _row_dots(a):
+    """``a @ a`` over the last axis: a scalar for a vector, one value per row of a block.
+
+    Each row goes through the same BLAS dot as a lone vector, so a row
+    of a block gets the bits that vector would get.
+    """
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def _squared_objective(residual, w, lam):
-    """``||residual||^2 + lam * ||w||^2`` as a Python float."""
-    return float(residual @ residual + lam * (w @ w))
+    """``||residual||^2 + lam * ||w||^2``, per row for (S, N) residuals and (S, d) weights."""
+    return _add_penalty(_row_dots(residual), w, lam)
+
+
+def _add_penalty(value, w, lam):
+    # Adding 0 * ||w||^2 would not change a bit, so lam == 0 skips it.
+    return value + lam * _row_dots(w) if lam else value
 
 
 def label_objective(data, w, u, lam=0.0):
     """Squared error over both blocks with imputed targets ``u`` for the unlabeled one."""
     w = _check_weights(data, w)
     lam = _check_lam(lam)
-    return _squared_objective(data.extended_features @ w - data.extended_targets(u), w, lam)
+    return float(
+        _squared_objective(data.extended_features @ w - data.extended_targets(u), w, lam)
+    )
 
 
 def _check_responsibilities(data, q):
@@ -243,22 +259,21 @@ def responsibility_objective(data, w, q, encoding=ClassEncoding(), lam=0.0):
     w = _check_weights(data, w)
     q = _check_responsibilities(data, q)
     lam = _check_lam(lam)
-    return _responsibility_value(
-        data.labeled_features @ w - data.labels, data.unlabeled_features @ w, q, w, encoding, lam
-    )
+    labeled_residual = data.labeled_features @ w - data.labels
+    scores = data.unlabeled_features @ w
+    return float(_responsibility_value(labeled_residual, scores, q, w, encoding, lam))
 
 
 def _responsibility_value(labeled_residual, scores, q, w, encoding, lam):
     """Responsibility objective from labeled residuals and unlabeled decision values.
 
-    The terms are summed in a fixed order (labeled error, penalty, then
-    the per-point mix) so every caller gets the same bits.
+    Works per row on blocks as ``_squared_objective`` does. The terms are
+    summed in a fixed order (labeled error, penalty, then the per-point
+    mix) so every caller gets the same bits.
     """
-    total = labeled_residual @ labeled_residual + lam * (w @ w)
-    if scores.size:
-        m, n = encoding.positive_code, encoding.negative_code
-        total = total + np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2)
-    return float(total)
+    m, n = encoding.positive_code, encoding.negative_code
+    mix = np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2, axis=-1)
+    return _add_penalty(_row_dots(labeled_residual), w, lam) + mix
 
 
 def grad_label_objective_u(data, w, u):

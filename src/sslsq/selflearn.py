@@ -8,12 +8,17 @@ the objective never increases. The soft variant imputes clamped
 decision values and stops on a relative objective decrease; the hard
 variant imputes 0/1 responsibilities and stops when they no longer
 change between rounds.
+
+One descent loop serves every fit. It advances a block of starts in
+lock-step, one row of weights per start; ``fit_starts`` hands it many
+starts, and ``fit_soft``/``fit_hard`` are its one-start case.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -36,8 +41,10 @@ __all__ = [
     "SolverConfig",
     "StopReason",
     "TraceRecord",
+    "check_start",
     "fit_hard",
     "fit_soft",
+    "fit_starts",
     "update_hard_labels",
     "update_soft_labels",
     "update_weights",
@@ -96,8 +103,7 @@ class TraceRecord:
 
     Only the final record carries the round's imputed labels (the same
     array as ``FitResult.imputed``); every earlier record holds an empty
-    array, so a trace costs O(rounds * d + U) memory rather than
-    O(rounds * U).
+    array.
     """
 
     iteration: int
@@ -106,25 +112,44 @@ class TraceRecord:
     objective: float
 
 
+# Shared by every trace record but the last, which holds the imputed labels.
+_NO_LABELS = np.zeros(0)
+_NO_LABELS.setflags(write=False)
+
+
 @dataclass
 class FitTrace:
-    """Per-round records of a descent run; objectives are non-increasing.
+    """Per-round weights and objectives of a descent run; objectives are non-increasing.
 
-    Every record keeps the round's weights and objective; imputed labels
-    appear on the final record only.
+    Entry k of ``rounds`` and ``objectives`` and row k of ``weight_path``
+    describe one kept round. A run longer than ``SolverConfig.trace_limit``
+    rounds keeps every tenth round and the last one. ``final_labels`` are
+    the last round's imputed labels, so a trace costs O(rounds * d + U)
+    memory.
     """
 
-    records: list[TraceRecord]
+    rounds: np.ndarray
+    weight_path: np.ndarray
+    objectives: np.ndarray
+    final_labels: np.ndarray
     converged: bool
     stop_reason: StopReason
 
     @property
-    def objectives(self):
-        return np.array([r.objective for r in self.records])
-
-    @property
-    def weight_path(self):
-        return np.array([r.weights for r in self.records])
+    def records(self):
+        """The kept rounds as ``TraceRecord``s; only the last one carries labels."""
+        records = list(
+            map(
+                TraceRecord,
+                self.rounds.tolist(),
+                self.weight_path,
+                repeat(_NO_LABELS),
+                self.objectives.tolist(),
+            )
+        )
+        last = records[-1]
+        records[-1] = TraceRecord(last.iteration, last.weights, self.final_labels, last.objective)
+        return records
 
 
 @dataclass
@@ -136,7 +161,8 @@ class FitResult:
 
     @property
     def iterations(self):
-        return len(self.trace.records)
+        """Rounds run; a thinned trace keeps the last round."""
+        return int(self.trace.rounds[-1]) + 1
 
 
 def update_soft_labels(data, w):
@@ -152,7 +178,8 @@ def update_soft_labels(data, w):
 
 
 def _soft_labels(scores):
-    return np.clip(scores, 0.0, 1.0)
+    # Two ufuncs do what np.clip does, without its Python-level dispatch.
+    return np.minimum(np.maximum(scores, 0.0), 1.0)
 
 
 def update_hard_labels(data, w, encoding=ClassEncoding()):
@@ -179,19 +206,29 @@ def update_weights(data, imputed, lam=0.0):
     return ridge_solve(data.extended_features, targets, lam)
 
 
+def check_start(data, w):
+    """Starting weights as a float vector; raises on a wrong shape or a non-finite entry.
+
+    Every ``GivenWeights`` start and every start of ``fit_starts`` goes
+    through this check, so a caller can screen starts by the same rule.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (data.n_features,):
+        raise DimensionError(
+            f"initial weights have shape {w.shape}, expected ({data.n_features},)"
+        )
+    if w.size and not np.all(np.isfinite(w)):
+        raise InvalidInputError("initial weights contain non-finite entries")
+    return w
+
+
 def _initial_weights(data, lam, config, to_targets, solve):
     init = config.init
     if init == SUPERVISED_INIT:
-        return ridge_solve(data.labeled_features, data.labels, lam)
+        # A Dataset's arrays are already checked, so skip ridge_solve's copies.
+        return ridge_operator(data.labeled_features, lam) @ data.labels
     if isinstance(init, GivenWeights):
-        w = np.asarray(init.weights, dtype=float)
-        if w.shape != (data.n_features,):
-            raise DimensionError(
-                f"initial weights have shape {w.shape}, expected ({data.n_features},)"
-            )
-        if w.size and not np.all(np.isfinite(w)):
-            raise InvalidInputError("initial weights contain non-finite entries")
-        return w
+        return check_start(data, init.weights)
     labels = np.asarray(init.labels, dtype=float)
     if labels.shape != (data.n_unlabeled,):
         raise DimensionError(
@@ -207,74 +244,207 @@ def _supervised_result(data, lam, hard):
     objective = supervised_objective(data, w, lam)
     empty = np.zeros(0)
     trace = FitTrace(
-        records=[TraceRecord(0, w, empty, objective)],
+        rounds=np.zeros(1, dtype=int),
+        weight_path=w[None, :],
+        objectives=np.array([objective]),
+        final_labels=empty,
         converged=True,
         stop_reason=StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE,
     )
     return FitResult(w, empty, objective, trace)
 
 
-def _thin(records, limit):
-    if len(records) <= limit:
-        return records
-    thinned = records[::10]
-    if thinned[-1].iteration != records[-1].iteration:
-        thinned.append(records[-1])
-    return thinned
+def _kept_rounds(count, limit):
+    """Index of the rounds a trace keeps: all of them, or every tenth and the last."""
+    if count <= limit:
+        return slice(None)
+    kept = list(range(0, count, 10))
+    if kept[-1] != count - 1:
+        kept.append(count - 1)
+    return np.array(kept)
 
 
-# Shared by every trace record but the last, which holds the imputed labels.
-_NO_LABELS = np.zeros(0)
-_NO_LABELS.setflags(write=False)
+def _method_rule(method, data, lam, encoding):
+    """A solver's label imputation, label-to-target map and per-start objective.
 
-
-def _run_descent(data, lam, config, impute, to_targets, objective, hard):
-    """Alternate label imputation and weight re-fits on the extended system.
-
-    ``impute`` maps unlabeled decision values to labels, ``to_targets``
-    maps labels to regression targets, and ``objective(fitted, targets,
-    labels, w)`` scores a round from the fitted values ``X w`` of the
-    stacked design. One product ``X w`` per round serves both that
-    round's objective and the next round's imputation.
+    All three act on blocks with one row per start. The objective scores
+    a round from the fitted values ``W X^T`` of the stacked design and
+    their residuals from the targets.
     """
-    extended = data.extended_features
+    if method == "soft":
+        return (
+            _soft_labels,
+            lambda labels: labels,
+            lambda residual, fitted, labels, W: _squared_objective(residual, W, lam),
+        )
+    if method == "hard":
+        m, n = encoding.positive_code, encoding.negative_code
+        n_labeled = data.n_labeled
+        return (
+            lambda scores: _hard_labels(scores, encoding),
+            lambda labels: n + labels * (m - n),
+            lambda residual, fitted, labels, W: _responsibility_value(
+                residual[:, :n_labeled],
+                fitted[:, n_labeled:],
+                labels,
+                W,
+                encoding,
+                lam,
+            ),
+        )
+    raise InvalidInputError(f"unknown method {method!r}")
+
+
+# Starts run in blocks of at most this many (start, design row) entries.
+# A round keeps a few such (starts, N) arrays live, so the cap bounds its
+# memory whatever the number of starts, and at 128 KiB per array a round
+# stays in a per-core cache. On a 2-vCPU x86-64 machine with OpenBLAS,
+# 101 starts over a 416-row design ran the studies about 15% faster in
+# blocks of 39 than in one block, and raised peak RSS by 1.4 MB, not 4.5.
+_BLOCK_ELEMENTS = 16384
+
+
+def _by_rows(block, matrix):
+    """``block @ matrix`` as one BLAS matrix-vector product per row.
+
+    A row then gets the bits it would get alone, which a matrix-matrix
+    product does not promise, so a start's path does not depend on the
+    starts it runs with. numpy already sends a one-row product to that
+    routine, without the cost of stacking. That shortcut and the one in
+    ``_start_results`` keep single fits cheap: without both, the bench
+    learning-curve workload ran 7% slower (10 of 10 pairs).
+    """
+    if len(block) == 1:
+        return block @ matrix
+    return (block[:, None, :] @ matrix)[:, 0, :]
+
+
+def _run_descent(data, config, solve, starts, impute, to_targets, objective, hard):
+    """Advance a block of starts in lock-step until each one stops.
+
+    ``starts`` is an (S, d) array, one starting weight vector per row.
+    Every round imputes the labels of all working starts from their
+    decision values, re-fits their weights with one product with the
+    ridge operator ``solve``, and takes their objectives and next
+    decision values from one product with the stacked design. A start
+    leaves the block in the round it stops: on stable labels (hard), on
+    the relative objective decrease (soft) or at ``max_iterations``.
+    Returns one ``FitResult`` per start, in order.
+    """
     n_labeled = data.n_labeled
-    # The design stays fixed over the fit, so it is factorized once.
-    solve = ridge_operator(extended, lam)
-    w = _initial_weights(data, lam, config, to_targets, solve)
-    scores = data.unlabeled_features @ w
+    operator_t, design_t = solve.T, data.extended_features.T
+    tolerance = config.objective_tolerance
+    active = np.arange(len(starts))
+    known = data.labels[None, :].repeat(len(starts), axis=0)
+    scores = _by_rows(starts, data.unlabeled_features.T)
 
-    records = []
-    converged = False
-    reason = StopReason.MAX_ITERATIONS
-    labels = None
-    previous_objective = None
-    for k in range(config.max_iterations):
+    rounds = []  # (start ids, weights, objectives) of every round's working block
+    stops = {}  # start id -> (stop reason, final labels)
+    labels = previous = None
+
+    def leave(mask, reason):
+        # Fancy indexing copies, so a final label row keeps no round's block alive.
+        for i, row in zip(active[mask].tolist(), labels[mask]):
+            stops[i] = (reason, row)
+
+    for _ in range(config.max_iterations):
         candidate = impute(scores)
-        if hard and labels is not None and np.array_equal(candidate, labels):
-            converged = True
-            reason = StopReason.LABELS_STABLE
-            break
+        if hard and labels is not None:
+            stable = (candidate == labels).all(axis=1)
+            stopped = np.count_nonzero(stable)
+            if stopped:
+                leave(stable, StopReason.LABELS_STABLE)
+                if stopped == active.size:
+                    break
+                keep = ~stable
+                active, candidate = active[keep], candidate[keep]
+                known = known[: active.size]
         labels = candidate
-        targets = np.concatenate([data.labels, to_targets(labels)])
-        w = solve @ targets
-        fitted = extended @ w
-        value = objective(fitted, targets, labels, w)
-        records.append(TraceRecord(k, w, _NO_LABELS, value))
-        if not hard and previous_objective is not None:
-            if previous_objective - value <= config.objective_tolerance * (
-                1.0 + abs(previous_objective)
-            ):
-                converged = True
-                reason = StopReason.OBJECTIVE_TOLERANCE
-                break
-        previous_objective = value
-        scores = fitted[n_labeled:]
+        targets = np.concatenate((known, to_targets(labels)), axis=1)
+        W = _by_rows(targets, operator_t)
+        fitted = _by_rows(W, design_t)
+        # The targets are spent once W is known, so the residual overwrites them.
+        residual = np.subtract(fitted, targets, out=targets)
+        # Python floats: the trace stores them, and on a one-start block
+        # the stop test costs less in Python than in numpy calls.
+        values = objective(residual, fitted, labels, W).tolist()
+        rounds.append((active, W, values))
+        if not hard and previous is not None:
+            done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
+            stopped = done.count(True)
+            if stopped:
+                done = np.array(done)
+                leave(done, StopReason.OBJECTIVE_TOLERANCE)
+                if stopped == active.size:
+                    break
+                keep = ~done
+                active, labels, fitted = active[keep], labels[keep], fitted[keep]
+                values = list(compress(values, keep))
+                known = known[: active.size]
+        previous = values
+        scores = fitted[:, n_labeled:]
+    else:  # the round cap stops every start still working
+        leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS)
+    return _start_results(rounds, stops, config.trace_limit)
 
-    records = _thin(records, config.trace_limit)
-    last = records[-1] = replace(records[-1], labels=labels)
-    trace = FitTrace(records, converged, reason)
-    return FitResult(last.weights, labels, last.objective, trace)
+
+def _start_results(rounds, stops, trace_limit):
+    """Split the per-round blocks of a lock-step run into one ``FitResult`` per start.
+
+    A start works from round 0 until it leaves, so after a stable sort
+    by start id its rows are its rounds in order. A lone start's rows
+    are in order already.
+    """
+    weights = np.concatenate([W for _, W, _ in rounds])
+    objectives = np.array([value for _, _, values in rounds for value in values])
+    counts = [len(rounds)]
+    if len(stops) > 1:
+        ids = np.concatenate([active for active, _, _ in rounds])
+        order = np.argsort(ids, kind="stable")
+        weights, objectives = weights[order], objectives[order]
+        counts = np.bincount(ids).tolist()
+    results = []
+    end = 0
+    for i, rounds_run in enumerate(counts):
+        begin, end = end, end + rounds_run
+        kept = _kept_rounds(rounds_run, trace_limit)
+        reason, labels = stops[i]
+        trace = FitTrace(
+            rounds=np.arange(rounds_run)[kept],
+            weight_path=weights[begin:end][kept],
+            objectives=objectives[begin:end][kept],
+            final_labels=labels,
+            converged=reason is not StopReason.MAX_ITERATIONS,
+            stop_reason=reason,
+        )
+        results.append(FitResult(weights[end - 1], labels, float(objectives[end - 1]), trace))
+    return results
+
+
+def _fit(data, method, lam, encoding, config, starts=None):
+    lam = _check_lam(lam)
+    impute, to_targets, objective = _method_rule(method, data, lam, encoding)
+    hard = method == "hard"
+    if starts is not None:
+        starts = [check_start(data, w) for w in starts]
+        if not starts:
+            return []
+    if data.n_unlabeled == 0:
+        count = 1 if starts is None else len(starts)
+        return [_supervised_result(data, lam, hard) for _ in range(count)]
+    # The design stays fixed over the fit, so it is factorized once.
+    solve = ridge_operator(data.extended_features, lam)
+    if starts is None:
+        starts = _initial_weights(data, lam, config, to_targets, solve)[None, :]
+    starts = np.asarray(starts)
+    rows = max(1, _BLOCK_ELEMENTS // data.extended_features.shape[0])
+    return [
+        result
+        for first in range(0, len(starts), rows)
+        for result in _run_descent(
+            data, config, solve, starts[first : first + rows], impute, to_targets, objective, hard
+        )
+    ]
 
 
 def fit_soft(data, lam=0.0, config=SolverConfig()):
@@ -285,18 +455,7 @@ def fit_soft(data, lam=0.0, config=SolverConfig()):
     the weights. Stops when the relative objective decrease falls to
     ``config.objective_tolerance`` or at ``max_iterations``.
     """
-    lam = _check_lam(lam)
-    if data.n_unlabeled == 0:
-        return _supervised_result(data, lam, hard=False)
-    return _run_descent(
-        data,
-        lam,
-        config,
-        impute=_soft_labels,
-        to_targets=lambda labels: labels,
-        objective=lambda fitted, targets, labels, w: _squared_objective(fitted - targets, w, lam),
-        hard=False,
-    )
+    return _fit(data, "soft", lam, None, config)[0]
 
 
 def fit_hard(data, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
@@ -307,19 +466,17 @@ def fit_hard(data, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
     when the responsibilities repeat exactly; equal-objective cycles are
     cut off by ``max_iterations`` with stop reason MAX_ITERATIONS.
     """
-    lam = _check_lam(lam)
-    if data.n_unlabeled == 0:
-        return _supervised_result(data, lam, hard=True)
-    m, n = encoding.positive_code, encoding.negative_code
-    n_labeled = data.n_labeled
-    return _run_descent(
-        data,
-        lam,
-        config,
-        impute=lambda scores: _hard_labels(scores, encoding),
-        to_targets=lambda labels: n + labels * (m - n),
-        objective=lambda fitted, targets, labels, w: _responsibility_value(
-            fitted[:n_labeled] - targets[:n_labeled], fitted[n_labeled:], labels, w, encoding, lam
-        ),
-        hard=True,
-    )
+    return _fit(data, "hard", lam, encoding, config)[0]
+
+
+def fit_starts(data, starts, method, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
+    """Run one solver ("soft" or "hard") from each of many starting weights.
+
+    Equivalent to ``fit_soft``/``fit_hard`` with ``init=GivenWeights(w0)``
+    for every ``w0`` in ``starts``, but the starts advance in lock-step
+    as blocks of weight rows, so a round costs two matrix products per
+    block rather than per start; ``config.init`` is not used. Raises on
+    the first start that ``check_start`` rejects. Returns
+    one ``FitResult`` per start, in order.
+    """
+    return _fit(data, method, lam, encoding, config, starts)

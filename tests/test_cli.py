@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from sslsq.cli import EXIT_CAPACITY, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from sslsq.cli import (
+    EXIT_CAPACITY,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    _fmt,
+    main,
+)
 
 
 def run_cli(args):
@@ -223,6 +231,12 @@ class TestBasin:
         lines = paths.read_text().splitlines()
         assert lines[0].startswith("start,iteration,objective")
         assert len(lines) > 4
+
+    @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 2.5e16, 1.0 / 3.0, float("inf"),
+                                       float("nan")])
+    def test_float_fields_render_alike_from_python_and_numpy(self, value):
+        # Path rows hold Python floats, report rows numpy floats.
+        assert _fmt(value) == _fmt(np.float64(value))
 
 
 class TestLocalOptima:

@@ -1,18 +1,24 @@
 """Experiment harnesses: restarts, clustering, studies and curves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sslsq import (
     Dataset,
     DegenerateInputError,
+    GivenWeights,
     InvalidInputError,
     SolverConfig,
+    StopReason,
     SyntheticKind,
     SyntheticSpec,
     count_unique_optima,
     evaluate_error,
+    fit_hard,
     fit_soft,
+    fit_starts,
     generate,
     random_init_near_supervised,
     ridge_solve,
@@ -139,14 +145,94 @@ class TestBasinStudy:
         assert record.iterations <= 2
         assert np.max(np.abs(record.final_weights - settled)) < 1e-8
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_batch_equals_one_start_at_a_time(self, method, lam):
+        # The study runs all starts in lock-step; each record must match a
+        # lone fit from that start. The round cap stops some starts and
+        # not others, so starts leave the batch in different rounds; the
+        # last start is a settled fixed point.
         data, truth = small_two_cluster()
-        starts = random_init_near_supervised(data, 0.0, 6, 1.0, seed=2)
-        serial = run_basin_study(data, 0.0, "hard", list(starts), threads=1)
-        threaded = run_basin_study(data, 0.0, "hard", list(starts), threads=3)
-        for a, b in zip(serial.all_records, threaded.all_records):
+        cap = {"soft": 120, "hard": 3}[method]
+        config = SolverConfig(max_iterations=cap)
+        fit = {"soft": fit_soft, "hard": lambda d, l, c: fit_hard(d, l, config=c)}[method]
+        settled = fit(data, lam, SolverConfig(max_iterations=20000, objective_tolerance=0.0))
+        starts = list(random_init_near_supervised(data, lam, 6, 1.0, seed=2))
+        starts.append(settled.weights)
+        result = run_basin_study(data, lam, method, starts, data.unlabeled_features, truth,
+                                 config=config)
+        batch = fit_starts(data, starts, method, lam, config=config)
+        for record, fitted in zip(result.records, batch):
+            alone = fit(data, lam, replace(config, init=GivenWeights(record.initial_weights)))
+            assert record.status == "ok"
+            assert record.iterations == alone.iterations
+            assert record.stop_reason is alone.trace.stop_reason
+            assert record.converged == alone.trace.converged
+            np.testing.assert_allclose(record.weight_path, alone.trace.weight_path, rtol=1e-12)
+            np.testing.assert_allclose(record.objective_path, alone.trace.objectives,
+                                       rtol=1e-12)
+            np.testing.assert_array_equal(record.iteration_path, alone.trace.rounds)
+            assert record.test_error == evaluate_error(alone.weights, data.unlabeled_features,
+                                                       truth)
+            if method == "hard":
+                np.testing.assert_array_equal(fitted.imputed, alone.imputed)
+            else:
+                np.testing.assert_allclose(fitted.imputed, alone.imputed, rtol=1e-12)
+        assert result.records[-1].iterations <= 2
+        reasons = {r.stop_reason for r in result.records}
+        assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
+        assert len({r.iterations for r in result.records}) >= 3
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # Starts run in blocks capped by selflearn._BLOCK_ELEMENTS; blocks of
+        # two starts must give the very bits of one block of seven.
+        import sslsq.selflearn as selflearn
+
+        data, _ = small_two_cluster()
+        starts = random_init_near_supervised(data, 0.0, 7, 1.0, seed=4)
+        config = SolverConfig(max_iterations=150)
+        whole = fit_starts(data, starts, "soft", config=config)
+        rows = data.n_labeled + data.n_unlabeled
+        monkeypatch.setattr(selflearn, "_BLOCK_ELEMENTS", 2 * rows)
+        split = fit_starts(data, starts, "soft", config=config)
+        assert len({a.iterations for a in whole}) > 1
+        for a, b in zip(whole, split):
+            assert a.iterations == b.iterations
+            assert a.trace.stop_reason is b.trace.stop_reason
+            np.testing.assert_array_equal(a.trace.weight_path, b.trace.weight_path)
+            np.testing.assert_array_equal(a.trace.objectives, b.trace.objectives)
+            np.testing.assert_array_equal(a.imputed, b.imputed)
+
+    def test_bad_starts_get_error_rows(self):
+        data, truth = small_two_cluster()
+        good = list(random_init_near_supervised(data, 0.0, 3, 1.0, seed=2))
+        starts = [good[0], np.array([np.nan, 1.0]), good[1], np.ones(3), good[2]]
+        result = run_basin_study(data, 0.0, "soft", starts, data.unlabeled_features, truth)
+        clean = run_basin_study(data, 0.0, "soft", good, data.unlabeled_features, truth)
+        statuses = [r.status for r in result.records]
+        assert statuses[1] == "error: initial weights contain non-finite entries"
+        assert statuses[3] == "error: initial weights have shape (3,), expected (2,)"
+        for bad in (result.records[1], result.records[3]):
+            assert bad.final_weights is None and bad.optimum_id == -1
+            assert bad.iterations == 0 and bad.weight_path.shape == (0, bad.initial_weights.size)
+        kept = [result.supervised_record] + [result.records[i] for i in (0, 2, 4)]
+        assert [r.start_index for r in kept] == [-1, 0, 2, 4]
+        assert result.unique_optima_count == clean.unique_optima_count
+        for a, b in zip(kept, clean.all_records):
+            assert a.status == b.status == "ok"
             np.testing.assert_array_equal(a.final_weights, b.final_weights)
-        assert serial.unique_optima_count == threaded.unique_optima_count
+            np.testing.assert_array_equal(a.objective_path, b.objective_path)
+            assert (a.iterations, a.stop_reason, a.test_error, a.optimum_id) == (
+                b.iterations, b.stop_reason, b.test_error, b.optimum_id)
+
+    def test_iterations_survive_trace_thinning(self):
+        data, truth = small_two_cluster()
+        config = SolverConfig(max_iterations=200, objective_tolerance=0.0, trace_limit=50)
+        result = run_basin_study(data, 0.0, "soft", [np.zeros(2)], config=config)
+        record = result.records[0]
+        assert record.iterations == 200
+        assert record.iteration_path.tolist() == list(range(0, 200, 10)) + [199]
+        assert len(record.objective_path) == len(record.iteration_path)
 
     def test_requires_starts(self):
         data, _ = small_two_cluster()

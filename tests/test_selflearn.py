@@ -336,6 +336,17 @@ class TestConfig:
         assert result.final_objective == records[-1].objective
         assert_monotone(result.trace, "(thinned)")
 
+    def test_iterations_count_rounds_after_thinning(self):
+        # Thinning keeps 21 of 200 records; the round count must not follow it.
+        data, _ = generate(SyntheticSpec(kind=SyntheticKind.TWO_GAUSSIAN_2D,
+                                         labeled_per_class=2, unlabeled_total=200, seed=0))
+        config = SolverConfig(max_iterations=200, objective_tolerance=0.0, trace_limit=50)
+        result = fit_soft(data, 0.0, config)
+        assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
+        assert len(result.trace.records) == 21
+        assert result.iterations == 200
+        assert result.trace.rounds.tolist() == list(range(0, 200, 10)) + [199]
+
 
 class TestPenalizedSolveAccuracy:
     """With lam > 0 every solve must match lstsq on the augmented system.
