@@ -37,6 +37,7 @@ from .model import (
     supervised_objective,
 )
 from .selflearn import (
+    DatasetFits,
     FitResult,
     FitTrace,
     GivenLabels,
@@ -45,6 +46,7 @@ from .selflearn import (
     StopReason,
     TraceRecord,
     check_start,
+    fit_datasets,
     fit_hard,
     fit_soft,
     fit_starts,

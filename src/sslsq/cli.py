@@ -4,7 +4,8 @@ Subcommands: generate, fit, diagnose, basin, local-optima, learning-curve.
 Experiment subcommands require an explicit --seed and write long-format
 CSV reports (one row per run/cell), an aggregated CSV next to them and a
 key-value manifest sidecar. All output is deterministic given the flags,
-the seed and the input files, independent of --threads.
+the seed and the input files. Every experiment runs in one thread; the
+--threads flag is still accepted and ignored.
 
 Exit codes: 0 success, 2 usage / invalid input, 3 file parse or schema
 errors, 4 capacity limits, 5 numerical or degenerate-input errors.
@@ -463,11 +464,25 @@ def cmd_local_optima(args):
     return EXIT_OK
 
 
+def _parse_u_values(text):
+    values = []
+    for token in text.split(","):
+        if not token.strip():
+            continue
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise InvalidInputError(
+                f"--u-values: {token.strip()!r} is not an integer"
+            ) from None
+    return values
+
+
 def cmd_learning_curve(args):
+    u_values = _parse_u_values(args.u_values)
     data, _ = _load(args.data, intercept=not args.no_intercept)
     if data.n_unlabeled:
         raise InvalidInputError(f"{args.data}: learning-curve input must be fully labeled")
-    u_values = [int(tok) for tok in args.u_values.split(",") if tok.strip()]
     report = run_learning_curve(
         data,
         labeled_count=args.labeled,
@@ -475,7 +490,6 @@ def cmd_learning_curve(args):
         repeats=args.repeats,
         lam=args.lam,
         seed=args.seed,
-        threads=args.threads,
     )
     _write_csv(
         args.out,
@@ -524,9 +538,9 @@ def _add_common(parser, *, seed_required, threads=False):
         parser.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
     if threads:
         parser.add_argument("--threads", type=int, default=1,
-                            help="parallel workers for learning-curve repeats; basin and "
-                            "local-optima run their starts as one batch and ignore it; "
-                            "never changes the output content")
+                            help="accepted and ignored: every experiment runs its starts "
+                            "or repeats as batches in one thread; never changes the "
+                            "output content")
 
 
 def build_parser():

@@ -1,15 +1,16 @@
 """Experiment harnesses: basin studies, local-optima studies, learning curves.
 
-All runners are deterministic functions of their inputs and a base seed.
-Basin and local-optima studies run all starts of a study as one batch,
-advanced in lock-step by ``fit_starts``. Only the learning curve uses
-threads: its repeats derive their own seed from (base seed, task index),
-so reports are identical regardless of thread count.
+All runners are deterministic functions of their inputs and a base seed,
+and none uses threads. Basin and local-optima studies run all starts of
+a study as one batch, advanced in lock-step by ``fit_starts``. The
+learning curve runs the repeats of one unlabeled count as blocks of
+same-shape splits, each fitted as one stack; a repeat derives its split
+from (base seed, repeat, unlabeled-count index), so the blocking does
+not change the report.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .datagen import derive_rng, sample_learning_curve_split, split_for_local_optima
 from .errors import DegenerateInputError, DegenerateSplitError, Error, InvalidInputError
 from .model import ClassEncoding, classify, decision_values, ridge_solve
-from .selflearn import SolverConfig, StopReason, check_start, fit_hard, fit_soft, fit_starts
+from .selflearn import SolverConfig, StopReason, check_start, fit_datasets, fit_starts
 
 __all__ = [
     "BasinStudyResult",
@@ -37,6 +38,14 @@ __all__ = [
 
 METHODS = ("supervised", "soft", "hard", "oracle")
 CLUSTER_TOLERANCE = 1e-4
+
+# The learning curve samples the repeats of one unlabeled count in blocks
+# of splits that hold at most about this many pool entries in all, since
+# each split copies the pool's entries once. On the 600 x 3 pool of the
+# bench's learning-curve workload that is 9 repeats per block: peak RSS
+# rose 1.3% over fitting one split at a time, where holding all 100
+# repeats' splits at once raised it by more than a fifth.
+_REPEAT_BLOCK_ENTRIES = 16384
 
 
 def evaluate_error(w, test_features, test_labels):
@@ -125,13 +134,6 @@ class BasinStudyResult:
     @property
     def all_records(self):
         return [self.supervised_record] + self.records
-
-
-def _map_indexed(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def run_basin_study(
@@ -312,7 +314,6 @@ def run_learning_curve(
     seed=0,
     encoding=ClassEncoding(),
     config=SolverConfig(),
-    threads=1,
 ):
     """Test-error curves over growing unlabeled counts, with an oracle.
 
@@ -320,62 +321,65 @@ def run_learning_curve(
     methods (supervised, soft, hard, oracle) are trained on that same
     split. The oracle solves the pooled system using the true labels of
     the unlabeled part. Cells with an empty test set carry NaN and are
-    excluded from aggregation.
+    excluded from aggregation. The splits of one unlabeled count share
+    their shapes, so they are fitted in blocks, each as one stack; every
+    weight vector equals the one a lone fit on its split gives.
     """
     u_values = [int(u) for u in u_values]
     if repeats < 1:
         raise InvalidInputError("repeats must be at least 1")
+    if not u_values:
+        raise InvalidInputError("need at least one unlabeled count")
     if any(u < 0 for u in u_values):
         raise InvalidInputError("unlabeled counts must be nonnegative")
-
-    def run_repeat(repeat):
-        cells = []
-        for u_index, u in enumerate(u_values):
-            split = sample_learning_curve_split(
-                data, labeled_count, u, derive_rng(seed, repeat, u_index)
-            )
-            train = split.train
-            weights = {
-                "supervised": ridge_solve(train.labeled_features, train.labels, lam),
-                "soft": fit_soft(train, lam, config).weights,
-                "hard": fit_hard(train, lam, encoding, config).weights,
-                "oracle": ridge_solve(
-                    np.vstack([train.labeled_features, train.unlabeled_features]),
-                    np.concatenate([train.labels, split.unlabeled_truth]),
-                    lam,
-                ),
-            }
-            for method in METHODS:
-                error = (
-                    evaluate_error(weights[method], split.test_features, split.test_labels)
-                    if split.has_test
-                    else float("nan")
+    repeated = sorted({u for u in u_values if u_values.count(u) > 1})
+    if repeated:
+        raise InvalidInputError(f"unlabeled counts must be distinct; repeated: {repeated}")
+    repeats = int(repeats)
+    block = max(1, _REPEAT_BLOCK_ENTRIES // data.labeled_features.size)
+    errors = np.full((repeats, len(u_values), len(METHODS)), np.nan)
+    parts = {}  # (repeat, u index) -> (test size, partition hash)
+    for u_index, u in enumerate(u_values):
+        for first in range(0, repeats, block):
+            indices = range(first, min(first + block, repeats))
+            splits = [
+                sample_learning_curve_split(
+                    data, labeled_count, u, derive_rng(seed, repeat, u_index)
                 )
-                cells.append(
-                    LearningCurveCell(
-                        u=u,
-                        repeat=repeat,
-                        method=method,
-                        error=error,
-                        test_size=int(split.test_labels.size),
-                        partition_hash=split.partition_hash,
-                    )
-                )
-        return cells
+                for repeat in indices
+            ]
+            weights = _method_weights(splits, lam, encoding, config)
+            for repeat, split, row in zip(indices, splits, weights):
+                parts[repeat, u_index] = (int(split.test_labels.size), split.partition_hash)
+                if split.has_test:
+                    errors[repeat, u_index] = [
+                        evaluate_error(w, split.test_features, split.test_labels) for w in row
+                    ]
+            # Drop this block's splits before the next block samples its own.
+            del splits, weights
 
-    nested = _map_indexed(run_repeat, list(range(int(repeats))), threads)
-    cells = [cell for group in nested for cell in group]
-
+    cells = [
+        LearningCurveCell(
+            u=u,
+            repeat=repeat,
+            method=method,
+            error=float(errors[repeat, u_index, m]),
+            test_size=parts[repeat, u_index][0],
+            partition_hash=parts[repeat, u_index][1],
+        )
+        for repeat in range(repeats)
+        for u_index, u in enumerate(u_values)
+        for m, method in enumerate(METHODS)
+    ]
     aggregates = []
-    for u in u_values:
-        for method in METHODS:
-            errors = np.array(
-                [c.error for c in cells if c.u == u and c.method == method and not np.isnan(c.error)]
-            )
-            used = int(errors.size)
-            mean = float(np.mean(errors)) if used else float("nan")
+    for u_index, u in enumerate(u_values):
+        for m, method in enumerate(METHODS):
+            column = errors[:, u_index, m]
+            column = column[~np.isnan(column)]
+            used = int(column.size)
+            mean = float(np.mean(column)) if used else float("nan")
             std_error = (
-                float(np.std(errors, ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
+                float(np.std(column, ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
             )
             aggregates.append(
                 LearningCurveAggregate(
@@ -383,3 +387,24 @@ def run_learning_curve(
                 )
             )
     return LearningCurveReport(cells=cells, aggregates=aggregates)
+
+
+def _method_weights(splits, lam, encoding, config):
+    """Weights of each method in ``METHODS`` on same-shape splits, shape (R, 4, d).
+
+    Soft, hard and the oracle share one factorization of the extended
+    designs; the oracle's design is the extended design, with the true
+    labels of the unlabeled part as its targets.
+    """
+    trains = [split.train for split in splits]
+    fitted = fit_datasets(trains, ("soft", "hard"), lam, encoding, config)
+    truth = np.stack(
+        [np.concatenate([split.train.labels, split.unlabeled_truth]) for split in splits]
+    )
+    weights = {
+        "supervised": fitted.supervised,
+        "soft": [result.weights for result in fitted.fits["soft"]],
+        "hard": [result.weights for result in fitted.fits["hard"]],
+        "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
+    }
+    return np.stack([weights[method] for method in METHODS], axis=1)

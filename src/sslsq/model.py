@@ -160,13 +160,18 @@ def ridge_operator(features, lam=0.0):
     values below ``max(rows, d) * eps`` times the largest are dropped.
     With ``lam == 0`` nothing is appended and ``P @ t`` is the
     minimum-norm solution, so rank-deficient designs are accepted.
+
+    A stack of designs, shape (R, N, d), gives the stack (R, d, N) of
+    their operators, the penalty rows appended to each matrix; each slice
+    has the bits of a lone call on that matrix.
     """
     X = np.asarray(features, dtype=float)
-    n = X.shape[0]
+    n, d = X.shape[-2:]
     lam = _check_lam(lam)
     if lam > 0.0:
-        X = np.vstack([X, np.sqrt(lam) * np.eye(X.shape[1])])
-    return np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)[:, :n]
+        penalty = np.broadcast_to(np.sqrt(lam) * np.eye(d), X.shape[:-2] + (d, d))
+        X = np.concatenate([X, penalty], axis=-2)
+    return np.linalg.pinv(X, rcond=max(X.shape[-2:]) * np.finfo(float).eps)[..., :n]
 
 
 def ridge_solve(features, targets, lam=0.0):

@@ -11,7 +11,9 @@ change between rounds.
 
 One descent loop serves every fit. It advances a block of starts in
 lock-step, one row of weights per start; ``fit_starts`` hands it many
-starts, and ``fit_soft``/``fit_hard`` are its one-start case.
+starts on one dataset, ``fit_datasets`` one start per solver on each of
+many same-shape datasets, and ``fit_soft``/``fit_hard`` are its
+one-start case.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ __all__ = [
     "SolverConfig",
     "StopReason",
     "TraceRecord",
+    "DatasetFits",
     "check_start",
+    "fit_datasets",
     "fit_hard",
     "fit_soft",
     "fit_starts",
@@ -239,8 +243,7 @@ def _initial_weights(data, lam, config, to_targets, solve):
     return solve @ data.extended_targets(to_targets(labels))
 
 
-def _supervised_result(data, lam, hard):
-    w = ridge_solve(data.labeled_features, data.labels, lam)
+def _supervised_result(data, w, lam, hard):
     objective = supervised_objective(data, w, lam)
     empty = np.zeros(0)
     trace = FitTrace(
@@ -264,7 +267,7 @@ def _kept_rounds(count, limit):
     return np.array(kept)
 
 
-def _method_rule(method, data, lam, encoding):
+def _method_rule(method, n_labeled, lam, encoding):
     """A solver's label imputation, label-to-target map and per-start objective.
 
     All three act on blocks with one row per start. The objective scores
@@ -279,7 +282,6 @@ def _method_rule(method, data, lam, encoding):
         )
     if method == "hard":
         m, n = encoding.positive_code, encoding.negative_code
-        n_labeled = data.n_labeled
         return (
             lambda scores: _hard_labels(scores, encoding),
             lambda labels: n + labels * (m - n),
@@ -307,36 +309,38 @@ _BLOCK_ELEMENTS = 16384
 def _by_rows(block, matrix):
     """``block @ matrix`` as one BLAS matrix-vector product per row.
 
-    A row then gets the bits it would get alone, which a matrix-matrix
-    product does not promise, so a start's path does not depend on the
-    starts it runs with. numpy already sends a one-row product to that
-    routine, without the cost of stacking. That shortcut and the one in
-    ``_start_results`` keep single fits cheap: without both, the bench
-    learning-curve workload ran 7% slower (10 of 10 pairs).
+    ``matrix`` is either shared by every row or a stack with one matrix
+    per row. A row then gets the bits it would get alone, which a
+    matrix-matrix product does not promise, so a start's path does not
+    depend on the starts it runs with.
     """
-    if len(block) == 1:
-        return block @ matrix
     return (block[:, None, :] @ matrix)[:, 0, :]
 
 
-def _run_descent(data, config, solve, starts, impute, to_targets, objective, hard):
+def _run_descent(config, known, design, solve, starts, impute, to_targets, objective, hard):
     """Advance a block of starts in lock-step until each one stops.
 
     ``starts`` is an (S, d) array, one starting weight vector per row.
-    Every round imputes the labels of all working starts from their
-    decision values, re-fits their weights with one product with the
-    ridge operator ``solve``, and takes their objectives and next
-    decision values from one product with the stacked design. A start
-    leaves the block in the round it stops: on stable labels (hard), on
-    the relative objective decrease (soft) or at ``max_iterations``.
+    The starts share one problem, given as the known labels ``known``
+    (L,), the stacked design ``design`` (N, d) and its ridge operator
+    ``solve`` (d, N), or each start has its own: ``known`` (S, L),
+    ``design`` (S, N, d) and ``solve`` (S, d, N). Every round imputes the
+    labels of all working starts from their decision values, re-fits
+    their weights with one product with the ridge operator, and takes
+    their objectives and next decision values from one product with the
+    design. A start leaves the block, with its rows of any per-start
+    stack, in the round it stops: on stable labels (hard), on the
+    relative objective decrease (soft) or at ``max_iterations``.
     Returns one ``FitResult`` per start, in order.
     """
-    n_labeled = data.n_labeled
-    operator_t, design_t = solve.T, data.extended_features.T
+    n_labeled = known.shape[-1]
+    per_start = design.ndim == 3
     tolerance = config.objective_tolerance
     active = np.arange(len(starts))
-    known = data.labels[None, :].repeat(len(starts), axis=0)
-    scores = _by_rows(starts, data.unlabeled_features.T)
+    if not per_start:
+        known = known[None, :].repeat(len(starts), axis=0)
+    operator_t, design_t = solve.swapaxes(-1, -2), design.swapaxes(-1, -2)
+    scores = _by_rows(starts, design_t[..., n_labeled:])
 
     rounds = []  # (start ids, weights, objectives) of every round's working block
     stops = {}  # start id -> (stop reason, final labels)
@@ -346,6 +350,17 @@ def _run_descent(data, config, solve, starts, impute, to_targets, objective, har
         # Fancy indexing copies, so a final label row keeps no round's block alive.
         for i, row in zip(active[mask].tolist(), labels[mask]):
             stops[i] = (reason, row)
+
+    def shrink(keep):
+        nonlocal active, known, solve, design, operator_t, design_t
+        active = active[keep]
+        if per_start:
+            # Transpose after the copy, so each slice keeps the strides,
+            # and with them the BLAS call, of a lone fit's operator.
+            known, solve, design = known[keep], solve[keep], design[keep]
+            operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
+        else:
+            known = known[: active.size]
 
     for _ in range(config.max_iterations):
         candidate = impute(scores)
@@ -357,8 +372,8 @@ def _run_descent(data, config, solve, starts, impute, to_targets, objective, har
                 if stopped == active.size:
                     break
                 keep = ~stable
-                active, candidate = active[keep], candidate[keep]
-                known = known[: active.size]
+                shrink(keep)
+                candidate = candidate[keep]
         labels = candidate
         targets = np.concatenate((known, to_targets(labels)), axis=1)
         W = _by_rows(targets, operator_t)
@@ -378,9 +393,9 @@ def _run_descent(data, config, solve, starts, impute, to_targets, objective, har
                 if stopped == active.size:
                     break
                 keep = ~done
-                active, labels, fitted = active[keep], labels[keep], fitted[keep]
+                shrink(keep)
+                labels, fitted = labels[keep], fitted[keep]
                 values = list(compress(values, keep))
-                known = known[: active.size]
         previous = values
         scores = fitted[:, n_labeled:]
     else:  # the round cap stops every start still working
@@ -392,17 +407,13 @@ def _start_results(rounds, stops, trace_limit):
     """Split the per-round blocks of a lock-step run into one ``FitResult`` per start.
 
     A start works from round 0 until it leaves, so after a stable sort
-    by start id its rows are its rounds in order. A lone start's rows
-    are in order already.
+    by start id its rows are its rounds in order.
     """
-    weights = np.concatenate([W for _, W, _ in rounds])
-    objectives = np.array([value for _, _, values in rounds for value in values])
-    counts = [len(rounds)]
-    if len(stops) > 1:
-        ids = np.concatenate([active for active, _, _ in rounds])
-        order = np.argsort(ids, kind="stable")
-        weights, objectives = weights[order], objectives[order]
-        counts = np.bincount(ids).tolist()
+    ids = np.concatenate([active for active, _, _ in rounds])
+    order = np.argsort(ids, kind="stable")
+    weights = np.concatenate([W for _, W, _ in rounds])[order]
+    objectives = np.array([value for _, _, values in rounds for value in values])[order]
+    counts = np.bincount(ids).tolist()
     results = []
     end = 0
     for i, rounds_run in enumerate(counts):
@@ -423,7 +434,7 @@ def _start_results(rounds, stops, trace_limit):
 
 def _fit(data, method, lam, encoding, config, starts=None):
     lam = _check_lam(lam)
-    impute, to_targets, objective = _method_rule(method, data, lam, encoding)
+    rule = _method_rule(method, data.n_labeled, lam, encoding)
     hard = method == "hard"
     if starts is not None:
         starts = [check_start(data, w) for w in starts]
@@ -431,20 +442,29 @@ def _fit(data, method, lam, encoding, config, starts=None):
             return []
     if data.n_unlabeled == 0:
         count = 1 if starts is None else len(starts)
-        return [_supervised_result(data, lam, hard) for _ in range(count)]
+        w = ridge_solve(data.labeled_features, data.labels, lam)
+        return [_supervised_result(data, w, lam, hard) for _ in range(count)]
     # The design stays fixed over the fit, so it is factorized once.
     solve = ridge_operator(data.extended_features, lam)
     if starts is None:
-        starts = _initial_weights(data, lam, config, to_targets, solve)[None, :]
-    starts = np.asarray(starts)
-    rows = max(1, _BLOCK_ELEMENTS // data.extended_features.shape[0])
-    return [
-        result
-        for first in range(0, len(starts), rows)
-        for result in _run_descent(
-            data, config, solve, starts[first : first + rows], impute, to_targets, objective, hard
-        )
-    ]
+        starts = _initial_weights(data, lam, config, rule[1], solve)[None, :]
+    return _descend(
+        config, data.labels, data.extended_features, solve, np.asarray(starts), rule, hard
+    )
+
+
+def _descend(config, known, design, solve, starts, rule, hard):
+    """``_run_descent`` over blocks of at most ``_BLOCK_ELEMENTS`` (start, design row) entries."""
+    rows = max(1, _BLOCK_ELEMENTS // design.shape[-2])
+    per_start = design.ndim == 3
+    results = []
+    for first in range(0, len(starts), rows):
+        block = slice(first, first + rows)
+        problem = (known, design, solve)
+        if per_start:
+            problem = (known[block], design[block], solve[block])
+        results += _run_descent(config, *problem, starts[block], *rule, hard)
+    return results
 
 
 def fit_soft(data, lam=0.0, config=SolverConfig()):
@@ -480,3 +500,69 @@ def fit_starts(data, starts, method, lam=0.0, encoding=ClassEncoding(), config=S
     one ``FitResult`` per start, in order.
     """
     return _fit(data, method, lam, encoding, config, starts)
+
+
+@dataclass
+class DatasetFits:
+    """Fits of one or more solvers on each of many same-shape datasets.
+
+    ``supervised`` holds the supervised weights, one row per dataset
+    (R, d); ``operators`` the ridge operators of the extended designs
+    (R, d, L + U); ``fits`` maps each method to one ``FitResult`` per
+    dataset, in order.
+    """
+
+    supervised: np.ndarray
+    operators: np.ndarray
+    fits: dict[str, list[FitResult]]
+
+
+def fit_datasets(datasets, methods, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
+    """Run each solver in ``methods`` ("soft", "hard") on every one of many same-shape datasets.
+
+    Equivalent to ``fit_soft``/``fit_hard`` with ``config`` on every
+    dataset, but the datasets advance in lock-step as one stack, and the
+    methods share its factorizations: one stacked ``ridge_operator`` call
+    for the labeled blocks, whose supervised weights start the fits, and
+    one for the extended designs. A round costs two stacked matrix
+    products per block of datasets rather than per dataset. The operators
+    are returned too, so a caller can solve further targets on the same
+    designs. Raises ``InvalidInputError`` for no datasets or an unknown
+    method and ``DimensionError`` unless every dataset has the labeled,
+    unlabeled and feature counts of the first. Returns a ``DatasetFits``.
+    """
+    lam = _check_lam(lam)
+    datasets = list(datasets)
+    if not datasets:
+        raise InvalidInputError("need at least one dataset")
+    first = datasets[0]
+    shape = (first.n_labeled, first.n_unlabeled, first.n_features)
+    rules = {method: _method_rule(method, first.n_labeled, lam, encoding) for method in methods}
+    for index, data in enumerate(datasets):
+        if (data.n_labeled, data.n_unlabeled, data.n_features) != shape:
+            raise DimensionError(
+                f"dataset {index} has {data.n_labeled} labeled rows, {data.n_unlabeled} "
+                f"unlabeled rows and {data.n_features} features; dataset 0 has "
+                f"{shape[0]}, {shape[1]} and {shape[2]}"
+            )
+    known = np.stack([data.labels for data in datasets])
+    design = np.stack([data.extended_features for data in datasets])
+    # With no unlabeled rows the labeled block is the extended design.
+    solve = ridge_operator(design[:, : first.n_labeled], lam)
+    supervised = (solve @ known[:, :, None])[:, :, 0]
+    if first.n_unlabeled:
+        solve = ridge_operator(design, lam)
+    fits = {}
+    for method, rule in rules.items():
+        hard = method == "hard"
+        if not first.n_unlabeled:
+            pairs = zip(datasets, supervised)
+            fits[method] = [_supervised_result(d, w, lam, hard) for d, w in pairs]
+            continue
+        starts = supervised
+        if config.init != SUPERVISED_INIT:
+            starts = np.array(
+                [_initial_weights(d, lam, config, rule[1], s) for d, s in zip(datasets, solve)]
+            )
+        fits[method] = _descend(config, known, design, solve, starts, rule, hard)
+    return DatasetFits(supervised, solve, fits)

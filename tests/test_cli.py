@@ -293,6 +293,24 @@ class TestLearningCurve:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("u_values, message", [
+        ("4,x", "--u-values: 'x' is not an integer"),
+        ("4, 2.5", "--u-values: '2.5' is not an integer"),
+        ("", "need at least one unlabeled count"),
+        (" , ", "need at least one unlabeled count"),
+        ("4,2,4", "unlabeled counts must be distinct; repeated: [4]"),
+    ])
+    def test_bad_u_values_are_usage_errors(self, tmp_path, capsys, u_values, message):
+        pool = write_pool(tmp_path, n=60)
+        out = tmp_path / "x.csv"
+        code = run_cli([
+            "learning-curve", "--data", str(pool), "--labeled", "8",
+            "--u-values", u_values, "--repeats", "2", "--seed", "2", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_across_threads(self, tmp_path):
         pool = write_pool(tmp_path, n=60)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sslsq import (
+    ClassEncoding,
     Dataset,
     DegenerateInputError,
     GivenWeights,
@@ -26,6 +27,8 @@ from sslsq import (
     run_learning_curve,
     run_local_optima_study,
 )
+from sslsq.datagen import derive_rng, sample_learning_curve_split
+from sslsq.experiments import METHODS, LearningCurveAggregate, LearningCurveCell
 
 from conftest import make_dataset
 
@@ -328,11 +331,99 @@ class TestLearningCurve:
         assert all(c.test_size == 0 for c in report.cells)
         assert all(a.repeats_used == 0 for a in report.aggregates)
 
-    def test_thread_count_does_not_change_report(self):
-        serial = run_learning_curve(self.pool(), 8, [2, 8], repeats=3, seed=7, threads=1)
-        threaded = run_learning_curve(self.pool(), 8, [2, 8], repeats=3, seed=7, threads=4)
-        assert serial.cells == threaded.cells
-        assert serial.aggregates == threaded.aggregates
+    @staticmethod
+    def lone_reference(pool, labeled, u_values, repeats, lam, seed, config):
+        """Cells and aggregates from lone solves and fits on every split, and the fits."""
+        cells, fits = [], []
+        for repeat in range(repeats):
+            for u_index, u in enumerate(u_values):
+                split = sample_learning_curve_split(pool, labeled, u,
+                                                    derive_rng(seed, repeat, u_index))
+                train = split.train
+                soft, hard = fit_soft(train, lam, config), fit_hard(train, lam, config=config)
+                weights = {
+                    "supervised": ridge_solve(train.labeled_features, train.labels, lam),
+                    "soft": soft.weights,
+                    "hard": hard.weights,
+                    "oracle": ridge_solve(
+                        np.vstack([train.labeled_features, train.unlabeled_features]),
+                        np.concatenate([train.labels, split.unlabeled_truth]), lam),
+                }
+                fits += [soft, hard]
+                for method in METHODS:
+                    error = (evaluate_error(weights[method], split.test_features,
+                                            split.test_labels)
+                             if split.has_test else float("nan"))
+                    cells.append(LearningCurveCell(u, repeat, method, error,
+                                                   int(split.test_labels.size),
+                                                   split.partition_hash))
+        aggregates = []
+        for u in u_values:
+            for method in METHODS:
+                errors = np.array([c.error for c in cells if c.u == u and c.method == method
+                                   and not np.isnan(c.error)])
+                used = errors.size
+                aggregates.append(LearningCurveAggregate(
+                    u, method, float(np.mean(errors)) if used else float("nan"),
+                    float(np.std(errors, ddof=1) / np.sqrt(used)) if used > 1 else float("nan"),
+                    used))
+        return cells, aggregates, fits
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_stacked_cells_equal_lone_fits(self, monkeypatch, lam):
+        # Blocks of three repeats, so seven repeats span three blocks. u = 0
+        # leaves no unlabeled part and u = 32 no test set in the 40-row
+        # pool; the round cap stops some soft fits and not others.
+        import sslsq.experiments as experiments
+
+        pool = fully_labeled_pool(40, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D, separation=3.0)
+        monkeypatch.setattr(experiments, "_REPEAT_BLOCK_ENTRIES", 3 * pool.labeled_features.size)
+        u_values, repeats, config = [4, 0, 12, 32], 7, SolverConfig(max_iterations=15)
+        report = run_learning_curve(pool, 8, u_values, repeats, lam, seed=3, config=config)
+        cells, aggregates, fits = self.lone_reference(pool, 8, u_values, repeats, lam, 3, config)
+        reasons = {fit.trace.stop_reason for fit in fits}
+        assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 3
+
+        def fields(rows):
+            return [tuple(v for v in vars(row).values() if not isinstance(v, float))
+                    for row in rows]
+
+        def floats(rows):
+            return np.array([[v for v in vars(row).values() if isinstance(v, float)]
+                             for row in rows])
+
+        assert fields(report.cells) == fields(cells)
+        np.testing.assert_array_equal(floats(report.cells), floats(cells))
+        assert fields(report.aggregates) == fields(aggregates)
+        np.testing.assert_array_equal(floats(report.aggregates), floats(aggregates))
+        assert np.isnan(floats(report.cells)).any()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_method_weights_equal_lone_solves(self, lam):
+        # Every weight vector of a stacked block must have the lone call's bits.
+        from sslsq.experiments import _method_weights
+
+        pool = self.pool()
+        config = SolverConfig(max_iterations=15)
+        for u in (0, 6, 30):
+            splits = [sample_learning_curve_split(pool, 8, u, derive_rng(9, r)) for r in range(5)]
+            weights = _method_weights(splits, lam, ClassEncoding(), config)
+            for split, row in zip(splits, weights):
+                train = split.train
+                lone = [
+                    ridge_solve(train.labeled_features, train.labels, lam),
+                    fit_soft(train, lam, config).weights,
+                    fit_hard(train, lam, config=config).weights,
+                    ridge_solve(train.extended_features,
+                                np.concatenate([train.labels, split.unlabeled_truth]), lam),
+                ]
+                np.testing.assert_array_equal(row, lone)
+
+    def test_rejects_repeated_or_missing_unlabeled_counts(self):
+        with pytest.raises(InvalidInputError, match=r"repeated: \[4\]"):
+            run_learning_curve(self.pool(), 8, [4, 2, 4], repeats=3)
+        with pytest.raises(InvalidInputError, match="at least one"):
+            run_learning_curve(self.pool(), 8, [], repeats=3)
 
     def test_reports_are_reproducible(self):
         a = run_learning_curve(self.pool(), 8, [2, 8], repeats=2, seed=7)

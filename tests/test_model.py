@@ -16,6 +16,7 @@ from sslsq import (
     grad_responsibility_objective_w,
     label_objective,
     responsibility_objective,
+    ridge_operator,
     ridge_solve,
     supervised_objective,
 )
@@ -66,6 +67,22 @@ class TestRidgeSolve:
             ridge_solve([[1, 0]], [1, 2], 0.0)
         with pytest.raises(InvalidInputError):
             ridge_solve([[1, 0]], [1], -0.5)
+
+
+class TestRidgeOperator:
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("rows", [4, 11, 40])
+    def test_stack_slices_equal_lone_calls(self, rng, lam, rows):
+        # Slice r of a stacked call must have the bits of a lone call on
+        # matrix r, rank-deficient matrices included.
+        stack = rng.standard_normal((6, rows, 3))
+        stack[..., 2] = 1.0
+        stack[1, :, 1] = 2.0 * stack[1, :, 0]
+        stack[4] = 0.0
+        operators = ridge_operator(stack, lam)
+        assert operators.shape == (6, 3, rows)
+        for matrix, operator in zip(stack, operators):
+            np.testing.assert_array_equal(operator, ridge_operator(matrix, lam))
 
 
 class TestPrediction:

@@ -17,12 +17,14 @@ from sslsq import (
     brute_force_hard_minimum,
     classify,
     decision_values,
+    fit_datasets,
     fit_hard,
     fit_soft,
     generate,
     grad_label_objective_w,
     label_objective,
     responsibility_objective,
+    ridge_operator,
     ridge_solve,
     update_hard_labels,
     update_soft_labels,
@@ -295,6 +297,95 @@ class TestReferenceLoop:
             np.testing.assert_array_equal(result.imputed, labels)
         else:
             np.testing.assert_allclose(result.imputed, labels, rtol=1e-12)
+
+
+def assert_same_fit(a, b):
+    """Two fit results with the same bits: weights, labels, stop and trace."""
+    assert a.iterations == b.iterations
+    assert a.trace.stop_reason is b.trace.stop_reason
+    assert a.trace.converged == b.trace.converged
+    assert a.final_objective == b.final_objective
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.imputed, b.imputed)
+    np.testing.assert_array_equal(a.trace.rounds, b.trace.rounds)
+    np.testing.assert_array_equal(a.trace.weight_path, b.trace.weight_path)
+    np.testing.assert_array_equal(a.trace.objectives, b.trace.objectives)
+    np.testing.assert_array_equal(a.trace.final_labels, b.trace.final_labels)
+
+
+def lone_fit(data, method, lam, config):
+    if method == "soft":
+        return fit_soft(data, lam, config)
+    return fit_hard(data, lam, config=config)
+
+
+class TestFitDatasets:
+    """``fit_datasets`` runs same-shape datasets as one stack, each with a lone fit's bits."""
+
+    @staticmethod
+    def datasets(n_unlabeled=30, count=7):
+        rng = np.random.default_rng(0)
+        return [make_dataset(rng, 8, n_unlabeled, 3) for _ in range(count)]
+
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_equals_lone_fits(self, monkeypatch, method, lam, block):
+        # The round cap stops some datasets and not others, so they leave
+        # the stack in different rounds; blocks of three datasets leave a
+        # last block of one.
+        import sslsq.selflearn as selflearn
+
+        if block:
+            monkeypatch.setattr(selflearn, "_BLOCK_ELEMENTS", block * (8 + 30))
+        config = SolverConfig(max_iterations={"soft": 20, "hard": 3}[method])
+        datasets = self.datasets()
+        alone = [lone_fit(data, method, lam, config) for data in datasets]
+        reasons = {result.trace.stop_reason for result in alone}
+        assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
+        stacked = fit_datasets(datasets, (method,), lam, config=config).fits
+        assert list(stacked) == [method] and len(stacked[method]) == len(datasets)
+        for a, b in zip(stacked[method], alone):
+            assert_same_fit(a, b)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("n_unlabeled", [0, 30])
+    def test_methods_share_factorizations(self, lam, n_unlabeled):
+        # One call fits both solvers; its supervised weights and operators
+        # are the lone ridge solves and operators of every dataset.
+        datasets = self.datasets(n_unlabeled=n_unlabeled, count=4)
+        stacked = fit_datasets(datasets, ("soft", "hard"), lam)
+        for i, data in enumerate(datasets):
+            np.testing.assert_array_equal(
+                stacked.supervised[i], ridge_solve(data.labeled_features, data.labels, lam)
+            )
+            np.testing.assert_array_equal(
+                stacked.operators[i], ridge_operator(data.extended_features, lam)
+            )
+            for method in ("soft", "hard"):
+                assert_same_fit(stacked.fits[method][i], lone_fit(data, method, lam, SolverConfig()))
+
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    @pytest.mark.parametrize("init", [GivenWeights(np.array([0.5, -1.0, 0.25])),
+                                      GivenLabels(np.linspace(0.0, 1.0, 30))])
+    def test_given_inits_equal_lone_fits(self, method, init):
+        config = SolverConfig(init=init)
+        datasets = self.datasets()
+        stacked = fit_datasets(datasets, (method,), 0.5, config=config).fits[method]
+        for a, data in zip(stacked, datasets):
+            assert_same_fit(a, lone_fit(data, method, 0.5, config))
+
+    def test_rejects_mismatched_shapes(self):
+        rng = np.random.default_rng(1)
+        base = make_dataset(rng, 8, 30, 3)
+        for other in (make_dataset(rng, 8, 29, 3), make_dataset(rng, 9, 29, 3),
+                      make_dataset(rng, 8, 30, 2)):
+            with pytest.raises(DimensionError, match="dataset 1 has"):
+                fit_datasets([base, other], ("soft",))
+        with pytest.raises(InvalidInputError):
+            fit_datasets([], ("soft",))
+        with pytest.raises(InvalidInputError):
+            fit_datasets([base], ("soft", "bogus"))
 
 
 class TestTraceMemory:
