@@ -94,19 +94,23 @@ def build_hessian(data, kind, encoding=ClassEncoding(), lam=0.0):
     d, unlabeled_count = data.n_features, data.n_unlabeled
     extended = data.extended_features
     unlabeled = data.unlabeled_features
-    top_left = 2.0 * (extended.T @ extended)
-    if lam > 0.0:
-        top_left = top_left + 2.0 * lam * np.eye(d)
     if kind == HessianKind.LABEL_BASED:
         cross = -2.0 * unlabeled.T
-        bottom = -2.0 * np.eye(unlabeled_count)
+        bottom_diagonal = -2.0
     elif kind == HessianKind.RESPONSIBILITY_BASED:
         gap = encoding.positive_code - encoding.negative_code
         cross = -2.0 * gap * unlabeled.T
-        bottom = np.zeros((unlabeled_count, unlabeled_count))
+        bottom_diagonal = 0.0
     else:
         raise InvalidInputError(f"unknown hessian kind {kind!r}")
-    matrix = np.block([[top_left, cross], [cross.T, bottom]])
+    # Filled in place: the (d+U)^2 matrix is the only large allocation.
+    matrix = np.zeros((d + unlabeled_count, d + unlabeled_count))
+    matrix[:d, :d] = 2.0 * (extended.T @ extended)
+    if lam > 0.0:
+        matrix[:d, :d] += 2.0 * lam * np.eye(d)
+    matrix[:d, d:] = cross
+    matrix[d:, :d] = cross.T
+    np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
     return HessianBlock(matrix=matrix, kind=kind)
 
 
@@ -119,10 +123,17 @@ def is_psd(matrix, tolerance=None):
     H = np.asarray(matrix, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    if float(np.max(np.abs(H - H.T))) > 1e-10 * scale:
+    if H.size == 0:
+        return True  # an empty matrix is vacuously PSD
+    scale = max(1.0, float(np.max(np.abs(H))))
+    # One (n, n) work array serves the symmetry check and the
+    # symmetrized copy.
+    work = np.subtract(H, H.T)
+    if float(np.max(np.abs(work, out=work))) > 1e-10 * scale:
         raise InvalidInputError("matrix is not symmetric")
-    eigenvalues = np.linalg.eigvalsh(0.5 * (H + H.T))
+    work = np.add(H, H.T, out=work)
+    work *= 0.5
+    eigenvalues = np.linalg.eigvalsh(work)
     if tolerance is None:
         tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
     return bool(eigenvalues[0] >= -tolerance)
@@ -166,13 +177,59 @@ def find_witness(data, kind, encoding=ClassEncoding(), lam=0.0):
     return NonconvexityWitness(z1=z1, z2=z2, quadratic_form_value=value)
 
 
-def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096):
-    """Exhaustive global minimum of the responsibility objective.
+def _reduced_quadratic(extended, operator, lam):
+    """The (N, N) matrix ``M`` with ``t' M t`` the optimal objective for targets ``t``.
 
-    Enumerates all ``2^U`` binary labelings (capped at U <= 20), solving
-    the weights exactly for each, and returns the best one. Ties are
-    broken toward the lexicographically smallest labeling; enumeration
-    runs in lexicographic order so the first strict improvement wins.
+    With ``P = ridge_operator(X_e, lam)`` the best weights for targets
+    ``t`` are ``P t``; their residual is ``R t`` with ``R = X_e P - I``,
+    so the objective is ``t' (R'R + lam P'P) t``.
+    """
+    fitted = extended @ operator - np.eye(extended.shape[0])
+    reduced = fitted.T @ fitted
+    if lam > 0.0:
+        reduced = reduced + lam * (operator.T @ operator)
+    return reduced
+
+
+def _bit_rows(count):
+    """All ``2^count`` labelings of ``count`` points as rows, in lexicographic order."""
+    shifts = np.arange(count - 1, -1, -1, dtype=np.int64)
+    return ((np.arange(1 << count, dtype=np.int64)[:, None] >> shifts) & 1).astype(float)
+
+
+def _half_table(constant, linear, quadratic, bits):
+    """``constant + 2 g'q + q'A q`` for every row ``q`` of ``bits``."""
+    return constant + 2.0 * (bits @ linear) + np.einsum("ij,ij->i", bits @ quadratic, bits)
+
+
+# The rescoring slack in ulps of the term scale, per label. A table entry
+# and its rescored objective differed by at most 0.04 of these on
+# well-conditioned data, and by 28 on the 1e6-scaled collinear designs.
+_SLACK_ULPS = 1024
+
+
+def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096):
+    """Exact global minimum of the responsibility objective over binary labels.
+
+    Covers all ``2^U`` labelings (capped at U <= 20) by meet in the
+    middle, after Horowitz and Sahni (1974). With optimal weights, the
+    objective for a binary labeling ``q`` is the quadratic
+    ``c + 2 g'q + q'A q`` (see ``_reduced_quadratic``). Split ``q`` into
+    its first ``floor(U/2)`` labels ``a`` and the rest ``b``: the value is
+    ``f(a) + h(b) + 2 a'A_ab b``. The two half-tables ``f`` and ``h`` have
+    ``2^(U/2)`` entries each, and the ``(a, b)`` sums are scanned in blocks
+    of about ``chunk`` labelings (at least one ``a`` row each), so no
+    labeling needs its own solve and memory stays bounded.
+
+    Row-major order over ``(a, b)`` is lexicographic order. The table
+    rounds differently from the objective, so every labeling within a
+    rounding slack of the running minimum is kept; the slack scales with
+    ``|c| + 2 ||g||_1 + ||A||_1`` (sums of absolute entries). Each kept
+    labeling is rescored exactly, with ``w = P t`` and
+    ``responsibility_objective``, and the first strict minimum in
+    lexicographic order wins. So ties go to the lexicographically
+    smallest labeling, and the result carries the bits of the same
+    solve a hard fit makes. Many exact ties make the rescoring longer.
     """
     unlabeled_count = data.n_unlabeled
     if unlabeled_count > ENUMERATION_CAP:
@@ -183,42 +240,56 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
         w = update_weights(data, np.zeros(0), lam)
         return BruteForceResult(np.zeros(0), w, supervised_objective(data, w, lam))
 
-    operator = ridge_operator(data.extended_features, lam)
-    labeled = data.labeled_features
-    unlabeled = data.unlabeled_features
+    extended = data.extended_features
+    operator = ridge_operator(extended, lam)
+    reduced = _reduced_quadratic(extended, operator, lam)
     y = data.labels
     m, n = encoding.positive_code, encoding.negative_code
-    # Bit j of the enumeration index is label j (most significant first),
-    # so ascending indices enumerate labelings lexicographically.
-    shifts = np.arange(unlabeled_count - 1, -1, -1, dtype=np.int64)
+    # Targets are base + (m - n) q, with q in the unlabeled rows only.
+    base = np.concatenate([y, np.full(unlabeled_count, float(n))])
+    tail = reduced[data.n_labeled :]
+    constant = float(base @ (reduced @ base))
+    linear = (m - n) * (tail @ base)
+    quadratic = (m - n) ** 2 * tail[:, data.n_labeled :]
 
-    best_objective = np.inf
-    best_index = -1
-    best_weights = None
-    total = 1 << unlabeled_count
-    for start in range(0, total, chunk):
-        indices = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        q = ((indices[:, None] >> shifts[None, :]) & 1).astype(float)
-        targets = np.hstack([np.tile(y, (len(indices), 1)), n + q * (m - n)])
-        weights = targets @ operator.T
-        labeled_residual = weights @ labeled.T - y[None, :]
-        scores = weights @ unlabeled.T
-        objectives = (
-            np.einsum("ij,ij->i", labeled_residual, labeled_residual)
-            + np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2, axis=1)
-            + lam * np.einsum("ij,ij->i", weights, weights)
-        )
-        local = int(np.argmin(objectives))
-        if objectives[local] < best_objective:
-            best_objective = float(objectives[local])
-            best_index = int(indices[local])
-            best_weights = weights[local].copy()
+    high = unlabeled_count // 2
+    high_bits, low_bits = _bit_rows(high), _bit_rows(unlabeled_count - high)
+    row_values = _half_table(constant, linear[:high], quadratic[:high, :high], high_bits)
+    column_values = _half_table(0.0, linear[high:], quadratic[high:, high:], low_bits)
+    cross = 2.0 * (high_bits @ quadratic[:high, high:])
+    scale = abs(constant) + 2.0 * np.sum(np.abs(linear)) + np.sum(np.abs(quadratic))
+    slack = _SLACK_ULPS * unlabeled_count * np.finfo(float).eps * scale
 
-    labels = ((best_index >> shifts) & 1).astype(float)
-    # Recompute through the scalar path so the reported value matches
-    # responsibility_objective bit for bit.
-    objective = responsibility_objective(data, best_weights, labels, encoding, lam)
-    return BruteForceResult(labels, best_weights, objective)
+    # Index i * width + j is labeling (a_i, b_j), whose bits, most
+    # significant first, are the labels.
+    width = len(column_values)
+    rows = max(1, chunk // width)
+    best = np.inf
+    kept = np.zeros(0, dtype=np.int64)
+    kept_values = np.zeros(0)
+    for first in range(0, len(row_values), rows):
+        block = slice(first, first + rows)
+        values = row_values[block, None] + column_values[None, :] + cross[block] @ low_bits.T
+        lowest = float(values.min())
+        if lowest > best + slack:
+            continue
+        if lowest < best:
+            best = lowest
+            keep = kept_values <= best + slack
+            kept, kept_values = kept[keep], kept_values[keep]
+        hits = np.flatnonzero(values <= best + slack)
+        kept = np.concatenate([kept, first * width + hits])
+        kept_values = np.concatenate([kept_values, values.reshape(-1)[hits]])
+
+    result = None
+    for index in kept:
+        row, column = divmod(int(index), width)
+        labels = np.concatenate([high_bits[row], low_bits[column]])
+        w = operator @ np.concatenate([y, n + labels * (m - n)])
+        objective = responsibility_objective(data, w, labels, encoding, lam)
+        if result is None or objective < result.objective:
+            result = BruteForceResult(labels, w, objective)
+    return result
 
 
 def _grid_axis(step):
@@ -275,11 +346,7 @@ def soft_grid_slack(data, lam=0.0, step=0.05):
     if unlabeled_count == 0:
         return 0.0
     extended = data.extended_features
-    operator = ridge_operator(extended, lam)
-    fitted = extended @ operator - np.eye(extended.shape[0])
-    reduced = fitted.T @ fitted
-    if lam > 0.0:
-        reduced = reduced + lam * (operator.T @ operator)
+    reduced = _reduced_quadratic(extended, ridge_operator(extended, lam), lam)
     tail = reduced[data.n_labeled :, data.n_labeled :]
     lam_max = float(np.max(np.linalg.eigvalsh(0.5 * (tail + tail.T))))
     return max(lam_max, 0.0) * unlabeled_count * step * step / 4.0 + 1e-12

@@ -4,7 +4,10 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these.
+against these. ``chunked_gemm_hard_minimum`` is the one exception: a
+frozen copy of the batched enumeration the oracle used before its
+meet-in-the-middle search, kept to pin the search at sizes the plain
+loop cannot reach.
 """
 
 import itertools
@@ -12,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sslsq import Dataset
+from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
 
 
 def make_dataset(rng, n_labeled=8, n_unlabeled=5, n_features=3):
@@ -23,6 +26,15 @@ def make_dataset(rng, n_labeled=8, n_unlabeled=5, n_features=3):
         labels[0], labels[1] = 0.0, 1.0
     unlabeled = rng.standard_normal((n_unlabeled, n_features))
     return Dataset(labeled, labels, unlabeled)
+
+
+def scaled_collinear_data(seed):
+    """Ill-conditioned dataset: two near-collinear columns scaled by 1e6, U = 12."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(20)
+    noise = rng.standard_normal(20)
+    X = np.column_stack([1e6 * x, 1e6 * (x + 1e-4 * noise), np.ones(20)])
+    return Dataset(X[:8], np.tile([0.0, 1.0], 4), X[8:])
 
 
 def normal_equation_ridge(features, targets, lam):
@@ -71,6 +83,45 @@ def exhaustive_hard_minimum(data, lam, objective, solve):
         if best is None or value < best[2]:
             best = (q, w, value)
     return best
+
+
+def chunked_gemm_hard_minimum(data, lam, encoding=ClassEncoding(), chunk=4096):
+    """The earlier oracle: weights and objective of all 2^U labelings by chunked GEMMs.
+
+    Returns ``(labels, weights, objective)`` with ties to the
+    lexicographically smallest labeling; the objective is recomputed
+    with ``responsibility_objective`` at the winning GEMM weights.
+    """
+    operator = ridge_operator(data.extended_features, lam)
+    labeled = data.labeled_features
+    unlabeled = data.unlabeled_features
+    y = data.labels
+    m, n = encoding.positive_code, encoding.negative_code
+    shifts = np.arange(data.n_unlabeled - 1, -1, -1, dtype=np.int64)
+    best_objective = np.inf
+    best_index = -1
+    best_weights = None
+    total = 1 << data.n_unlabeled
+    for start in range(0, total, chunk):
+        indices = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        q = ((indices[:, None] >> shifts[None, :]) & 1).astype(float)
+        targets = np.hstack([np.tile(y, (len(indices), 1)), n + q * (m - n)])
+        weights = targets @ operator.T
+        labeled_residual = weights @ labeled.T - y[None, :]
+        scores = weights @ unlabeled.T
+        objectives = (
+            np.einsum("ij,ij->i", labeled_residual, labeled_residual)
+            + np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2, axis=1)
+            + lam * np.einsum("ij,ij->i", weights, weights)
+        )
+        local = int(np.argmin(objectives))
+        if objectives[local] < best_objective:
+            best_objective = float(objectives[local])
+            best_index = int(indices[local])
+            best_weights = weights[local].copy()
+    labels = ((best_index >> shifts) & 1).astype(float)
+    objective = responsibility_objective(data, best_weights, labels, encoding, lam)
+    return labels, best_weights, objective
 
 
 def relative_error(actual, expected):

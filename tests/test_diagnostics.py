@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sslsq import diagnostics
 from sslsq import (
     CapacityError,
     ClassEncoding,
@@ -27,7 +28,13 @@ from sslsq import (
     update_weights,
 )
 
-from conftest import central_hessian, exhaustive_hard_minimum, make_dataset
+from conftest import (
+    central_hessian,
+    chunked_gemm_hard_minimum,
+    exhaustive_hard_minimum,
+    make_dataset,
+    scaled_collinear_data,
+)
 
 
 def tiny_dataset():
@@ -126,6 +133,9 @@ class TestIsPsd:
         with pytest.raises(InvalidInputError):
             is_psd(np.ones((2, 3)))
 
+    def test_empty_matrix_is_psd(self):
+        assert is_psd(np.zeros((0, 0)))
+
 
 class TestFindWitness:
     def test_label_based_unit_direction(self, rng):
@@ -174,21 +184,83 @@ class TestBruteForce:
         result = brute_force_hard_minimum(data, 0.0)
         np.testing.assert_array_equal(result.labels, [1.0])
 
-    def test_matches_plain_enumeration(self, rng):
-        def solve(data, q, lam):
-            return update_weights(data, q, lam)
+    @staticmethod
+    def plain_objective(data, q, lam):
+        w = update_weights(data, q, lam)
+        return responsibility_objective(data, w, q, ClassEncoding(), lam)
+
+    def assert_plain_minimum(self, result, data, lam):
+        """Same labels, weights and objective bits as the plain enumeration."""
 
         def objective(data, w, q, lam):
             return responsibility_objective(data, w, q, ClassEncoding(), lam)
 
+        labels, weights, value = exhaustive_hard_minimum(data, lam, objective, update_weights)
+        np.testing.assert_array_equal(result.labels, labels)
+        np.testing.assert_array_equal(result.weights, weights)
+        assert result.objective == value
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("unlabeled_count", range(1, 11))
+    def test_matches_plain_enumeration(self, rng, unlabeled_count, lam):
+        # Every U from 1 (an empty first half) to 10, odd and even, on
+        # full-rank designs and on designs with a repeated or a zero column.
+        for n_features in (1, 3):
+            data = make_dataset(rng, int(rng.integers(3, 8)), unlabeled_count, n_features)
+            self.assert_plain_minimum(brute_force_hard_minimum(data, lam), data, lam)
+        full = make_dataset(rng, 5, unlabeled_count, 2)
+        for extra in (full.extended_features[:, :1], np.zeros((5 + unlabeled_count, 1))):
+            features = np.hstack([full.extended_features, extra])
+            data = Dataset(features[:5], full.labels, features[5:])
+            self.assert_plain_minimum(brute_force_hard_minimum(data, lam), data, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scaled_collinear_design(self, seed, lam):
+        # The 1e6-scaled near-collinear design: the table rounds far
+        # worse here, yet the rescored minimum is still the plain one.
+        data = scaled_collinear_data(seed)
+        self.assert_plain_minimum(brute_force_hard_minimum(data, lam), data, lam)
+
+    def test_rescores_only_near_minimal_labelings(self, rng, monkeypatch):
+        # No per-labeling solve: on generic data only the winner is within
+        # the rounding slack of the table minimum, so one rescore suffices.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return responsibility_objective(*args)
+
+        monkeypatch.setattr(diagnostics, "responsibility_objective", counting)
+        for _ in range(5):
+            calls.clear()
+            brute_force_hard_minimum(make_dataset(rng, 6, 14, 3), 0.0, chunk=64)
+            assert len(calls) == 1
+
+    def test_matches_earlier_enumeration_at_sixteen(self, rng):
+        # The earlier oracle took the winner's weights from a GEMM row,
+        # which may round an ulp away from the lone solve used now.
+        for _ in range(4):
+            data = make_dataset(rng, 6, 16, 3)
+            for lam in (0.0, 0.5):
+                labels, _, value = chunked_gemm_hard_minimum(data, lam)
+                result = brute_force_hard_minimum(data, lam)
+                np.testing.assert_array_equal(result.labels, labels)
+                assert abs(result.objective - value) <= 4 * np.spacing(value)
+
+    def test_local_fit_on_the_global_labeling_has_zero_gap(self, rng):
+        # A hard fit that lands on the global labeling reports the same
+        # objective bits, so the diagnose gap is exactly 0, never an ulp.
+        landed = 0
         for _ in range(10):
-            data = make_dataset(rng, int(rng.integers(3, 8)), int(rng.integers(1, 7)),
-                                int(rng.integers(1, 4)))
-            lam = float(rng.choice([0.0, 0.3]))
-            result = brute_force_hard_minimum(data, lam)
-            labels, _, value = exhaustive_hard_minimum(data, lam, objective, solve)
-            np.testing.assert_array_equal(result.labels, labels)
-            assert result.objective == pytest.approx(value, rel=1e-10)
+            data = make_dataset(rng, 6, 12, 3)
+            for lam in (0.0, 0.5):
+                best = brute_force_hard_minimum(data, lam)
+                fit = fit_hard(data, lam)
+                if np.array_equal(fit.imputed, best.labels):
+                    landed += 1
+                    assert fit.final_objective == best.objective
+        assert landed > 0
 
     def test_tie_breaks_lexicographically(self):
         # Two identical unlabeled points at decision value 1/2 of the
@@ -198,6 +270,40 @@ class TestBruteForce:
         result = brute_force_hard_minimum(data, 0.0)
         np.testing.assert_array_equal(result.labels, [0.0, 0.0])
         assert result.objective == 0.75
+
+    def test_tie_between_duplicated_rows(self):
+        # Group C (4 rows, labels 1 and 0) ties exactly between labeling
+        # its duplicated pair [0, 0] and [1, 1]; group D (16 rows) wants
+        # all ones. The operator entries 1/4 and 1/16 are exact.
+        c, d = [1.0, 0.0], [0.0, 1.0]
+        order = np.array(list("DCDDDDCDDDDDDD"))
+        data = Dataset([c, c, d, d, d, d], [1.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+                       [c if group == "C" else d for group in order])
+        smaller = (order == "D").astype(float)
+        larger = np.ones(len(order))
+        tie = self.plain_objective(data, smaller, 0.0)
+        assert self.plain_objective(data, larger, 0.0) == tie == 1.6875
+        result = brute_force_hard_minimum(data, 0.0)
+        np.testing.assert_array_equal(result.labels, smaller)
+        assert result.objective == tie
+
+    @pytest.mark.parametrize("order", ["-++-+--+-++-+--+", "+--+-++-+--+-++-",
+                                       "++++++++--------"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_tie_between_mirrored_rows(self, order, lam):
+        # 48 labeled points at x = 0, half of each class, and unlabeled
+        # points mirrored at x = +1 and x = -1. Mirroring x maps the
+        # labeling "+ is 1" to "- is 1" at equal objective; the
+        # lexicographically smaller of the two wins.
+        data = Dataset([[0.0, 1.0]] * 48, [1.0, 0.0] * 24,
+                       [[1.0 if side == "+" else -1.0, 1.0] for side in order])
+        plus = np.array([1.0 if side == "+" else 0.0 for side in order])
+        smaller, larger = sorted([plus, 1.0 - plus], key=tuple)
+        tie = self.plain_objective(data, smaller, lam)
+        assert self.plain_objective(data, larger, lam) == tie
+        result = brute_force_hard_minimum(data, lam)
+        np.testing.assert_array_equal(result.labels, smaller)
+        assert result.objective == tie
 
     def test_global_bound_and_fixed_point(self, rng):
         for _ in range(15):
@@ -220,11 +326,16 @@ class TestBruteForce:
             brute_force_hard_minimum(data, 0.0)
 
     def test_chunking_is_transparent(self, rng):
-        data = make_dataset(rng, 4, 6, 2)
-        full = brute_force_hard_minimum(data, 0.0, chunk=4096)
-        small = brute_force_hard_minimum(data, 0.0, chunk=7)
-        np.testing.assert_array_equal(full.labels, small.labels)
-        assert full.objective == small.objective
+        # A table row holds 2^ceil(U/2) labelings: chunks 1 and 3 are less
+        # than one row at U = 6 and 7, and chunk 2^20 is more than 2^U.
+        for unlabeled_count in (6, 7):
+            data = make_dataset(rng, 4, unlabeled_count, 2)
+            full = brute_force_hard_minimum(data, 0.0, chunk=4096)
+            for chunk in (1, 3, 7, 1 << unlabeled_count, 1 << 20):
+                small = brute_force_hard_minimum(data, 0.0, chunk=chunk)
+                np.testing.assert_array_equal(full.labels, small.labels)
+                np.testing.assert_array_equal(full.weights, small.weights)
+                assert full.objective == small.objective
 
 
 class TestGridSearch:

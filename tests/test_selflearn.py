@@ -31,7 +31,7 @@ from sslsq import (
     update_weights,
 )
 
-from conftest import make_dataset, normal_equation_ridge
+from conftest import make_dataset, normal_equation_ridge, scaled_collinear_data
 
 
 def assert_monotone(trace, context=""):
@@ -447,18 +447,10 @@ class TestPenalizedSolveAccuracy:
     its condition number and lose about seven digits here.
     """
 
-    @staticmethod
-    def scaled_collinear_data(seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(20)
-        noise = rng.standard_normal(20)
-        X = np.column_stack([1e6 * x, 1e6 * (x + 1e-4 * noise), np.ones(20)])
-        return Dataset(X[:8], np.tile([0.0, 1.0], 4), X[8:])
-
     @pytest.mark.parametrize("lam", [1e-8, 1e-4, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_weights_match_augmented_lstsq(self, lam, seed):
-        data = self.scaled_collinear_data(seed)
+        data = scaled_collinear_data(seed)
         d = data.n_features
         augmented = np.vstack([data.extended_features, np.sqrt(lam) * np.eye(d)])
         soft = fit_soft(data, lam)
