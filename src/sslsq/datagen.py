@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
+import io
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -207,49 +209,128 @@ def _parse_label(token, schema, row_number):
     return value
 
 
-def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
-    """Read a dataset file; returns ``(dataset, unlabeled_truth_or_None)``.
+def _parse_truth(token, row_number):
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        raise SchemaError(f"row {row_number}: true_label {token!r} is not a number") from None
+    if value not in (0.0, 1.0):
+        raise SchemaError(f"row {row_number}: true_label value {value} outside {{0, 1}}")
+    return value
 
-    Rows whose label field equals the missing token become the unlabeled
-    block (file order preserved within each block). When a ``true_label``
-    column is present its values for the unlabeled rows are returned as
-    the hidden ground truth. Feature fields must be finite numbers.
-    ``intercept`` appends a trailing ones column; ``standardize`` z-scores
-    features using labeled statistics only (constant columns are left
-    untouched).
+
+def _place(row_number):
+    return f"row {row_number}" if row_number else "header"
+
+
+def _csv_rows(text, schema, rows=None):
+    """Append the ``csv.reader`` rows of ``text`` to ``rows`` and return them.
+
+    A record the reader rejects, such as a field over its size limit, is
+    a ``ParseError`` at that record's row; the rows before it are in
+    ``rows`` by then.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle, delimiter=schema.delimiter))
-    if not rows:
-        raise SchemaError(f"{path}: file is empty")
+    rows = [] if rows is None else rows
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter))
+    except csv.Error as exc:
+        row_number = len(rows) if schema.header else len(rows) + 1
+        raise ParseError(f"{_place(row_number)}: {exc}", row=row_number or None) from None
+    return rows
 
-    if schema.header:
-        header = [name.strip() for name in rows[0]]
-        body = rows[1:]
-        if schema.label_column not in header:
-            raise SchemaError(f"{path}: missing label column {schema.label_column!r}")
-        label_index = header.index(schema.label_column)
-        truth_index = header.index(TRUE_LABEL_COLUMN) if TRUE_LABEL_COLUMN in header else None
-    else:
-        body = rows
-        label_index = len(rows[0]) - 1
-        truth_index = None
-    width = len(rows[0])
-    feature_indices = [
-        i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
-    ]
-    if not body:
-        raise SchemaError(f"{path}: no data rows")
 
-    labeled_rows, labels = [], []
-    unlabeled_rows, truth = [], []
-    for row_number, row in enumerate(body, start=1):
+def _decode(data, schema):
+    """The UTF-8 text of a file; an undecodable byte is a ParseError at its field."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+    # Escaped, each undecodable byte becomes a lone surrogate, which no
+    # valid text holds and strict encoding rejects. The first one in row
+    # order is the first bad byte of the file, unless a record the reader
+    # rejects comes before it.
+    rows, error = [], ParseError(f"byte 0x{bad:02x} is not valid UTF-8")
+    try:
+        _csv_rows(data.decode("utf-8", "surrogateescape"), schema, rows)
+    except ParseError as exc:
+        error = exc
+    for index, row in enumerate(rows):
+        for column, field in enumerate(row, start=1):
+            try:
+                field.encode("utf-8")
+            except UnicodeEncodeError:
+                row_number = index if schema.header else index + 1
+                raise ParseError(
+                    f"{_place(row_number)}, column {column}: byte 0x{bad:02x} is not valid UTF-8",
+                    row=row_number or None,
+                    column=column,
+                ) from None
+    raise error
+
+
+def _plain_layout(data, delimiter, width):
+    """Whether splitting lines at ``\\n`` and fields at the delimiter reads as csv does.
+
+    That holds when the file has no quote, carriage return or NUL byte and
+    every line, the last one included, holds exactly ``width - 1``
+    delimiters (so, with ``width >= 2``, no line is blank). The check runs
+    on the raw bytes, which no multi-byte UTF-8 sequence can fool: it
+    drops every byte but delimiters and newlines, and the rest must be
+    ``width - 1`` delimiters and a newline, once per line.
+    """
+    if width < 2 or not delimiter.isascii() or delimiter in '"\r\n\0':
+        return False
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return False
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    line = (delimiter * (width - 1) + "\n").encode()
+    marks = data.translate(None, bytes(b for b in range(256) if b not in line))
+    return marks == line * marks.count(b"\n")
+
+
+def _columnar(columns, feature_indices, label_index, truth_index, schema):
+    """Parse body columns in bulk; ``None`` when any field fails a check.
+
+    The checks are the row loop's, applied a column at a time: one
+    ``float`` pass per feature column, one parse per distinct label and
+    ``true_label`` token. A file that passes gives the loop's arrays.
+    """
+    label_tokens = columns[label_index]
+    count = len(label_tokens)
+    features = np.empty((count, len(feature_indices)))
+    try:
+        for j, column in enumerate(feature_indices):
+            features[:, j] = np.fromiter(map(float, columns[column]), float, count=count)
+        label_of = {token: _parse_label(token, schema, 0) for token in set(label_tokens)}
+    except (ValueError, SchemaError):
+        return None
+    if not np.isfinite(features).all():
+        return None
+    label_of = {token: math.nan if value is None else value for token, value in label_of.items()}
+    labels = np.fromiter(map(label_of.__getitem__, label_tokens), float, count=count)
+    if truth_index is None:
+        return features, labels, None
+    hidden = list(compress(columns[truth_index], np.isnan(labels).tolist()))
+    try:
+        truth_of = {token: _parse_truth(token, 0) for token in set(hidden)}
+    except SchemaError:
+        return None
+    return features, labels, np.fromiter(map(truth_of.__getitem__, hidden), float, len(hidden))
+
+
+def _rowwise(rows, width, feature_indices, label_index, truth_index, schema):
+    """Parse body rows one field at a time, raising at the first bad field in row order."""
+    features = np.empty((len(rows), len(feature_indices)))
+    labels = np.empty(len(rows))
+    truth = []
+    for row_number, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ParseError(
                 f"row {row_number}: expected {width} fields, found {len(row)}",
                 row=row_number,
             )
-        features = np.empty(len(feature_indices))
         for j, column in enumerate(feature_indices):
             token = row[column].strip()
             try:
@@ -263,41 +344,90 @@ def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
                     row=row_number,
                     column=column + 1,
                 )
-            features[j] = value
+            features[row_number - 1, j] = value
         label = _parse_label(row[label_index], schema, row_number)
-        if label is None:
-            unlabeled_rows.append(features)
-            if truth_index is not None:
-                true_token = row[truth_index].strip()
-                try:
-                    true_value = float(true_token)
-                except ValueError:
-                    raise SchemaError(
-                        f"row {row_number}: true_label {true_token!r} is not a number"
-                    ) from None
-                if true_value not in (0.0, 1.0):
-                    raise SchemaError(
-                        f"row {row_number}: true_label value {true_value} outside {{0, 1}}"
-                    )
-                truth.append(true_value)
-        else:
-            labeled_rows.append(features)
-            labels.append(label)
+        labels[row_number - 1] = math.nan if label is None else label
+        if label is None and truth_index is not None:
+            truth.append(_parse_truth(row[truth_index], row_number))
+    return features, labels, (np.array(truth) if truth_index is not None else None)
 
-    if not labeled_rows:
+
+def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
+    """Read a dataset file; returns ``(dataset, unlabeled_truth_or_None)``.
+
+    Rows whose label field equals the missing token become the unlabeled
+    block (file order preserved within each block). When a ``true_label``
+    column is present its values for the unlabeled rows are returned as
+    the hidden ground truth. The file must be UTF-8: an undecodable byte
+    is a ``ParseError`` naming its row and column. Feature fields must be
+    finite numbers in the grammar of Python's ``float()``, so surrounding
+    whitespace and digit underscores (``1_0``) are accepted.
+    ``intercept`` appends a trailing ones column; ``standardize`` z-scores
+    features using labeled statistics only (constant columns are left
+    untouched).
+
+    Files without quotes, carriage returns or NUL bytes whose lines all
+    hold the header's field count are split in one pass; any other file
+    is read with ``csv.reader``, and a record it rejects (a field over its
+    size limit) is a ``ParseError`` at that record's row. Either way the
+    fields are parsed a column at a time, and only a file with a bad field
+    goes through the row loop that names the first error in row order.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = _decode(data, schema)
+    delimiter = schema.delimiter
+    width = text.partition("\n")[0].count(delimiter) + 1
+    if _plain_layout(data, delimiter, width):
+        tokens = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
+        first, rows = tokens[:width], None
+        start = width if schema.header else 0
+        columns = [tokens[start + column :: width] for column in range(width)]
+        count = len(columns[0])
+    else:
+        rows = _csv_rows(text, schema)
+        if not rows:
+            raise SchemaError(f"{path}: file is empty")
+        first, width = rows[0], len(rows[0])
+        rows = rows[1:] if schema.header else rows
+        columns = list(zip(*rows)) if all(len(row) == width for row in rows) else None
+        count = len(rows)
+
+    if schema.header:
+        header = [name.strip() for name in first]
+        if schema.label_column not in header:
+            raise SchemaError(f"{path}: missing label column {schema.label_column!r}")
+        label_index = header.index(schema.label_column)
+        truth_index = header.index(TRUE_LABEL_COLUMN) if TRUE_LABEL_COLUMN in header else None
+    else:
+        label_index = width - 1
+        truth_index = None
+    feature_indices = [
+        i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
+    ]
+    if not count:
+        raise SchemaError(f"{path}: no data rows")
+
+    parsed = None
+    if columns is not None:
+        parsed = _columnar(columns, feature_indices, label_index, truth_index, schema)
+    if parsed is None:
+        if rows is None:
+            rows = _csv_rows(text, schema)[1 if schema.header else 0 :]
+        parsed = _rowwise(rows, width, feature_indices, label_index, truth_index, schema)
+    features, labels, truth = parsed
+
+    unlabeled = np.isnan(labels)
+    if unlabeled.all():
         raise InvalidInputError(f"{path}: no labeled rows")
-    labeled = np.array(labeled_rows)
-    unlabeled = np.array(unlabeled_rows) if unlabeled_rows else np.empty((0, labeled.shape[1]))
-
+    labeled_block, unlabeled_block = features[~unlabeled], features[unlabeled]
     if standardize:
-        labeled, unlabeled = _zscore_blocks(labeled, unlabeled)
+        labeled_block, unlabeled_block = _zscore_blocks(labeled_block, unlabeled_block)
     if intercept:
-        labeled = np.hstack([labeled, np.ones((labeled.shape[0], 1))])
-        unlabeled = np.hstack([unlabeled, np.ones((unlabeled.shape[0], 1))])
+        labeled_block = np.hstack([labeled_block, np.ones((labeled_block.shape[0], 1))])
+        unlabeled_block = np.hstack([unlabeled_block, np.ones((unlabeled_block.shape[0], 1))])
 
-    dataset = Dataset(labeled, np.array(labels), unlabeled)
-    unlabeled_truth = np.array(truth) if truth_index is not None else None
-    return dataset, unlabeled_truth
+    return Dataset(labeled_block, labels[~unlabeled], unlabeled_block), truth
 
 
 def _zscore_blocks(labeled, unlabeled):

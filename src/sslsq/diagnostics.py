@@ -207,6 +207,14 @@ def _half_table(constant, linear, quadratic, bits):
 # well-conditioned data, and by 28 on the 1e6-scaled collinear designs.
 _SLACK_ULPS = 1024
 
+# The rounding error of forming R = X_e P - I, in ulps of
+# ||X_e||_F ||P||_F. A label whose column of R (and of sqrt(lam) P) is
+# no longer than this cannot move the objective. Such columns measured at
+# most 9.6 of these (interpolating designs up to 1e8-conditioned, and
+# leverage-1 points at lam = 0); every other column measured at least 3e9,
+# the 1e6-scaled collinear designs included.
+_VANISH_ULPS = 1024
+
 
 def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096):
     """Exact global minimum of the responsibility objective over binary labels.
@@ -230,6 +238,11 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
     lexicographic order wins. So ties go to the lexicographically
     smallest labeling, and the result carries the bits of the same
     solve a hard fit makes. Many exact ties make the rescoring longer.
+    A label that cannot move the objective by more than rounding error
+    (its column of ``M`` vanishes) ties with itself flipped, so it is
+    fixed to 0 and only the other labels are enumerated. On a design that
+    fits every labeling exactly at ``lam = 0`` that fixes all of them, and
+    the all-zero labeling is returned, rescored the same way.
     """
     unlabeled_count = data.n_unlabeled
     if unlabeled_count > ENUMERATION_CAP:
@@ -245,23 +258,28 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
     reduced = _reduced_quadratic(extended, operator, lam)
     y = data.labels
     m, n = encoding.positive_code, encoding.negative_code
+    # Label j moves the objective only through column j of R (and of
+    # sqrt(lam) P), whose squared norm is reduced[j, j]. Labels whose
+    # column is rounding error stay 0; only the free ones are enumerated.
+    noise = _VANISH_ULPS * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
+    free = np.flatnonzero(np.diagonal(reduced)[data.n_labeled :] > noise * noise)
     # Targets are base + (m - n) q, with q in the unlabeled rows only.
     base = np.concatenate([y, np.full(unlabeled_count, float(n))])
-    tail = reduced[data.n_labeled :]
+    tail = reduced[data.n_labeled + free]
     constant = float(base @ (reduced @ base))
     linear = (m - n) * (tail @ base)
-    quadratic = (m - n) ** 2 * tail[:, data.n_labeled :]
+    quadratic = (m - n) ** 2 * tail[:, data.n_labeled + free]
 
-    high = unlabeled_count // 2
-    high_bits, low_bits = _bit_rows(high), _bit_rows(unlabeled_count - high)
+    high = len(free) // 2
+    high_bits, low_bits = _bit_rows(high), _bit_rows(len(free) - high)
     row_values = _half_table(constant, linear[:high], quadratic[:high, :high], high_bits)
     column_values = _half_table(0.0, linear[high:], quadratic[high:, high:], low_bits)
     cross = 2.0 * (high_bits @ quadratic[:high, high:])
     scale = abs(constant) + 2.0 * np.sum(np.abs(linear)) + np.sum(np.abs(quadratic))
-    slack = _SLACK_ULPS * unlabeled_count * np.finfo(float).eps * scale
+    slack = _SLACK_ULPS * len(free) * np.finfo(float).eps * scale
 
     # Index i * width + j is labeling (a_i, b_j), whose bits, most
-    # significant first, are the labels.
+    # significant first, are the free labels.
     width = len(column_values)
     rows = max(1, chunk // width)
     best = np.inf
@@ -284,12 +302,19 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
     result = None
     for index in kept:
         row, column = divmod(int(index), width)
-        labels = np.concatenate([high_bits[row], low_bits[column]])
-        w = operator @ np.concatenate([y, n + labels * (m - n)])
-        objective = responsibility_objective(data, w, labels, encoding, lam)
-        if result is None or objective < result.objective:
-            result = BruteForceResult(labels, w, objective)
+        labels = np.zeros(unlabeled_count)
+        labels[free] = np.concatenate([high_bits[row], low_bits[column]])
+        candidate = _rescored(data, operator, labels, encoding, lam)
+        if result is None or candidate.objective < result.objective:
+            result = candidate
     return result
+
+
+def _rescored(data, operator, labels, encoding, lam):
+    """Labeling ``labels`` with the weights and objective a lone hard solve gives it."""
+    m, n = encoding.positive_code, encoding.negative_code
+    w = operator @ np.concatenate([data.labels, n + labels * (m - n)])
+    return BruteForceResult(labels, w, responsibility_objective(data, w, labels, encoding, lam))
 
 
 def _grid_axis(step):

@@ -4,18 +4,23 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. ``chunked_gemm_hard_minimum`` is the one exception: a
-frozen copy of the batched enumeration the oracle used before its
-meet-in-the-middle search, kept to pin the search at sizes the plain
-loop cannot reach.
+against these. Two helpers are frozen copies of earlier library code:
+``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
+before its meet-in-the-middle search, kept to pin the search at sizes the
+plain loop cannot reach; and ``rowwise_load_csv``, the row-by-row CSV
+loader that preceded the columnar one, kept to pin its arrays and errors.
 """
 
+import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
+from sslsq.datagen import CsvSchema
+from sslsq.errors import InvalidInputError, ParseError, SchemaError
 
 
 def make_dataset(rng, n_labeled=8, n_unlabeled=5, n_features=3):
@@ -122,6 +127,116 @@ def chunked_gemm_hard_minimum(data, lam, encoding=ClassEncoding(), chunk=4096):
     labels = ((best_index >> shifts) & 1).astype(float)
     objective = responsibility_objective(data, best_weights, labels, encoding, lam)
     return labels, best_weights, objective
+
+
+def _rowwise_label(token, schema, row_number):
+    token = token.strip()
+    if token == schema.missing_label_token:
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        raise SchemaError(
+            f"row {row_number}: label {token!r} is neither 0, 1 nor the missing token"
+        ) from None
+    if value not in (0.0, 1.0):
+        raise SchemaError(f"row {row_number}: label value {value} outside {{0, 1}}")
+    return value
+
+
+def rowwise_load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
+    """The earlier loader: ``csv.reader`` rows parsed one field at a time.
+
+    Returns ``(dataset, unlabeled_truth_or_None)`` and raises the first
+    error in row order, as ``sslsq.load_csv`` must. It reads the file
+    through a strict UTF-8 text stream, so an undecodable byte raises
+    ``UnicodeDecodeError`` here.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle, delimiter=schema.delimiter))
+    if not rows:
+        raise SchemaError(f"{path}: file is empty")
+
+    if schema.header:
+        header = [name.strip() for name in rows[0]]
+        body = rows[1:]
+        if schema.label_column not in header:
+            raise SchemaError(f"{path}: missing label column {schema.label_column!r}")
+        label_index = header.index(schema.label_column)
+        truth_index = header.index("true_label") if "true_label" in header else None
+    else:
+        body = rows
+        label_index = len(rows[0]) - 1
+        truth_index = None
+    width = len(rows[0])
+    feature_indices = [
+        i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
+    ]
+    if not body:
+        raise SchemaError(f"{path}: no data rows")
+
+    labeled_rows, labels = [], []
+    unlabeled_rows, truth = [], []
+    for row_number, row in enumerate(body, start=1):
+        if len(row) != width:
+            raise ParseError(
+                f"row {row_number}: expected {width} fields, found {len(row)}",
+                row=row_number,
+            )
+        features = np.empty(len(feature_indices))
+        for j, column in enumerate(feature_indices):
+            token = row[column].strip()
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"row {row_number}, column {column + 1}: "
+                    f"cannot parse {token!r} as a finite number",
+                    row=row_number,
+                    column=column + 1,
+                )
+            features[j] = value
+        label = _rowwise_label(row[label_index], schema, row_number)
+        if label is None:
+            unlabeled_rows.append(features)
+            if truth_index is not None:
+                true_token = row[truth_index].strip()
+                try:
+                    true_value = float(true_token)
+                except ValueError:
+                    raise SchemaError(
+                        f"row {row_number}: true_label {true_token!r} is not a number"
+                    ) from None
+                if true_value not in (0.0, 1.0):
+                    raise SchemaError(
+                        f"row {row_number}: true_label value {true_value} outside {{0, 1}}"
+                    )
+                truth.append(true_value)
+        else:
+            labeled_rows.append(features)
+            labels.append(label)
+
+    if not labeled_rows:
+        raise InvalidInputError(f"{path}: no labeled rows")
+    labeled = np.array(labeled_rows)
+    unlabeled = np.array(unlabeled_rows) if unlabeled_rows else np.empty((0, labeled.shape[1]))
+
+    if standardize:
+        mean = labeled.mean(axis=0)
+        sd = labeled.std(axis=0)
+        keep = sd == 0.0
+        mean = np.where(keep, 0.0, mean)
+        sd = np.where(keep, 1.0, sd)
+        labeled, unlabeled = (labeled - mean) / sd, (unlabeled - mean) / sd
+    if intercept:
+        labeled = np.hstack([labeled, np.ones((labeled.shape[0], 1))])
+        unlabeled = np.hstack([unlabeled, np.ones((unlabeled.shape[0], 1))])
+
+    dataset = Dataset(labeled, np.array(labels), unlabeled)
+    unlabeled_truth = np.array(truth) if truth_index is not None else None
+    return dataset, unlabeled_truth
 
 
 def relative_error(actual, expected):

@@ -142,6 +142,22 @@ class TestFit:
         assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
         assert location in capsys.readouterr().err
 
+    def test_undecodable_byte_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x0,label\n1.0,0\n\xff2.0,1\n3.0,\n")
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "row 2, column 1" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_overlong_quoted_field_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b'x0,label\n"' + b"1" * 140_000 + b'",0\n2.0,1\n3.0,\n')
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "row 1" in err and "field limit" in err
+        assert "Traceback" not in err
+
     def test_oracle_uses_truth_column(self, tmp_path, capsys):
         data = write_cluster_data(tmp_path, unlabeled=20)
         capsys.readouterr()

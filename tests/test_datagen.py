@@ -1,5 +1,7 @@
 """Generators, CSV round-trips and experiment splits."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from sslsq import (
     zscore,
 )
 from sslsq.datagen import derive_rng
+
+from conftest import rowwise_load_csv
 
 
 class TestGenerate:
@@ -157,6 +161,144 @@ class TestCsvRoundTrip:
         data = Dataset([[1.0, 1.0], [3.0, 1.0]], [0.0, 1.0])
         scaled = zscore(data)
         np.testing.assert_allclose(scaled.labeled_features[:, 1], 1.0)
+
+
+# One field over csv's default 131,072-character field limit.
+OVERLONG = b"1" * 140_000
+PLAIN = b"x0,x1,label,true_label\n0.5,-1.25,0,0\n2.0,3.5,1,1\n-0.75,0.125,,0\n1.5,2.25,,1\n"
+
+# (id, file bytes, CsvSchema kwargs, load_csv kwargs)
+LOADER_CASES = [
+    ("plain", PLAIN, {}, {}),
+    ("crlf", PLAIN.replace(b"\n", b"\r\n"), {}, {}),
+    ("cr-only", PLAIN.replace(b"\n", b"\r"), {}, {}),
+    ("blank-line-mid-file", b"x0,label\n1.0,0\n\n2.0,1\n3.0,\n", {}, {}),
+    ("trailing-blank-lines", b"x0,label\n1.0,0\n2.0,1\n3.0,\n\n\n", {}, {}),
+    ("no-final-newline", PLAIN.rstrip(b"\n"), {}, {}),
+    ("quoted-fields", b'"x0","label"\n"1.0",0\n2.0,"1"\n"3.0",""\n', {}, {}),
+    ("bom-before-feature", b"\xef\xbb\xbfx0,label\n1.0,0\n2.0,1\n3.0,\n", {}, {}),
+    ("bom-before-label", b"\xef\xbb\xbflabel,x0\n0,1.0\n1,2.0\n,3.0\n", {}, {}),
+    ("padded-fields", b"x0 , label\n 1.0 ,\t0\n2.0\t, 1 \n  3.0, \n", {}, {}),
+    ("control-padding", b"x0,label\n\x1f1.0\x1c,0\n2.0,1\n3.0,\n", {}, {}),
+    ("digit-underscores", b"x0,label\n1_0,0\n2_5.0_1,1\n3.0,\n", {}, {}),
+    ("nul-byte", b"x0,label\n1.0\x00,0\n2.0,1\n", {}, {}),
+    ("nul-byte-in-header", b"x\x000,label\n1.0,0\n2.0,1\n", {}, {}),
+    ("inf-feature", b"x0,label\n1.0,0\ninf,1\n", {}, {}),
+    ("nan-feature", b"x0,x1,label\n1.0,2.0,0\n3.0,nan,1\n", {}, {}),
+    ("nan-label", b"x0,label\n1.0,0\n2.0,nan\n", {}, {}),
+    ("inf-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,inf\n", {}, {}),
+    ("negative-zero-label", b"x0,label,true_label\n1.0,-0,0\n2.0,1.0,1\n3.0,,-0.0\n", {}, {}),
+    ("bad-label", b"x0,label\n1.0,0\n2.0,yes\n3.0,\n", {}, {}),
+    ("label-out-of-domain", b"x0,label\n1.0,0\n2.0,2\n", {}, {}),
+    ("bad-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,maybe\n", {}, {}),
+    ("bad-true-label-on-labeled-row", b"x0,label,true_label\n1.0,0,maybe\n2.0,,1\n", {}, {}),
+    ("ragged-after-bad-float", b"x0,x1,label\n1.0,2.0,0\n1.0,abc,1\n3.0,1\n", {}, {}),
+    ("two-errors", b"x0,label\n1.0,0\n2.0,7\n3.0,\nabc,1\n", {}, {}),
+    # Short then long: the field total is right and, shifted, every field parses.
+    ("ragged-counts-cancel", b"x0,x1,label\n1.0,2.0,0\n3.0,1\n1,5.0,1,0\n", {}, {}),
+    ("semicolon-and-na", b"x0;label\n1.5;0\n2.5;NA\n3.5;1\n",
+     {"delimiter": ";", "missing_label_token": "NA"}, {}),
+    ("tab-delimiter", b"x0\tx1\tlabel\n1.0\t2.0\t0\n3.0\t4.0\t\n5.0\t6.0\t1\n",
+     {"delimiter": "\t"}, {}),
+    ("non-ascii-delimiter", "x0§label\n1.0§0\n2.0§1\n3.0§\n".encode(), {"delimiter": "§"}, {}),
+    ("headerless", b"1.0,2.0,1\n3.0,4.0,\n5.0,6.0,0\n", {"header": False}, {}),
+    ("standardize", b"x0,x1,label\n0,3,0\n4,3,1\n100,-2,\n", {}, {"standardize": True}),
+    ("no-intercept", b"x0,label\n1.5,1\n2.5,0\n3.5,\n", {}, {"intercept": False}),
+    ("labeled-only", b"x0,label,true_label\n1.0,0,0\n2.0,1,1\n", {}, {}),
+    ("unlabeled-only", b"x0,label\n1.0,\n2.0,\n", {}, {}),
+    ("missing-label-column", b"x0,target\n1.0,0\n", {}, {}),
+    ("header-only", b"x0,label\n", {}, {}),
+    ("empty-file", b"", {}, {}),
+    ("overlong-quoted-field", b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n3.0,\n', {}, {}),
+]
+
+
+def _bits(array):
+    array = np.asarray(array)
+    return array.dtype, array.shape, array.tobytes()
+
+
+def assert_loads_like_rowwise(path, schema=CsvSchema(), **load_kwargs):
+    """Bit-equal arrays, or the same error class, message, row and column."""
+    try:
+        want, want_truth = rowwise_load_csv(path, schema, **load_kwargs)
+    except csv.Error as exc:
+        # The reference lets the reader's own error escape (exit 1 in the
+        # CLI); load_csv raises it as a ParseError at the record's row.
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path, schema, **load_kwargs)
+        assert str(excinfo.value).endswith(f": {exc}")
+        return
+    except Exception as exc:  # the reference's error is the expectation
+        with pytest.raises(type(exc)) as excinfo:
+            load_csv(path, schema, **load_kwargs)
+        assert str(excinfo.value) == str(exc)
+        assert getattr(excinfo.value, "row", None) == getattr(exc, "row", None)
+        assert getattr(excinfo.value, "column", None) == getattr(exc, "column", None)
+        return
+    data, truth = load_csv(path, schema, **load_kwargs)
+    assert _bits(data.labeled_features) == _bits(want.labeled_features)
+    assert _bits(data.labels) == _bits(want.labels)
+    assert _bits(data.unlabeled_features) == _bits(want.unlabeled_features)
+    assert (truth is None) == (want_truth is None)
+    if truth is not None:
+        assert _bits(truth) == _bits(want_truth)
+
+
+class TestColumnarLoad:
+    """``load_csv`` against the row-by-row loader it replaced."""
+
+    @pytest.mark.parametrize(
+        "content, schema_kwargs, load_kwargs",
+        [case[1:] for case in LOADER_CASES],
+        ids=[case[0] for case in LOADER_CASES],
+    )
+    def test_matches_rowwise_loader(self, tmp_path, content, schema_kwargs, load_kwargs):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        assert_loads_like_rowwise(path, CsvSchema(**schema_kwargs), **load_kwargs)
+
+    def test_large_plain_file_matches_rowwise_loader(self, tmp_path):
+        data, truth = generate(SyntheticSpec(
+            kind=SyntheticKind.TWO_GAUSSIAN_2D, labeled_per_class=5, unlabeled_total=2000, seed=4,
+        ))
+        path = tmp_path / "big.csv"
+        save_csv(path, data, unlabeled_truth=truth)
+        assert_loads_like_rowwise(path)
+
+    @pytest.mark.parametrize("content, schema_kwargs, row, column", [
+        (b"x0,label\n1.0,0\n\xff2.0,1\n3.0,\n", {}, 2, 1),
+        (b"x0,label\n1.0,0\n2.0,1\n3.0,\xc3\n", {}, 3, 2),
+        (b'x0,label\n"1.0",0\n"2,\xe9",1\n', {}, 2, 1),
+        (b"x\xff,label\n1.0,0\n", {}, None, 1),
+        (b"1.0,0\n2.0,\xff1\n", {"header": False}, 2, 2),
+    ])
+    def test_undecodable_byte_names_its_field(self, tmp_path, content, schema_kwargs, row, column):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path, CsvSchema(**schema_kwargs))
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+        assert "not valid UTF-8" in str(excinfo.value)
+        place = f"row {row}" if row else "header"
+        assert str(excinfo.value).startswith(f"{place}, column {column}: byte 0x")
+
+
+    @pytest.mark.parametrize("content, schema_kwargs, row, column", [
+        (b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n', {}, 2, None),
+        (b'"x' + OVERLONG + b'",label\n1.0,0\n', {}, None, None),
+        (b'1.0,0\n2.0,1\n"' + OVERLONG + b'",\n', {"header": False}, 3, None),
+        # Whichever of a rejected record and a bad byte comes first is named.
+        (b'x0,label\n"' + OVERLONG + b'",0\n\xff2.0,1\n', {}, 1, None),
+        (b'x0,label\n\xff1.0,0\n"' + OVERLONG + b'",1\n', {}, 1, 1),
+    ])
+    def test_rejected_record_is_parse_error(self, tmp_path, content, schema_kwargs, row, column):
+        path = tmp_path / "long.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path, CsvSchema(**schema_kwargs))
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+        assert str(excinfo.value).startswith(f"row {row}" if row else "header")
 
 
 class TestSplitForLocalOptima:

@@ -305,6 +305,42 @@ class TestBruteForce:
         np.testing.assert_array_equal(result.labels, smaller)
         assert result.objective == tie
 
+    @pytest.mark.parametrize("seed, draw, unlabeled_count", [(0, 1, 4), (1, 0, 10), (1, 0, 14)])
+    def test_interpolating_design_takes_first_labeling(self, seed, draw, unlabeled_count):
+        # More features than points at lam = 0: every labeling is fitted
+        # exactly, so all tie at objective 0 and only rounding noise tells
+        # them apart. The noise must not pick the winner.
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            data = make_dataset(rng, 2, unlabeled_count, unlabeled_count + 4)
+        zeros = np.zeros(unlabeled_count)
+        weights = update_weights(data, zeros, 0.0)
+        result = brute_force_hard_minimum(data, 0.0)
+        np.testing.assert_array_equal(result.labels, zeros)
+        np.testing.assert_array_equal(result.weights, weights)
+        assert result.objective == self.plain_objective(data, zeros, 0.0)
+        assert result.objective < 1e-25
+
+    def test_label_that_cannot_move_objective_stays_zero(self):
+        # A fourth feature set only on unlabeled point 2 gives it leverage 1
+        # at lam = 0: it is fitted exactly under either label, so the two
+        # values tie and the tie rule asks for 0. The other labels still
+        # matter and are searched.
+        data = make_dataset(np.random.default_rng(17), 8, 6, 3)
+        extra = np.zeros((6, 1))
+        extra[2] = 1.0
+        data = Dataset(
+            np.hstack([data.labeled_features, np.zeros((8, 1))]),
+            data.labels,
+            np.hstack([data.unlabeled_features, extra]),
+        )
+        labelings = [q for q in np.array(list(np.ndindex(*(2,) * 6)), float) if q[2] == 0.0]
+        objectives = [self.plain_objective(data, q, 0.0) for q in labelings]
+        best = labelings[int(np.argmin(objectives))]
+        result = brute_force_hard_minimum(data, 0.0)
+        np.testing.assert_array_equal(result.labels, best)
+        assert result.objective == min(objectives)
+
     def test_global_bound_and_fixed_point(self, rng):
         for _ in range(15):
             data = make_dataset(rng, int(rng.integers(3, 10)), int(rng.integers(1, 9)),
