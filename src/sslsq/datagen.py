@@ -22,6 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -527,31 +528,95 @@ def split_for_local_optima(data, test_fraction=0.2, unlabel_fraction=0.8, seed=0
     )
 
 
-def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
-    """Sample disjoint labeled/unlabeled/test parts without replacement.
+def _check_learning_curve_counts(data, labeled_count, unlabeled_counts):
+    """``labeled_count`` as an int; raises unless the pool supplies it with each unlabeled count.
 
-    ``labeled_count`` must exceed the feature count so the supervised
-    solve is well-defined; the test part is whatever remains and may be
-    empty (flagged through ``Split.has_test``).
+    Counts are checked in order, so the first one the pool cannot supply
+    is the one named.
     """
     _require_fully_labeled(data)
     labeled_count = int(labeled_count)
-    unlabeled_count = int(unlabeled_count)
     if labeled_count <= data.n_features:
         raise InvalidInputError(
             f"labeled_count must exceed the feature count ({data.n_features}) "
             "for a well-defined supervised solve"
         )
-    if unlabeled_count < 0:
-        raise InvalidInputError("unlabeled_count must be nonnegative")
     total = data.n_labeled
-    if labeled_count + unlabeled_count > total:
-        raise CapacityError(
-            f"requested {labeled_count} + {unlabeled_count} examples from {total}"
-        )
-    rng = derive_rng(seed)
-    order = rng.permutation(total)
-    labeled_idx = order[:labeled_count]
-    unlabeled_idx = order[labeled_count : labeled_count + unlabeled_count]
-    test_idx = order[labeled_count + unlabeled_count :]
-    return _build_split(data, labeled_idx, unlabeled_idx, test_idx)
+    for unlabeled_count in unlabeled_counts:
+        if unlabeled_count < 0:
+            raise InvalidInputError("unlabeled_count must be nonnegative")
+        if labeled_count + unlabeled_count > total:
+            raise CapacityError(
+                f"requested {labeled_count} + {unlabeled_count} examples from {total}"
+            )
+    return labeled_count
+
+
+class _SplitStack(NamedTuple):
+    """Same-shape learning-curve splits of one pool, one row per repeat.
+
+    Row r of ``order`` (R, n) is repeat r's permutation of the pool rows:
+    the first L are labeled, the next U unlabeled and the remaining T are
+    the test set. ``design`` (R, L + U, d) holds the labeled rows over the
+    unlabeled ones, as a ``Dataset``'s extended design does; ``labels``
+    (R, L), ``truth`` (R, U), ``test_features`` (R, T, d) and
+    ``test_labels`` (R, T) are the pool's entries at those rows.
+    """
+
+    order: np.ndarray
+    design: np.ndarray
+    labels: np.ndarray
+    truth: np.ndarray
+    test_features: np.ndarray
+    test_labels: np.ndarray
+    partition_hashes: list[str]
+
+
+def _gather_learning_curve_splits(data, labeled_count, unlabeled_count, seeds):
+    """One learning-curve split per seed, gathered from the pool by index as stacks.
+
+    The counts must have passed ``_check_learning_curve_counts``. Repeat r
+    permutes the pool rows with ``derive_rng(seeds[r])``, and its partition
+    hash is taken from sorted copies of its three index slices. The pool's
+    rows were checked when it was loaded, so they are copied once into the
+    stacks and not checked again. Returns a ``_SplitStack``.
+    """
+    X, y = data.labeled_features, data.labels
+    order = np.stack([derive_rng(seed).permutation(data.n_labeled) for seed in seeds])
+    train_end = labeled_count + unlabeled_count
+    labeled, unlabeled, test = np.split(order, [labeled_count, train_end], axis=1)
+    parts = [np.sort(indices, axis=1) for indices in (labeled, unlabeled, test)]
+    return _SplitStack(
+        order=order,
+        design=X[order[:, :train_end]],
+        labels=y[labeled],
+        truth=y[unlabeled],
+        test_features=X[test],
+        test_labels=y[test],
+        partition_hashes=[_hash_partition(*rows) for rows in zip(*parts)],
+    )
+
+
+def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
+    """Sample disjoint labeled/unlabeled/test parts without replacement.
+
+    ``labeled_count`` must exceed the feature count so the supervised
+    solve is well-defined; the test part is whatever remains and may be
+    empty (flagged through ``Split.has_test``). This is the one-repeat
+    case of the stacked gather the learning curve runs on.
+    """
+    unlabeled_count = int(unlabeled_count)
+    labeled_count = _check_learning_curve_counts(data, labeled_count, [unlabeled_count])
+    stack = _gather_learning_curve_splits(data, labeled_count, unlabeled_count, [seed])
+    order, design = stack.order[0], stack.design[0]
+    train_end = labeled_count + unlabeled_count
+    return Split(
+        train=Dataset(design[:labeled_count], stack.labels[0], design[labeled_count:]),
+        unlabeled_truth=stack.truth[0],
+        test_features=stack.test_features[0],
+        test_labels=stack.test_labels[0],
+        labeled_indices=order[:labeled_count],
+        unlabeled_indices=order[labeled_count:train_end],
+        test_indices=order[train_end:],
+        partition_hash=stack.partition_hashes[0],
+    )

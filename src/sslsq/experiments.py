@@ -4,9 +4,11 @@ All runners are deterministic functions of their inputs and a base seed,
 and none uses threads. Basin and local-optima studies run all starts of
 a study as one batch, advanced in lock-step by ``fit_starts``. The
 learning curve runs the repeats of one unlabeled count as blocks of
-same-shape splits, each fitted as one stack; a repeat derives its split
-from (base seed, repeat, unlabeled-count index), so the blocking does
-not change the report.
+same-shape splits. A block's splits are gathered from the pool by index
+straight into stacked arrays, fitted as one stack, and all four methods
+are scored on their test sets with one stacked product. A repeat derives
+its split from (base seed, repeat, unlabeled-count index), so the
+blocking does not change the report.
 """
 
 from __future__ import annotations
@@ -15,10 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import derive_rng, sample_learning_curve_split, split_for_local_optima
+from .datagen import (
+    _check_learning_curve_counts,
+    _gather_learning_curve_splits,
+    derive_rng,
+    split_for_local_optima,
+)
 from .errors import DegenerateInputError, DegenerateSplitError, Error, InvalidInputError
-from .model import ClassEncoding, classify, decision_values, ridge_solve
-from .selflearn import SolverConfig, StopReason, check_start, fit_datasets, fit_starts
+from .model import ClassEncoding, _check_lam, classify, decision_values, ridge_solve
+from .selflearn import (
+    _BLOCK_ELEMENTS,
+    SolverConfig,
+    StopReason,
+    _fit_stack,
+    check_start,
+    fit_starts,
+)
 
 __all__ = [
     "BasinStudyResult",
@@ -39,12 +53,13 @@ __all__ = [
 METHODS = ("supervised", "soft", "hard", "oracle")
 CLUSTER_TOLERANCE = 1e-4
 
-# The learning curve samples the repeats of one unlabeled count in blocks
-# of splits that hold at most about this many pool entries in all, since
-# each split copies the pool's entries once. On the 600 x 3 pool of the
-# bench's learning-curve workload that is 9 repeats per block: peak RSS
-# rose 1.3% over fitting one split at a time, where holding all 100
-# repeats' splits at once raised it by more than a fifth.
+# The learning curve gathers the repeats of one unlabeled count in blocks
+# that hold at most about this many pool entries in all, since a repeat's
+# stacked design and test features together copy the pool's entries once.
+# On the 600 x 3 pool of the bench's learning-curve workload that is 9
+# repeats per block: peak RSS rose 1.3% over fitting one split at a time,
+# where holding all 100 repeats' splits at once raised it by more than a
+# fifth.
 _REPEAT_BLOCK_ENTRIES = 16384
 
 
@@ -85,9 +100,16 @@ def count_unique_optima(finals, rel_tolerance=CLUSTER_TOLERANCE):
     if finals.size == 0:
         return 0, np.zeros(0, dtype=int)
     threshold = rel_tolerance * (1.0 + float(np.max(np.abs(finals))))
-    distances = np.max(np.abs(finals[:, None, :] - finals[None, :, :]), axis=2)
-    adjacent = distances < threshold
     n = len(finals)
+    # The (rows, n, d) differences are built a block of rows at a time, so
+    # they stay within _BLOCK_ELEMENTS * d entries however many vectors
+    # there are; only the (n, n) adjacency grows with the square of n.
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    adjacent = np.empty((n, n), dtype=bool)
+    for first in range(0, n, rows):
+        block = finals[first : first + rows]
+        distances = np.max(np.abs(block[:, None, :] - finals[None, :, :]), axis=2)
+        adjacent[first : first + rows] = distances < threshold
     labels = np.full(n, -1, dtype=int)
     next_label = 0
     for i in range(n):
@@ -321,9 +343,12 @@ def run_learning_curve(
     methods (supervised, soft, hard, oracle) are trained on that same
     split. The oracle solves the pooled system using the true labels of
     the unlabeled part. Cells with an empty test set carry NaN and are
-    excluded from aggregation. The splits of one unlabeled count share
-    their shapes, so they are fitted in blocks, each as one stack; every
-    weight vector equals the one a lone fit on its split gives.
+    excluded from aggregation. The labeled count and every unlabeled
+    count are checked against the pool before any split is drawn. The
+    splits of one unlabeled count share their shapes, so they are
+    gathered and fitted in blocks, each as one stack; every weight vector
+    and test error equals the one a lone fit on its split and
+    ``evaluate_error`` give.
     """
     u_values = [int(u) for u in u_values]
     if repeats < 1:
@@ -335,28 +360,40 @@ def run_learning_curve(
     repeated = sorted({u for u in u_values if u_values.count(u) > 1})
     if repeated:
         raise InvalidInputError(f"unlabeled counts must be distinct; repeated: {repeated}")
+    lam = _check_lam(lam)
+    # Every count is checked before any split is drawn or fitted.
+    labeled_count = _check_learning_curve_counts(data, labeled_count, u_values)
     repeats = int(repeats)
     block = max(1, _REPEAT_BLOCK_ENTRIES // data.labeled_features.size)
     errors = np.full((repeats, len(u_values), len(METHODS)), np.nan)
-    parts = {}  # (repeat, u index) -> (test size, partition hash)
+    hashes = [[None] * len(u_values) for _ in range(repeats)]
+    test_sizes = [data.n_labeled - labeled_count - u for u in u_values]
     for u_index, u in enumerate(u_values):
         for first in range(0, repeats, block):
             indices = range(first, min(first + block, repeats))
-            splits = [
-                sample_learning_curve_split(
-                    data, labeled_count, u, derive_rng(seed, repeat, u_index)
+            seeds = [derive_rng(seed, repeat, u_index) for repeat in indices]
+            splits = _gather_learning_curve_splits(data, labeled_count, u, seeds)
+            fitted = _fit_stack(splits.labels, splits.design, ("soft", "hard"), lam, encoding,
+                                config)
+            for repeat, partition_hash in zip(indices, splits.partition_hashes):
+                hashes[repeat][u_index] = partition_hash
+            if test_sizes[u_index]:
+                # The oracle's design is the extended design, with the true
+                # labels of the unlabeled part as its targets.
+                truth = np.concatenate([splits.labels, splits.truth], axis=1)
+                weights = {
+                    "supervised": fitted.supervised,
+                    "soft": [result.weights for result in fitted.fits["soft"]],
+                    "hard": [result.weights for result in fitted.fits["hard"]],
+                    "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
+                }
+                errors[indices.start : indices.stop, u_index] = _stacked_errors(
+                    np.stack([weights[method] for method in METHODS], axis=1),
+                    splits.test_features,
+                    splits.test_labels,
                 )
-                for repeat in indices
-            ]
-            weights = _method_weights(splits, lam, encoding, config)
-            for repeat, split, row in zip(indices, splits, weights):
-                parts[repeat, u_index] = (int(split.test_labels.size), split.partition_hash)
-                if split.has_test:
-                    errors[repeat, u_index] = [
-                        evaluate_error(w, split.test_features, split.test_labels) for w in row
-                    ]
-            # Drop this block's splits before the next block samples its own.
-            del splits, weights
+            # Drop this block's stacks before the next block gathers its own.
+            del splits, fitted
 
     cells = [
         LearningCurveCell(
@@ -364,8 +401,8 @@ def run_learning_curve(
             repeat=repeat,
             method=method,
             error=float(errors[repeat, u_index, m]),
-            test_size=parts[repeat, u_index][0],
-            partition_hash=parts[repeat, u_index][1],
+            test_size=test_sizes[u_index],
+            partition_hash=hashes[repeat][u_index],
         )
         for repeat in range(repeats)
         for u_index, u in enumerate(u_values)
@@ -389,22 +426,16 @@ def run_learning_curve(
     return LearningCurveReport(cells=cells, aggregates=aggregates)
 
 
-def _method_weights(splits, lam, encoding, config):
-    """Weights of each method in ``METHODS`` on same-shape splits, shape (R, 4, d).
+def _stacked_errors(weights, test_features, test_labels):
+    """``evaluate_error`` of every weight vector on its own repeat's test set.
 
-    Soft, hard and the oracle share one factorization of the extended
-    designs; the oracle's design is the extended design, with the true
-    labels of the unlabeled part as its targets.
+    ``weights`` is (R, M, d), ``test_features`` (R, T, d) and
+    ``test_labels`` (R, T) with T >= 1; returns the (R, M) errors. Each
+    (T, d) @ (d, 1) slice of the broadcast product makes the BLAS
+    matrix-vector call that ``X @ w`` makes in ``evaluate_error``, where a
+    matrix-matrix product would not, so every decision value, and with it
+    every error, has that function's bits.
     """
-    trains = [split.train for split in splits]
-    fitted = fit_datasets(trains, ("soft", "hard"), lam, encoding, config)
-    truth = np.stack(
-        [np.concatenate([split.train.labels, split.unlabeled_truth]) for split in splits]
-    )
-    weights = {
-        "supervised": fitted.supervised,
-        "soft": [result.weights for result in fitted.fits["soft"]],
-        "hard": [result.weights for result in fitted.fits["hard"]],
-        "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
-    }
-    return np.stack([weights[method] for method in METHODS], axis=1)
+    values = (test_features[:, None] @ weights[..., None])[..., 0]
+    mismatches = classify(values) != test_labels[:, None, :]
+    return mismatches.mean(axis=-1)

@@ -32,7 +32,6 @@ from .model import (
     _squared_objective,
     ridge_operator,
     ridge_solve,
-    supervised_objective,
 )
 
 __all__ = [
@@ -216,35 +215,46 @@ def check_start(data, w):
     Every ``GivenWeights`` start and every start of ``fit_starts`` goes
     through this check, so a caller can screen starts by the same rule.
     """
+    return _checked_start(w, data.n_features)
+
+
+def _checked_start(w, n_features):
     w = np.asarray(w, dtype=float)
-    if w.shape != (data.n_features,):
-        raise DimensionError(
-            f"initial weights have shape {w.shape}, expected ({data.n_features},)"
-        )
+    if w.shape != (n_features,):
+        raise DimensionError(f"initial weights have shape {w.shape}, expected ({n_features},)")
     if w.size and not np.all(np.isfinite(w)):
         raise InvalidInputError("initial weights contain non-finite entries")
     return w
 
 
-def _initial_weights(data, lam, config, to_targets, solve):
+def _initial_weights(config, known, design, lam, to_targets, solve):
+    """Starting weights of ``config.init`` on one problem.
+
+    The problem is given as checked arrays: known labels ``known`` (L,),
+    the extended design ``design`` (L + U, d) and its ridge operator
+    ``solve`` (d, L + U).
+    """
     init = config.init
+    n_labeled = known.size
     if init == SUPERVISED_INIT:
-        # A Dataset's arrays are already checked, so skip ridge_solve's copies.
-        return ridge_operator(data.labeled_features, lam) @ data.labels
+        # The arrays are already checked, so skip ridge_solve's copies.
+        return ridge_operator(design[:n_labeled], lam) @ known
     if isinstance(init, GivenWeights):
-        return check_start(data, init.weights)
+        return _checked_start(init.weights, design.shape[1])
     labels = np.asarray(init.labels, dtype=float)
-    if labels.shape != (data.n_unlabeled,):
+    n_unlabeled = design.shape[0] - n_labeled
+    if labels.shape != (n_unlabeled,):
         raise DimensionError(
-            f"initial labels have shape {labels.shape}, expected ({data.n_unlabeled},)"
+            f"initial labels have shape {labels.shape}, expected ({n_unlabeled},)"
         )
     if labels.size and (np.any(labels < 0.0) or np.any(labels > 1.0)):
         raise InvalidInputError("initial labels must lie in [0, 1]")
-    return solve @ data.extended_targets(to_targets(labels))
+    return solve @ np.concatenate([known, to_targets(labels)])
 
 
-def _supervised_result(data, w, lam, hard):
-    objective = supervised_objective(data, w, lam)
+def _supervised_result(features, known, w, lam, hard):
+    """A fit with no unlabeled rows: the supervised weights ``w`` of ``features`` (L, d)."""
+    objective = float(_squared_objective(features @ w - known, w, lam))
     empty = np.zeros(0)
     trace = FitTrace(
         rounds=np.zeros(1, dtype=int),
@@ -443,14 +453,16 @@ def _fit(data, method, lam, encoding, config, starts=None):
     if data.n_unlabeled == 0:
         count = 1 if starts is None else len(starts)
         w = ridge_solve(data.labeled_features, data.labels, lam)
-        return [_supervised_result(data, w, lam, hard) for _ in range(count)]
+        return [
+            _supervised_result(data.labeled_features, data.labels, w, lam, hard)
+            for _ in range(count)
+        ]
+    known, design = data.labels, data.extended_features
     # The design stays fixed over the fit, so it is factorized once.
-    solve = ridge_operator(data.extended_features, lam)
+    solve = ridge_operator(design, lam)
     if starts is None:
-        starts = _initial_weights(data, lam, config, rule[1], solve)[None, :]
-    return _descend(
-        config, data.labels, data.extended_features, solve, np.asarray(starts), rule, hard
-    )
+        starts = _initial_weights(config, known, design, lam, rule[1], solve)[None, :]
+    return _descend(config, known, design, solve, np.asarray(starts), rule, hard)
 
 
 def _descend(config, known, design, solve, starts, rule, hard):
@@ -537,7 +549,6 @@ def fit_datasets(datasets, methods, lam=0.0, encoding=ClassEncoding(), config=So
         raise InvalidInputError("need at least one dataset")
     first = datasets[0]
     shape = (first.n_labeled, first.n_unlabeled, first.n_features)
-    rules = {method: _method_rule(method, first.n_labeled, lam, encoding) for method in methods}
     for index, data in enumerate(datasets):
         if (data.n_labeled, data.n_unlabeled, data.n_features) != shape:
             raise DimensionError(
@@ -547,22 +558,37 @@ def fit_datasets(datasets, methods, lam=0.0, encoding=ClassEncoding(), config=So
             )
     known = np.stack([data.labels for data in datasets])
     design = np.stack([data.extended_features for data in datasets])
+    return _fit_stack(known, design, methods, lam, encoding, config)
+
+
+def _fit_stack(known, design, methods, lam, encoding, config):
+    """``fit_datasets`` on a stack given as checked arrays, with a checked ``lam``.
+
+    ``known`` (R, L) holds each problem's labels and ``design``
+    (R, L + U, d) its extended design, labeled rows first. Callers that
+    gather their stacks from already checked data start here, so nothing
+    is checked or stacked twice. Returns a ``DatasetFits``.
+    """
+    n_labeled = known.shape[1]
+    has_unlabeled = design.shape[1] > n_labeled
+    rules = {method: _method_rule(method, n_labeled, lam, encoding) for method in methods}
     # With no unlabeled rows the labeled block is the extended design.
-    solve = ridge_operator(design[:, : first.n_labeled], lam)
+    solve = ridge_operator(design[:, :n_labeled], lam)
     supervised = (solve @ known[:, :, None])[:, :, 0]
-    if first.n_unlabeled:
+    if has_unlabeled:
         solve = ridge_operator(design, lam)
     fits = {}
     for method, rule in rules.items():
         hard = method == "hard"
-        if not first.n_unlabeled:
-            pairs = zip(datasets, supervised)
-            fits[method] = [_supervised_result(d, w, lam, hard) for d, w in pairs]
+        if not has_unlabeled:
+            problems = zip(design, known, supervised)
+            fits[method] = [_supervised_result(x, y, w, lam, hard) for x, y, w in problems]
             continue
         starts = supervised
         if config.init != SUPERVISED_INIT:
+            problems = zip(known, design, solve)
             starts = np.array(
-                [_initial_weights(d, lam, config, rule[1], s) for d, s in zip(datasets, solve)]
+                [_initial_weights(config, y, x, lam, rule[1], op) for y, x, op in problems]
             )
         fits[method] = _descend(config, known, design, solve, starts, rule, hard)
     return DatasetFits(supervised, solve, fits)

@@ -4,11 +4,13 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Two helpers are frozen copies of earlier library code:
+against these. Three helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
-plain loop cannot reach; and ``rowwise_load_csv``, the row-by-row CSV
-loader that preceded the columnar one, kept to pin its arrays and errors.
+plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
+that preceded the columnar one, kept to pin its arrays and errors; and
+``pairwise_count_unique_optima``, the clustering that built all pairwise
+differences at once, kept to pin the blocked one's counts and ids.
 """
 
 import csv
@@ -237,6 +239,31 @@ def rowwise_load_csv(path, schema=CsvSchema(), intercept=True, standardize=False
     dataset = Dataset(labeled, np.array(labels), unlabeled)
     unlabeled_truth = np.array(truth) if truth_index is not None else None
     return dataset, unlabeled_truth
+
+
+def pairwise_count_unique_optima(finals, rel_tolerance=1e-4):
+    finals = np.asarray(finals, dtype=float)
+    if finals.size == 0:
+        return 0, np.zeros(0, dtype=int)
+    threshold = rel_tolerance * (1.0 + float(np.max(np.abs(finals))))
+    distances = np.max(np.abs(finals[:, None, :] - finals[None, :, :]), axis=2)
+    adjacent = distances < threshold
+    n = len(finals)
+    labels = np.full(n, -1, dtype=int)
+    next_label = 0
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = next_label
+        while stack:
+            j = stack.pop()
+            for k in np.nonzero(adjacent[j])[0]:
+                if labels[k] < 0:
+                    labels[k] = next_label
+                    stack.append(int(k))
+        next_label += 1
+    return next_label, labels
 
 
 def relative_error(actual, expected):

@@ -300,6 +300,23 @@ class TestLearningCurve:
         ])
         assert code == EXIT_CAPACITY
 
+    def test_capacity_is_checked_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        import sslsq.experiments as experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the counts were checked")
+
+        monkeypatch.setattr(experiments, "_fit_stack", no_fit)
+        pool = write_pool(tmp_path, n=600)
+        out = tmp_path / "x.csv"
+        code = run_cli([
+            "learning-curve", "--data", str(pool), "--labeled", "10",
+            "--u-values", "1,595", "--repeats", "2", "--seed", "2", "--out", str(out),
+        ])
+        assert code == EXIT_CAPACITY
+        assert "requested 10 + 595 examples from 600" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_labeled_must_exceed_dimension(self, tmp_path):
         pool = write_pool(tmp_path, n=30)
         code = run_cli([

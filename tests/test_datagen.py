@@ -1,6 +1,7 @@
 """Generators, CSV round-trips and experiment splits."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -387,6 +388,41 @@ class TestLearningCurveSplit:
         a = sample_learning_curve_split(self.pool(30), 6, 4, seed=5)
         b = sample_learning_curve_split(self.pool(30), 6, 4, seed=5)
         assert a.partition_hash == b.partition_hash
+
+    @pytest.mark.parametrize("unlabeled", [0, 7, 24])
+    def test_split_is_one_gathered_repeat(self, unlabeled):
+        # The split, the stacked gather and the permutation each repeat
+        # draws, taken apart by hand, agree to the bit; 24 leaves no test set.
+        from sslsq.datagen import _gather_learning_curve_splits
+
+        pool, labeled = self.pool(30), 6
+        end = labeled + unlabeled
+        stack = _gather_learning_curve_splits(
+            pool, labeled, unlabeled, [derive_rng(8, r) for r in range(4)]
+        )
+        X, y = pool.labeled_features, pool.labels
+        for r in range(4):
+            split = sample_learning_curve_split(pool, labeled, unlabeled, derive_rng(8, r))
+            order = derive_rng(8, r).permutation(30)
+            parts = (order[:labeled], order[labeled:end], order[end:])
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(np.sort(part).astype(np.int64).tobytes() + b"|")
+            assert split.partition_hash == stack.partition_hashes[r] == digest.hexdigest()[:16]
+            pairs = [
+                (split.labeled_indices, stack.order[r, :labeled], parts[0]),
+                (split.unlabeled_indices, stack.order[r, labeled:end], parts[1]),
+                (split.test_indices, stack.order[r, end:], parts[2]),
+                (split.train.labeled_features, stack.design[r, :labeled], X[parts[0]]),
+                (split.train.unlabeled_features, stack.design[r, labeled:], X[parts[1]]),
+                (split.train.extended_features, stack.design[r], X[order[:end]]),
+                (split.train.labels, stack.labels[r], y[parts[0]]),
+                (split.unlabeled_truth, stack.truth[r], y[parts[1]]),
+                (split.test_features, stack.test_features[r], X[parts[2]]),
+                (split.test_labels, stack.test_labels[r], y[parts[2]]),
+            ]
+            for arrays in pairs:
+                assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1
 
 
 class TestDeriveRng:

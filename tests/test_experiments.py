@@ -1,12 +1,13 @@
 """Experiment harnesses: restarts, clustering, studies and curves."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sslsq import (
-    ClassEncoding,
+    CapacityError,
     Dataset,
     DegenerateInputError,
     GivenWeights,
@@ -29,8 +30,9 @@ from sslsq import (
 )
 from sslsq.datagen import derive_rng, sample_learning_curve_split
 from sslsq.experiments import METHODS, LearningCurveAggregate, LearningCurveCell
+from sslsq.model import decision_values
 
-from conftest import make_dataset
+from conftest import make_dataset, pairwise_count_unique_optima
 
 
 class TestEvaluateError:
@@ -55,6 +57,83 @@ class TestEvaluateError:
     def test_empty_test_set(self):
         with pytest.raises(DegenerateInputError):
             evaluate_error(np.ones(2), np.empty((0, 2)), [])
+
+
+def place_on_threshold(features, row, w, target, rng):
+    """Set ``features[row]`` so that its decision value under ``w`` is exactly ``target``.
+
+    Values are read through ``decision_values`` on the whole matrix, the
+    product ``evaluate_error`` takes, and one coordinate is stepped an ulp
+    at a time from a random row until the value lands.
+    """
+    k = int(np.argmax(np.abs(w)))
+    x = features[row]
+    for _ in range(100):
+        x[:] = rng.standard_normal(w.size)
+        x[k] = 0.0
+        x[k] = (target - x @ w) / w[k]
+        for _ in range(20):
+            value = decision_values(features, w)[row]
+            if value == target:
+                return
+            x[k] = np.nextafter(x[k], np.inf if (value < target) == (w[k] > 0) else -np.inf)
+    raise AssertionError(f"no row has decision value {target!r}")
+
+
+class TestStackedErrors:
+    """The learning curve's stacked test errors against per-vector ``evaluate_error``."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_equal_lone_errors_at_the_threshold(self, rng, lam):
+        # Each method's weights get test rows on the threshold and one ulp
+        # below and above it, where a decision value one ulp off flips a
+        # prediction and so the error.
+        from sslsq.experiments import _stacked_errors
+
+        pool = fully_labeled_pool(60, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D, separation=3.0)
+        targets = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        crafted = len(METHODS) * len(targets)
+        weights, features, labels = [], [], []
+        for repeat in range(3):
+            split = sample_learning_curve_split(pool, 8, 10, derive_rng(4, repeat))
+            train = split.train
+            row = [
+                ridge_solve(train.labeled_features, train.labels, lam),
+                fit_soft(train, lam).weights,
+                fit_hard(train, lam).weights,
+                ridge_solve(train.extended_features,
+                            np.concatenate([train.labels, split.unlabeled_truth]), lam),
+            ]
+            test = np.vstack([split.test_features, np.zeros((crafted, 3))])
+            first = len(split.test_labels)
+            for m, w in enumerate(row):
+                for t, target in enumerate(targets):
+                    place_on_threshold(test, first + 3 * m + t, w, target, rng)
+            weights.append(row)
+            features.append(test)
+            labels.append(np.concatenate([split.test_labels, np.ones(crafted)]))
+        weights, features, labels = np.array(weights), np.array(features), np.array(labels)
+        for w_row, test in zip(weights, features):
+            for m, w in enumerate(w_row):
+                values = decision_values(test, w)[-crafted:][3 * m : 3 * m + 3]
+                np.testing.assert_array_equal(values, targets)
+        lone = [[evaluate_error(w, test, y) for w in w_row]
+                for w_row, test, y in zip(weights, features, labels)]
+        np.testing.assert_array_equal(_stacked_errors(weights, features, labels), lone)
+
+    def test_overflowing_decision_values_raise(self):
+        from sslsq.experiments import _stacked_errors
+
+        weights = np.ones((2, 4, 3))
+        weights[1, 2] = 1e300
+        features = np.full((2, 5, 3), 1e10)
+        labels = np.zeros((2, 5))
+        message = "decision values contain non-finite entries"
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match=message):
+                _stacked_errors(weights, features, labels)
+            with pytest.raises(InvalidInputError, match=message):
+                evaluate_error(weights[1, 2], features[1], labels[1])
 
 
 class TestRandomInit:
@@ -106,6 +185,41 @@ class TestUniqueOptima:
     def test_empty(self):
         count, labels = count_unique_optima(np.zeros((0, 2)))
         assert count == 0 and labels.size == 0
+
+    @pytest.mark.parametrize("block_elements", [1, 50, 16384])
+    def test_blocked_adjacency_matches_pairwise(self, monkeypatch, rng, block_elements):
+        # Blocks of one row, of a few rows and of every row must give the
+        # all-pairs reference's count and ids, on random vectors, duplicates,
+        # a chain linked only through its neighbours, a pair exactly at the
+        # threshold (1e-4 * (1 + 3) here) and a pair one ulp inside it.
+        import sslsq.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block_elements)
+        base = rng.uniform(-3.0, 3.0, (12, 3))
+        base[0, 0] = 3.0
+        chain = np.full((6, 3), 1.5)
+        chain[:, 0] += 2.4e-4 * np.arange(6)
+        at = np.array([[0.0, 1.0, 2.0], [4e-4, 1.0, 2.0],
+                       [0.0, -1.0, 2.0], [np.nextafter(4e-4, 0.0), -1.0, 2.0]])
+        finals = np.vstack([base, base[3:7], chain, at])
+        for vectors in (finals, rng.permutation(finals), np.round(finals, 1), finals[:1]):
+            count, ids = count_unique_optima(vectors)
+            expected_count, expected_ids = pairwise_count_unique_optima(vectors)
+            assert count == expected_count
+            np.testing.assert_array_equal(ids, expected_ids)
+
+    def test_memory_stays_bounded(self, rng):
+        # The (n, n) adjacency takes 4 MB here; building every pairwise
+        # difference at once peaked at 183 MB.
+        finals = rng.standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            count, _ = count_unique_optima(finals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2000
+        assert peak < 8e6
 
 
 def small_two_cluster(seed=21):
@@ -399,16 +513,26 @@ class TestLearningCurve:
         assert np.isnan(floats(report.cells)).any()
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_method_weights_equal_lone_solves(self, lam):
-        # Every weight vector of a stacked block must have the lone call's bits.
-        from sslsq.experiments import _method_weights
+    def test_method_weights_equal_lone_solves(self, monkeypatch, lam):
+        # Every weight vector the runner scores must have the lone call's bits.
+        import sslsq.experiments as experiments
 
+        scored = []
+        stacked_errors = experiments._stacked_errors
+
+        def record(weights, *args):
+            scored.append(weights.copy())
+            return stacked_errors(weights, *args)
+
+        monkeypatch.setattr(experiments, "_stacked_errors", record)
         pool = self.pool()
         config = SolverConfig(max_iterations=15)
-        for u in (0, 6, 30):
-            splits = [sample_learning_curve_split(pool, 8, u, derive_rng(9, r)) for r in range(5)]
-            weights = _method_weights(splits, lam, ClassEncoding(), config)
-            for split, row in zip(splits, weights):
+        u_values = (0, 6, 30)
+        run_learning_curve(pool, 8, u_values, 5, lam, seed=9, config=config)
+        assert [weights.shape for weights in scored] == [(5, len(METHODS), 3)] * len(u_values)
+        for u_index, (u, weights) in enumerate(zip(u_values, scored)):
+            for repeat, row in enumerate(weights):
+                split = sample_learning_curve_split(pool, 8, u, derive_rng(9, repeat, u_index))
                 train = split.train
                 lone = [
                     ridge_solve(train.labeled_features, train.labels, lam),
@@ -418,6 +542,23 @@ class TestLearningCurve:
                                 np.concatenate([train.labels, split.unlabeled_truth]), lam),
                 ]
                 np.testing.assert_array_equal(row, lone)
+
+    @pytest.mark.parametrize("labeled, u_values, error, message", [
+        (10, [1, 595], CapacityError, r"requested 10 \+ 595 examples from 600"),
+        (10, [1, 600, 595], CapacityError, r"requested 10 \+ 600 examples from 600"),
+        (3, [1, 2], InvalidInputError, r"must exceed the feature count \(3\)"),
+    ])
+    def test_counts_are_checked_before_any_fit(self, monkeypatch, labeled, u_values, error,
+                                               message):
+        import sslsq.experiments as experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the counts were checked")
+
+        monkeypatch.setattr(experiments, "_fit_stack", no_fit)
+        pool = fully_labeled_pool(600, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D)
+        with pytest.raises(error, match=message):
+            run_learning_curve(pool, labeled, u_values, repeats=3)
 
     def test_rejects_repeated_or_missing_unlabeled_counts(self):
         with pytest.raises(InvalidInputError, match=r"repeated: \[4\]"):
