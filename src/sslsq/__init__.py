@@ -40,8 +40,6 @@ from .selflearn import (
     DatasetFits,
     FitResult,
     FitTrace,
-    GivenLabels,
-    GivenWeights,
     SolverConfig,
     StopReason,
     TraceRecord,
@@ -82,8 +80,12 @@ from .datagen import (
 )
 from .experiments import (
     BasinStudyResult,
+    DatasetOptimaRecord,
+    LearningCurveAggregate,
+    LearningCurveCell,
     LearningCurveReport,
     LocalOptimaReport,
+    StartRecord,
     count_unique_optima,
     evaluate_error,
     random_init_near_supervised,

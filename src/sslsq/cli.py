@@ -189,10 +189,7 @@ def cmd_fit(args):
         trace_rows = [(0, objective, *weights)]
     else:
         config = SolverConfig()
-        if args.method == "soft":
-            fit = fit_soft(data, lam, config)
-        else:
-            fit = fit_hard(data, lam, config=config)
+        fit = (fit_soft if args.method == "soft" else fit_hard)(data, lam, config)
         if fit.trace.stop_reason is StopReason.MAX_ITERATIONS:
             print(
                 f"warning: {args.method} fit stopped at the round cap of "

@@ -21,7 +21,7 @@ from .errors import (
     NoWitnessError,
 )
 from .model import (
-    ClassEncoding,
+    _CLASS_CODES,
     label_objective,
     responsibility_objective,
     ridge_operator,
@@ -87,22 +87,26 @@ class GridSearchResult(NamedTuple):
     objective: float
 
 
-def build_hessian(data, kind, encoding=ClassEncoding(), lam=0.0):
-    """Assemble the block curvature matrix for the chosen objective kind."""
+def build_hessian(data, kind, lam=0.0):
+    """Assemble the block curvature matrix for the chosen objective kind.
+
+    The imputed variables are the unlabeled rows' targets for the
+    label-based kind and their responsibilities between the class codes
+    1 and 0 for the responsibility-based kind, so with those codes the
+    two kinds share their off-diagonal blocks.
+    """
     if data.n_unlabeled == 0:
         raise DegenerateInputError("hessian in (weights, labels) needs an unlabeled block")
     d, unlabeled_count = data.n_features, data.n_unlabeled
     extended = data.extended_features
     unlabeled = data.unlabeled_features
     if kind == HessianKind.LABEL_BASED:
-        cross = -2.0 * unlabeled.T
         bottom_diagonal = -2.0
     elif kind == HessianKind.RESPONSIBILITY_BASED:
-        gap = encoding.positive_code - encoding.negative_code
-        cross = -2.0 * gap * unlabeled.T
         bottom_diagonal = 0.0
     else:
         raise InvalidInputError(f"unknown hessian kind {kind!r}")
+    cross = -2.0 * unlabeled.T
     # Filled in place: the (d+U)^2 matrix is the only large allocation.
     matrix = np.zeros((d + unlabeled_count, d + unlabeled_count))
     matrix[:d, :d] = 2.0 * (extended.T @ extended)
@@ -139,7 +143,7 @@ def is_psd(matrix, tolerance=None):
     return bool(eigenvalues[0] >= -tolerance)
 
 
-def find_witness(data, kind, encoding=ClassEncoding(), lam=0.0):
+def find_witness(data, kind, lam=0.0):
     """Construct a direction with a negative quadratic form for the Hessian.
 
     For the label-based kind any unit vector in the label block works
@@ -149,7 +153,7 @@ def find_witness(data, kind, encoding=ClassEncoding(), lam=0.0):
     leading block, with a factor-2 margin; this requires a nonzero
     unlabeled design matrix.
     """
-    block = build_hessian(data, kind, encoding, lam)
+    block = build_hessian(data, kind, lam)
     d, unlabeled_count = data.n_features, data.n_unlabeled
     if kind == HessianKind.LABEL_BASED:
         z1 = np.zeros(d)
@@ -165,10 +169,9 @@ def find_witness(data, kind, encoding=ClassEncoding(), lam=0.0):
         z1 = unlabeled[int(np.argmax(row_norms))].copy()
         pushed = unlabeled @ z1
         leading = float(z1 @ (block.matrix[:d, :d] @ z1))
-        gap = encoding.positive_code - encoding.negative_code
-        # The form along z2 = c * X_u z1 is leading - 4 gap c |X_u z1|^2;
+        # The form along z2 = c * X_u z1 is leading - 4 c |X_u z1|^2;
         # take twice the zero-crossing c for margin against rounding.
-        threshold = leading / (4.0 * gap * float(pushed @ pushed))
+        threshold = leading / (4.0 * float(pushed @ pushed))
         z2 = 2.0 * threshold * pushed
     z = np.concatenate([z1, z2])
     value = float(z @ (block.matrix @ z))
@@ -216,7 +219,7 @@ _SLACK_ULPS = 1024
 _VANISH_ULPS = 1024
 
 
-def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096):
+def brute_force_hard_minimum(data, lam=0.0, chunk=4096):
     """Exact global minimum of the responsibility objective over binary labels.
 
     Covers all ``2^U`` labelings (capped at U <= 20) by meet in the
@@ -257,18 +260,17 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
     operator = ridge_operator(extended, lam)
     reduced = _reduced_quadratic(extended, operator, lam)
     y = data.labels
-    m, n = encoding.positive_code, encoding.negative_code
     # Label j moves the objective only through column j of R (and of
     # sqrt(lam) P), whose squared norm is reduced[j, j]. Labels whose
     # column is rounding error stay 0; only the free ones are enumerated.
     noise = _VANISH_ULPS * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
     free = np.flatnonzero(np.diagonal(reduced)[data.n_labeled :] > noise * noise)
-    # Targets are base + (m - n) q, with q in the unlabeled rows only.
-    base = np.concatenate([y, np.full(unlabeled_count, float(n))])
+    # Targets are base + q, with q in the unlabeled rows only.
+    base = np.concatenate([y, np.zeros(unlabeled_count)])
     tail = reduced[data.n_labeled + free]
     constant = float(base @ (reduced @ base))
-    linear = (m - n) * (tail @ base)
-    quadratic = (m - n) ** 2 * tail[:, data.n_labeled + free]
+    linear = tail @ base
+    quadratic = tail[:, data.n_labeled + free]
 
     high = len(free) // 2
     high_bits, low_bits = _bit_rows(high), _bit_rows(len(free) - high)
@@ -304,17 +306,16 @@ def brute_force_hard_minimum(data, lam=0.0, encoding=ClassEncoding(), chunk=4096
         row, column = divmod(int(index), width)
         labels = np.zeros(unlabeled_count)
         labels[free] = np.concatenate([high_bits[row], low_bits[column]])
-        candidate = _rescored(data, operator, labels, encoding, lam)
+        candidate = _rescored(data, operator, labels, lam)
         if result is None or candidate.objective < result.objective:
             result = candidate
     return result
 
 
-def _rescored(data, operator, labels, encoding, lam):
+def _rescored(data, operator, labels, lam):
     """Labeling ``labels`` with the weights and objective a lone hard solve gives it."""
-    m, n = encoding.positive_code, encoding.negative_code
-    w = operator @ np.concatenate([data.labels, n + labels * (m - n)])
-    return BruteForceResult(labels, w, responsibility_objective(data, w, labels, encoding, lam))
+    w = operator @ np.concatenate([data.labels, labels])
+    return BruteForceResult(labels, w, responsibility_objective(data, w, labels, _CLASS_CODES, lam))
 
 
 def _grid_axis(step):

@@ -24,7 +24,7 @@ from .datagen import (
     split_for_local_optima,
 )
 from .errors import DegenerateInputError, DegenerateSplitError, Error, InvalidInputError
-from .model import ClassEncoding, _check_lam, classify, decision_values, ridge_solve
+from .model import _check_lam, classify, decision_values, ridge_solve
 from .selflearn import (
     _BLOCK_ELEMENTS,
     SolverConfig,
@@ -100,31 +100,32 @@ def count_unique_optima(finals, rel_tolerance=CLUSTER_TOLERANCE):
     if finals.size == 0:
         return 0, np.zeros(0, dtype=int)
     threshold = rel_tolerance * (1.0 + float(np.max(np.abs(finals))))
-    n = len(finals)
-    # The (rows, n, d) differences are built a block of rows at a time, so
-    # they stay within _BLOCK_ELEMENTS * d entries however many vectors
-    # there are; only the (n, n) adjacency grows with the square of n.
+    n, d = finals.shape
+    # A breadth-first search from each vector not yet reached, in index
+    # order, so ids follow each cluster's first vector. The frontier is
+    # expanded a block of rows at a time, so the (rows, n) distances stay
+    # within _BLOCK_ELEMENTS entries however many vectors there are, and
+    # nothing of size n^2 is ever built.
     rows = max(1, _BLOCK_ELEMENTS // n)
-    adjacent = np.empty((n, n), dtype=bool)
-    for first in range(0, n, rows):
-        block = finals[first : first + rows]
-        distances = np.max(np.abs(block[:, None, :] - finals[None, :, :]), axis=2)
-        adjacent[first : first + rows] = distances < threshold
-    labels = np.full(n, -1, dtype=int)
-    next_label = 0
-    for i in range(n):
-        if labels[i] >= 0:
+    labels = np.full(n, -1)
+    count = 0
+    for seed in range(n):
+        if labels[seed] >= 0:
             continue
-        stack = [i]
-        labels[i] = next_label
-        while stack:
-            j = stack.pop()
-            for k in np.nonzero(adjacent[j])[0]:
-                if labels[k] < 0:
-                    labels[k] = next_label
-                    stack.append(int(k))
-        next_label += 1
-    return next_label, labels
+        labels[seed] = count
+        frontier = np.array([seed])
+        while frontier.size:
+            block, frontier = finals[frontier[:rows]], frontier[rows:]
+            # Column by column: the same bits as a max over the last axis
+            # of the (rows, n, d) differences, without building them.
+            distances = np.abs(block[:, None, 0] - finals[None, :, 0])
+            for k in range(1, d):
+                np.maximum(distances, np.abs(block[:, None, k] - finals[None, :, k]), out=distances)
+            reached = np.flatnonzero((distances < threshold).any(axis=0) & (labels < 0))
+            labels[reached] = count
+            frontier = np.concatenate([frontier, reached])
+        count += 1
+    return count, labels
 
 
 @dataclass
@@ -165,7 +166,6 @@ def run_basin_study(
     starts,
     test_features=None,
     test_labels=None,
-    encoding=ClassEncoding(),
     config=SolverConfig(),
 ):
     """Run one solver from many starting weights and cluster the optima.
@@ -210,9 +210,7 @@ def run_basin_study(
             record.status = f"error: {exc}"
         else:
             successful.append(record)
-    results = fit_starts(
-        data, [r.initial_weights for r in successful], method, lam, encoding, config
-    )
+    results = fit_starts(data, [r.initial_weights for r in successful], method, lam, config)
     for record, result in zip(successful, results):
         record.final_weights = result.weights
         record.final_objective = result.final_objective
@@ -261,7 +259,6 @@ def run_local_optima_study(
     scale=1.0,
     test_fraction=0.2,
     unlabel_fraction=0.8,
-    encoding=ClassEncoding(),
     config=SolverConfig(),
 ):
     """Random-restart comparison of both solvers across named datasets.
@@ -291,8 +288,7 @@ def run_local_optima_study(
         )
         studies = {
             method: run_basin_study(
-                train, lam, method, starts, split.test_features, split.test_labels,
-                encoding, config,
+                train, lam, method, starts, split.test_features, split.test_labels, config
             )
             for method in ("soft", "hard")
         }
@@ -334,7 +330,6 @@ def run_learning_curve(
     repeats,
     lam=0.0,
     seed=0,
-    encoding=ClassEncoding(),
     config=SolverConfig(),
 ):
     """Test-error curves over growing unlabeled counts, with an oracle.
@@ -373,27 +368,13 @@ def run_learning_curve(
             indices = range(first, min(first + block, repeats))
             seeds = [derive_rng(seed, repeat, u_index) for repeat in indices]
             splits = _gather_learning_curve_splits(data, labeled_count, u, seeds)
-            fitted = _fit_stack(splits.labels, splits.design, ("soft", "hard"), lam, encoding,
-                                config)
             for repeat, partition_hash in zip(indices, splits.partition_hashes):
                 hashes[repeat][u_index] = partition_hash
+            # With no test set every cell is NaN, so nothing is fitted.
             if test_sizes[u_index]:
-                # The oracle's design is the extended design, with the true
-                # labels of the unlabeled part as its targets.
-                truth = np.concatenate([splits.labels, splits.truth], axis=1)
-                weights = {
-                    "supervised": fitted.supervised,
-                    "soft": [result.weights for result in fitted.fits["soft"]],
-                    "hard": [result.weights for result in fitted.fits["hard"]],
-                    "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
-                }
-                errors[indices.start : indices.stop, u_index] = _stacked_errors(
-                    np.stack([weights[method] for method in METHODS], axis=1),
-                    splits.test_features,
-                    splits.test_labels,
-                )
+                errors[indices.start : indices.stop, u_index] = _block_errors(splits, lam, config)
             # Drop this block's stacks before the next block gathers its own.
-            del splits, fitted
+            del splits
 
     cells = [
         LearningCurveCell(
@@ -424,6 +405,25 @@ def run_learning_curve(
                 )
             )
     return LearningCurveReport(cells=cells, aggregates=aggregates)
+
+
+def _block_errors(splits, lam, config):
+    """The (R, 4) test errors of ``METHODS`` on a block of R gathered splits."""
+    fitted = _fit_stack(splits.labels, splits.design, ("soft", "hard"), lam, config)
+    # The oracle's design is the extended design, with the true labels of
+    # the unlabeled part as its targets.
+    truth = np.concatenate([splits.labels, splits.truth], axis=1)
+    weights = {
+        "supervised": fitted.supervised,
+        "soft": [result.weights for result in fitted.fits["soft"]],
+        "hard": [result.weights for result in fitted.fits["hard"]],
+        "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
+    }
+    return _stacked_errors(
+        np.stack([weights[method] for method in METHODS], axis=1),
+        splits.test_features,
+        splits.test_labels,
+    )
 
 
 def _stacked_errors(weights, test_features, test_labels):

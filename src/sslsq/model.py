@@ -126,7 +126,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClassEncoding:
-    """Numeric codes for the two classes; defaults to 1 and 0."""
+    """Numeric codes for the two classes; defaults to 1 and 0.
+
+    Only the responsibility objective and its two gradients take other
+    codes. The solvers and oracles fit the known 0/1 labels, so they
+    always use the default.
+    """
 
     positive_code: float = 1.0
     negative_code: float = 0.0
@@ -135,10 +140,9 @@ class ClassEncoding:
         if self.positive_code == self.negative_code:
             raise InvalidInputError("class codes must differ")
 
-    @property
-    def threshold(self):
-        """Decision value at which both class targets incur equal loss."""
-        return 0.5 * (self.positive_code + self.negative_code)
+
+# The class codes of every solver and oracle: 1 and 0, as for known labels.
+_CLASS_CODES = ClassEncoding()
 
 
 def _check_weights(data, w):
@@ -254,7 +258,7 @@ def _check_responsibilities(data, q):
     return q
 
 
-def responsibility_objective(data, w, q, encoding=ClassEncoding(), lam=0.0):
+def responsibility_objective(data, w, q, encoding=_CLASS_CODES, lam=0.0):
     """Labeled squared error plus a q-weighted mix of the two class losses.
 
     Each unlabeled point contributes ``q * (s - m)^2 + (1 - q) * (s - n)^2``
@@ -299,7 +303,7 @@ def grad_label_objective_w(data, w, u, lam=0.0):
     return 2.0 * (extended.T @ residual) + 2.0 * lam * w
 
 
-def grad_responsibility_objective_q(data, w, encoding=ClassEncoding()):
+def grad_responsibility_objective_q(data, w, encoding=_CLASS_CODES):
     """Per-point gradient of ``responsibility_objective`` in ``q``.
 
     The objective is linear in ``q``; entry i equals
@@ -312,7 +316,7 @@ def grad_responsibility_objective_q(data, w, encoding=ClassEncoding()):
     return (m * m - n * n) - 2.0 * (m - n) * s
 
 
-def grad_responsibility_objective_w(data, w, q, encoding=ClassEncoding(), lam=0.0):
+def grad_responsibility_objective_w(data, w, q, encoding=_CLASS_CODES, lam=0.0):
     """Gradient of ``responsibility_objective`` in the weights.
 
     The unlabeled pull enters through the per-point target

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .model import (
-    ClassEncoding,
+    _CLASS_CODES,
     _check_lam,
     _responsibility_value,
     _squared_objective,
@@ -37,8 +37,6 @@ from .model import (
 __all__ = [
     "FitResult",
     "FitTrace",
-    "GivenLabels",
-    "GivenWeights",
     "SolverConfig",
     "StopReason",
     "TraceRecord",
@@ -53,9 +51,6 @@ __all__ = [
     "update_weights",
 ]
 
-SUPERVISED_INIT = "supervised"
-
-
 class StopReason(enum.Enum):
     LABELS_STABLE = "labels-stable"
     OBJECTIVE_TOLERANCE = "objective-tolerance"
@@ -63,41 +58,22 @@ class StopReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GivenWeights:
-    """Start the descent from an explicit weight vector."""
-
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class GivenLabels:
-    """Start the descent from explicit imputed labels in [0, 1]^U."""
-
-    labels: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stopping rule and initialization.
+    """Iteration budget and stopping rule.
 
     The soft solver stops on a relative objective decrease below
     ``objective_tolerance``; the hard solver stops on exact label
-    stability.
+    stability. Either stops at ``max_iterations`` rounds.
     """
 
     max_iterations: int = 1000
     objective_tolerance: float = 1e-10
-    init: str | GivenWeights | GivenLabels = SUPERVISED_INIT
-    trace_limit: int = 10_000
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
         if self.objective_tolerance < 0.0:
             raise InvalidInputError("objective_tolerance must be nonnegative")
-        ok = self.init == SUPERVISED_INIT or isinstance(self.init, (GivenWeights, GivenLabels))
-        if not ok:
-            raise InvalidInputError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -119,16 +95,19 @@ class TraceRecord:
 _NO_LABELS = np.zeros(0)
 _NO_LABELS.setflags(write=False)
 
+# A run longer than this many rounds keeps every tenth round and the last.
+_TRACE_LIMIT = 10_000
+
 
 @dataclass
 class FitTrace:
     """Per-round weights and objectives of a descent run; objectives are non-increasing.
 
     Entry k of ``rounds`` and ``objectives`` and row k of ``weight_path``
-    describe one kept round. A run longer than ``SolverConfig.trace_limit``
-    rounds keeps every tenth round and the last one. ``final_labels`` are
-    the last round's imputed labels, so a trace costs O(rounds * d + U)
-    memory.
+    describe one kept round. A run longer than 10,000 rounds (the fixed
+    ``_TRACE_LIMIT``) keeps every tenth round and the last one.
+    ``final_labels`` are the last round's imputed labels, so a trace
+    costs O(rounds * d + U) memory.
     """
 
     rounds: np.ndarray
@@ -185,22 +164,20 @@ def _soft_labels(scores):
     return np.minimum(np.maximum(scores, 0.0), 1.0)
 
 
-def update_hard_labels(data, w, encoding=ClassEncoding()):
-    """Imputed responsibilities: 1 where the objective decreases in q, else 0.
+def update_hard_labels(data, w):
+    """Imputed responsibilities: 1 where the decision value exceeds 0.5, else 0.
 
-    With (1, 0) encoding this assigns 1 exactly when the decision value
-    exceeds 0.5; a value of exactly 0.5 gets 0, matching ``classify``.
+    With class codes 1 and 0 that is where the responsibility objective
+    decreases in q. A value of exactly 0.5 gets 0, matching ``classify``.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n_features,):
         raise DimensionError(f"weights have shape {w.shape}, expected ({data.n_features},)")
-    return _hard_labels(data.unlabeled_features @ w, encoding)
+    return _hard_labels(data.unlabeled_features @ w)
 
 
-def _hard_labels(scores, encoding):
-    m, n = encoding.positive_code, encoding.negative_code
-    slope = (m * m - n * n) - 2.0 * (m - n) * scores
-    return np.where(slope < 0.0, 1.0, 0.0)
+def _hard_labels(scores):
+    return np.where(scores > 0.5, 1.0, 0.0)
 
 
 def update_weights(data, imputed, lam=0.0):
@@ -212,44 +189,17 @@ def update_weights(data, imputed, lam=0.0):
 def check_start(data, w):
     """Starting weights as a float vector; raises on a wrong shape or a non-finite entry.
 
-    Every ``GivenWeights`` start and every start of ``fit_starts`` goes
-    through this check, so a caller can screen starts by the same rule.
+    Every start of ``fit_starts`` goes through this check, so a caller
+    can screen starts by the same rule.
     """
-    return _checked_start(w, data.n_features)
-
-
-def _checked_start(w, n_features):
     w = np.asarray(w, dtype=float)
-    if w.shape != (n_features,):
-        raise DimensionError(f"initial weights have shape {w.shape}, expected ({n_features},)")
+    if w.shape != (data.n_features,):
+        raise DimensionError(
+            f"initial weights have shape {w.shape}, expected ({data.n_features},)"
+        )
     if w.size and not np.all(np.isfinite(w)):
         raise InvalidInputError("initial weights contain non-finite entries")
     return w
-
-
-def _initial_weights(config, known, design, lam, to_targets, solve):
-    """Starting weights of ``config.init`` on one problem.
-
-    The problem is given as checked arrays: known labels ``known`` (L,),
-    the extended design ``design`` (L + U, d) and its ridge operator
-    ``solve`` (d, L + U).
-    """
-    init = config.init
-    n_labeled = known.size
-    if init == SUPERVISED_INIT:
-        # The arrays are already checked, so skip ridge_solve's copies.
-        return ridge_operator(design[:n_labeled], lam) @ known
-    if isinstance(init, GivenWeights):
-        return _checked_start(init.weights, design.shape[1])
-    labels = np.asarray(init.labels, dtype=float)
-    n_unlabeled = design.shape[0] - n_labeled
-    if labels.shape != (n_unlabeled,):
-        raise DimensionError(
-            f"initial labels have shape {labels.shape}, expected ({n_unlabeled},)"
-        )
-    if labels.size and (np.any(labels < 0.0) or np.any(labels > 1.0)):
-        raise InvalidInputError("initial labels must lie in [0, 1]")
-    return solve @ np.concatenate([known, to_targets(labels)])
 
 
 def _supervised_result(features, known, w, lam, hard):
@@ -267,9 +217,9 @@ def _supervised_result(features, known, w, lam, hard):
     return FitResult(w, empty, objective, trace)
 
 
-def _kept_rounds(count, limit):
+def _kept_rounds(count):
     """Index of the rounds a trace keeps: all of them, or every tenth and the last."""
-    if count <= limit:
+    if count <= _TRACE_LIMIT:
         return slice(None)
     kept = list(range(0, count, 10))
     if kept[-1] != count - 1:
@@ -277,30 +227,28 @@ def _kept_rounds(count, limit):
     return np.array(kept)
 
 
-def _method_rule(method, n_labeled, lam, encoding):
-    """A solver's label imputation, label-to-target map and per-start objective.
+def _method_rule(method, n_labeled, lam):
+    """A solver's label imputation and per-start objective.
 
-    All three act on blocks with one row per start. The objective scores
-    a round from the fitted values ``W X^T`` of the stacked design and
-    their residuals from the targets.
+    Both act on blocks with one row per start. The imputed labels are
+    the unlabeled rows' targets. The objective scores a round from the
+    fitted values ``W X^T`` of the stacked design and their residuals
+    from the targets.
     """
     if method == "soft":
         return (
             _soft_labels,
-            lambda labels: labels,
             lambda residual, fitted, labels, W: _squared_objective(residual, W, lam),
         )
     if method == "hard":
-        m, n = encoding.positive_code, encoding.negative_code
         return (
-            lambda scores: _hard_labels(scores, encoding),
-            lambda labels: n + labels * (m - n),
+            _hard_labels,
             lambda residual, fitted, labels, W: _responsibility_value(
                 residual[:, :n_labeled],
                 fitted[:, n_labeled:],
                 labels,
                 W,
-                encoding,
+                _CLASS_CODES,
                 lam,
             ),
         )
@@ -327,7 +275,7 @@ def _by_rows(block, matrix):
     return (block[:, None, :] @ matrix)[:, 0, :]
 
 
-def _run_descent(config, known, design, solve, starts, impute, to_targets, objective, hard):
+def _run_descent(config, known, design, solve, starts, impute, objective, hard):
     """Advance a block of starts in lock-step until each one stops.
 
     ``starts`` is an (S, d) array, one starting weight vector per row.
@@ -385,7 +333,7 @@ def _run_descent(config, known, design, solve, starts, impute, to_targets, objec
                 shrink(keep)
                 candidate = candidate[keep]
         labels = candidate
-        targets = np.concatenate((known, to_targets(labels)), axis=1)
+        targets = np.concatenate((known, labels), axis=1)
         W = _by_rows(targets, operator_t)
         fitted = _by_rows(W, design_t)
         # The targets are spent once W is known, so the residual overwrites them.
@@ -410,10 +358,10 @@ def _run_descent(config, known, design, solve, starts, impute, to_targets, objec
         scores = fitted[:, n_labeled:]
     else:  # the round cap stops every start still working
         leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS)
-    return _start_results(rounds, stops, config.trace_limit)
+    return _start_results(rounds, stops)
 
 
-def _start_results(rounds, stops, trace_limit):
+def _start_results(rounds, stops):
     """Split the per-round blocks of a lock-step run into one ``FitResult`` per start.
 
     A start works from round 0 until it leaves, so after a stable sort
@@ -428,7 +376,7 @@ def _start_results(rounds, stops, trace_limit):
     end = 0
     for i, rounds_run in enumerate(counts):
         begin, end = end, end + rounds_run
-        kept = _kept_rounds(rounds_run, trace_limit)
+        kept = _kept_rounds(rounds_run)
         reason, labels = stops[i]
         trace = FitTrace(
             rounds=np.arange(rounds_run)[kept],
@@ -442,26 +390,22 @@ def _start_results(rounds, stops, trace_limit):
     return results
 
 
-def _fit(data, method, lam, encoding, config, starts=None):
+def _fit(data, starts, method, lam, config):
     lam = _check_lam(lam)
-    rule = _method_rule(method, data.n_labeled, lam, encoding)
+    rule = _method_rule(method, data.n_labeled, lam)
     hard = method == "hard"
-    if starts is not None:
-        starts = [check_start(data, w) for w in starts]
-        if not starts:
-            return []
+    starts = [check_start(data, w) for w in starts]
+    if not starts:
+        return []
     if data.n_unlabeled == 0:
-        count = 1 if starts is None else len(starts)
         w = ridge_solve(data.labeled_features, data.labels, lam)
         return [
             _supervised_result(data.labeled_features, data.labels, w, lam, hard)
-            for _ in range(count)
+            for _ in starts
         ]
     known, design = data.labels, data.extended_features
     # The design stays fixed over the fit, so it is factorized once.
     solve = ridge_operator(design, lam)
-    if starts is None:
-        starts = _initial_weights(config, known, design, lam, rule[1], solve)[None, :]
     return _descend(config, known, design, solve, np.asarray(starts), rule, hard)
 
 
@@ -482,36 +426,42 @@ def _descend(config, known, design, solve, starts, rule, hard):
 def fit_soft(data, lam=0.0, config=SolverConfig()):
     """Alternating minimization of the soft-label objective.
 
-    Starting weights come from ``config.init`` (the supervised solution
-    by default); every round imputes clamped decision values and re-fits
-    the weights. Stops when the relative objective decrease falls to
-    ``config.objective_tolerance`` or at ``max_iterations``.
+    Starts from the supervised solution; every round imputes clamped
+    decision values and re-fits the weights. Stops when the relative
+    objective decrease falls to ``config.objective_tolerance`` or at
+    ``max_iterations``.
     """
-    return _fit(data, "soft", lam, None, config)[0]
+    w_sup = ridge_solve(data.labeled_features, data.labels, lam)
+    return _fit(data, [w_sup], "soft", lam, config)[0]
 
 
-def fit_hard(data, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
+def fit_hard(data, lam=0.0, config=SolverConfig()):
     """Alternating minimization of the responsibility objective.
 
-    Every round assigns 0/1 responsibilities by thresholding decision
-    values, then re-fits the weights on the induced class targets. Stops
-    when the responsibilities repeat exactly; equal-objective cycles are
-    cut off by ``max_iterations`` with stop reason MAX_ITERATIONS.
+    Starts from the supervised solution. Every round assigns 0/1
+    responsibilities by thresholding decision values at 0.5, then re-fits
+    the weights on them as class targets. Stops when the responsibilities
+    repeat exactly; equal-objective cycles are cut off by
+    ``max_iterations`` with stop reason MAX_ITERATIONS.
     """
-    return _fit(data, "hard", lam, encoding, config)[0]
+    w_sup = ridge_solve(data.labeled_features, data.labels, lam)
+    return _fit(data, [w_sup], "hard", lam, config)[0]
 
 
-def fit_starts(data, starts, method, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
+def fit_starts(data, starts, method, lam=0.0, config=SolverConfig()):
     """Run one solver ("soft" or "hard") from each of many starting weights.
 
-    Equivalent to ``fit_soft``/``fit_hard`` with ``init=GivenWeights(w0)``
-    for every ``w0`` in ``starts``, but the starts advance in lock-step
-    as blocks of weight rows, so a round costs two matrix products per
-    block rather than per start; ``config.init`` is not used. Raises on
-    the first start that ``check_start`` rejects. Returns
-    one ``FitResult`` per start, in order.
+    The one way to start a descent anywhere but at the supervised
+    solution; a start from imputed labels ``q`` is the start
+    ``update_weights(data, q, lam)``. Each start's ``FitResult`` has the
+    bits a fit from it alone would have, and ``fit_soft``/``fit_hard``
+    are the case of the one start ``ridge_solve(X_l, y, lam)``. The
+    starts advance in lock-step as blocks of weight rows, so a round
+    costs two matrix products per block rather than per start. Raises on
+    the first start that ``check_start`` rejects. Returns one
+    ``FitResult`` per start, in order.
     """
-    return _fit(data, method, lam, encoding, config, starts)
+    return _fit(data, starts, method, lam, config)
 
 
 @dataclass
@@ -529,7 +479,7 @@ class DatasetFits:
     fits: dict[str, list[FitResult]]
 
 
-def fit_datasets(datasets, methods, lam=0.0, encoding=ClassEncoding(), config=SolverConfig()):
+def fit_datasets(datasets, methods, lam=0.0, config=SolverConfig()):
     """Run each solver in ``methods`` ("soft", "hard") on every one of many same-shape datasets.
 
     Equivalent to ``fit_soft``/``fit_hard`` with ``config`` on every
@@ -558,10 +508,10 @@ def fit_datasets(datasets, methods, lam=0.0, encoding=ClassEncoding(), config=So
             )
     known = np.stack([data.labels for data in datasets])
     design = np.stack([data.extended_features for data in datasets])
-    return _fit_stack(known, design, methods, lam, encoding, config)
+    return _fit_stack(known, design, methods, lam, config)
 
 
-def _fit_stack(known, design, methods, lam, encoding, config):
+def _fit_stack(known, design, methods, lam, config):
     """``fit_datasets`` on a stack given as checked arrays, with a checked ``lam``.
 
     ``known`` (R, L) holds each problem's labels and ``design``
@@ -571,7 +521,7 @@ def _fit_stack(known, design, methods, lam, encoding, config):
     """
     n_labeled = known.shape[1]
     has_unlabeled = design.shape[1] > n_labeled
-    rules = {method: _method_rule(method, n_labeled, lam, encoding) for method in methods}
+    rules = {method: _method_rule(method, n_labeled, lam) for method in methods}
     # With no unlabeled rows the labeled block is the extended design.
     solve = ridge_operator(design[:, :n_labeled], lam)
     supervised = (solve @ known[:, :, None])[:, :, 0]
@@ -584,11 +534,5 @@ def _fit_stack(known, design, methods, lam, encoding, config):
             problems = zip(design, known, supervised)
             fits[method] = [_supervised_result(x, y, w, lam, hard) for x, y, w in problems]
             continue
-        starts = supervised
-        if config.init != SUPERVISED_INIT:
-            problems = zip(known, design, solve)
-            starts = np.array(
-                [_initial_weights(config, y, x, lam, rule[1], op) for y, x, op in problems]
-            )
-        fits[method] = _descend(config, known, design, solve, starts, rule, hard)
+        fits[method] = _descend(config, known, design, solve, supervised, rule, hard)
     return DatasetFits(supervised, solve, fits)

@@ -1,7 +1,6 @@
 """Experiment harnesses: restarts, clustering, studies and curves."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from sslsq import (
     CapacityError,
     Dataset,
     DegenerateInputError,
-    GivenWeights,
     InvalidInputError,
     SolverConfig,
     StopReason,
@@ -208,9 +206,26 @@ class TestUniqueOptima:
             assert count == expected_count
             np.testing.assert_array_equal(ids, expected_ids)
 
+    @pytest.mark.parametrize("block_elements", [1, 30, 16384])
+    def test_every_reached_vector_is_expanded(self, monkeypatch, rng, block_elements):
+        # A fork whose two arms meet only at its first vector, so the
+        # search must expand both arms, however its frontier is split
+        # into blocks of rows (one, four or all seven here).
+        import sslsq.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block_elements)
+        arms = np.outer([0.0, 3e-4, -3e-4, 6e-4, -6e-4, 9e-4, -9e-4], [1.0, 0.0, 0.0])
+        fork = np.array([1.0, -2.0, 3.0]) + arms
+        assert count_unique_optima(fork)[0] == 1
+        for vectors in (fork, rng.permutation(fork), np.vstack([fork, 5.0 - fork])):
+            count, ids = count_unique_optima(vectors)
+            expected_count, expected_ids = pairwise_count_unique_optima(vectors)
+            assert count == expected_count
+            np.testing.assert_array_equal(ids, expected_ids)
+
     def test_memory_stays_bounded(self, rng):
-        # The (n, n) adjacency takes 4 MB here; building every pairwise
-        # difference at once peaked at 183 MB.
+        # An (n, n) bool adjacency alone would take 4 MB here; building
+        # every pairwise difference at once peaked at 183 MB.
         finals = rng.standard_normal((2000, 3))
         tracemalloc.start()
         try:
@@ -219,7 +234,7 @@ class TestUniqueOptima:
         finally:
             tracemalloc.stop()
         assert count == 2000
-        assert peak < 8e6
+        assert peak < 2e6
 
 
 def small_two_cluster(seed=21):
@@ -272,7 +287,7 @@ class TestBasinStudy:
         data, truth = small_two_cluster()
         cap = {"soft": 120, "hard": 3}[method]
         config = SolverConfig(max_iterations=cap)
-        fit = {"soft": fit_soft, "hard": lambda d, l, c: fit_hard(d, l, config=c)}[method]
+        fit = {"soft": fit_soft, "hard": fit_hard}[method]
         settled = fit(data, lam, SolverConfig(max_iterations=20000, objective_tolerance=0.0))
         starts = list(random_init_near_supervised(data, lam, 6, 1.0, seed=2))
         starts.append(settled.weights)
@@ -280,7 +295,7 @@ class TestBasinStudy:
                                  config=config)
         batch = fit_starts(data, starts, method, lam, config=config)
         for record, fitted in zip(result.records, batch):
-            alone = fit(data, lam, replace(config, init=GivenWeights(record.initial_weights)))
+            alone = fit_starts(data, [record.initial_weights], method, lam, config=config)[0]
             assert record.status == "ok"
             assert record.iterations == alone.iterations
             assert record.stop_reason is alone.trace.stop_reason
@@ -342,9 +357,12 @@ class TestBasinStudy:
             assert (a.iterations, a.stop_reason, a.test_error, a.optimum_id) == (
                 b.iterations, b.stop_reason, b.test_error, b.optimum_id)
 
-    def test_iterations_survive_trace_thinning(self):
+    def test_iterations_survive_trace_thinning(self, monkeypatch):
+        import sslsq.selflearn as selflearn
+
+        monkeypatch.setattr(selflearn, "_TRACE_LIMIT", 50)
         data, truth = small_two_cluster()
-        config = SolverConfig(max_iterations=200, objective_tolerance=0.0, trace_limit=50)
+        config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = run_basin_study(data, 0.0, "soft", [np.zeros(2)], config=config)
         record = result.records[0]
         assert record.iterations == 200
@@ -438,12 +456,23 @@ class TestLearningCurve:
         oracle_cell = next(c for c in report.cells if c.method == "oracle")
         assert oracle_cell.error == pytest.approx(direct)
 
-    def test_empty_test_cells_are_flagged(self):
+    def test_empty_test_cells_are_flagged(self, monkeypatch):
+        # Every cell of an empty test set is NaN, so its repeats are not
+        # fitted; their splits are still drawn for the partition hashes.
+        import sslsq.experiments as experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted repeats with an empty test set")
+
+        monkeypatch.setattr(experiments, "_fit_stack", no_fit)
         pool = fully_labeled_pool(20, 4)
         report = run_learning_curve(pool, 10, [10], repeats=2, seed=1)
         assert all(np.isnan(c.error) for c in report.cells)
         assert all(c.test_size == 0 for c in report.cells)
         assert all(a.repeats_used == 0 for a in report.aggregates)
+        for cell in report.cells:
+            split = sample_learning_curve_split(pool, 10, 10, derive_rng(1, cell.repeat, 0))
+            assert cell.partition_hash == split.partition_hash
 
     @staticmethod
     def lone_reference(pool, labeled, u_values, repeats, lam, seed, config):

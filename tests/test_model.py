@@ -261,3 +261,16 @@ class TestGradients:
                 lambda v: responsibility_objective(data, w, v, encoding, lam), q
             )
             assert relative_error(grad_q, fd_q) < 1e-6
+
+
+@pytest.mark.parametrize("module", ["datagen", "diagnostics", "experiments", "model", "selflearn"])
+def test_package_exports_every_public_name(module):
+    # Each name a module lists as public exists there and is importable
+    # from the package itself.
+    import importlib
+
+    import sslsq
+
+    source = importlib.import_module(f"sslsq.{module}")
+    for name in source.__all__:
+        assert getattr(sslsq, name) is getattr(source, name), name

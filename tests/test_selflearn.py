@@ -7,8 +7,6 @@ from sslsq import (
     ClassEncoding,
     Dataset,
     DimensionError,
-    GivenLabels,
-    GivenWeights,
     InvalidInputError,
     SolverConfig,
     StopReason,
@@ -20,6 +18,7 @@ from sslsq import (
     fit_datasets,
     fit_hard,
     fit_soft,
+    fit_starts,
     generate,
     grad_label_objective_w,
     label_objective,
@@ -172,17 +171,15 @@ class TestFitSoft:
             assert_monotone(result.trace, "(soft)")
 
     def test_given_inits(self, rng):
+        # A start from weights, and one from labels through update_weights.
         data = make_dataset(rng, 6, 4, 2)
-        from_weights = fit_soft(data, 0.0, SolverConfig(init=GivenWeights(np.zeros(2))))
+        from_weights, from_labels = fit_starts(
+            data, [np.zeros(2), update_weights(data, np.full(4, 0.5))], "soft"
+        )
         assert from_weights.trace.converged
-        from_labels = fit_soft(data, 0.0, SolverConfig(init=GivenLabels(np.full(4, 0.5))))
         assert from_labels.trace.converged
         with pytest.raises(DimensionError):
-            fit_soft(data, 0.0, SolverConfig(init=GivenWeights(np.zeros(5))))
-        with pytest.raises(DimensionError):
-            fit_soft(data, 0.0, SolverConfig(init=GivenLabels(np.zeros(9))))
-        with pytest.raises(InvalidInputError):
-            fit_soft(data, 0.0, SolverConfig(init=GivenLabels(np.full(4, 1.5))))
+            fit_starts(data, [np.zeros(5)], "soft")
 
 
 class TestFitHard:
@@ -220,7 +217,7 @@ class TestFitHard:
 
         data, truth = generate(SyntheticSpec(labeled_per_class=5, unlabeled_total=40,
                                              class_separation=6.0, noise_sd=0.5, seed=3))
-        result = fit_hard(data, 0.0, config=SolverConfig(init=GivenLabels(truth)))
+        result = fit_starts(data, [update_weights(data, truth)], "hard")[0]
         assert result.trace.converged
         np.testing.assert_array_equal(
             result.imputed,
@@ -314,9 +311,20 @@ def assert_same_fit(a, b):
 
 
 def lone_fit(data, method, lam, config):
-    if method == "soft":
-        return fit_soft(data, lam, config)
-    return fit_hard(data, lam, config=config)
+    return {"soft": fit_soft, "hard": fit_hard}[method](data, lam, config)
+
+
+class TestSupervisedStart:
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("n_unlabeled", [0, 30])
+    def test_fit_is_fit_starts_from_supervised(self, method, lam, n_unlabeled):
+        # fit_soft and fit_hard are the one-start case of fit_starts.
+        data = make_dataset(np.random.default_rng(4), 8, n_unlabeled, 3)
+        w_sup = ridge_solve(data.labeled_features, data.labels, lam)
+        for config in (SolverConfig(), SolverConfig(max_iterations=2)):
+            [expected] = fit_starts(data, [w_sup], method, lam, config)
+            assert_same_fit(lone_fit(data, method, lam, config), expected)
 
 
 class TestFitDatasets:
@@ -365,16 +373,6 @@ class TestFitDatasets:
             for method in ("soft", "hard"):
                 assert_same_fit(stacked.fits[method][i], lone_fit(data, method, lam, SolverConfig()))
 
-    @pytest.mark.parametrize("method", ["soft", "hard"])
-    @pytest.mark.parametrize("init", [GivenWeights(np.array([0.5, -1.0, 0.25])),
-                                      GivenLabels(np.linspace(0.0, 1.0, 30))])
-    def test_given_inits_equal_lone_fits(self, method, init):
-        config = SolverConfig(init=init)
-        datasets = self.datasets()
-        stacked = fit_datasets(datasets, (method,), 0.5, config=config).fits[method]
-        for a, data in zip(stacked, datasets):
-            assert_same_fit(a, lone_fit(data, method, 0.5, config))
-
     def test_rejects_mismatched_shapes(self):
         rng = np.random.default_rng(1)
         base = make_dataset(rng, 8, 30, 3)
@@ -413,13 +411,13 @@ class TestConfig:
             SolverConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             SolverConfig(objective_tolerance=-1.0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(init="warm")
 
-    def test_trace_thinning(self, rng):
+    def test_trace_thinning(self, rng, monkeypatch):
+        import sslsq.selflearn as selflearn
+
+        monkeypatch.setattr(selflearn, "_TRACE_LIMIT", 50)
         data = make_dataset(rng, 5, 6, 2)
-        config = SolverConfig(max_iterations=200, objective_tolerance=0.0,
-                              trace_limit=50)
+        config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = fit_soft(data, 0.0, config)
         records = result.trace.records
         assert len(records) <= 200 // 10 + 1
@@ -427,11 +425,14 @@ class TestConfig:
         assert result.final_objective == records[-1].objective
         assert_monotone(result.trace, "(thinned)")
 
-    def test_iterations_count_rounds_after_thinning(self):
+    def test_iterations_count_rounds_after_thinning(self, monkeypatch):
         # Thinning keeps 21 of 200 records; the round count must not follow it.
+        import sslsq.selflearn as selflearn
+
+        monkeypatch.setattr(selflearn, "_TRACE_LIMIT", 50)
         data, _ = generate(SyntheticSpec(kind=SyntheticKind.TWO_GAUSSIAN_2D,
                                          labeled_per_class=2, unlabeled_total=200, seed=0))
-        config = SolverConfig(max_iterations=200, objective_tolerance=0.0, trace_limit=50)
+        config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = fit_soft(data, 0.0, config)
         assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
         assert len(result.trace.records) == 21
