@@ -37,14 +37,11 @@ from .model import (
     supervised_objective,
 )
 from .selflearn import (
-    DatasetFits,
     FitResult,
     FitTrace,
     SolverConfig,
     StopReason,
     TraceRecord,
-    check_start,
-    fit_datasets,
     fit_hard,
     fit_soft,
     fit_starts,

@@ -286,14 +286,7 @@ def cmd_basin(args):
     data, truth = _load(args.data, intercept=not args.no_intercept)
     test_features, test_labels = _basin_test_set(args, data, truth)
     starts = random_init_near_supervised(data, args.lam, args.starts, args.scale, args.seed)
-    result = run_basin_study(
-        data,
-        args.lam,
-        args.method,
-        list(starts),
-        test_features,
-        test_labels,
-    )
+    result = run_basin_study(data, args.lam, args.method, starts, test_features, test_labels)
 
     d = data.n_features
     header = [
@@ -307,41 +300,38 @@ def cmd_basin(args):
         "optimum",
         "status",
     ] + _weight_columns(d)
-    rows = []
-    for record in result.all_records:
-        weights = record.final_weights if record.final_weights is not None else [None] * d
-        rows.append(
-            (
-                record.start_index,
-                record.init_kind,
-                record.iterations,
-                record.converged,
-                record.stop_reason.value if record.stop_reason else "",
-                record.final_objective,
-                record.test_error,
-                record.optimum_id if record.optimum_id >= 0 else None,
-                record.status,
-                *weights,
-            )
+    rows = [
+        (
+            record.start_index,
+            record.init_kind,
+            record.fit.iterations,
+            record.fit.trace.converged,
+            record.fit.trace.stop_reason.value,
+            record.fit.final_objective,
+            record.test_error,
+            record.optimum_id,
+            "ok",
+            *record.fit.weights,
         )
+        for record in result.all_records
+    ]
     _write_csv(args.out, header, rows)
 
     by_optimum = {}
     for record in result.all_records:
-        if record.optimum_id >= 0:
-            by_optimum.setdefault(record.optimum_id, []).append(record)
+        by_optimum.setdefault(record.optimum_id, []).append(record)
     agg_rows = []
     for optimum in sorted(by_optimum):
         members = by_optimum[optimum]
-        representative = min(members, key=lambda r: (r.final_objective, r.start_index))
+        representative = min(members, key=lambda r: (r.fit.final_objective, r.start_index))
         errors = [r.test_error for r in members if not math.isnan(r.test_error)]
         agg_rows.append(
             (
                 optimum,
                 len(members),
-                representative.final_objective,
+                representative.fit.final_objective,
                 float(np.mean(errors)) if errors else None,
-                *representative.final_weights,
+                *representative.fit.weights,
             )
         )
     _write_csv(
@@ -372,9 +362,9 @@ def cmd_basin(args):
             (record.start_index, iteration, objective, *weights)
             for record in result.all_records
             for iteration, objective, weights in zip(
-                record.iteration_path.tolist(),
-                record.objective_path.tolist(),
-                record.weight_path.tolist(),
+                record.fit.trace.rounds.tolist(),
+                record.fit.trace.objectives.tolist(),
+                record.fit.trace.weight_path.tolist(),
             )
         )
         _write_csv(
@@ -388,9 +378,18 @@ def cmd_basin(args):
 
 
 def cmd_local_optima(args):
-    datasets = {}
+    # A dataset is named by its file's stem, so two files may not share one.
+    paths = {}
     for path in args.data:
         name = Path(path).stem
+        if name in paths:
+            raise InvalidInputError(
+                f"{paths[name]} and {path} share the dataset name {name!r}; "
+                "local-optima needs distinct file stems"
+            )
+        paths[name] = path
+    datasets = {}
+    for name, path in paths.items():
         data, _ = _load(path, intercept=not args.no_intercept)
         if data.n_unlabeled:
             raise InvalidInputError(f"{path}: local-optima input must be fully labeled")
@@ -408,10 +407,10 @@ def cmd_local_optima(args):
         rows.append((record.name, "supervised", "supervised", -1, record.supervised_error, "ok"))
         for method, study in record.studies.items():
             start = study.supervised_record
-            rows.append((record.name, method, "supervised", -1, start.test_error, start.status))
+            rows.append((record.name, method, "supervised", -1, start.test_error, "ok"))
         for method, study in record.studies.items():
             for i, start in enumerate(study.records):
-                rows.append((record.name, method, "random", i, start.test_error, start.status))
+                rows.append((record.name, method, "random", i, start.test_error, "ok"))
     for name, reason in report.skipped:
         rows.append((name, "", "", None, None, f"skipped: {reason}"))
     _write_csv(args.out, ["dataset", "method", "init", "start", "error", "status"], rows)
@@ -453,7 +452,7 @@ def cmd_local_optima(args):
             "lambda": args.lam,
             "intercept": not args.no_intercept,
         },
-        inputs={Path(p).stem: p for p in args.data},
+        inputs=paths,
         seed=args.seed,
     )
     print(f"datasets = {len(report.records)}")

@@ -2,8 +2,10 @@
 
 All runners are deterministic functions of their inputs and a base seed,
 and none uses threads. Basin and local-optima studies run all starts of
-a study as one batch, advanced in lock-step by ``fit_starts``. The
-learning curve runs the repeats of one unlabeled count as blocks of
+a study, the supervised one first, through one ``fit_starts`` call,
+which advances them in lock-step; each start's record holds its
+``FitResult``, and a bad start raises before any fit runs. The learning
+curve runs the repeats of one unlabeled count as blocks of
 same-shape splits. A block's splits are gathered from the pool by index
 straight into stacked arrays, fitted as one stack, and all four methods
 are scored on their test sets with one stacked product. A repeat derives
@@ -23,16 +25,9 @@ from .datagen import (
     derive_rng,
     split_for_local_optima,
 )
-from .errors import DegenerateInputError, DegenerateSplitError, Error, InvalidInputError
+from .errors import DegenerateInputError, DegenerateSplitError, InvalidInputError
 from .model import _check_lam, classify, decision_values, ridge_solve
-from .selflearn import (
-    _BLOCK_ELEMENTS,
-    SolverConfig,
-    StopReason,
-    _fit_stack,
-    check_start,
-    fit_starts,
-)
+from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit_starts
 
 __all__ = [
     "BasinStudyResult",
@@ -80,8 +75,8 @@ def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     """
     if count < 1:
         raise InvalidInputError("count must be at least 1")
-    if not scale > 0.0:
-        raise InvalidInputError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise InvalidInputError("scale must be positive and finite")
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     sd = scale * max(1.0, float(np.linalg.norm(w_sup)))
     rng = derive_rng(seed)
@@ -130,22 +125,21 @@ def count_unique_optima(finals, rel_tolerance=CLUSTER_TOLERANCE):
 
 @dataclass
 class StartRecord:
-    """Outcome of one descent run inside a basin study."""
+    """One descent run inside a basin study.
+
+    ``start_index`` is -1 for the supervised start and the start's
+    position otherwise; ``fit`` is the run's ``FitResult``, with its
+    weights, objective, stop reason and trace. ``test_error`` is NaN
+    without a test set, and ``optimum_id`` is the run's cluster in
+    ``count_unique_optima``.
+    """
 
     start_index: int
     init_kind: str
     initial_weights: np.ndarray
-    final_weights: np.ndarray | None
-    final_objective: float
+    fit: FitResult
     test_error: float
-    iterations: int
-    converged: bool
-    stop_reason: StopReason | None
-    objective_path: np.ndarray
-    weight_path: np.ndarray
-    iteration_path: np.ndarray
-    status: str
-    optimum_id: int = -1
+    optimum_id: int
 
 
 @dataclass
@@ -171,63 +165,37 @@ def run_basin_study(
     """Run one solver from many starting weights and cluster the optima.
 
     ``starts`` is a sequence of weight vectors; a run from the supervised
-    solution is always added. All valid starts run as one lock-step
-    batch. A start of the wrong shape or with a non-finite entry is
-    recorded with an ``error: ...`` status rather than raised. Unique
-    optima are counted over all successful runs, supervised start
-    included.
+    solution is always added, first. All starts run through one
+    ``fit_starts`` call, so a start of the wrong shape or with a
+    non-finite entry raises its error before any fit runs. Each record
+    holds its run's ``FitResult``. Unique optima are counted over all
+    runs, supervised start included.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if not starts:
         raise InvalidInputError("need at least one starting point")
     has_test = test_labels is not None and np.asarray(test_labels).size > 0
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
-    tasks = [(-1, "supervised", w_sup)] + [(i, "random", w0) for i, w0 in enumerate(starts)]
-    outcomes = [
+    starts = [w_sup, *starts]
+    results = fit_starts(data, starts, method, lam, config)
+    count, cluster_ids = count_unique_optima([result.weights for result in results])
+    records = [
         StartRecord(
-            start_index=index,
-            init_kind=kind,
+            start_index=index - 1,
+            init_kind="random" if index else "supervised",
             initial_weights=w0,
-            final_weights=None,
-            final_objective=float("nan"),
-            test_error=float("nan"),
-            iterations=0,
-            converged=False,
-            stop_reason=None,
-            objective_path=np.zeros(0),
-            weight_path=np.zeros((0, w0.size)),
-            iteration_path=np.zeros(0, dtype=int),
-            status="ok",
+            fit=result,
+            test_error=(
+                evaluate_error(result.weights, test_features, test_labels)
+                if has_test
+                else float("nan")
+            ),
+            optimum_id=int(cluster),
         )
-        for index, kind, w0 in tasks
+        for index, (w0, result, cluster) in enumerate(zip(starts, results, cluster_ids))
     ]
-
-    successful = []
-    for record in outcomes:
-        try:
-            check_start(data, record.initial_weights)
-        except Error as exc:
-            record.status = f"error: {exc}"
-        else:
-            successful.append(record)
-    results = fit_starts(data, [r.initial_weights for r in successful], method, lam, config)
-    for record, result in zip(successful, results):
-        record.final_weights = result.weights
-        record.final_objective = result.final_objective
-        record.iterations = result.iterations
-        record.converged = result.trace.converged
-        record.stop_reason = result.trace.stop_reason
-        record.objective_path = result.trace.objectives
-        record.weight_path = result.trace.weight_path
-        record.iteration_path = result.trace.rounds
-        if has_test:
-            record.test_error = evaluate_error(result.weights, test_features, test_labels)
-
-    count, cluster_ids = count_unique_optima([r.final_weights for r in successful])
-    for record, cluster in zip(successful, cluster_ids):
-        record.optimum_id = int(cluster)
     return BasinStudyResult(
-        records=outcomes[1:], supervised_record=outcomes[0], unique_optima_count=count
+        records=records[1:], supervised_record=records[0], unique_optima_count=count
     )
 
 
@@ -409,15 +377,15 @@ def run_learning_curve(
 
 def _block_errors(splits, lam, config):
     """The (R, 4) test errors of ``METHODS`` on a block of R gathered splits."""
-    fitted = _fit_stack(splits.labels, splits.design, ("soft", "hard"), lam, config)
+    supervised, operators, soft, hard = _fit_stack(splits.labels, splits.design, lam, config)
     # The oracle's design is the extended design, with the true labels of
     # the unlabeled part as its targets.
     truth = np.concatenate([splits.labels, splits.truth], axis=1)
     weights = {
-        "supervised": fitted.supervised,
-        "soft": [result.weights for result in fitted.fits["soft"]],
-        "hard": [result.weights for result in fitted.fits["hard"]],
-        "oracle": (fitted.operators @ truth[:, :, None])[:, :, 0],
+        "supervised": supervised,
+        "soft": [result.weights for result in soft],
+        "hard": [result.weights for result in hard],
+        "oracle": (operators @ truth[:, :, None])[:, :, 0],
     }
     return _stacked_errors(
         np.stack([weights[method] for method in METHODS], axis=1),

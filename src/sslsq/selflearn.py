@@ -11,9 +11,9 @@ change between rounds.
 
 One descent loop serves every fit. It advances a block of starts in
 lock-step, one row of weights per start; ``fit_starts`` hands it many
-starts on one dataset, ``fit_datasets`` one start per solver on each of
-many same-shape datasets, and ``fit_soft``/``fit_hard`` are its
-one-start case.
+starts on one dataset, and ``fit_soft``/``fit_hard`` are its one-start
+case. The learning curve hands it a stack of same-shape problems, one
+supervised start per problem and solver, through ``_fit_stack``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import DimensionError, InvalidInputError
 from .model import (
     _CLASS_CODES,
     _check_lam,
+    _check_weights,
     _responsibility_value,
     _squared_objective,
     ridge_operator,
@@ -40,9 +41,6 @@ __all__ = [
     "SolverConfig",
     "StopReason",
     "TraceRecord",
-    "DatasetFits",
-    "check_start",
-    "fit_datasets",
     "fit_hard",
     "fit_soft",
     "fit_starts",
@@ -153,10 +151,7 @@ def update_soft_labels(data, w):
     Values below 0 map to 0, values above 1 map to 1, and anything in
     between is kept as is (the unconstrained per-point minimizer).
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (data.n_features,):
-        raise DimensionError(f"weights have shape {w.shape}, expected ({data.n_features},)")
-    return _soft_labels(data.unlabeled_features @ w)
+    return _soft_labels(data.unlabeled_features @ _check_weights(data, w))
 
 
 def _soft_labels(scores):
@@ -170,10 +165,7 @@ def update_hard_labels(data, w):
     With class codes 1 and 0 that is where the responsibility objective
     decreases in q. A value of exactly 0.5 gets 0, matching ``classify``.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (data.n_features,):
-        raise DimensionError(f"weights have shape {w.shape}, expected ({data.n_features},)")
-    return _hard_labels(data.unlabeled_features @ w)
+    return _hard_labels(data.unlabeled_features @ _check_weights(data, w))
 
 
 def _hard_labels(scores):
@@ -186,12 +178,8 @@ def update_weights(data, imputed, lam=0.0):
     return ridge_solve(data.extended_features, targets, lam)
 
 
-def check_start(data, w):
-    """Starting weights as a float vector; raises on a wrong shape or a non-finite entry.
-
-    Every start of ``fit_starts`` goes through this check, so a caller
-    can screen starts by the same rule.
-    """
+def _check_start(data, w):
+    """Starting weights as a float vector; raises on a wrong shape or a non-finite entry."""
     w = np.asarray(w, dtype=float)
     if w.shape != (data.n_features,):
         raise DimensionError(
@@ -394,7 +382,7 @@ def _fit(data, starts, method, lam, config):
     lam = _check_lam(lam)
     rule = _method_rule(method, data.n_labeled, lam)
     hard = method == "hard"
-    starts = [check_start(data, w) for w in starts]
+    starts = [_check_start(data, w) for w in starts]
     if not starts:
         return []
     if data.n_unlabeled == 0:
@@ -457,82 +445,42 @@ def fit_starts(data, starts, method, lam=0.0, config=SolverConfig()):
     bits a fit from it alone would have, and ``fit_soft``/``fit_hard``
     are the case of the one start ``ridge_solve(X_l, y, lam)``. The
     starts advance in lock-step as blocks of weight rows, so a round
-    costs two matrix products per block rather than per start. Raises on
-    the first start that ``check_start`` rejects. Returns one
-    ``FitResult`` per start, in order.
+    costs two matrix products per block rather than per start. Every
+    start is checked before any descent runs: a start of the wrong shape
+    raises ``DimensionError`` and one with a non-finite entry
+    ``InvalidInputError``. Returns one ``FitResult`` per start, in order.
     """
     return _fit(data, starts, method, lam, config)
 
 
-@dataclass
-class DatasetFits:
-    """Fits of one or more solvers on each of many same-shape datasets.
-
-    ``supervised`` holds the supervised weights, one row per dataset
-    (R, d); ``operators`` the ridge operators of the extended designs
-    (R, d, L + U); ``fits`` maps each method to one ``FitResult`` per
-    dataset, in order.
-    """
-
-    supervised: np.ndarray
-    operators: np.ndarray
-    fits: dict[str, list[FitResult]]
-
-
-def fit_datasets(datasets, methods, lam=0.0, config=SolverConfig()):
-    """Run each solver in ``methods`` ("soft", "hard") on every one of many same-shape datasets.
-
-    Equivalent to ``fit_soft``/``fit_hard`` with ``config`` on every
-    dataset, but the datasets advance in lock-step as one stack, and the
-    methods share its factorizations: one stacked ``ridge_operator`` call
-    for the labeled blocks, whose supervised weights start the fits, and
-    one for the extended designs. A round costs two stacked matrix
-    products per block of datasets rather than per dataset. The operators
-    are returned too, so a caller can solve further targets on the same
-    designs. Raises ``InvalidInputError`` for no datasets or an unknown
-    method and ``DimensionError`` unless every dataset has the labeled,
-    unlabeled and feature counts of the first. Returns a ``DatasetFits``.
-    """
-    lam = _check_lam(lam)
-    datasets = list(datasets)
-    if not datasets:
-        raise InvalidInputError("need at least one dataset")
-    first = datasets[0]
-    shape = (first.n_labeled, first.n_unlabeled, first.n_features)
-    for index, data in enumerate(datasets):
-        if (data.n_labeled, data.n_unlabeled, data.n_features) != shape:
-            raise DimensionError(
-                f"dataset {index} has {data.n_labeled} labeled rows, {data.n_unlabeled} "
-                f"unlabeled rows and {data.n_features} features; dataset 0 has "
-                f"{shape[0]}, {shape[1]} and {shape[2]}"
-            )
-    known = np.stack([data.labels for data in datasets])
-    design = np.stack([data.extended_features for data in datasets])
-    return _fit_stack(known, design, methods, lam, config)
-
-
-def _fit_stack(known, design, methods, lam, config):
-    """``fit_datasets`` on a stack given as checked arrays, with a checked ``lam``.
+def _fit_stack(known, design, lam, config):
+    """Soft and hard fits of a stack of same-shape problems, each from its supervised weights.
 
     ``known`` (R, L) holds each problem's labels and ``design``
-    (R, L + U, d) its extended design, labeled rows first. Callers that
-    gather their stacks from already checked data start here, so nothing
-    is checked or stacked twice. Returns a ``DatasetFits``.
+    (R, L + U, d) its extended design, labeled rows first; ``lam`` is
+    already checked. Every fit has the bits of ``fit_soft``/``fit_hard``
+    with ``config`` on its problem alone, but the problems advance in
+    lock-step, and both solvers share the stack's factorizations: one
+    stacked ``ridge_operator`` call for the labeled blocks, whose
+    supervised weights start the fits, and one for the extended designs.
+    Returns the supervised weights (R, d), the extended designs'
+    operators (R, d, L + U), and the soft and the hard ``FitResult``s,
+    one list each, in problem order.
     """
     n_labeled = known.shape[1]
-    has_unlabeled = design.shape[1] > n_labeled
-    rules = {method: _method_rule(method, n_labeled, lam) for method in methods}
     # With no unlabeled rows the labeled block is the extended design.
     solve = ridge_operator(design[:, :n_labeled], lam)
     supervised = (solve @ known[:, :, None])[:, :, 0]
-    if has_unlabeled:
+    if design.shape[1] == n_labeled:
+        fits = [
+            [_supervised_result(x, y, w, lam, hard) for x, y, w in zip(design, known, supervised)]
+            for hard in (False, True)
+        ]
+    else:
         solve = ridge_operator(design, lam)
-    fits = {}
-    for method, rule in rules.items():
-        hard = method == "hard"
-        if not has_unlabeled:
-            problems = zip(design, known, supervised)
-            fits[method] = [_supervised_result(x, y, w, lam, hard) for x, y, w in problems]
-            continue
-        fits[method] = _descend(config, known, design, solve, supervised, rule, hard)
-    return DatasetFits(supervised, solve, fits)
+        fits = [
+            _descend(config, known, design, solve, supervised,
+                     _method_rule(method, n_labeled, lam), method == "hard")
+            for method in ("soft", "hard")
+        ]
+    return supervised, solve, *fits

@@ -248,6 +248,16 @@ class TestBasin:
         assert lines[0].startswith("start,iteration,objective")
         assert len(lines) > 4
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+    def test_non_finite_or_nonpositive_scale_is_usage_error(self, tmp_path, capsys, scale):
+        data = write_cluster_data(tmp_path)
+        out = tmp_path / "o.csv"
+        code = run_cli(["basin", "--data", str(data), "--method", "hard", "--starts", "3",
+                        "--scale", scale, "--seed", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "scale must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 2.5e16, 1.0 / 3.0, float("inf"),
                                        float("nan")])
     def test_float_fields_render_alike_from_python_and_numpy(self, value):
@@ -275,6 +285,30 @@ class TestLocalOptima:
         code = run_cli(["local-optima", "--data", str(data), "--seed", "1",
                         "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+
+    def test_rejects_repeated_file_stems(self, tmp_path, capsys):
+        # Datasets are named by file stem; a second file of the same stem
+        # would silently replace the first.
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").mkdir()
+        a = write_pool(tmp_path / "d1", n=50, seed=1)
+        b = write_pool(tmp_path / "d2", n=50, seed=2)
+        out = tmp_path / "lo.csv"
+        code = run_cli(["local-optima", "--data", str(a), str(b), "--restarts", "2",
+                        "--seed", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{a} and {b} share the dataset name 'pool'" in err
+        assert not out.exists()
+
+    def test_infinite_scale_is_usage_error(self, tmp_path, capsys):
+        pool = write_pool(tmp_path, n=50)
+        out = tmp_path / "lo.csv"
+        code = run_cli(["local-optima", "--data", str(pool), "--restarts", "2",
+                        "--scale", "inf", "--seed", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "scale must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLearningCurve:

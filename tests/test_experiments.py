@@ -9,6 +9,7 @@ from sslsq import (
     CapacityError,
     Dataset,
     DegenerateInputError,
+    DimensionError,
     InvalidInputError,
     SolverConfig,
     StopReason,
@@ -161,6 +162,9 @@ class TestRandomInit:
             random_init_near_supervised(data, 0.0, 0, 1.0)
         with pytest.raises(InvalidInputError):
             random_init_near_supervised(data, 0.0, 5, 0.0)
+        for scale in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="scale must be positive and finite"):
+                random_init_near_supervised(data, 0.0, 5, scale)
 
 
 class TestUniqueOptima:
@@ -252,9 +256,9 @@ class TestBasinStudy:
         assert result.supervised_record.init_kind == "supervised"
         assert result.unique_optima_count <= 9
         for record in result.all_records:
-            assert record.status == "ok"
+            assert 0 <= record.optimum_id < result.unique_optima_count
             assert 0.0 <= record.test_error <= 1.0
-            objectives = record.objective_path
+            objectives = record.fit.trace.objectives
             for k in range(1, len(objectives)):
                 assert objectives[k] <= objectives[k - 1] + 1e-10 * (1 + abs(objectives[k - 1]))
 
@@ -274,8 +278,8 @@ class TestBasinStudy:
         settled = fit_soft(data, 0.0, config).weights
         result = run_basin_study(data, 0.0, "soft", [settled], config=config)
         record = result.records[0]
-        assert record.iterations <= 2
-        assert np.max(np.abs(record.final_weights - settled)) < 1e-8
+        assert record.fit.iterations <= 2
+        assert np.max(np.abs(record.fit.weights - settled)) < 1e-8
 
     @pytest.mark.parametrize("method", ["soft", "hard"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -296,24 +300,23 @@ class TestBasinStudy:
         batch = fit_starts(data, starts, method, lam, config=config)
         for record, fitted in zip(result.records, batch):
             alone = fit_starts(data, [record.initial_weights], method, lam, config=config)[0]
-            assert record.status == "ok"
-            assert record.iterations == alone.iterations
-            assert record.stop_reason is alone.trace.stop_reason
-            assert record.converged == alone.trace.converged
-            np.testing.assert_allclose(record.weight_path, alone.trace.weight_path, rtol=1e-12)
-            np.testing.assert_allclose(record.objective_path, alone.trace.objectives,
-                                       rtol=1e-12)
-            np.testing.assert_array_equal(record.iteration_path, alone.trace.rounds)
+            trace = record.fit.trace
+            assert record.fit.iterations == alone.iterations
+            assert trace.stop_reason is alone.trace.stop_reason
+            assert trace.converged == alone.trace.converged
+            np.testing.assert_allclose(trace.weight_path, alone.trace.weight_path, rtol=1e-12)
+            np.testing.assert_allclose(trace.objectives, alone.trace.objectives, rtol=1e-12)
+            np.testing.assert_array_equal(trace.rounds, alone.trace.rounds)
             assert record.test_error == evaluate_error(alone.weights, data.unlabeled_features,
                                                        truth)
             if method == "hard":
                 np.testing.assert_array_equal(fitted.imputed, alone.imputed)
             else:
                 np.testing.assert_allclose(fitted.imputed, alone.imputed, rtol=1e-12)
-        assert result.records[-1].iterations <= 2
-        reasons = {r.stop_reason for r in result.records}
+        assert result.records[-1].fit.iterations <= 2
+        reasons = {r.fit.trace.stop_reason for r in result.records}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
-        assert len({r.iterations for r in result.records}) >= 3
+        assert len({r.fit.iterations for r in result.records}) >= 3
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         # Starts run in blocks capped by selflearn._BLOCK_ELEMENTS; blocks of
@@ -335,27 +338,32 @@ class TestBasinStudy:
             np.testing.assert_array_equal(a.trace.objectives, b.trace.objectives)
             np.testing.assert_array_equal(a.imputed, b.imputed)
 
-    def test_bad_starts_get_error_rows(self):
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_bad_starts_raise(self, monkeypatch, method):
+        # A bad start anywhere in the list raises the error fit_starts
+        # raises for it, before any descent runs.
+        import sslsq.selflearn as selflearn
+
         data, truth = small_two_cluster()
         good = list(random_init_near_supervised(data, 0.0, 3, 1.0, seed=2))
-        starts = [good[0], np.array([np.nan, 1.0]), good[1], np.ones(3), good[2]]
-        result = run_basin_study(data, 0.0, "soft", starts, data.unlabeled_features, truth)
-        clean = run_basin_study(data, 0.0, "soft", good, data.unlabeled_features, truth)
-        statuses = [r.status for r in result.records]
-        assert statuses[1] == "error: initial weights contain non-finite entries"
-        assert statuses[3] == "error: initial weights have shape (3,), expected (2,)"
-        for bad in (result.records[1], result.records[3]):
-            assert bad.final_weights is None and bad.optimum_id == -1
-            assert bad.iterations == 0 and bad.weight_path.shape == (0, bad.initial_weights.size)
-        kept = [result.supervised_record] + [result.records[i] for i in (0, 2, 4)]
-        assert [r.start_index for r in kept] == [-1, 0, 2, 4]
-        assert result.unique_optima_count == clean.unique_optima_count
-        for a, b in zip(kept, clean.all_records):
-            assert a.status == b.status == "ok"
-            np.testing.assert_array_equal(a.final_weights, b.final_weights)
-            np.testing.assert_array_equal(a.objective_path, b.objective_path)
-            assert (a.iterations, a.stop_reason, a.test_error, a.optimum_id) == (
-                b.iterations, b.stop_reason, b.test_error, b.optimum_id)
+        cases = [
+            (np.array([np.nan, 1.0]), InvalidInputError,
+             "initial weights contain non-finite entries"),
+            (np.array([np.inf, 1.0]), InvalidInputError,
+             "initial weights contain non-finite entries"),
+            (np.ones(3), DimensionError, r"initial weights have shape \(3,\), expected \(2,\)"),
+        ]
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("a descent ran before every start was checked")
+
+        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        for bad, error, message in cases:
+            with pytest.raises(error, match=message):
+                fit_starts(data, [good[0], bad, good[1]], method)
+            with pytest.raises(error, match=message):
+                run_basin_study(data, 0.0, method, [good[0], bad, good[1]],
+                                data.unlabeled_features, truth)
 
     def test_iterations_survive_trace_thinning(self, monkeypatch):
         import sslsq.selflearn as selflearn
@@ -365,9 +373,9 @@ class TestBasinStudy:
         config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = run_basin_study(data, 0.0, "soft", [np.zeros(2)], config=config)
         record = result.records[0]
-        assert record.iterations == 200
-        assert record.iteration_path.tolist() == list(range(0, 200, 10)) + [199]
-        assert len(record.objective_path) == len(record.iteration_path)
+        assert record.fit.iterations == 200
+        assert record.fit.trace.rounds.tolist() == list(range(0, 200, 10)) + [199]
+        assert len(record.fit.trace.objectives) == len(record.fit.trace.rounds)
 
     def test_requires_starts(self):
         data, _ = small_two_cluster()

@@ -15,7 +15,6 @@ from sslsq import (
     brute_force_hard_minimum,
     classify,
     decision_values,
-    fit_datasets,
     fit_hard,
     fit_soft,
     fit_starts,
@@ -29,6 +28,7 @@ from sslsq import (
     update_soft_labels,
     update_weights,
 )
+from sslsq.selflearn import _fit_stack
 
 from conftest import make_dataset, normal_equation_ridge, scaled_collinear_data
 
@@ -328,12 +328,18 @@ class TestSupervisedStart:
 
 
 class TestFitDatasets:
-    """``fit_datasets`` runs same-shape datasets as one stack, each with a lone fit's bits."""
+    """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's bits."""
 
     @staticmethod
     def datasets(n_unlabeled=30, count=7):
         rng = np.random.default_rng(0)
         return [make_dataset(rng, 8, n_unlabeled, 3) for _ in range(count)]
+
+    @staticmethod
+    def fit_stack(datasets, lam, config=SolverConfig()):
+        known = np.stack([data.labels for data in datasets])
+        design = np.stack([data.extended_features for data in datasets])
+        return _fit_stack(known, design, lam, config)
 
     @pytest.mark.parametrize("method", ["soft", "hard"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -351,9 +357,10 @@ class TestFitDatasets:
         alone = [lone_fit(data, method, lam, config) for data in datasets]
         reasons = {result.trace.stop_reason for result in alone}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
-        stacked = fit_datasets(datasets, (method,), lam, config=config).fits
-        assert list(stacked) == [method] and len(stacked[method]) == len(datasets)
-        for a, b in zip(stacked[method], alone):
+        _, _, soft, hard = self.fit_stack(datasets, lam, config)
+        stacked = {"soft": soft, "hard": hard}[method]
+        assert len(stacked) == len(datasets)
+        for a, b in zip(stacked, alone):
             assert_same_fit(a, b)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -362,28 +369,17 @@ class TestFitDatasets:
         # One call fits both solvers; its supervised weights and operators
         # are the lone ridge solves and operators of every dataset.
         datasets = self.datasets(n_unlabeled=n_unlabeled, count=4)
-        stacked = fit_datasets(datasets, ("soft", "hard"), lam)
+        supervised, operators, soft, hard = self.fit_stack(datasets, lam)
+        fits = {"soft": soft, "hard": hard}
         for i, data in enumerate(datasets):
             np.testing.assert_array_equal(
-                stacked.supervised[i], ridge_solve(data.labeled_features, data.labels, lam)
+                supervised[i], ridge_solve(data.labeled_features, data.labels, lam)
             )
             np.testing.assert_array_equal(
-                stacked.operators[i], ridge_operator(data.extended_features, lam)
+                operators[i], ridge_operator(data.extended_features, lam)
             )
             for method in ("soft", "hard"):
-                assert_same_fit(stacked.fits[method][i], lone_fit(data, method, lam, SolverConfig()))
-
-    def test_rejects_mismatched_shapes(self):
-        rng = np.random.default_rng(1)
-        base = make_dataset(rng, 8, 30, 3)
-        for other in (make_dataset(rng, 8, 29, 3), make_dataset(rng, 9, 29, 3),
-                      make_dataset(rng, 8, 30, 2)):
-            with pytest.raises(DimensionError, match="dataset 1 has"):
-                fit_datasets([base, other], ("soft",))
-        with pytest.raises(InvalidInputError):
-            fit_datasets([], ("soft",))
-        with pytest.raises(InvalidInputError):
-            fit_datasets([base], ("soft", "bogus"))
+                assert_same_fit(fits[method][i], lone_fit(data, method, lam, SolverConfig()))
 
 
 class TestTraceMemory:
