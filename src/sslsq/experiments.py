@@ -4,13 +4,14 @@ All runners are deterministic functions of their inputs and a base seed,
 and none uses threads. Basin and local-optima studies run all starts of
 a study, the supervised one first, through one ``fit_starts`` call,
 which advances them in lock-step; each start's record holds its
-``FitResult``, and a bad start raises before any fit runs. The learning
-curve runs the repeats of one unlabeled count as blocks of
-same-shape splits. A block's splits are gathered from the pool by index
-straight into stacked arrays, fitted as one stack, and all four methods
-are scored on their test sets with one stacked product. A repeat derives
-its split from (base seed, repeat, unlabeled-count index), so the
-blocking does not change the report.
+``FitResult``, and a bad start raises before any fit runs. The test
+errors of a study's starts come from one stacked product per block of
+starts. The learning curve runs the repeats of one unlabeled count as
+blocks of same-shape splits. A block's splits are gathered from the pool
+by index straight into stacked arrays, fitted as one stack, and all four
+methods are scored on their test sets with one stacked product. A repeat
+derives its split from (base seed, repeat, unlabeled-count index), so
+the blocking does not change the report.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .datagen import (
     split_for_local_optima,
 )
 from .errors import DegenerateInputError, DegenerateSplitError, InvalidInputError
-from .model import _check_lam, classify, decision_values, ridge_solve
+from .model import _check_decision_inputs, _check_lam, classify, decision_values, ridge_solve
 from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit_starts
 
 __all__ = [
@@ -167,32 +168,47 @@ def run_basin_study(
     ``starts`` is a sequence of weight vectors; a run from the supervised
     solution is always added, first. All starts run through one
     ``fit_starts`` call, so a start of the wrong shape or with a
-    non-finite entry raises its error before any fit runs. Each record
-    holds its run's ``FitResult``. Unique optima are counted over all
-    runs, supervised start included.
+    non-finite entry raises its error before any fit runs; so do test
+    features of the wrong width or with a non-finite entry. Each record
+    holds its run's ``FitResult``. Test errors are scored from all final
+    weights with stacked products, each error with the bits
+    ``evaluate_error`` gives. Unique optima are counted over all runs,
+    supervised start included.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if not starts:
         raise InvalidInputError("need at least one starting point")
     has_test = test_labels is not None and np.asarray(test_labels).size > 0
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
+    if has_test:
+        # The checks, and messages, evaluate_error makes, before any fit runs.
+        test_features, _ = _check_decision_inputs(test_features, w_sup)
+        test_labels = np.asarray(test_labels, dtype=float)
     starts = [w_sup, *starts]
     results = fit_starts(data, starts, method, lam, config)
-    count, cluster_ids = count_unique_optima([result.weights for result in results])
+    finals = np.array([result.weights for result in results])
+    count, cluster_ids = count_unique_optima(finals)
+    errors = np.full(len(results), np.nan)
+    if has_test:
+        # Starts are scored a block at a time, so the (starts, test rows)
+        # decision values stay within _BLOCK_ELEMENTS entries.
+        block = max(1, _BLOCK_ELEMENTS // test_labels.size)
+        for first in range(0, len(results), block):
+            errors[first : first + block] = _stacked_errors(
+                finals[None, first : first + block], test_features[None], test_labels[None]
+            )[0]
     records = [
         StartRecord(
             start_index=index - 1,
             init_kind="random" if index else "supervised",
             initial_weights=w0,
             fit=result,
-            test_error=(
-                evaluate_error(result.weights, test_features, test_labels)
-                if has_test
-                else float("nan")
-            ),
+            test_error=error,
             optimum_id=int(cluster),
         )
-        for index, (w0, result, cluster) in enumerate(zip(starts, results, cluster_ids))
+        for index, (w0, result, error, cluster) in enumerate(
+            zip(starts, results, errors.tolist(), cluster_ids)
+        )
     ]
     return BasinStudyResult(
         records=records[1:], supervised_record=records[0], unique_optima_count=count

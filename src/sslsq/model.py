@@ -192,12 +192,18 @@ def ridge_solve(features, targets, lam=0.0):
     return ridge_operator(X, lam) @ t
 
 
-def decision_values(features, w):
-    """Inner product of every feature row with the weight vector."""
+def _check_decision_inputs(features, w):
+    """``features`` as a finite 2-D float array and ``w`` as a vector of its width."""
     X = _as_float_array(features, "features", 2)
     w = np.asarray(w, dtype=float)
     if w.shape != (X.shape[1],):
         raise DimensionError(f"weights have shape {w.shape}, expected ({X.shape[1]},)")
+    return X, w
+
+
+def decision_values(features, w):
+    """Inner product of every feature row with the weight vector."""
+    X, w = _check_decision_inputs(features, w)
     return X @ w
 
 

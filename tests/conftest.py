@@ -4,13 +4,15 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Three helpers are frozen copies of earlier library code:
+against these. Four helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
-that preceded the columnar one, kept to pin its arrays and errors; and
+that preceded the columnar one, kept to pin its arrays and errors;
 ``pairwise_count_unique_optima``, the clustering that built all pairwise
-differences at once, kept to pin the blocked one's counts and ids.
+differences at once, kept to pin the blocked one's counts and ids; and
+``rowwise_write_csv``, the report writer that formatted one field at a
+time before the columnar one, kept to pin its bytes.
 """
 
 import csv
@@ -264,6 +266,29 @@ def pairwise_count_unique_optima(finals, rel_tolerance=1e-4):
                     stack.append(int(k))
         next_label += 1
     return next_label, labels
+
+
+def _rowwise_field(value):
+    if type(value) is float:
+        return "" if math.isnan(value) else repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isnan(value):
+            return ""
+        return repr(value)
+    if isinstance(value, (np.integer,)):
+        return str(int(value))
+    return str(value)
+
+
+def rowwise_write_csv(path, header, rows):
+    """The earlier report writer: one ``_fmt`` call per field, one write per row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(map(_rowwise_field, row)) + "\n")
 
 
 def relative_error(actual, expected):

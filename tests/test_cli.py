@@ -1,8 +1,11 @@
 """CLI subcommands: behavior, file outputs, exit codes and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sslsq.cli as cli
 from sslsq.cli import (
     EXIT_CAPACITY,
     EXIT_NUMERICAL,
@@ -10,8 +13,11 @@ from sslsq.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     _fmt,
+    _write_columns,
     main,
 )
+
+from conftest import rowwise_write_csv
 
 
 def run_cli(args):
@@ -41,6 +47,84 @@ def write_pool(tmp_path, name="pool.csv", n=60, seed=3, kind="two-gaussian-2d"):
     ])
     assert code == EXIT_OK
     return path
+
+
+def snapshot(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def assert_clash_refused(code, capsys, clash, directory, before):
+    """An output that would overwrite a file exits 2, naming both paths,
+    and leaves ``directory`` as ``snapshot`` found it: no input changed
+    and nothing written."""
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert clash in err
+    assert "an output may not overwrite an input or another output" in err
+    assert snapshot(directory) == before
+
+
+SPECIAL_FLOATS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324, 2.5e16,
+                  0.1 + 0.2, 1.0 / 3.0, -1.5]
+
+
+def mixed_table(rows):
+    """Columns of every form the report writer takes, cycling through edge values."""
+    def cycle(values):
+        return [values[i % len(values)] for i in range(rows)]
+
+    floats = cycle(SPECIAL_FLOATS)
+    return [
+        np.array(floats),
+        floats,
+        np.array(cycle(SPECIAL_FLOATS[::-1]), dtype=np.float32),
+        np.arange(rows, dtype=np.int64) - 3,
+        cycle([np.int64(-7), 0, 2**40, np.uint8(255)]),
+        cycle([True, False]),
+        np.array(cycle([True, False, False])),
+        cycle([None, "ok", "empty-test", np.float64("nan"), np.float64(-0.0), np.bool_(True)]),
+    ]
+
+
+class TestWriteColumns:
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_bytes_equal_the_rowwise_writer(self, tmp_path, monkeypatch, chunk):
+        # The rowwise writer saw each array entry as a numpy scalar and each
+        # list entry as is; both must render as it rendered them, in and
+        # across chunk boundaries and with no rows at all.
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        size = cli._CHUNK_ROWS
+        header = [f"c{k}" for k in range(len(mixed_table(0)))]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for rows in sorted({0, size - 1, size, size + 1, 2 * size + 1}):
+            columns = mixed_table(rows)
+            _write_columns(new, header, columns)
+            rowwise_write_csv(old, header, list(zip(*columns)))
+            assert new.read_bytes() == old.read_bytes()
+        _write_columns(new, header, mixed_table(0))
+        assert new.read_text() == ",".join(header) + "\n"
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="report columns differ in length"):
+            _write_columns(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+
+    def test_memory_stays_within_one_chunk(self, tmp_path):
+        # A paths-shaped table (start, iteration, objective, two weights):
+        # only one chunk's text is held, however many rows there are.
+        rows = 100_000
+        rng = np.random.default_rng(0)
+        columns = [np.repeat(np.arange(100), 1000), np.tile(np.arange(1000), 100),
+                   rng.random(rows), *rng.standard_normal((2, rows))]
+        tracemalloc.start()
+        try:
+            _write_columns(tmp_path / "paths.csv", ["start", "iteration", "objective",
+                                                    "w_0", "w_1"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "paths.csv").read_text().splitlines()) == rows + 1
+        assert peak < 0.5e6
 
 
 class TestGenerate:
@@ -104,6 +188,23 @@ class TestFit:
             for k in range(1, len(objectives))
         )
         assert (tmp_path / "trace.manifest.txt").exists()
+
+    @pytest.mark.parametrize("data_name, trace_name, clash", [
+        ("d.csv", "d.csv", "--trace {trace} is the same file as --data {data}"),
+        ("d.csv", "test.csv", "--trace {trace} is the same file as --test {test}"),
+        ("t.manifest.txt", "t.csv", "manifest {data} is the same file as --data {data}"),
+    ])
+    def test_outputs_may_not_overwrite_inputs(self, tmp_path, capsys, data_name, trace_name,
+                                              clash):
+        data = write_cluster_data(tmp_path, data_name)
+        test = write_pool(tmp_path, "test.csv")
+        trace = tmp_path / trace_name
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["fit", "--data", str(data), "--method", "soft", "--test", str(test),
+                        "--trace", str(trace)])
+        assert_clash_refused(code, capsys, clash.format(data=data, test=test, trace=trace),
+                             tmp_path, before)
 
     def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
         # Soft BCD on these overlapping clusters is still descending at the
@@ -248,6 +349,30 @@ class TestBasin:
         assert lines[0].startswith("start,iteration,objective")
         assert len(lines) > 4
 
+    @pytest.mark.parametrize("out_name, paths_name, clash", [
+        ("r.csv", "r.csv", "--paths {paths} is the same file as --out {out}"),
+        ("r.csv", "r.agg.csv", "--paths {paths} is the same file as aggregate {paths}"),
+        ("r.csv", "r.manifest.txt", "--paths {paths} is the same file as manifest {paths}"),
+        ("r.csv", "test.csv", "--paths {paths} is the same file as --test {test}"),
+        ("d.csv", None, "--out {out} is the same file as --data {data}"),
+    ])
+    def test_outputs_may_not_overwrite_inputs_or_each_other(self, tmp_path, capsys, out_name,
+                                                            paths_name, clash):
+        data = write_cluster_data(tmp_path, "d.csv", unlabeled=30)
+        test = write_pool(tmp_path, "test.csv")
+        out = tmp_path / out_name
+        argv = ["basin", "--data", str(data), "--method", "soft", "--starts", "3",
+                "--seed", "1", "--test", str(test), "--out", str(out)]
+        paths = None
+        if paths_name is not None:
+            paths = tmp_path / paths_name
+            argv += ["--paths", str(paths)]
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        assert_clash_refused(run_cli(argv), capsys,
+                             clash.format(data=data, test=test, out=out, paths=paths),
+                             tmp_path, before)
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_scale_is_usage_error(self, tmp_path, capsys, scale):
         data = write_cluster_data(tmp_path)
@@ -301,6 +426,20 @@ class TestLocalOptima:
         assert f"{a} and {b} share the dataset name 'pool'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_name, clash", [
+        ("b.csv", "--out {out} is the same file as --data {b}"),
+        ("lo.csv", "aggregate {agg} is the same file as --data {agg}"),
+    ])
+    def test_outputs_may_not_overwrite_inputs(self, tmp_path, capsys, out_name, clash):
+        a = write_pool(tmp_path, "lo.agg.csv", n=50, seed=1)
+        b = write_pool(tmp_path, "b.csv", n=50, seed=2)
+        out = tmp_path / out_name
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["local-optima", "--data", str(a), str(b), "--restarts", "2",
+                        "--seed", "5", "--out", str(out)])
+        assert_clash_refused(code, capsys, clash.format(out=out, b=b, agg=a), tmp_path, before)
+
     def test_infinite_scale_is_usage_error(self, tmp_path, capsys):
         pool = write_pool(tmp_path, n=50)
         out = tmp_path / "lo.csv"
@@ -324,6 +463,26 @@ class TestLearningCurve:
         assert len(agg) == 1 + 3 * 4
         cells = out.read_text().splitlines()
         assert len(cells) == 1 + 3 * 5 * 4
+
+    @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
+    def test_output_may_not_overwrite_the_input(self, tmp_path, capsys, monkeypatch, alias):
+        # Files are compared, not path strings, so another name of the
+        # input file is refused as well.
+        pool = write_pool(tmp_path, n=60)
+        out = {"same": pool, "relative": "pool.csv", "symlink": tmp_path / "link.csv",
+               "hardlink": tmp_path / "hard.csv"}[alias]
+        if alias == "symlink":
+            out.symlink_to(pool)
+        if alias == "hardlink":
+            out.hardlink_to(pool)
+        monkeypatch.chdir(tmp_path)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["learning-curve", "--data", str(pool), "--labeled", "8",
+                        "--u-values", "1,2", "--repeats", "2", "--seed", "2",
+                        "--out", str(out)])
+        assert_clash_refused(code, capsys, f"--out {out} is the same file as --data {pool}",
+                             tmp_path, before)
 
     def test_capacity_exit_code(self, tmp_path):
         pool = write_pool(tmp_path, n=20)

@@ -382,6 +382,57 @@ class TestBasinStudy:
         with pytest.raises(InvalidInputError):
             run_basin_study(data, 0.0, "hard", [])
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("block", [1, 2, None])
+    def test_stacked_test_errors_equal_lone_errors_at_the_threshold(self, monkeypatch, rng,
+                                                                    lam, block):
+        # As in TestStackedErrors: each start's final weights get test rows
+        # on the threshold and one ulp below and above it, where a decision
+        # value one ulp off flips a prediction. Starts are scored in blocks
+        # of one, two or all of them.
+        import sslsq.experiments as experiments
+
+        data, truth = small_two_cluster()
+        starts = list(random_init_near_supervised(data, lam, 5, 1.0, seed=2))
+        finals = [r.fit.weights for r in run_basin_study(data, lam, "hard", starts).all_records]
+        targets = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        first = data.n_unlabeled
+        test = np.vstack([data.unlabeled_features, np.zeros((3 * len(finals), 2))])
+        for k, w in enumerate(finals):
+            for t, target in enumerate(targets):
+                place_on_threshold(test, first + 3 * k + t, w, target, rng)
+        for k, w in enumerate(finals):
+            values = decision_values(test, w)[first + 3 * k : first + 3 * k + 3]
+            np.testing.assert_array_equal(values, targets)
+        labels = np.concatenate([truth, np.ones(3 * len(finals))])
+        if block is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block * len(labels))
+        result = run_basin_study(data, lam, "hard", starts, test, labels)
+        assert len({tuple(w) for w in finals}) > 1
+        for record, w in zip(result.all_records, finals):
+            np.testing.assert_array_equal(record.fit.weights, w)
+            assert record.test_error == evaluate_error(w, test, labels)
+
+    def test_bad_test_features_raise_as_evaluate_error_does(self, monkeypatch):
+        # Same class and message as a lone evaluate_error, before any fit runs.
+        import sslsq.selflearn as selflearn
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("a descent ran before the test set was checked")
+
+        data, truth = small_two_cluster()
+        starts = random_init_near_supervised(data, 0.0, 3, 1.0, seed=2)
+        w_sup = ridge_solve(data.labeled_features, data.labels, 0.0)
+        non_finite = data.unlabeled_features.copy()
+        non_finite[4, 0] = np.inf
+        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        for features in (np.ones((60, 3)), non_finite, np.ones(60)):
+            with pytest.raises(Exception) as lone:
+                evaluate_error(w_sup, features, truth)
+            with pytest.raises(type(lone.value)) as stacked:
+                run_basin_study(data, 0.0, "soft", starts, features, truth)
+            assert str(stacked.value) == str(lone.value)
+
 
 def fully_labeled_pool(n, seed, kind=SyntheticKind.TWO_CLUSTER_1D, separation=4.0):
     data, _ = generate(SyntheticSpec(kind=kind, labeled_per_class=n // 2,
