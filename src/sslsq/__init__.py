@@ -63,7 +63,6 @@ from .diagnostics import (
     soft_grid_slack,
 )
 from .datagen import (
-    CsvSchema,
     Split,
     SyntheticKind,
     SyntheticSpec,
@@ -73,7 +72,6 @@ from .datagen import (
     sample_learning_curve_split,
     save_csv,
     split_for_local_optima,
-    zscore,
 )
 from .experiments import (
     BasinStudyResult,

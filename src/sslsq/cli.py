@@ -14,6 +14,7 @@ errors, 4 capacity limits, 5 numerical or degenerate-input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
-    CsvSchema,
     SyntheticKind,
     SyntheticSpec,
     generate,
@@ -197,7 +197,7 @@ def _write_manifest(output_path, subcommand, params, inputs, seed=None):
 
 
 def _load(path, intercept=True):
-    return load_csv(path, CsvSchema(), intercept=intercept)
+    return load_csv(path, intercept=intercept)
 
 
 def _weight_columns(d):
@@ -622,7 +622,14 @@ def _add_common(parser, *, seed_required, threads=False):
                             "output content")
 
 
+@functools.cache
 def build_parser():
+    """The ``sslsq`` argument parser, built once per process and shared.
+
+    Each subcommand records its handler by name in ``args.command``;
+    ``main`` looks the name up when the command runs, so a handler
+    rebound on this module after the parser was built is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="sslsq",
         description="Semi-supervised least squares classification: solvers, "
@@ -640,7 +647,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(command="cmd_generate")
 
     p = sub.add_parser("fit", help="fit one classifier and print a summary")
     p.add_argument("--data", required=True)
@@ -648,12 +655,12 @@ def build_parser():
     p.add_argument("--test", default=None, help="fully labeled CSV for test error")
     p.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     _add_common(p, seed_required=False)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(command="cmd_fit")
 
     p = sub.add_parser("diagnose", help="convexity diagnostics and brute-force gap")
     p.add_argument("--data", required=True)
     _add_common(p, seed_required=False)
-    p.set_defaults(func=cmd_diagnose)
+    p.set_defaults(command="cmd_diagnose")
 
     p = sub.add_parser("basin", help="random-restart basin study")
     p.add_argument("--data", required=True)
@@ -664,7 +671,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--paths", default=None, help="also write full convergence paths here")
     _add_common(p, seed_required=True, threads=True)
-    p.set_defaults(func=cmd_basin)
+    p.set_defaults(command="cmd_basin")
 
     p = sub.add_parser("local-optima", help="restart study across datasets")
     p.add_argument("--data", nargs="+", required=True, help="fully labeled CSV files")
@@ -672,7 +679,7 @@ def build_parser():
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     _add_common(p, seed_required=True, threads=True)
-    p.set_defaults(func=cmd_local_optima)
+    p.set_defaults(command="cmd_local_optima")
 
     p = sub.add_parser("learning-curve", help="error curves over unlabeled counts")
     p.add_argument("--data", required=True, help="fully labeled CSV file")
@@ -681,16 +688,15 @@ def build_parser():
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--out", required=True)
     _add_common(p, seed_required=True, threads=True)
-    p.set_defaults(func=cmd_learning_curve)
+    p.set_defaults(command="cmd_learning_curve")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.command](args)
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

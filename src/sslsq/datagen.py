@@ -6,11 +6,11 @@ unlabeled block; splitters partition fully labeled datasets into
 labeled/unlabeled/test pieces without replacement. Everything is a pure
 function of its inputs and a seed.
 
-CSV files carry raw feature columns plus a label column (empty field =
-unlabeled) and, optionally, a ``true_label`` column with the hidden
-ground truth. The intercept is a load-time convention: it is appended as
-a trailing ones column by the loader/generators and never stored in the
-file itself.
+Dataset files have one format: comma-delimited UTF-8 with a header row,
+raw feature columns, a ``label`` column (empty field = unlabeled) and,
+optionally, a ``true_label`` column with the hidden ground truth. The
+intercept is a load-time convention: it is appended as a trailing ones
+column by the loader/generators and never stored in the file itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
 from .model import Dataset
 
 __all__ = [
-    "CsvSchema",
     "Split",
     "SyntheticKind",
     "SyntheticSpec",
@@ -47,9 +46,9 @@ __all__ = [
     "sample_learning_curve_split",
     "save_csv",
     "split_for_local_optima",
-    "zscore",
 ]
 
+LABEL_COLUMN = "label"
 TRUE_LABEL_COLUMN = "true_label"
 MAX_SEED = 2**64 - 1
 
@@ -136,25 +135,11 @@ def generate(spec):
     return Dataset(labeled, labels, unlabeled), truth
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column conventions of a dataset file."""
-
-    label_column: str = "label"
-    missing_label_token: str = ""
-    delimiter: str = ","
-    header: bool = True
-
-    def __post_init__(self):
-        if len(self.delimiter) != 1:
-            raise InvalidInputError("delimiter must be a single character")
-
-
 def _format_number(value):
     return repr(float(value))
 
 
-def save_csv(path, data, unlabeled_truth=None, schema=CsvSchema(), intercept=True):
+def save_csv(path, data, unlabeled_truth=None, intercept=True):
     """Write a dataset (and optional hidden truth) to CSV.
 
     With ``intercept=True`` the trailing column must be constant ones and
@@ -176,28 +161,27 @@ def save_csv(path, data, unlabeled_truth=None, schema=CsvSchema(), intercept=Tru
             )
 
     width = features_l.shape[1]
-    header = [f"x{i}" for i in range(width)] + [schema.label_column]
+    header = [f"x{i}" for i in range(width)] + [LABEL_COLUMN]
     if unlabeled_truth is not None:
         header.append(TRUE_LABEL_COLUMN)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
-        if schema.header:
-            writer.writerow(header)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
         for row, label in zip(features_l, data.labels):
             record = [_format_number(v) for v in row] + [_format_number(label)]
             if unlabeled_truth is not None:
                 record.append(_format_number(label))
             writer.writerow(record)
         for i, row in enumerate(features_u):
-            record = [_format_number(v) for v in row] + [schema.missing_label_token]
+            record = [_format_number(v) for v in row] + [""]
             if unlabeled_truth is not None:
                 record.append(_format_number(unlabeled_truth[i]))
             writer.writerow(record)
 
 
-def _parse_label(token, schema, row_number):
+def _parse_label(token, row_number):
     token = token.strip()
-    if token == schema.missing_label_token:
+    if not token:
         return None
     try:
         value = float(token)
@@ -225,7 +209,7 @@ def _place(row_number):
     return f"row {row_number}" if row_number else "header"
 
 
-def _csv_rows(text, schema, rows=None):
+def _csv_rows(text, rows=None):
     """Append the ``csv.reader`` rows of ``text`` to ``rows`` and return them.
 
     A record the reader rejects, such as a field over its size limit, is
@@ -234,14 +218,13 @@ def _csv_rows(text, schema, rows=None):
     """
     rows = [] if rows is None else rows
     try:
-        rows.extend(csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter))
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
-        row_number = len(rows) if schema.header else len(rows) + 1
-        raise ParseError(f"{_place(row_number)}: {exc}", row=row_number or None) from None
+        raise ParseError(f"{_place(len(rows))}: {exc}", row=len(rows) or None) from None
     return rows
 
 
-def _decode(data, schema):
+def _decode(data):
     """The UTF-8 text of a file; an undecodable byte is a ParseError at its field."""
     try:
         return data.decode("utf-8")
@@ -253,15 +236,14 @@ def _decode(data, schema):
     # rejects comes before it.
     rows, error = [], ParseError(f"byte 0x{bad:02x} is not valid UTF-8")
     try:
-        _csv_rows(data.decode("utf-8", "surrogateescape"), schema, rows)
+        _csv_rows(data.decode("utf-8", "surrogateescape"), rows)
     except ParseError as exc:
         error = exc
-    for index, row in enumerate(rows):
+    for row_number, row in enumerate(rows):
         for column, field in enumerate(row, start=1):
             try:
                 field.encode("utf-8")
             except UnicodeEncodeError:
-                row_number = index if schema.header else index + 1
                 raise ParseError(
                     f"{_place(row_number)}, column {column}: byte 0x{bad:02x} is not valid UTF-8",
                     row=row_number or None,
@@ -270,28 +252,28 @@ def _decode(data, schema):
     raise error
 
 
-def _plain_layout(data, delimiter, width):
-    """Whether splitting lines at ``\\n`` and fields at the delimiter reads as csv does.
+def _plain_layout(data, width):
+    """Whether splitting lines at ``\\n`` and fields at commas reads as csv does.
 
     That holds when the file has no quote, carriage return or NUL byte and
-    every line, the last one included, holds exactly ``width - 1``
-    delimiters (so, with ``width >= 2``, no line is blank). The check runs
-    on the raw bytes, which no multi-byte UTF-8 sequence can fool: it
-    drops every byte but delimiters and newlines, and the rest must be
-    ``width - 1`` delimiters and a newline, once per line.
+    every line, the last one included, holds exactly ``width - 1`` commas
+    (so, with ``width >= 2``, no line is blank). The check runs on the raw
+    bytes, which no multi-byte UTF-8 sequence can fool: it drops every
+    byte but commas and newlines, and the rest must be ``width - 1``
+    commas and a newline, once per line.
     """
-    if width < 2 or not delimiter.isascii() or delimiter in '"\r\n\0':
+    if width < 2:
         return False
     if b'"' in data or b"\r" in data or b"\0" in data:
         return False
     if not data.endswith(b"\n"):
         data += b"\n"
-    line = (delimiter * (width - 1) + "\n").encode()
+    line = b"," * (width - 1) + b"\n"
     marks = data.translate(None, bytes(b for b in range(256) if b not in line))
     return marks == line * marks.count(b"\n")
 
 
-def _columnar(columns, feature_indices, label_index, truth_index, schema):
+def _columnar(columns, feature_indices, label_index, truth_index):
     """Parse body columns in bulk; ``None`` when any field fails a check.
 
     The checks are the row loop's, applied a column at a time: one
@@ -304,7 +286,7 @@ def _columnar(columns, feature_indices, label_index, truth_index, schema):
     try:
         for j, column in enumerate(feature_indices):
             features[:, j] = np.fromiter(map(float, columns[column]), float, count=count)
-        label_of = {token: _parse_label(token, schema, 0) for token in set(label_tokens)}
+        label_of = {token: _parse_label(token, 0) for token in set(label_tokens)}
     except (ValueError, SchemaError):
         return None
     if not np.isfinite(features).all():
@@ -321,7 +303,7 @@ def _columnar(columns, feature_indices, label_index, truth_index, schema):
     return features, labels, np.fromiter(map(truth_of.__getitem__, hidden), float, len(hidden))
 
 
-def _rowwise(rows, width, feature_indices, label_index, truth_index, schema):
+def _rowwise(rows, width, feature_indices, label_index, truth_index):
     """Parse body rows one field at a time, raising at the first bad field in row order."""
     features = np.empty((len(rows), len(feature_indices)))
     labels = np.empty(len(rows))
@@ -346,26 +328,27 @@ def _rowwise(rows, width, feature_indices, label_index, truth_index, schema):
                     column=column + 1,
                 )
             features[row_number - 1, j] = value
-        label = _parse_label(row[label_index], schema, row_number)
+        label = _parse_label(row[label_index], row_number)
         labels[row_number - 1] = math.nan if label is None else label
         if label is None and truth_index is not None:
             truth.append(_parse_truth(row[truth_index], row_number))
     return features, labels, (np.array(truth) if truth_index is not None else None)
 
 
-def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
+def load_csv(path, intercept=True):
     """Read a dataset file; returns ``(dataset, unlabeled_truth_or_None)``.
 
-    Rows whose label field equals the missing token become the unlabeled
-    block (file order preserved within each block). When a ``true_label``
-    column is present its values for the unlabeled rows are returned as
-    the hidden ground truth. The file must be UTF-8: an undecodable byte
-    is a ``ParseError`` naming its row and column. Feature fields must be
-    finite numbers in the grammar of Python's ``float()``, so surrounding
-    whitespace and digit underscores (``1_0``) are accepted.
-    ``intercept`` appends a trailing ones column; ``standardize`` z-scores
-    features using labeled statistics only (constant columns are left
-    untouched).
+    The file is comma-delimited UTF-8 with a header row naming a
+    ``label`` column and, optionally, a ``true_label`` column; any other
+    column is a feature. Rows with an empty label field become the
+    unlabeled block (file order preserved within each block). When a
+    ``true_label`` column is present its values for the unlabeled rows
+    are returned as the hidden ground truth. A header that repeats
+    ``label`` or ``true_label`` is a ``SchemaError`` at the repeat's
+    column. An undecodable byte is a ``ParseError`` naming its row and
+    column. Feature fields must be finite numbers in the grammar of
+    Python's ``float()``, so surrounding whitespace and digit underscores
+    (``1_0``) are accepted. ``intercept`` appends a trailing ones column.
 
     Files without quotes, carriage returns or NUL bytes whose lines all
     hold the header's field count are split in one pass; any other file
@@ -376,33 +359,33 @@ def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    text = _decode(data, schema)
-    delimiter = schema.delimiter
-    width = text.partition("\n")[0].count(delimiter) + 1
-    if _plain_layout(data, delimiter, width):
-        tokens = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
+    text = _decode(data)
+    width = text.partition("\n")[0].count(",") + 1
+    if _plain_layout(data, width):
+        tokens = text.removesuffix("\n").replace("\n", ",").split(",")
         first, rows = tokens[:width], None
-        start = width if schema.header else 0
-        columns = [tokens[start + column :: width] for column in range(width)]
+        columns = [tokens[width + column :: width] for column in range(width)]
         count = len(columns[0])
     else:
-        rows = _csv_rows(text, schema)
+        rows = _csv_rows(text)
         if not rows:
             raise SchemaError(f"{path}: file is empty")
         first, width = rows[0], len(rows[0])
-        rows = rows[1:] if schema.header else rows
+        rows = rows[1:]
         columns = list(zip(*rows)) if all(len(row) == width for row in rows) else None
         count = len(rows)
 
-    if schema.header:
-        header = [name.strip() for name in first]
-        if schema.label_column not in header:
-            raise SchemaError(f"{path}: missing label column {schema.label_column!r}")
-        label_index = header.index(schema.label_column)
-        truth_index = header.index(TRUE_LABEL_COLUMN) if TRUE_LABEL_COLUMN in header else None
-    else:
-        label_index = width - 1
-        truth_index = None
+    header = [name.strip() for name in first]
+    if LABEL_COLUMN not in header:
+        raise SchemaError(f"{path}: missing label column {LABEL_COLUMN!r}")
+    seen = set()
+    for column, name in enumerate(header, start=1):
+        if name in seen:
+            raise SchemaError(f"header, column {column}: duplicate column {name!r}", column=column)
+        if name in (LABEL_COLUMN, TRUE_LABEL_COLUMN):
+            seen.add(name)
+    label_index = header.index(LABEL_COLUMN)
+    truth_index = header.index(TRUE_LABEL_COLUMN) if TRUE_LABEL_COLUMN in header else None
     feature_indices = [
         i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
     ]
@@ -411,39 +394,22 @@ def load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
 
     parsed = None
     if columns is not None:
-        parsed = _columnar(columns, feature_indices, label_index, truth_index, schema)
+        parsed = _columnar(columns, feature_indices, label_index, truth_index)
     if parsed is None:
         if rows is None:
-            rows = _csv_rows(text, schema)[1 if schema.header else 0 :]
-        parsed = _rowwise(rows, width, feature_indices, label_index, truth_index, schema)
+            rows = _csv_rows(text)[1:]
+        parsed = _rowwise(rows, width, feature_indices, label_index, truth_index)
     features, labels, truth = parsed
 
     unlabeled = np.isnan(labels)
     if unlabeled.all():
         raise InvalidInputError(f"{path}: no labeled rows")
     labeled_block, unlabeled_block = features[~unlabeled], features[unlabeled]
-    if standardize:
-        labeled_block, unlabeled_block = _zscore_blocks(labeled_block, unlabeled_block)
     if intercept:
         labeled_block = np.hstack([labeled_block, np.ones((labeled_block.shape[0], 1))])
         unlabeled_block = np.hstack([unlabeled_block, np.ones((unlabeled_block.shape[0], 1))])
 
     return Dataset(labeled_block, labels[~unlabeled], unlabeled_block), truth
-
-
-def _zscore_blocks(labeled, unlabeled):
-    mean = labeled.mean(axis=0)
-    sd = labeled.std(axis=0)
-    keep = sd == 0.0
-    mean = np.where(keep, 0.0, mean)
-    sd = np.where(keep, 1.0, sd)
-    return (labeled - mean) / sd, (unlabeled - mean) / sd
-
-
-def zscore(data):
-    """Standardized copy of a dataset, using labeled statistics only."""
-    labeled, unlabeled = _zscore_blocks(data.labeled_features, data.unlabeled_features)
-    return Dataset(labeled, data.labels, unlabeled)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,15 @@ class ParseError(Error):
 
 
 class SchemaError(Error):
-    """File contents violate the declared schema (labels, columns)."""
+    """File contents violate the dataset file format (labels, columns).
+
+    ``column`` is the 1-based column of the offending header field, when
+    known.
+    """
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
 
 
 class DegenerateInputError(Error):

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
-from sslsq.datagen import CsvSchema
 from sslsq.errors import InvalidInputError, ParseError, SchemaError
 
 
@@ -133,9 +132,9 @@ def chunked_gemm_hard_minimum(data, lam, encoding=ClassEncoding(), chunk=4096):
     return labels, best_weights, objective
 
 
-def _rowwise_label(token, schema, row_number):
+def _rowwise_label(token, row_number):
     token = token.strip()
-    if token == schema.missing_label_token:
+    if token == "":
         return None
     try:
         value = float(token)
@@ -148,30 +147,26 @@ def _rowwise_label(token, schema, row_number):
     return value
 
 
-def rowwise_load_csv(path, schema=CsvSchema(), intercept=True, standardize=False):
+def rowwise_load_csv(path, intercept=True):
     """The earlier loader: ``csv.reader`` rows parsed one field at a time.
 
     Returns ``(dataset, unlabeled_truth_or_None)`` and raises the first
     error in row order, as ``sslsq.load_csv`` must. It reads the file
     through a strict UTF-8 text stream, so an undecodable byte raises
-    ``UnicodeDecodeError`` here.
+    ``UnicodeDecodeError`` here. It reads a repeated ``label`` or
+    ``true_label`` header column as a feature, which ``load_csv`` refuses.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle, delimiter=schema.delimiter))
+        rows = list(csv.reader(handle))
     if not rows:
         raise SchemaError(f"{path}: file is empty")
 
-    if schema.header:
-        header = [name.strip() for name in rows[0]]
-        body = rows[1:]
-        if schema.label_column not in header:
-            raise SchemaError(f"{path}: missing label column {schema.label_column!r}")
-        label_index = header.index(schema.label_column)
-        truth_index = header.index("true_label") if "true_label" in header else None
-    else:
-        body = rows
-        label_index = len(rows[0]) - 1
-        truth_index = None
+    header = [name.strip() for name in rows[0]]
+    body = rows[1:]
+    if "label" not in header:
+        raise SchemaError(f"{path}: missing label column 'label'")
+    label_index = header.index("label")
+    truth_index = header.index("true_label") if "true_label" in header else None
     width = len(rows[0])
     feature_indices = [
         i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
@@ -202,7 +197,7 @@ def rowwise_load_csv(path, schema=CsvSchema(), intercept=True, standardize=False
                     column=column + 1,
                 )
             features[j] = value
-        label = _rowwise_label(row[label_index], schema, row_number)
+        label = _rowwise_label(row[label_index], row_number)
         if label is None:
             unlabeled_rows.append(features)
             if truth_index is not None:
@@ -227,13 +222,6 @@ def rowwise_load_csv(path, schema=CsvSchema(), intercept=True, standardize=False
     labeled = np.array(labeled_rows)
     unlabeled = np.array(unlabeled_rows) if unlabeled_rows else np.empty((0, labeled.shape[1]))
 
-    if standardize:
-        mean = labeled.mean(axis=0)
-        sd = labeled.std(axis=0)
-        keep = sd == 0.0
-        mean = np.where(keep, 0.0, mean)
-        sd = np.where(keep, 1.0, sd)
-        labeled, unlabeled = (labeled - mean) / sd, (unlabeled - mean) / sd
     if intercept:
         labeled = np.hstack([labeled, np.ones((labeled.shape[0], 1))])
         unlabeled = np.hstack([unlabeled, np.ones((unlabeled.shape[0], 1))])

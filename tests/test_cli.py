@@ -259,6 +259,29 @@ class TestFit:
         assert "row 1" in err and "field limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, name, column", [
+        ("x0,label,label\n0.0,0,0\n1.0,1,1\n2.0,,\n", "label", 3),
+        ("x0,label,true_label,true_label\n0.0,0,0,0\n1.0,1,1,1\n2.0,,1,1\n", "true_label", 4),
+    ], ids=["label", "true_label"])
+    def test_duplicate_label_column_is_parse_class(self, tmp_path, capsys, content, name, column):
+        path = tmp_path / "dup.csv"
+        path.write_text(content)
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"header, column {column}: duplicate column {name!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("content", [
+        "x0;label\n1.5;0\n2.5;\n3.5;1\n",
+        "x0\tx1\tlabel\n1.0\t2.0\t0\n3.0\t4.0\t\n5.0\t6.0\t1\n",
+        "1.0,2.0,1\n3.0,4.0,\n5.0,6.0,0\n",
+    ], ids=["semicolon", "tab", "no-header"])
+    def test_other_dialects_are_refused(self, tmp_path, capsys, content):
+        path = tmp_path / "dialect.csv"
+        path.write_text(content)
+        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_PARSE
+        assert "missing label column 'label'" in capsys.readouterr().err
+
     def test_oracle_uses_truth_column(self, tmp_path, capsys):
         data = write_cluster_data(tmp_path, unlabeled=20)
         capsys.readouterr()
@@ -307,6 +330,15 @@ class TestDiagnose:
 
     def test_missing_file_is_parse_class(self, tmp_path):
         assert run_cli(["diagnose", "--data", str(tmp_path / "nope.csv")]) == EXIT_PARSE
+
+    def test_handler_rebound_after_parser_is_built_is_called(self, tmp_path, monkeypatch):
+        path = write_cluster_data(tmp_path, unlabeled=8)
+        assert run_cli(["diagnose", "--data", str(path)]) == EXIT_OK
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_diagnose", lambda args: seen.append(args.data) or 42)
+        assert run_cli(["diagnose", "--data", str(path)]) == 42
+        assert seen == [str(path)]
 
     def test_no_unlabeled_rows_is_numerical_class(self, tmp_path):
         pool = write_pool(tmp_path, n=10)

@@ -8,7 +8,6 @@ import pytest
 
 from sslsq import (
     CapacityError,
-    CsvSchema,
     Dataset,
     DegenerateSplitError,
     InvalidInputError,
@@ -21,7 +20,6 @@ from sslsq import (
     sample_learning_curve_split,
     save_csv,
     split_for_local_optima,
-    zscore,
 )
 from sslsq.datagen import derive_rng
 
@@ -124,6 +122,20 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             load_csv(path)
 
+    @pytest.mark.parametrize("content, name, column", [
+        (b"x0,label,label\n1.0,0,0\n2.0,1,1\n3.0,,\n", "label", 3),
+        (b"x0,label,true_label,true_label\n1.0,0,0,0\n2.0,,1,1\n", "true_label", 4),
+        # Padded names, read through csv.reader: the first repeat is named.
+        (b'"label",x0, true_label ,true_label,label\r\n0,1.0,0,0,0\r\n', "true_label", 4),
+    ], ids=["label", "true_label", "padded-quoted-crlf"])
+    def test_duplicate_label_column_is_schema_error(self, tmp_path, content, name, column):
+        path = tmp_path / "dup.csv"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"header, column {column}: duplicate column {name!r}"
+        assert excinfo.value.column == column
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,label\n1,2,1\n3,0\n")
@@ -131,86 +143,81 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert excinfo.value.row == 2
 
-    def test_custom_missing_token(self, tmp_path):
+    def test_only_an_empty_label_is_missing(self, tmp_path):
         path = tmp_path / "na.csv"
         path.write_text("x0,label\n1,NA\n2,1\n")
-        schema = CsvSchema(missing_label_token="NA")
-        data, _ = load_csv(path, schema)
-        assert (data.n_labeled, data.n_unlabeled) == (1, 1)
+        with pytest.raises(SchemaError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value).startswith("row 1: label 'NA' is neither 0, 1")
 
-    def test_headerless_takes_last_column_as_label(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text("1.0,2.0,1\n3.0,4.0,\n")
-        data, truth = load_csv(path, CsvSchema(header=False))
-        assert (data.n_labeled, data.n_unlabeled) == (1, 1)
-        assert truth is None
-        np.testing.assert_array_equal(data.labeled_features, [[1.0, 2.0, 1.0]])
+    def test_removed_dialect_options_are_gone(self, tmp_path):
+        import sslsq
+        import sslsq.datagen
+
+        for module in (sslsq, sslsq.datagen):
+            assert not hasattr(module, "CsvSchema")
+            assert not hasattr(module, "zscore")
+        assert {"CsvSchema", "zscore"}.isdisjoint(sslsq.datagen.__all__)
+        path = tmp_path / "data.csv"
+        path.write_text("x0,label\n1.0,0\n2.0,1\n")
+        with pytest.raises(TypeError):
+            load_csv(path, standardize=True)
+        with pytest.raises(TypeError):
+            load_csv(path, schema=None)
+        with pytest.raises(TypeError):
+            save_csv(tmp_path / "out.csv", load_csv(path)[0], schema=None)
 
     def test_save_rejects_non_constant_intercept(self, tmp_path):
         data = Dataset([[1.0, 2.0]], [1.0])
         with pytest.raises(InvalidInputError):
             save_csv(tmp_path / "x.csv", data, intercept=True)
 
-    def test_standardize_uses_labeled_statistics(self, tmp_path):
-        path = tmp_path / "std.csv"
-        path.write_text("x0,label\n0,0\n4,1\n100,\n")
-        data, _ = load_csv(path, standardize=True, intercept=False)
-        np.testing.assert_allclose(data.labeled_features[:, 0], [-1.0, 1.0])
-        np.testing.assert_allclose(data.unlabeled_features[:, 0], [(100 - 2) / 2.0])
-
-    def test_zscore_skips_constant_columns(self):
-        data = Dataset([[1.0, 1.0], [3.0, 1.0]], [0.0, 1.0])
-        scaled = zscore(data)
-        np.testing.assert_allclose(scaled.labeled_features[:, 1], 1.0)
-
 
 # One field over csv's default 131,072-character field limit.
 OVERLONG = b"1" * 140_000
 PLAIN = b"x0,x1,label,true_label\n0.5,-1.25,0,0\n2.0,3.5,1,1\n-0.75,0.125,,0\n1.5,2.25,,1\n"
 
-# (id, file bytes, CsvSchema kwargs, load_csv kwargs)
+# (id, file bytes, load_csv kwargs)
 LOADER_CASES = [
-    ("plain", PLAIN, {}, {}),
-    ("crlf", PLAIN.replace(b"\n", b"\r\n"), {}, {}),
-    ("cr-only", PLAIN.replace(b"\n", b"\r"), {}, {}),
-    ("blank-line-mid-file", b"x0,label\n1.0,0\n\n2.0,1\n3.0,\n", {}, {}),
-    ("trailing-blank-lines", b"x0,label\n1.0,0\n2.0,1\n3.0,\n\n\n", {}, {}),
-    ("no-final-newline", PLAIN.rstrip(b"\n"), {}, {}),
-    ("quoted-fields", b'"x0","label"\n"1.0",0\n2.0,"1"\n"3.0",""\n', {}, {}),
-    ("bom-before-feature", b"\xef\xbb\xbfx0,label\n1.0,0\n2.0,1\n3.0,\n", {}, {}),
-    ("bom-before-label", b"\xef\xbb\xbflabel,x0\n0,1.0\n1,2.0\n,3.0\n", {}, {}),
-    ("padded-fields", b"x0 , label\n 1.0 ,\t0\n2.0\t, 1 \n  3.0, \n", {}, {}),
-    ("control-padding", b"x0,label\n\x1f1.0\x1c,0\n2.0,1\n3.0,\n", {}, {}),
-    ("digit-underscores", b"x0,label\n1_0,0\n2_5.0_1,1\n3.0,\n", {}, {}),
-    ("nul-byte", b"x0,label\n1.0\x00,0\n2.0,1\n", {}, {}),
-    ("nul-byte-in-header", b"x\x000,label\n1.0,0\n2.0,1\n", {}, {}),
-    ("inf-feature", b"x0,label\n1.0,0\ninf,1\n", {}, {}),
-    ("nan-feature", b"x0,x1,label\n1.0,2.0,0\n3.0,nan,1\n", {}, {}),
-    ("nan-label", b"x0,label\n1.0,0\n2.0,nan\n", {}, {}),
-    ("inf-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,inf\n", {}, {}),
-    ("negative-zero-label", b"x0,label,true_label\n1.0,-0,0\n2.0,1.0,1\n3.0,,-0.0\n", {}, {}),
-    ("bad-label", b"x0,label\n1.0,0\n2.0,yes\n3.0,\n", {}, {}),
-    ("label-out-of-domain", b"x0,label\n1.0,0\n2.0,2\n", {}, {}),
-    ("bad-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,maybe\n", {}, {}),
-    ("bad-true-label-on-labeled-row", b"x0,label,true_label\n1.0,0,maybe\n2.0,,1\n", {}, {}),
-    ("ragged-after-bad-float", b"x0,x1,label\n1.0,2.0,0\n1.0,abc,1\n3.0,1\n", {}, {}),
-    ("two-errors", b"x0,label\n1.0,0\n2.0,7\n3.0,\nabc,1\n", {}, {}),
+    ("plain", PLAIN, {}),
+    ("crlf", PLAIN.replace(b"\n", b"\r\n"), {}),
+    ("cr-only", PLAIN.replace(b"\n", b"\r"), {}),
+    ("blank-line-mid-file", b"x0,label\n1.0,0\n\n2.0,1\n3.0,\n", {}),
+    ("trailing-blank-lines", b"x0,label\n1.0,0\n2.0,1\n3.0,\n\n\n", {}),
+    ("no-final-newline", PLAIN.rstrip(b"\n"), {}),
+    ("quoted-fields", b'"x0","label"\n"1.0",0\n2.0,"1"\n"3.0",""\n', {}),
+    ("bom-before-feature", b"\xef\xbb\xbfx0,label\n1.0,0\n2.0,1\n3.0,\n", {}),
+    ("bom-before-label", b"\xef\xbb\xbflabel,x0\n0,1.0\n1,2.0\n,3.0\n", {}),
+    ("padded-fields", b"x0 , label\n 1.0 ,\t0\n2.0\t, 1 \n  3.0, \n", {}),
+    ("control-padding", b"x0,label\n\x1f1.0\x1c,0\n2.0,1\n3.0,\n", {}),
+    ("digit-underscores", b"x0,label\n1_0,0\n2_5.0_1,1\n3.0,\n", {}),
+    ("nul-byte", b"x0,label\n1.0\x00,0\n2.0,1\n", {}),
+    ("nul-byte-in-header", b"x\x000,label\n1.0,0\n2.0,1\n", {}),
+    ("inf-feature", b"x0,label\n1.0,0\ninf,1\n", {}),
+    ("nan-feature", b"x0,x1,label\n1.0,2.0,0\n3.0,nan,1\n", {}),
+    ("nan-label", b"x0,label\n1.0,0\n2.0,nan\n", {}),
+    ("inf-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,inf\n", {}),
+    ("negative-zero-label", b"x0,label,true_label\n1.0,-0,0\n2.0,1.0,1\n3.0,,-0.0\n", {}),
+    ("bad-label", b"x0,label\n1.0,0\n2.0,yes\n3.0,\n", {}),
+    ("label-out-of-domain", b"x0,label\n1.0,0\n2.0,2\n", {}),
+    ("bad-true-label", b"x0,label,true_label\n1.0,0,0\n2.0,,maybe\n", {}),
+    ("bad-true-label-on-labeled-row", b"x0,label,true_label\n1.0,0,maybe\n2.0,,1\n", {}),
+    ("ragged-after-bad-float", b"x0,x1,label\n1.0,2.0,0\n1.0,abc,1\n3.0,1\n", {}),
+    ("two-errors", b"x0,label\n1.0,0\n2.0,7\n3.0,\nabc,1\n", {}),
     # Short then long: the field total is right and, shifted, every field parses.
-    ("ragged-counts-cancel", b"x0,x1,label\n1.0,2.0,0\n3.0,1\n1,5.0,1,0\n", {}, {}),
-    ("semicolon-and-na", b"x0;label\n1.5;0\n2.5;NA\n3.5;1\n",
-     {"delimiter": ";", "missing_label_token": "NA"}, {}),
-    ("tab-delimiter", b"x0\tx1\tlabel\n1.0\t2.0\t0\n3.0\t4.0\t\n5.0\t6.0\t1\n",
-     {"delimiter": "\t"}, {}),
-    ("non-ascii-delimiter", "x0§label\n1.0§0\n2.0§1\n3.0§\n".encode(), {"delimiter": "§"}, {}),
-    ("headerless", b"1.0,2.0,1\n3.0,4.0,\n5.0,6.0,0\n", {"header": False}, {}),
-    ("standardize", b"x0,x1,label\n0,3,0\n4,3,1\n100,-2,\n", {}, {"standardize": True}),
-    ("no-intercept", b"x0,label\n1.5,1\n2.5,0\n3.5,\n", {}, {"intercept": False}),
-    ("labeled-only", b"x0,label,true_label\n1.0,0,0\n2.0,1,1\n", {}, {}),
-    ("unlabeled-only", b"x0,label\n1.0,\n2.0,\n", {}, {}),
-    ("missing-label-column", b"x0,target\n1.0,0\n", {}, {}),
-    ("header-only", b"x0,label\n", {}, {}),
-    ("empty-file", b"", {}, {}),
-    ("overlong-quoted-field", b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n3.0,\n', {}, {}),
+    ("ragged-counts-cancel", b"x0,x1,label\n1.0,2.0,0\n3.0,1\n1,5.0,1,0\n", {}),
+    # Dialects the format no longer has: each header lacks a "label" field.
+    ("semicolon-and-na", b"x0;label\n1.5;0\n2.5;NA\n3.5;1\n", {}),
+    ("tab-delimiter", b"x0\tx1\tlabel\n1.0\t2.0\t0\n3.0\t4.0\t\n5.0\t6.0\t1\n", {}),
+    ("non-ascii-delimiter", "x0§label\n1.0§0\n2.0§1\n3.0§\n".encode(), {}),
+    ("headerless", b"1.0,2.0,1\n3.0,4.0,\n5.0,6.0,0\n", {}),
+    ("no-intercept", b"x0,label\n1.5,1\n2.5,0\n3.5,\n", {"intercept": False}),
+    ("labeled-only", b"x0,label,true_label\n1.0,0,0\n2.0,1,1\n", {}),
+    ("unlabeled-only", b"x0,label\n1.0,\n2.0,\n", {}),
+    ("missing-label-column", b"x0,target\n1.0,0\n", {}),
+    ("header-only", b"x0,label\n", {}),
+    ("empty-file", b"", {}),
+    ("overlong-quoted-field", b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n3.0,\n', {}),
 ]
 
 
@@ -219,25 +226,25 @@ def _bits(array):
     return array.dtype, array.shape, array.tobytes()
 
 
-def assert_loads_like_rowwise(path, schema=CsvSchema(), **load_kwargs):
+def assert_loads_like_rowwise(path, **load_kwargs):
     """Bit-equal arrays, or the same error class, message, row and column."""
     try:
-        want, want_truth = rowwise_load_csv(path, schema, **load_kwargs)
+        want, want_truth = rowwise_load_csv(path, **load_kwargs)
     except csv.Error as exc:
         # The reference lets the reader's own error escape (exit 1 in the
         # CLI); load_csv raises it as a ParseError at the record's row.
         with pytest.raises(ParseError) as excinfo:
-            load_csv(path, schema, **load_kwargs)
+            load_csv(path, **load_kwargs)
         assert str(excinfo.value).endswith(f": {exc}")
         return
     except Exception as exc:  # the reference's error is the expectation
         with pytest.raises(type(exc)) as excinfo:
-            load_csv(path, schema, **load_kwargs)
+            load_csv(path, **load_kwargs)
         assert str(excinfo.value) == str(exc)
         assert getattr(excinfo.value, "row", None) == getattr(exc, "row", None)
         assert getattr(excinfo.value, "column", None) == getattr(exc, "column", None)
         return
-    data, truth = load_csv(path, schema, **load_kwargs)
+    data, truth = load_csv(path, **load_kwargs)
     assert _bits(data.labeled_features) == _bits(want.labeled_features)
     assert _bits(data.labels) == _bits(want.labels)
     assert _bits(data.unlabeled_features) == _bits(want.unlabeled_features)
@@ -250,14 +257,14 @@ class TestColumnarLoad:
     """``load_csv`` against the row-by-row loader it replaced."""
 
     @pytest.mark.parametrize(
-        "content, schema_kwargs, load_kwargs",
+        "content, load_kwargs",
         [case[1:] for case in LOADER_CASES],
         ids=[case[0] for case in LOADER_CASES],
     )
-    def test_matches_rowwise_loader(self, tmp_path, content, schema_kwargs, load_kwargs):
+    def test_matches_rowwise_loader(self, tmp_path, content, load_kwargs):
         path = tmp_path / "data.csv"
         path.write_bytes(content)
-        assert_loads_like_rowwise(path, CsvSchema(**schema_kwargs), **load_kwargs)
+        assert_loads_like_rowwise(path, **load_kwargs)
 
     def test_large_plain_file_matches_rowwise_loader(self, tmp_path):
         data, truth = generate(SyntheticSpec(
@@ -267,37 +274,35 @@ class TestColumnarLoad:
         save_csv(path, data, unlabeled_truth=truth)
         assert_loads_like_rowwise(path)
 
-    @pytest.mark.parametrize("content, schema_kwargs, row, column", [
-        (b"x0,label\n1.0,0\n\xff2.0,1\n3.0,\n", {}, 2, 1),
-        (b"x0,label\n1.0,0\n2.0,1\n3.0,\xc3\n", {}, 3, 2),
-        (b'x0,label\n"1.0",0\n"2,\xe9",1\n', {}, 2, 1),
-        (b"x\xff,label\n1.0,0\n", {}, None, 1),
-        (b"1.0,0\n2.0,\xff1\n", {"header": False}, 2, 2),
-    ])
-    def test_undecodable_byte_names_its_field(self, tmp_path, content, schema_kwargs, row, column):
+    @pytest.mark.parametrize("content, row, column", [
+        (b"x0,label\n1.0,0\n\xff2.0,1\n3.0,\n", 2, 1),
+        (b"x0,label\n1.0,0\n2.0,1\n3.0,\xc3\n", 3, 2),
+        (b'x0,label\n"1.0",0\n"2,\xe9",1\n', 2, 1),
+        (b"x\xff,label\n1.0,0\n", None, 1),
+    ], ids=["feature", "label", "quoted-feature", "header"])
+    def test_undecodable_byte_names_its_field(self, tmp_path, content, row, column):
         path = tmp_path / "latin1.csv"
         path.write_bytes(content)
         with pytest.raises(ParseError) as excinfo:
-            load_csv(path, CsvSchema(**schema_kwargs))
+            load_csv(path)
         assert (excinfo.value.row, excinfo.value.column) == (row, column)
         assert "not valid UTF-8" in str(excinfo.value)
         place = f"row {row}" if row else "header"
         assert str(excinfo.value).startswith(f"{place}, column {column}: byte 0x")
 
 
-    @pytest.mark.parametrize("content, schema_kwargs, row, column", [
-        (b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n', {}, 2, None),
-        (b'"x' + OVERLONG + b'",label\n1.0,0\n', {}, None, None),
-        (b'1.0,0\n2.0,1\n"' + OVERLONG + b'",\n', {"header": False}, 3, None),
+    @pytest.mark.parametrize("content, row, column", [
+        (b'x0,label\n1.0,0\n"' + OVERLONG + b'",1\n', 2, None),
+        (b'"x' + OVERLONG + b'",label\n1.0,0\n', None, None),
         # Whichever of a rejected record and a bad byte comes first is named.
-        (b'x0,label\n"' + OVERLONG + b'",0\n\xff2.0,1\n', {}, 1, None),
-        (b'x0,label\n\xff1.0,0\n"' + OVERLONG + b'",1\n', {}, 1, 1),
-    ])
-    def test_rejected_record_is_parse_error(self, tmp_path, content, schema_kwargs, row, column):
+        (b'x0,label\n"' + OVERLONG + b'",0\n\xff2.0,1\n', 1, None),
+        (b'x0,label\n\xff1.0,0\n"' + OVERLONG + b'",1\n', 1, 1),
+    ], ids=["body", "header", "record-before-byte", "byte-before-record"])
+    def test_rejected_record_is_parse_error(self, tmp_path, content, row, column):
         path = tmp_path / "long.csv"
         path.write_bytes(content)
         with pytest.raises(ParseError) as excinfo:
-            load_csv(path, CsvSchema(**schema_kwargs))
+            load_csv(path)
         assert (excinfo.value.row, excinfo.value.column) == (row, column)
         assert str(excinfo.value).startswith(f"row {row}" if row else "header")
 
