@@ -196,10 +196,6 @@ def _write_manifest(output_path, subcommand, params, inputs, seed=None):
     _manifest_path(output_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load(path, intercept=True):
-    return load_csv(path, intercept=intercept)
-
-
 def _weight_columns(d):
     return [f"w_{i}" for i in range(d)]
 
@@ -246,11 +242,11 @@ def cmd_fit(args):
             [("--trace", args.trace), ("manifest", _manifest_path(args.trace))],
             [("--data", args.data), ("--test", args.test)],
         )
-    data, truth = _load(args.data, intercept=not args.no_intercept)
+    data, truth = load_csv(args.data, intercept=not args.no_intercept)
     lam = args.lam
     test = None
     if args.test:
-        test_data, _ = _load(args.test, intercept=not args.no_intercept)
+        test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
         test = (test_data.labeled_features, test_data.labels)
 
     if args.method == "supervised":
@@ -312,7 +308,7 @@ def cmd_fit(args):
 
 
 def cmd_diagnose(args):
-    data, _ = _load(args.data, intercept=not args.no_intercept)
+    data, _ = load_csv(args.data, intercept=not args.no_intercept)
     lam = args.lam
     print(f"labeled = {data.n_labeled}")
     print(f"unlabeled = {data.n_unlabeled}")
@@ -346,7 +342,7 @@ def cmd_diagnose(args):
 
 def _basin_test_set(args, data, truth):
     if args.test:
-        test_data, _ = _load(args.test, intercept=not args.no_intercept)
+        test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
         return test_data.labeled_features, test_data.labels
     if truth is not None and data.n_unlabeled > 0:
         return data.unlabeled_features, truth
@@ -358,7 +354,7 @@ def cmd_basin(args):
         _experiment_outputs(args.out) + [("--paths", args.paths)],
         [("--data", args.data), ("--test", args.test)],
     )
-    data, truth = _load(args.data, intercept=not args.no_intercept)
+    data, truth = load_csv(args.data, intercept=not args.no_intercept)
     test_features, test_labels = _basin_test_set(args, data, truth)
     starts = random_init_near_supervised(data, args.lam, args.starts, args.scale, args.seed)
     result = run_basin_study(data, args.lam, args.method, starts, test_features, test_labels)
@@ -464,7 +460,7 @@ def cmd_local_optima(args):
     _check_outputs(_experiment_outputs(args.out), [("--data", path) for path in args.data])
     datasets = {}
     for name, path in paths.items():
-        data, _ = _load(path, intercept=not args.no_intercept)
+        data, _ = load_csv(path, intercept=not args.no_intercept)
         if data.n_unlabeled:
             raise InvalidInputError(f"{path}: local-optima input must be fully labeled")
         datasets[name] = data
@@ -553,7 +549,7 @@ def _parse_u_values(text):
 def cmd_learning_curve(args):
     u_values = _parse_u_values(args.u_values)
     _check_outputs(_experiment_outputs(args.out), [("--data", args.data)])
-    data, _ = _load(args.data, intercept=not args.no_intercept)
+    data, _ = load_csv(args.data, intercept=not args.no_intercept)
     if data.n_unlabeled:
         raise InvalidInputError(f"{args.data}: learning-curve input must be fully labeled")
     report = run_learning_curve(

@@ -187,10 +187,12 @@ def _parse_label(token, row_number):
         value = float(token)
     except ValueError:
         raise SchemaError(
-            f"row {row_number}: label {token!r} is neither 0, 1 nor the missing token"
+            f"row {row_number}: label {token!r} is neither 0, 1 nor empty", row=row_number
         ) from None
     if value not in (0.0, 1.0):
-        raise SchemaError(f"row {row_number}: label value {value} outside {{0, 1}}")
+        raise SchemaError(
+            f"row {row_number}: label value {value} outside {{0, 1}}", row=row_number
+        )
     return value
 
 
@@ -199,9 +201,13 @@ def _parse_truth(token, row_number):
     try:
         value = float(token)
     except ValueError:
-        raise SchemaError(f"row {row_number}: true_label {token!r} is not a number") from None
+        raise SchemaError(
+            f"row {row_number}: true_label {token!r} is not a number", row=row_number
+        ) from None
     if value not in (0.0, 1.0):
-        raise SchemaError(f"row {row_number}: true_label value {value} outside {{0, 1}}")
+        raise SchemaError(
+            f"row {row_number}: true_label value {value} outside {{0, 1}}", row=row_number
+        )
     return value
 
 
@@ -225,9 +231,12 @@ def _csv_rows(text, rows=None):
 
 
 def _decode(data):
-    """The UTF-8 text of a file; an undecodable byte is a ParseError at its field."""
+    """The UTF-8 text of a file, without a leading byte-order mark.
+
+    An undecodable byte is a ParseError at its field.
+    """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
     # Escaped, each undecodable byte becomes a lone surrogate, which no
@@ -236,7 +245,7 @@ def _decode(data):
     # rejects comes before it.
     rows, error = [], ParseError(f"byte 0x{bad:02x} is not valid UTF-8")
     try:
-        _csv_rows(data.decode("utf-8", "surrogateescape"), rows)
+        _csv_rows(data.decode("utf-8-sig", "surrogateescape"), rows)
     except ParseError as exc:
         error = exc
     for row_number, row in enumerate(rows):
@@ -340,7 +349,7 @@ def load_csv(path, intercept=True):
 
     The file is comma-delimited UTF-8 with a header row naming a
     ``label`` column and, optionally, a ``true_label`` column; any other
-    column is a feature. Rows with an empty label field become the
+    column is a feature. A leading UTF-8 byte-order mark is ignored. Rows with an empty label field become the
     unlabeled block (file order preserved within each block). When a
     ``true_label`` column is present its values for the unlabeled rows
     are returned as the hidden ground truth. A header that repeats
@@ -463,20 +472,26 @@ def _build_split(data, labeled_idx, unlabeled_idx, test_idx):
     )
 
 
-def split_for_local_optima(data, test_fraction=0.2, unlabel_fraction=0.8, seed=0):
-    """Hold out a test fraction, then hide labels from a fraction of the rest.
+# The local-minima protocol's split: this share of the rows is held out
+# for testing, and this share of the rest has its labels hidden.
+LOCAL_OPTIMA_TEST_FRACTION = 0.2
+LOCAL_OPTIMA_UNLABEL_FRACTION = 0.8
 
-    Counts use floor rounding for the test and unlabeled parts; whatever
-    remains stays labeled. Splits whose labeled part misses a class are
-    resampled (up to 100 attempts) before giving up.
+
+def split_for_local_optima(data, seed=0):
+    """Hold out a test fifth, then hide labels from four fifths of the rest.
+
+    The fractions are ``LOCAL_OPTIMA_TEST_FRACTION`` and
+    ``LOCAL_OPTIMA_UNLABEL_FRACTION``. Counts use floor rounding for the
+    test and unlabeled parts; whatever remains stays labeled. Splits whose
+    labeled part misses a class are resampled (up to 100 attempts) before
+    giving up.
     """
     _require_fully_labeled(data)
-    if not 0.0 < test_fraction < 1.0 or not 0.0 < unlabel_fraction < 1.0:
-        raise InvalidInputError("fractions must lie strictly between 0 and 1")
     total = data.n_labeled
-    n_test = int(np.floor(test_fraction * total))
+    n_test = int(np.floor(LOCAL_OPTIMA_TEST_FRACTION * total))
     remaining = total - n_test
-    n_unlabeled = int(np.floor(unlabel_fraction * remaining))
+    n_unlabeled = int(np.floor(LOCAL_OPTIMA_UNLABEL_FRACTION * remaining))
     n_labeled = remaining - n_unlabeled
     if n_labeled == 0:
         raise DegenerateSplitError("split leaves no labeled examples")

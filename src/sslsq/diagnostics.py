@@ -118,11 +118,12 @@ def build_hessian(data, kind, lam=0.0):
     return HessianBlock(matrix=matrix, kind=kind)
 
 
-def is_psd(matrix, tolerance=None):
-    """True iff the smallest eigenvalue is at least ``-tolerance``.
+def is_psd(matrix):
+    """True iff the smallest eigenvalue is at least ``-1e-8 * ||H||``.
 
-    ``tolerance`` defaults to ``1e-8 * ||H||`` (spectral norm). Inputs
-    asymmetric beyond 1e-10 (scaled by the largest entry) are rejected.
+    ``||H||`` is the spectral norm, the largest eigenvalue magnitude.
+    Inputs asymmetric beyond 1e-10 (scaled by the largest entry) are
+    rejected.
     """
     H = np.asarray(matrix, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -138,8 +139,7 @@ def is_psd(matrix, tolerance=None):
     work = np.add(H, H.T, out=work)
     work *= 0.5
     eigenvalues = np.linalg.eigvalsh(work)
-    if tolerance is None:
-        tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
+    tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
     return bool(eigenvalues[0] >= -tolerance)
 
 
@@ -218,8 +218,11 @@ _SLACK_ULPS = 1024
 # the 1e6-scaled collinear designs included.
 _VANISH_ULPS = 1024
 
+# The (a, b) sums are scanned in blocks of about this many labelings.
+_CHUNK_LABELINGS = 4096
 
-def brute_force_hard_minimum(data, lam=0.0, chunk=4096):
+
+def brute_force_hard_minimum(data, lam=0.0):
     """Exact global minimum of the responsibility objective over binary labels.
 
     Covers all ``2^U`` labelings (capped at U <= 20) by meet in the
@@ -229,8 +232,8 @@ def brute_force_hard_minimum(data, lam=0.0, chunk=4096):
     its first ``floor(U/2)`` labels ``a`` and the rest ``b``: the value is
     ``f(a) + h(b) + 2 a'A_ab b``. The two half-tables ``f`` and ``h`` have
     ``2^(U/2)`` entries each, and the ``(a, b)`` sums are scanned in blocks
-    of about ``chunk`` labelings (at least one ``a`` row each), so no
-    labeling needs its own solve and memory stays bounded.
+    of about ``_CHUNK_LABELINGS`` labelings (at least one ``a`` row each),
+    so no labeling needs its own solve and memory stays bounded.
 
     Row-major order over ``(a, b)`` is lexicographic order. The table
     rounds differently from the objective, so every labeling within a
@@ -283,7 +286,7 @@ def brute_force_hard_minimum(data, lam=0.0, chunk=4096):
     # Index i * width + j is labeling (a_i, b_j), whose bits, most
     # significant first, are the free labels.
     width = len(column_values)
-    rows = max(1, chunk // width)
+    rows = max(1, _CHUNK_LABELINGS // width)
     best = np.inf
     kept = np.zeros(0, dtype=np.int64)
     kept_values = np.zeros(0)

@@ -33,12 +33,14 @@ class ParseError(Error):
 class SchemaError(Error):
     """File contents violate the dataset file format (labels, columns).
 
-    ``column`` is the 1-based column of the offending header field, when
-    known.
+    ``row`` is the 1-based data row of an offending ``label`` or
+    ``true_label`` field (header excluded), and ``column`` the 1-based
+    column of an offending header field, when known.
     """
 
-    def __init__(self, message, column=None):
+    def __init__(self, message, row=None, column=None):
         super().__init__(message)
+        self.row = row
         self.column = column
 
 

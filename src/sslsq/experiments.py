@@ -84,18 +84,18 @@ def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     return w_sup + sd * rng.standard_normal((int(count), w_sup.size))
 
 
-def count_unique_optima(finals, rel_tolerance=CLUSTER_TOLERANCE):
+def count_unique_optima(finals):
     """Number of distinct converged weight vectors, and a cluster id per vector.
 
     Two vectors belong to the same optimum when their max-norm distance is
-    below ``rel_tolerance * (1 + largest entry magnitude over all vectors)``;
+    below ``CLUSTER_TOLERANCE * (1 + largest entry magnitude over all vectors)``;
     clusters are the connected components of that relation, so the count
     does not depend on input order.
     """
     finals = np.asarray(finals, dtype=float)
     if finals.size == 0:
         return 0, np.zeros(0, dtype=int)
-    threshold = rel_tolerance * (1.0 + float(np.max(np.abs(finals))))
+    threshold = CLUSTER_TOLERANCE * (1.0 + float(np.max(np.abs(finals))))
     n, d = finals.shape
     # A breadth-first search from each vector not yet reached, in index
     # order, so ids follow each cluster's first vector. The frontier is
@@ -241,26 +241,23 @@ def run_local_optima_study(
     lam=0.0,
     seed=0,
     scale=1.0,
-    test_fraction=0.2,
-    unlabel_fraction=0.8,
     config=SolverConfig(),
 ):
     """Random-restart comparison of both solvers across named datasets.
 
-    Each fully labeled dataset is split (test fraction, then hidden-label
-    fraction), and one basin study per solver runs it from the supervised
-    solution and from ``restarts`` random perturbations of it, collecting
-    test errors and unique-minima counts. Datasets whose split is
-    degenerate are skipped with a recorded reason.
+    Each fully labeled dataset is split by ``split_for_local_optima`` (a
+    test fifth, then labels hidden from four fifths of the rest), and one
+    basin study per solver runs it from the supervised solution and from
+    ``restarts`` random perturbations of it, collecting test errors and
+    unique-minima counts. Datasets whose split is degenerate are skipped
+    with a recorded reason.
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be at least 1")
     records, skipped = [], []
     for position, (name, data) in enumerate(datasets.items()):
         try:
-            split = split_for_local_optima(
-                data, test_fraction, unlabel_fraction, derive_rng(seed, position, 0)
-            )
+            split = split_for_local_optima(data, derive_rng(seed, position, 0))
         except DegenerateSplitError as exc:
             skipped.append((name, str(exc)))
             continue

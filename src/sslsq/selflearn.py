@@ -215,34 +215,6 @@ def _kept_rounds(count):
     return np.array(kept)
 
 
-def _method_rule(method, n_labeled, lam):
-    """A solver's label imputation and per-start objective.
-
-    Both act on blocks with one row per start. The imputed labels are
-    the unlabeled rows' targets. The objective scores a round from the
-    fitted values ``W X^T`` of the stacked design and their residuals
-    from the targets.
-    """
-    if method == "soft":
-        return (
-            _soft_labels,
-            lambda residual, fitted, labels, W: _squared_objective(residual, W, lam),
-        )
-    if method == "hard":
-        return (
-            _hard_labels,
-            lambda residual, fitted, labels, W: _responsibility_value(
-                residual[:, :n_labeled],
-                fitted[:, n_labeled:],
-                labels,
-                W,
-                _CLASS_CODES,
-                lam,
-            ),
-        )
-    raise InvalidInputError(f"unknown method {method!r}")
-
-
 # Starts run in blocks of at most this many (start, design row) entries.
 # A round keeps a few such (starts, N) arrays live, so the cap bounds its
 # memory whatever the number of starts, and at 128 KiB per array a round
@@ -263,14 +235,17 @@ def _by_rows(block, matrix):
     return (block[:, None, :] @ matrix)[:, 0, :]
 
 
-def _run_descent(config, known, design, solve, starts, impute, objective, hard):
+def _run_descent(config, known, design, solve, starts, lam, hard):
     """Advance a block of starts in lock-step until each one stops.
 
     ``starts`` is an (S, d) array, one starting weight vector per row.
     The starts share one problem, given as the known labels ``known``
     (L,), the stacked design ``design`` (N, d) and its ridge operator
     ``solve`` (d, N), or each start has its own: ``known`` (S, L),
-    ``design`` (S, N, d) and ``solve`` (S, d, N). Every round imputes the
+    ``design`` (S, N, d) and ``solve`` (S, d, N). ``hard`` picks the
+    solver: 0/1 responsibilities scored by the responsibility objective,
+    or clamped decision values scored by the squared objective, each
+    with ridge penalty ``lam``. Every round imputes the
     labels of all working starts from their decision values, re-fits
     their weights with one product with the ridge operator, and takes
     their objectives and next decision values from one product with the
@@ -309,7 +284,7 @@ def _run_descent(config, known, design, solve, starts, impute, objective, hard):
             known = known[: active.size]
 
     for _ in range(config.max_iterations):
-        candidate = impute(scores)
+        candidate = _hard_labels(scores) if hard else _soft_labels(scores)
         if hard and labels is not None:
             stable = (candidate == labels).all(axis=1)
             stopped = np.count_nonzero(stable)
@@ -326,9 +301,15 @@ def _run_descent(config, known, design, solve, starts, impute, objective, hard):
         fitted = _by_rows(W, design_t)
         # The targets are spent once W is known, so the residual overwrites them.
         residual = np.subtract(fitted, targets, out=targets)
+        if hard:
+            values = _responsibility_value(
+                residual[:, :n_labeled], fitted[:, n_labeled:], labels, W, _CLASS_CODES, lam
+            )
+        else:
+            values = _squared_objective(residual, W, lam)
         # Python floats: the trace stores them, and on a one-start block
         # the stop test costs less in Python than in numpy calls.
-        values = objective(residual, fitted, labels, W).tolist()
+        values = values.tolist()
         rounds.append((active, W, values))
         if not hard and previous is not None:
             done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
@@ -380,7 +361,8 @@ def _start_results(rounds, stops):
 
 def _fit(data, starts, method, lam, config):
     lam = _check_lam(lam)
-    rule = _method_rule(method, data.n_labeled, lam)
+    if method not in ("soft", "hard"):
+        raise InvalidInputError(f"unknown method {method!r}")
     hard = method == "hard"
     starts = [_check_start(data, w) for w in starts]
     if not starts:
@@ -394,10 +376,10 @@ def _fit(data, starts, method, lam, config):
     known, design = data.labels, data.extended_features
     # The design stays fixed over the fit, so it is factorized once.
     solve = ridge_operator(design, lam)
-    return _descend(config, known, design, solve, np.asarray(starts), rule, hard)
+    return _descend(config, known, design, solve, np.asarray(starts), lam, hard)
 
 
-def _descend(config, known, design, solve, starts, rule, hard):
+def _descend(config, known, design, solve, starts, lam, hard):
     """``_run_descent`` over blocks of at most ``_BLOCK_ELEMENTS`` (start, design row) entries."""
     rows = max(1, _BLOCK_ELEMENTS // design.shape[-2])
     per_start = design.ndim == 3
@@ -407,7 +389,7 @@ def _descend(config, known, design, solve, starts, rule, hard):
         problem = (known, design, solve)
         if per_start:
             problem = (known[block], design[block], solve[block])
-        results += _run_descent(config, *problem, starts[block], *rule, hard)
+        results += _run_descent(config, *problem, starts[block], lam, hard)
     return results
 
 
@@ -479,8 +461,7 @@ def _fit_stack(known, design, lam, config):
     else:
         solve = ridge_operator(design, lam)
         fits = [
-            _descend(config, known, design, solve, supervised,
-                     _method_rule(method, n_labeled, lam), method == "hard")
-            for method in ("soft", "hard")
+            _descend(config, known, design, solve, supervised, lam, hard)
+            for hard in (False, True)
         ]
     return supervised, solve, *fits

@@ -140,10 +140,12 @@ def _rowwise_label(token, row_number):
         value = float(token)
     except ValueError:
         raise SchemaError(
-            f"row {row_number}: label {token!r} is neither 0, 1 nor the missing token"
+            f"row {row_number}: label {token!r} is neither 0, 1 nor empty", row=row_number
         ) from None
     if value not in (0.0, 1.0):
-        raise SchemaError(f"row {row_number}: label value {value} outside {{0, 1}}")
+        raise SchemaError(
+            f"row {row_number}: label value {value} outside {{0, 1}}", row=row_number
+        )
     return value
 
 
@@ -155,6 +157,8 @@ def rowwise_load_csv(path, intercept=True):
     through a strict UTF-8 text stream, so an undecodable byte raises
     ``UnicodeDecodeError`` here. It reads a repeated ``label`` or
     ``true_label`` header column as a feature, which ``load_csv`` refuses.
+    It keeps a leading byte-order mark in the first header name, which
+    ``load_csv`` drops.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -206,11 +210,13 @@ def rowwise_load_csv(path, intercept=True):
                     true_value = float(true_token)
                 except ValueError:
                     raise SchemaError(
-                        f"row {row_number}: true_label {true_token!r} is not a number"
+                        f"row {row_number}: true_label {true_token!r} is not a number",
+                        row=row_number,
                     ) from None
                 if true_value not in (0.0, 1.0):
                     raise SchemaError(
-                        f"row {row_number}: true_label value {true_value} outside {{0, 1}}"
+                        f"row {row_number}: true_label value {true_value} outside {{0, 1}}",
+                        row=row_number,
                     )
                 truth.append(true_value)
         else:

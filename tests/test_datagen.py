@@ -21,6 +21,7 @@ from sslsq import (
     save_csv,
     split_for_local_optima,
 )
+from sslsq.cli import main
 from sslsq.datagen import derive_rng
 
 from conftest import rowwise_load_csv
@@ -119,8 +120,22 @@ class TestCsvRoundTrip:
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,target\n1,0\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as excinfo:
             load_csv(path)
+        assert excinfo.value.row is None
+
+    @pytest.mark.parametrize("content, message", [
+        ("x0,label\n1.0,yes\n2.0,\n", "row 1: label 'yes' is neither 0, 1 nor empty"),
+        ("x0,label,true_label\n1.0,,maybe\n2.0,0,0\n",
+         "row 1: true_label 'maybe' is not a number"),
+    ], ids=["label", "true_label"])
+    def test_label_errors_name_their_row(self, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(SchemaError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == message
+        assert (excinfo.value.row, excinfo.value.column) == (1, None)
 
     @pytest.mark.parametrize("content, name, column", [
         (b"x0,label,label\n1.0,0,0\n2.0,1,1\n3.0,,\n", "label", 3),
@@ -134,7 +149,7 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError) as excinfo:
             load_csv(path)
         assert str(excinfo.value) == f"header, column {column}: duplicate column {name!r}"
-        assert excinfo.value.column == column
+        assert (excinfo.value.row, excinfo.value.column) == (None, column)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -187,7 +202,6 @@ LOADER_CASES = [
     ("no-final-newline", PLAIN.rstrip(b"\n"), {}),
     ("quoted-fields", b'"x0","label"\n"1.0",0\n2.0,"1"\n"3.0",""\n', {}),
     ("bom-before-feature", b"\xef\xbb\xbfx0,label\n1.0,0\n2.0,1\n3.0,\n", {}),
-    ("bom-before-label", b"\xef\xbb\xbflabel,x0\n0,1.0\n1,2.0\n,3.0\n", {}),
     ("padded-fields", b"x0 , label\n 1.0 ,\t0\n2.0\t, 1 \n  3.0, \n", {}),
     ("control-padding", b"x0,label\n\x1f1.0\x1c,0\n2.0,1\n3.0,\n", {}),
     ("digit-underscores", b"x0,label\n1_0,0\n2_5.0_1,1\n3.0,\n", {}),
@@ -266,6 +280,27 @@ class TestColumnarLoad:
         path.write_bytes(content)
         assert_loads_like_rowwise(path, **load_kwargs)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["plain", "crlf"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, newline):
+        # The row-by-row loader keeps the mark in the first header name, so
+        # a file that starts with the label column is checked against the
+        # same file without the mark: arrays and `sslsq fit` output alike.
+        body = b"label,x0\n0,1.0\n1,2.0\n,3.0\n".replace(b"\n", newline)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert_loads_like_rowwise(plain)
+        (data, truth), (want, want_truth) = load_csv(marked), load_csv(plain)
+        assert _bits(data.labeled_features) == _bits(want.labeled_features)
+        assert _bits(data.labels) == _bits(want.labels)
+        assert _bits(data.unlabeled_features) == _bits(want.unlabeled_features)
+        assert truth is None and want_truth is None
+        outputs = []
+        for path in (marked, plain):
+            assert main(["fit", "--data", str(path), "--method", "soft"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     def test_large_plain_file_matches_rowwise_loader(self, tmp_path):
         data, truth = generate(SyntheticSpec(
             kind=SyntheticKind.TWO_GAUSSIAN_2D, labeled_per_class=5, unlabeled_total=2000, seed=4,
@@ -334,10 +369,6 @@ class TestSplitForLocalOptima:
         np.testing.assert_array_equal(
             split.unlabeled_truth, data.labels[split.unlabeled_indices]
         )
-
-    def test_rejects_zero_fraction(self):
-        with pytest.raises(InvalidInputError):
-            split_for_local_optima(self.fully_labeled(), test_fraction=0.0)
 
     def test_rejects_partially_labeled_input(self, rng):
         data = Dataset(rng.standard_normal((5, 2)), [0, 1, 0, 1, 1],

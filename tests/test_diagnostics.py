@@ -232,9 +232,10 @@ class TestBruteForce:
             return responsibility_objective(*args)
 
         monkeypatch.setattr(diagnostics, "responsibility_objective", counting)
+        monkeypatch.setattr(diagnostics, "_CHUNK_LABELINGS", 64)
         for _ in range(5):
             calls.clear()
-            brute_force_hard_minimum(make_dataset(rng, 6, 14, 3), 0.0, chunk=64)
+            brute_force_hard_minimum(make_dataset(rng, 6, 14, 3), 0.0)
             assert len(calls) == 1
 
     def test_matches_earlier_enumeration_at_sixteen(self, rng):
@@ -361,14 +362,16 @@ class TestBruteForce:
         with pytest.raises(CapacityError):
             brute_force_hard_minimum(data, 0.0)
 
-    def test_chunking_is_transparent(self, rng):
+    def test_chunking_is_transparent(self, rng, monkeypatch):
         # A table row holds 2^ceil(U/2) labelings: chunks 1 and 3 are less
         # than one row at U = 6 and 7, and chunk 2^20 is more than 2^U.
         for unlabeled_count in (6, 7):
             data = make_dataset(rng, 4, unlabeled_count, 2)
-            full = brute_force_hard_minimum(data, 0.0, chunk=4096)
+            monkeypatch.setattr(diagnostics, "_CHUNK_LABELINGS", 4096)
+            full = brute_force_hard_minimum(data, 0.0)
             for chunk in (1, 3, 7, 1 << unlabeled_count, 1 << 20):
-                small = brute_force_hard_minimum(data, 0.0, chunk=chunk)
+                monkeypatch.setattr(diagnostics, "_CHUNK_LABELINGS", chunk)
+                small = brute_force_hard_minimum(data, 0.0)
                 np.testing.assert_array_equal(full.labels, small.labels)
                 np.testing.assert_array_equal(full.weights, small.weights)
                 assert full.objective == small.objective

@@ -365,6 +365,26 @@ class TestBasinStudy:
                 run_basin_study(data, 0.0, method, [good[0], bad, good[1]],
                                 data.unlabeled_features, truth)
 
+    def test_unknown_method_raises(self, monkeypatch):
+        # The method is checked first: before the starts, before the
+        # shortcut for data with no unlabeled rows, and before any descent.
+        import sslsq.selflearn as selflearn
+
+        data, truth = small_two_cluster()
+        supervised_only = Dataset(data.labeled_features, data.labels)
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("a descent ran before the method was checked")
+
+        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        for problem in (data, supervised_only):
+            w = ridge_solve(problem.labeled_features, problem.labels, 0.0)
+            for starts in ([w], []):
+                with pytest.raises(InvalidInputError, match="unknown method 'medium'"):
+                    fit_starts(problem, starts, "medium")
+            with pytest.raises(InvalidInputError, match="unknown method 'medium'"):
+                run_basin_study(problem, 0.0, "medium", [w], data.unlabeled_features, truth)
+
     def test_iterations_survive_trace_thinning(self, monkeypatch):
         import sslsq.selflearn as selflearn
 
