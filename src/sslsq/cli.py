@@ -374,7 +374,7 @@ def cmd_basin(args):
     rows = [
         (
             record.start_index,
-            record.init_kind,
+            "random" if record.start_index >= 0 else "supervised",
             record.fit.iterations,
             record.fit.trace.converged,
             record.fit.trace.stop_reason.value,
@@ -384,12 +384,12 @@ def cmd_basin(args):
             "ok",
             *record.fit.weights,
         )
-        for record in result.all_records
+        for record in result.runs
     ]
     _write_columns(args.out, header, list(zip(*rows)))
 
     by_optimum = {}
-    for record in result.all_records:
+    for record in result.runs:
         by_optimum.setdefault(record.optimum_id, []).append(record)
     agg_rows = []
     for optimum in sorted(by_optimum):
@@ -428,13 +428,12 @@ def cmd_basin(args):
     )
 
     if args.paths:
-        records = result.all_records
-        traces = [record.fit.trace for record in records]
+        traces = [record.fit.trace for record in result.runs]
         _write_columns(
             args.paths,
             ["start", "iteration", "objective"] + _weight_columns(d),
             [
-                np.repeat([record.start_index for record in records],
+                np.repeat([record.start_index for record in result.runs],
                           [trace.rounds.size for trace in traces]),
                 np.concatenate([trace.rounds for trace in traces]),
                 np.concatenate([trace.objectives for trace in traces]),
@@ -442,7 +441,7 @@ def cmd_basin(args):
             ],
         )
     print(f"unique_optima = {result.unique_optima_count}")
-    print(f"runs = {len(result.all_records)}")
+    print(f"runs = {len(result.runs)}")
     return EXIT_OK
 
 
@@ -476,11 +475,12 @@ def cmd_local_optima(args):
     for record in report.records:
         rows.append((record.name, "supervised", "supervised", -1, record.supervised_error, "ok"))
         for method, study in record.studies.items():
-            start = study.supervised_record
-            rows.append((record.name, method, "supervised", -1, start.test_error, "ok"))
+            rows.append((record.name, method, "supervised", -1, study.runs[0].test_error, "ok"))
         for method, study in record.studies.items():
-            for i, start in enumerate(study.records):
-                rows.append((record.name, method, "random", i, start.test_error, "ok"))
+            for start in study.runs[1:]:
+                rows.append(
+                    (record.name, method, "random", start.start_index, start.test_error, "ok")
+                )
     for name, reason in report.skipped:
         rows.append((name, "", "", None, None, f"skipped: {reason}"))
     _write_columns(
@@ -490,13 +490,13 @@ def cmd_local_optima(args):
     agg_rows = []
     for record in report.records:
         for method, study in record.studies.items():
-            errors = [start.test_error for start in study.records]
+            errors = [start.test_error for start in study.runs[1:]]
             agg_rows.append(
                 (
                     record.name,
                     method,
                     record.supervised_error,
-                    study.supervised_record.test_error,
+                    study.runs[0].test_error,
                     float(np.mean(errors)),
                     float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else None,
                     study.unique_optima_count,
@@ -601,17 +601,14 @@ def cmd_learning_curve(args):
     return EXIT_OK
 
 
-def _add_common(parser, *, seed_required, threads=False):
+def _add_common(parser, *, experiment=False):
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
                         help="ridge penalty (default 0)")
     parser.add_argument("--no-intercept", action="store_true",
                         help="do not append a constant intercept column on load")
-    if seed_required:
+    if experiment:
         parser.add_argument("--seed", type=int, required=True,
-                            help="base seed (required; no wall-clock default)")
-    else:
-        parser.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
-    if threads:
+                            help="base seed, 0 to 2^64 - 1 (required; no wall-clock default)")
         parser.add_argument("--threads", type=int, default=1,
                             help="accepted and ignored: every experiment runs its starts "
                             "or repeats as batches in one thread; never changes the "
@@ -650,12 +647,13 @@ def build_parser():
     p.add_argument("--method", choices=["supervised", "soft", "hard", "oracle"], required=True)
     p.add_argument("--test", default=None, help="fully labeled CSV for test error")
     p.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
-    _add_common(p, seed_required=False)
+    p.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
+    _add_common(p)
     p.set_defaults(command="cmd_fit")
 
     p = sub.add_parser("diagnose", help="convexity diagnostics and brute-force gap")
     p.add_argument("--data", required=True)
-    _add_common(p, seed_required=False)
+    _add_common(p)
     p.set_defaults(command="cmd_diagnose")
 
     p = sub.add_parser("basin", help="random-restart basin study")
@@ -666,7 +664,7 @@ def build_parser():
     p.add_argument("--test", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--paths", default=None, help="also write full convergence paths here")
-    _add_common(p, seed_required=True, threads=True)
+    _add_common(p, experiment=True)
     p.set_defaults(command="cmd_basin")
 
     p = sub.add_parser("local-optima", help="restart study across datasets")
@@ -674,7 +672,7 @@ def build_parser():
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    _add_common(p, seed_required=True, threads=True)
+    _add_common(p, experiment=True)
     p.set_defaults(command="cmd_local_optima")
 
     p = sub.add_parser("learning-curve", help="error curves over unlabeled counts")
@@ -683,7 +681,7 @@ def build_parser():
     p.add_argument("--u-values", default="1,2,4,8,16,32,64,128,256")
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--out", required=True)
-    _add_common(p, seed_required=True, threads=True)
+    _add_common(p, experiment=True)
     p.set_defaults(command="cmd_learning_curve")
 
     return parser

@@ -53,16 +53,25 @@ TRUE_LABEL_COLUMN = "true_label"
 MAX_SEED = 2**64 - 1
 
 
+def _check_seed(seed):
+    """The one rule for a root seed: an integer in ``[0, MAX_SEED]``."""
+    if not 0 <= int(seed) <= MAX_SEED:
+        raise InvalidInputError("seed must fit in 64 unsigned bits")
+    return int(seed)
+
+
 def derive_rng(seed, *key):
     """Generator for stream ``key`` of the root ``seed``.
 
-    Distinct keys give statistically independent streams, so parallel
-    repeats can be seeded as ``derive_rng(seed, repeat_index)``. Passing
-    an existing Generator returns it unchanged.
+    Distinct keys give statistically independent streams, so each repeat
+    can be seeded as ``derive_rng(seed, repeat_index)``. The root seed
+    must lie in ``[0, MAX_SEED]``; a seed outside raises
+    ``InvalidInputError``. Passing an existing Generator returns it
+    unchanged.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(map(int, key)))
     return np.random.default_rng(sequence)
 
 
@@ -100,8 +109,7 @@ class SyntheticSpec:
             raise InvalidInputError("class_separation must be positive")
         if not self.noise_sd > 0.0:
             raise InvalidInputError("noise_sd must be positive")
-        if not 0 <= int(self.seed) <= MAX_SEED:
-            raise InvalidInputError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
 
 
 _KIND_DIMS = {SyntheticKind.TWO_CLUSTER_1D: 1, SyntheticKind.TWO_GAUSSIAN_2D: 2}

@@ -136,8 +136,6 @@ class StartRecord:
     """
 
     start_index: int
-    init_kind: str
-    initial_weights: np.ndarray
     fit: FitResult
     test_error: float
     optimum_id: int
@@ -145,13 +143,14 @@ class StartRecord:
 
 @dataclass
 class BasinStudyResult:
-    records: list[StartRecord]
-    supervised_record: StartRecord
-    unique_optima_count: int
+    """Every run of a basin study, in one list.
 
-    @property
-    def all_records(self):
-        return [self.supervised_record] + self.records
+    ``runs[0]`` is the run from the supervised solution (``start_index``
+    -1), and ``runs[i]`` the run from ``starts[i - 1]``.
+    """
+
+    runs: list[StartRecord]
+    unique_optima_count: int
 
 
 def run_basin_study(
@@ -197,22 +196,13 @@ def run_basin_study(
             errors[first : first + block] = _stacked_errors(
                 finals[None, first : first + block], test_features[None], test_labels[None]
             )[0]
-    records = [
-        StartRecord(
-            start_index=index - 1,
-            init_kind="random" if index else "supervised",
-            initial_weights=w0,
-            fit=result,
-            test_error=error,
-            optimum_id=int(cluster),
-        )
-        for index, (w0, result, error, cluster) in enumerate(
-            zip(starts, results, errors.tolist(), cluster_ids)
+    runs = [
+        StartRecord(start_index=index - 1, fit=result, test_error=error, optimum_id=int(cluster))
+        for index, (result, error, cluster) in enumerate(
+            zip(results, errors.tolist(), cluster_ids)
         )
     ]
-    return BasinStudyResult(
-        records=records[1:], supervised_record=records[0], unique_optima_count=count
-    )
+    return BasinStudyResult(runs=runs, unique_optima_count=count)
 
 
 @dataclass
@@ -241,7 +231,6 @@ def run_local_optima_study(
     lam=0.0,
     seed=0,
     scale=1.0,
-    config=SolverConfig(),
 ):
     """Random-restart comparison of both solvers across named datasets.
 
@@ -269,7 +258,7 @@ def run_local_optima_study(
         )
         studies = {
             method: run_basin_study(
-                train, lam, method, starts, split.test_features, split.test_labels, config
+                train, lam, method, starts, split.test_features, split.test_labels
             )
             for method in ("soft", "hard")
         }

@@ -344,6 +344,12 @@ class TestDiagnose:
         pool = write_pool(tmp_path, n=10)
         assert run_cli(["diagnose", "--data", str(pool)]) == EXIT_NUMERICAL
 
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # diagnose draws no random numbers and writes no manifest.
+        path = write_cluster_data(tmp_path, unlabeled=8)
+        assert run_cli(["diagnose", "--data", str(path), "--seed", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestBasin:
     def test_row_count_and_determinism(self, tmp_path):
@@ -355,7 +361,11 @@ class TestBasin:
         assert run_cli(base + ["--out", str(out_a)]) == EXIT_OK
         assert run_cli(base + ["--out", str(out_b), "--threads", "3"]) == EXIT_OK
         # 10 random starts + 1 supervised start + header.
-        assert len(out_a.read_text().splitlines()) == 12
+        lines = out_a.read_text().splitlines()
+        assert len(lines) == 12
+        assert [line.split(",")[:2] for line in lines] == (
+            [["start", "init"], ["-1", "supervised"]] + [[str(i), "random"] for i in range(10)]
+        )
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
         manifest_a = (tmp_path / "a.manifest.txt").read_text()
@@ -434,6 +444,13 @@ class TestLocalOptima:
         lines = out.read_text().splitlines()
         # Per dataset: supervised + 2 from-supervised + 2 methods x 2 restarts.
         assert len(lines) == 1 + 2 * (3 + 4)
+        expected = [["dataset", "method", "init", "start"]]
+        for name in ("a", "b"):
+            expected.append([name, "supervised", "supervised", "-1"])
+            expected += [[name, method, "supervised", "-1"] for method in ("soft", "hard")]
+            expected += [[name, method, "random", str(i)]
+                         for method in ("soft", "hard") for i in range(2)]
+        assert [line.split(",")[:4] for line in lines] == expected
         agg = (tmp_path / "lo.agg.csv").read_text().splitlines()
         assert len(agg) == 1 + 2 * 2
 
@@ -578,3 +595,25 @@ class TestLearningCurve:
         assert run_cli(base + ["--out", str(out_b), "--threads", "4"]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("subcommand", ["basin", "local-optima", "learning-curve"])
+    def test_seed_outside_64_unsigned_bits_is_usage_error(self, tmp_path, capsys, subcommand,
+                                                          seed):
+        # Every seed that draws random numbers keeps generate's rule.
+        clusters = write_cluster_data(tmp_path)
+        pool = write_pool(tmp_path)
+        argv = {
+            "basin": ["basin", "--data", str(clusters), "--method", "hard", "--starts", "3"],
+            "local-optima": ["local-optima", "--data", str(pool), "--restarts", "2"],
+            "learning-curve": ["learning-curve", "--data", str(pool), "--labeled", "8",
+                               "--u-values", "1,2", "--repeats", "2"],
+        }[subcommand]
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(argv + ["--seed", seed, "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_USAGE
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before

@@ -22,7 +22,7 @@ from sslsq import (
     split_for_local_optima,
 )
 from sslsq.cli import main
-from sslsq.datagen import derive_rng
+from sslsq.datagen import MAX_SEED, derive_rng
 
 from conftest import rowwise_load_csv
 
@@ -472,3 +472,14 @@ class TestDeriveRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert derive_rng(gen) is gen
+
+    def test_root_seed_must_fit_in_64_unsigned_bits(self):
+        # The one seed rule, shared with SyntheticSpec; stream keys are
+        # not root seeds.
+        for seed in (0, MAX_SEED):
+            derive_rng(seed, 1)
+        for seed in (-1, MAX_SEED + 1):
+            with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
+                derive_rng(seed, 1)
+            with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
+                SyntheticSpec(seed=seed)

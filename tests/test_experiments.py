@@ -165,6 +165,9 @@ class TestRandomInit:
         for scale in (-1.0, float("inf"), float("nan")):
             with pytest.raises(InvalidInputError, match="scale must be positive and finite"):
                 random_init_near_supervised(data, 0.0, 5, scale)
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
+                random_init_near_supervised(data, 0.0, 5, 1.0, seed=seed)
 
 
 class TestUniqueOptima:
@@ -252,10 +255,9 @@ class TestBasinStudy:
         starts = random_init_near_supervised(data, 0.0, 8, 1.0, seed=2)
         result = run_basin_study(data, 0.0, "hard", list(starts),
                                  data.unlabeled_features, truth)
-        assert len(result.records) == 8
-        assert result.supervised_record.init_kind == "supervised"
+        assert [record.start_index for record in result.runs] == list(range(-1, 8))
         assert result.unique_optima_count <= 9
-        for record in result.all_records:
+        for record in result.runs:
             assert 0 <= record.optimum_id < result.unique_optima_count
             assert 0.0 <= record.test_error <= 1.0
             objectives = record.fit.trace.objectives
@@ -277,7 +279,7 @@ class TestBasinStudy:
         config = SolverConfig(max_iterations=20000, objective_tolerance=0.0)
         settled = fit_soft(data, 0.0, config).weights
         result = run_basin_study(data, 0.0, "soft", [settled], config=config)
-        record = result.records[0]
+        record = result.runs[1]
         assert record.fit.iterations <= 2
         assert np.max(np.abs(record.fit.weights - settled)) < 1e-8
 
@@ -298,8 +300,8 @@ class TestBasinStudy:
         result = run_basin_study(data, lam, method, starts, data.unlabeled_features, truth,
                                  config=config)
         batch = fit_starts(data, starts, method, lam, config=config)
-        for record, fitted in zip(result.records, batch):
-            alone = fit_starts(data, [record.initial_weights], method, lam, config=config)[0]
+        for record, start, fitted in zip(result.runs[1:], starts, batch):
+            alone = fit_starts(data, [start], method, lam, config=config)[0]
             trace = record.fit.trace
             assert record.fit.iterations == alone.iterations
             assert trace.stop_reason is alone.trace.stop_reason
@@ -313,10 +315,10 @@ class TestBasinStudy:
                 np.testing.assert_array_equal(fitted.imputed, alone.imputed)
             else:
                 np.testing.assert_allclose(fitted.imputed, alone.imputed, rtol=1e-12)
-        assert result.records[-1].fit.iterations <= 2
-        reasons = {r.fit.trace.stop_reason for r in result.records}
+        assert result.runs[-1].fit.iterations <= 2
+        reasons = {r.fit.trace.stop_reason for r in result.runs[1:]}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
-        assert len({r.fit.iterations for r in result.records}) >= 3
+        assert len({r.fit.iterations for r in result.runs[1:]}) >= 3
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         # Starts run in blocks capped by selflearn._BLOCK_ELEMENTS; blocks of
@@ -392,7 +394,7 @@ class TestBasinStudy:
         data, truth = small_two_cluster()
         config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = run_basin_study(data, 0.0, "soft", [np.zeros(2)], config=config)
-        record = result.records[0]
+        record = result.runs[1]
         assert record.fit.iterations == 200
         assert record.fit.trace.rounds.tolist() == list(range(0, 200, 10)) + [199]
         assert len(record.fit.trace.objectives) == len(record.fit.trace.rounds)
@@ -414,7 +416,7 @@ class TestBasinStudy:
 
         data, truth = small_two_cluster()
         starts = list(random_init_near_supervised(data, lam, 5, 1.0, seed=2))
-        finals = [r.fit.weights for r in run_basin_study(data, lam, "hard", starts).all_records]
+        finals = [r.fit.weights for r in run_basin_study(data, lam, "hard", starts).runs]
         targets = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
         first = data.n_unlabeled
         test = np.vstack([data.unlabeled_features, np.zeros((3 * len(finals), 2))])
@@ -429,7 +431,7 @@ class TestBasinStudy:
             monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block * len(labels))
         result = run_basin_study(data, lam, "hard", starts, test, labels)
         assert len({tuple(w) for w in finals}) > 1
-        for record, w in zip(result.all_records, finals):
+        for record, w in zip(result.runs, finals):
             np.testing.assert_array_equal(record.fit.weights, w)
             assert record.test_error == evaluate_error(w, test, labels)
 
@@ -467,7 +469,7 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study(datasets, restarts=1, lam=0.0, seed=0)
         assert [r.name for r in report.records] == ["a", "b"]
         for record in report.records:
-            assert [len(record.studies[m].records) for m in ("soft", "hard")] == [1, 1]
+            assert [len(record.studies[m].runs[1:]) for m in ("soft", "hard")] == [1, 1]
 
     def test_soft_has_no_more_minima_than_hard(self):
         datasets = {"clusters": fully_labeled_pool(120, 3)}
@@ -489,7 +491,7 @@ class TestLocalOptimaStudy:
                                         restarts=5, seed=1)
         record = report.records[0]
         values = np.array([record.supervised_error] + [
-            start.test_error for study in record.studies.values() for start in study.all_records
+            start.test_error for study in record.studies.values() for start in study.runs
         ])
         assert np.all((values >= 0.0) & (values <= 1.0))
 
