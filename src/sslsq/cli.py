@@ -33,10 +33,9 @@ from .datagen import (
 from .diagnostics import (
     ENUMERATION_CAP,
     HessianKind,
+    _psd_verdict,
     brute_force_hard_minimum,
-    build_hessian,
     find_witness,
-    is_psd,
 )
 from .errors import (
     CapacityError,
@@ -302,7 +301,6 @@ def cmd_fit(args):
             "fit",
             params={"method": args.method, "lambda": lam, "intercept": not args.no_intercept},
             inputs=inputs,
-            seed=args.seed,
         )
     return EXIT_OK
 
@@ -315,13 +313,13 @@ def cmd_diagnose(args):
     if data.n_unlabeled == 0:
         raise DegenerateInputError("diagnostics need at least one unlabeled row")
 
-    label_block = build_hessian(data, HessianKind.LABEL_BASED, lam=lam)
-    resp_block = build_hessian(data, HessianKind.RESPONSIBILITY_BASED, lam=lam)
-    print(f"label_hessian_psd = {is_psd(label_block.matrix)}")
-    print(f"label_hessian_min_diagonal = {_fmt(float(np.min(np.diag(label_block.matrix))))}")
+    label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam)
+    print(f"label_hessian_psd = {label_psd}")
+    print(f"label_hessian_min_diagonal = {_fmt(label_min_diagonal)}")
     label_witness = find_witness(data, HessianKind.LABEL_BASED, lam=lam)
     print(f"label_witness_value = {_fmt(label_witness.quadratic_form_value)}")
-    print(f"responsibility_hessian_psd = {is_psd(resp_block.matrix)}")
+    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam)
+    print(f"responsibility_hessian_psd = {resp_psd}")
     try:
         witness = find_witness(data, HessianKind.RESPONSIBILITY_BASED, lam=lam)
         print(f"responsibility_witness_value = {_fmt(witness.quadratic_form_value)}")
@@ -647,7 +645,6 @@ def build_parser():
     p.add_argument("--method", choices=["supervised", "soft", "hard", "oracle"], required=True)
     p.add_argument("--test", default=None, help="fully labeled CSV for test error")
     p.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in the manifest")
     _add_common(p)
     p.set_defaults(command="cmd_fit")
 

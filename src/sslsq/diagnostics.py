@@ -87,6 +87,23 @@ class GridSearchResult(NamedTuple):
     objective: float
 
 
+def _hessian_blocks(data, kind, lam):
+    """The leading block ``A`` and the trailing diagonal value of the kind's Hessian."""
+    if data.n_unlabeled == 0:
+        raise DegenerateInputError("hessian in (weights, labels) needs an unlabeled block")
+    if kind == HessianKind.LABEL_BASED:
+        bottom_diagonal = -2.0
+    elif kind == HessianKind.RESPONSIBILITY_BASED:
+        bottom_diagonal = 0.0
+    else:
+        raise InvalidInputError(f"unknown hessian kind {kind!r}")
+    extended = data.extended_features
+    leading = 2.0 * (extended.T @ extended)
+    if lam > 0.0:
+        leading += 2.0 * lam * np.eye(data.n_features)
+    return leading, bottom_diagonal
+
+
 def build_hessian(data, kind, lam=0.0):
     """Assemble the block curvature matrix for the chosen objective kind.
 
@@ -95,27 +112,22 @@ def build_hessian(data, kind, lam=0.0):
     1 and 0 for the responsibility-based kind, so with those codes the
     two kinds share their off-diagonal blocks.
     """
-    if data.n_unlabeled == 0:
-        raise DegenerateInputError("hessian in (weights, labels) needs an unlabeled block")
+    leading, bottom_diagonal = _hessian_blocks(data, kind, lam)
     d, unlabeled_count = data.n_features, data.n_unlabeled
-    extended = data.extended_features
-    unlabeled = data.unlabeled_features
-    if kind == HessianKind.LABEL_BASED:
-        bottom_diagonal = -2.0
-    elif kind == HessianKind.RESPONSIBILITY_BASED:
-        bottom_diagonal = 0.0
-    else:
-        raise InvalidInputError(f"unknown hessian kind {kind!r}")
-    cross = -2.0 * unlabeled.T
+    cross = -2.0 * data.unlabeled_features.T
     # Filled in place: the (d+U)^2 matrix is the only large allocation.
     matrix = np.zeros((d + unlabeled_count, d + unlabeled_count))
-    matrix[:d, :d] = 2.0 * (extended.T @ extended)
-    if lam > 0.0:
-        matrix[:d, :d] += 2.0 * lam * np.eye(d)
+    matrix[:d, :d] = leading
     matrix[:d, d:] = cross
     matrix[d:, :d] = cross.T
     np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
     return HessianBlock(matrix=matrix, kind=kind)
+
+
+def _psd_rule(eigenvalues):
+    """True iff the smallest eigenvalue is at least ``-1e-8`` times the largest magnitude."""
+    tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
+    return bool(np.min(eigenvalues) >= -tolerance)
 
 
 def is_psd(matrix):
@@ -138,9 +150,31 @@ def is_psd(matrix):
         raise InvalidInputError("matrix is not symmetric")
     work = np.add(H, H.T, out=work)
     work *= 0.5
-    eigenvalues = np.linalg.eigvalsh(work)
-    tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
-    return bool(eigenvalues[0] >= -tolerance)
+    return _psd_rule(np.linalg.eigvalsh(work))
+
+
+def _psd_verdict(data, kind, lam=0.0):
+    """``is_psd`` and the smallest diagonal entry of ``build_hessian(data, kind, lam).matrix``.
+
+    Neither needs the (d+U)^2 matrix, so this costs O(U d^2) time and O(U d) memory.
+    With ``-2 X_u = Q R`` (Q orthogonal, R of k = min(U, d) rows), conjugating H by
+    ``diag(I_d, Q)`` gives ``[[A, R'], [R, delta I_k]]`` plus U - k copies of delta.
+    """
+    leading, bottom_diagonal = _hessian_blocks(data, kind, lam)
+    d = data.n_features
+    coupling = np.linalg.qr(-2.0 * data.unlabeled_features, mode="r")
+    k = coupling.shape[0]
+    reduced = np.zeros((d + k, d + k))
+    reduced[:d, :d] = leading
+    reduced[d:, :d] = coupling
+    reduced[:d, d:] = coupling.T
+    np.fill_diagonal(reduced[d:, d:], bottom_diagonal)
+    eigenvalues = np.linalg.eigvalsh(reduced)
+    # The rule reads only the extremes, so one copy of delta stands for all U - k.
+    if data.n_unlabeled > k:
+        eigenvalues = np.append(eigenvalues, bottom_diagonal)
+    min_diagonal = float(np.min(np.append(np.diag(leading), bottom_diagonal)))
+    return _psd_rule(eigenvalues), min_diagonal
 
 
 def find_witness(data, kind, lam=0.0):

@@ -112,8 +112,12 @@ class FitTrace:
     weight_path: np.ndarray
     objectives: np.ndarray
     final_labels: np.ndarray
-    converged: bool
     stop_reason: StopReason
+
+    @property
+    def converged(self):
+        """True unless the run stopped at the round cap."""
+        return self.stop_reason is not StopReason.MAX_ITERATIONS
 
     @property
     def records(self):
@@ -199,7 +203,6 @@ def _supervised_result(features, known, w, lam, hard):
         weight_path=w[None, :],
         objectives=np.array([objective]),
         final_labels=empty,
-        converged=True,
         stop_reason=StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE,
     )
     return FitResult(w, empty, objective, trace)
@@ -352,7 +355,6 @@ def _start_results(rounds, stops):
             weight_path=weights[begin:end][kept],
             objectives=objectives[begin:end][kept],
             final_labels=labels,
-            converged=reason is not StopReason.MAX_ITERATIONS,
             stop_reason=reason,
         )
         results.append(FitResult(weights[end - 1], labels, float(objectives[end - 1]), trace))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sslsq.cli as cli
+from sslsq import HessianKind, build_hessian, diagnostics, is_psd, load_csv
 from sslsq.cli import (
     EXIT_CAPACITY,
     EXIT_NUMERICAL,
@@ -189,6 +190,16 @@ class TestFit:
         )
         assert (tmp_path / "trace.manifest.txt").exists()
 
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # fit draws no random numbers, so its trace manifest records no seed.
+        path = write_cluster_data(tmp_path, unlabeled=8)
+        trace = tmp_path / "trace.csv"
+        code = run_cli(["fit", "--data", str(path), "--method", "soft", "--trace", str(trace),
+                        "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("data_name, trace_name, clash", [
         ("d.csv", "d.csv", "--trace {trace} is the same file as --data {data}"),
         ("d.csv", "test.csv", "--trace {trace} is the same file as --test {test}"),
@@ -343,6 +354,33 @@ class TestDiagnose:
     def test_no_unlabeled_rows_is_numerical_class(self, tmp_path):
         pool = write_pool(tmp_path, n=10)
         assert run_cli(["diagnose", "--data", str(pool)]) == EXIT_NUMERICAL
+
+    def test_verdicts_come_without_the_dense_psd_test(self, tmp_path, capsys, monkeypatch):
+        path = write_cluster_data(tmp_path, unlabeled=396)
+        data, _ = load_csv(path)
+        expected = [is_psd(build_hessian(data, kind).matrix) for kind in HessianKind]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagnose took a verdict from the dense matrix")
+
+        built = []
+
+        def counting_build(data, kind, lam=0.0):
+            built.append(kind)
+            return build_hessian(data, kind, lam)
+
+        monkeypatch.setattr(cli, "is_psd", refuse, raising=False)
+        monkeypatch.setattr(cli, "build_hessian", refuse, raising=False)
+        monkeypatch.setattr(diagnostics, "is_psd", refuse)
+        monkeypatch.setattr(diagnostics, "build_hessian", counting_build)
+        capsys.readouterr()
+        assert run_cli(["diagnose", "--data", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"label_hessian_psd = {expected[0]}" in out
+        assert "label_hessian_min_diagonal = -2.0" in out
+        assert f"responsibility_hessian_psd = {expected[1]}" in out
+        # Only the two witnesses still build the dense matrix.
+        assert built == [HessianKind.LABEL_BASED, HessianKind.RESPONSIBILITY_BASED]
 
     def test_seed_is_not_an_option(self, tmp_path, capsys):
         # diagnose draws no random numbers and writes no manifest.

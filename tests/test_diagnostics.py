@@ -1,5 +1,7 @@
 """Hessian assembly, PSD testing, witnesses and the brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,65 @@ class TestIsPsd:
 
     def test_empty_matrix_is_psd(self):
         assert is_psd(np.zeros((0, 0)))
+
+
+def psd_instance(rng, variant):
+    """A dataset whose Hessians probe one edge of the reduced spectrum."""
+    d = int(rng.integers(1, 6))
+    unlabeled_count = int(rng.integers(1, 40))
+    if variant == "fewer unlabeled than features":
+        d = int(rng.integers(3, 7))
+        unlabeled_count = int(rng.integers(1, d))
+    labeled = rng.standard_normal((int(rng.integers(1, 8)), d))
+    unlabeled = rng.standard_normal((unlabeled_count, d))
+    if variant == "zero unlabeled":
+        unlabeled[:] = 0.0
+    elif variant == "rank-deficient unlabeled":
+        unlabeled = np.outer(rng.standard_normal(unlabeled_count), rng.standard_normal(d))
+    elif variant == "features scaled by 1e6":
+        labeled, unlabeled = 1e6 * labeled, 1e6 * unlabeled
+    elif variant == "features scaled by 1e-6":
+        labeled, unlabeled = 1e-6 * labeled, 1e-6 * unlabeled
+    elif variant == "coupling near the threshold":
+        # The responsibility verdict flips near a coupling scale of 1e-4.
+        unlabeled *= 10.0 ** rng.uniform(-6.0, -2.0)
+    return Dataset(labeled, (rng.random(len(labeled)) < 0.5).astype(float), unlabeled)
+
+
+class TestPsdVerdict:
+    @pytest.mark.parametrize("variant", [
+        "plain", "fewer unlabeled than features", "zero unlabeled", "rank-deficient unlabeled",
+        "features scaled by 1e6", "features scaled by 1e-6", "coupling near the threshold",
+    ])
+    def test_equals_dense_verdict_and_min_diagonal(self, rng, variant):
+        verdicts = set()
+        for _ in range(40):
+            data = psd_instance(rng, variant)
+            for lam in 0.0, 0.5, 1.0:
+                for kind in HessianKind.LABEL_BASED, HessianKind.RESPONSIBILITY_BASED:
+                    H = build_hessian(data, kind, lam).matrix
+                    expected = (is_psd(H), float(np.min(np.diag(H))))
+                    assert diagnostics._psd_verdict(data, kind, lam) == expected
+                    verdicts.add((kind, expected[0]))
+        if variant == "coupling near the threshold":
+            assert (HessianKind.RESPONSIBILITY_BASED, True) in verdicts
+            assert (HessianKind.RESPONSIBILITY_BASED, False) in verdicts
+
+    def test_memory_is_linear_in_unlabeled_count(self, rng):
+        # At d = 3 and U = 20,000 the dense matrix alone would take 3.2 GB.
+        data = make_dataset(rng, 4, 20_000, 3)
+        tracemalloc.start()
+        try:
+            verdicts = [diagnostics._psd_verdict(data, kind) for kind in HessianKind]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [psd for psd, _ in verdicts] == [False, False]
+        assert peak < 16e6
+
+    def test_requires_unlabeled_block(self, rng):
+        with pytest.raises(DegenerateInputError):
+            diagnostics._psd_verdict(make_dataset(rng, 4, 0, 2), HessianKind.LABEL_BASED)
 
 
 class TestFindWitness:
