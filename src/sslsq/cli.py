@@ -8,7 +8,8 @@ the seed and the input files. Every experiment runs in one thread; the
 --threads flag is still accepted and ignored.
 
 Exit codes: 0 success, 2 usage / invalid input, 3 file parse or schema
-errors, 4 capacity limits, 5 numerical or degenerate-input errors.
+errors, 4 capacity limits (an allocation the machine refuses included),
+5 numerical or degenerate-input errors.
 """
 
 from __future__ import annotations
@@ -693,6 +694,11 @@ def main(argv=None):
         return EXIT_PARSE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        # numpy refuses an array larger than the machine can map before it
+        # writes anything, so a count too large to hold is a capacity limit.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (DegenerateInputError, NoWitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -548,16 +548,15 @@ class _SplitStack(NamedTuple):
     the first L are labeled, the next U unlabeled and the remaining T are
     the test set. ``design`` (R, L + U, d) holds the labeled rows over the
     unlabeled ones, as a ``Dataset``'s extended design does; ``labels``
-    (R, L), ``truth`` (R, U), ``test_features`` (R, T, d) and
-    ``test_labels`` (R, T) are the pool's entries at those rows.
+    (R, L) and ``truth`` (R, U) are the pool's labels at those rows. The
+    test rows are not copied: a caller gathers them from ``order`` when it
+    needs them.
     """
 
     order: np.ndarray
     design: np.ndarray
     labels: np.ndarray
     truth: np.ndarray
-    test_features: np.ndarray
-    test_labels: np.ndarray
     partition_hashes: list[str]
 
 
@@ -567,7 +566,7 @@ def _gather_learning_curve_splits(data, labeled_count, unlabeled_count, seeds):
     The counts must have passed ``_check_learning_curve_counts``. Repeat r
     permutes the pool rows with ``derive_rng(seeds[r])``, and its partition
     hash is taken from sorted copies of its three index slices. The pool's
-    rows were checked when it was loaded, so they are copied once into the
+    rows were checked when it was loaded, so they are copied into the
     stacks and not checked again. Returns a ``_SplitStack``.
     """
     X, y = data.labeled_features, data.labels
@@ -580,8 +579,6 @@ def _gather_learning_curve_splits(data, labeled_count, unlabeled_count, seeds):
         design=X[order[:, :train_end]],
         labels=y[labeled],
         truth=y[unlabeled],
-        test_features=X[test],
-        test_labels=y[test],
         partition_hashes=[_hash_partition(*rows) for rows in zip(*parts)],
     )
 
@@ -592,20 +589,23 @@ def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
     ``labeled_count`` must exceed the feature count so the supervised
     solve is well-defined; the test part is whatever remains and may be
     empty (flagged through ``Split.has_test``). This is the one-repeat
-    case of the stacked gather the learning curve runs on.
+    case of the stacked gather the learning curve runs on; the test rows
+    are gathered from the repeat's permutation, as the learning curve
+    gathers them to score.
     """
     unlabeled_count = int(unlabeled_count)
     labeled_count = _check_learning_curve_counts(data, labeled_count, [unlabeled_count])
     stack = _gather_learning_curve_splits(data, labeled_count, unlabeled_count, [seed])
     order, design = stack.order[0], stack.design[0]
     train_end = labeled_count + unlabeled_count
+    test = order[train_end:]
     return Split(
         train=Dataset(design[:labeled_count], stack.labels[0], design[labeled_count:]),
         unlabeled_truth=stack.truth[0],
-        test_features=stack.test_features[0],
-        test_labels=stack.test_labels[0],
+        test_features=data.labeled_features[test],
+        test_labels=data.labels[test],
         labeled_indices=order[:labeled_count],
         unlabeled_indices=order[labeled_count:train_end],
-        test_indices=order[train_end:],
+        test_indices=test,
         partition_hash=stack.partition_hashes[0],
     )

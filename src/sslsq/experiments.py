@@ -7,11 +7,13 @@ which advances them in lock-step; each start's record holds its
 ``FitResult``, and a bad start raises before any fit runs. The test
 errors of a study's starts come from one stacked product per block of
 starts. The learning curve runs the repeats of one unlabeled count as
-blocks of same-shape splits. A block's splits are gathered from the pool
-by index straight into stacked arrays, fitted as one stack, and all four
-methods are scored on their test sets with one stacked product. A repeat
-derives its split from (base seed, repeat, unlabeled-count index), so
-the blocking does not change the report.
+blocks of same-shape splits, sized by their stacked designs. A block's
+designs and labels are gathered from the pool by index straight into
+stacked arrays and fitted as one stack that keeps only each fit's final
+weights. Its test rows are gathered from the pool a chunk of repeats at a
+time, and each chunk scores all four methods with one stacked product. A
+repeat derives its split from (base seed, repeat, unlabeled-count index),
+so neither the blocks nor the chunks change the report.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from .datagen import (
     split_for_local_optima,
 )
 from .errors import DegenerateInputError, DegenerateSplitError, InvalidInputError
-from .model import _check_decision_inputs, _check_lam, classify, decision_values, ridge_solve
+from .model import (
+    _above_threshold,
+    _check_decision_inputs,
+    _check_lam,
+    classify,
+    decision_values,
+    ridge_solve,
+)
 from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit_starts
 
 __all__ = [
@@ -49,14 +58,15 @@ __all__ = [
 METHODS = ("supervised", "soft", "hard", "oracle")
 CLUSTER_TOLERANCE = 1e-4
 
-# The learning curve gathers the repeats of one unlabeled count in blocks
-# that hold at most about this many pool entries in all, since a repeat's
-# stacked design and test features together copy the pool's entries once.
-# On the 600 x 3 pool of the bench's learning-curve workload that is 9
-# repeats per block: peak RSS rose 1.3% over fitting one split at a time,
-# where holding all 100 repeats' splits at once raised it by more than a
-# fifth.
-_REPEAT_BLOCK_ENTRIES = 16384
+# The learning curve fits the repeats of one unlabeled count in blocks of R
+# repeats whose stacked designs hold at most this many entries in all,
+# R * (L + U) * d: the designs, their operators and each round's working
+# arrays scale with it. Test rows are not part of a block; they are gathered
+# per scoring chunk. With 10 labeled rows from a 600 x 3 pool, as in the
+# bench's learning-curve workload, that is 100 repeats per block up to
+# u = 32, then 73, 39 and 20 at u = 64, 128 and 256: 16 blocks in all.
+# There, peak traced memory stays near 1.1 MB at u = 1 and at u = 256.
+_BLOCK_DESIGN_ENTRIES = 16384
 
 
 def evaluate_error(w, test_features, test_labels):
@@ -311,9 +321,9 @@ def run_learning_curve(
     excluded from aggregation. The labeled count and every unlabeled
     count are checked against the pool before any split is drawn. The
     splits of one unlabeled count share their shapes, so they are
-    gathered and fitted in blocks, each as one stack; every weight vector
-    and test error equals the one a lone fit on its split and
-    ``evaluate_error`` give.
+    gathered and fitted in blocks, each as one stack, and scored in
+    chunks of repeats; every weight vector and test error equals the one
+    a lone fit on its split and ``evaluate_error`` give.
     """
     u_values = [int(u) for u in u_values]
     if repeats < 1:
@@ -329,11 +339,11 @@ def run_learning_curve(
     # Every count is checked before any split is drawn or fitted.
     labeled_count = _check_learning_curve_counts(data, labeled_count, u_values)
     repeats = int(repeats)
-    block = max(1, _REPEAT_BLOCK_ENTRIES // data.labeled_features.size)
     errors = np.full((repeats, len(u_values), len(METHODS)), np.nan)
     hashes = [[None] * len(u_values) for _ in range(repeats)]
     test_sizes = [data.n_labeled - labeled_count - u for u in u_values]
     for u_index, u in enumerate(u_values):
+        block = max(1, _BLOCK_DESIGN_ENTRIES // ((labeled_count + u) * data.n_features))
         for first in range(0, repeats, block):
             indices = range(first, min(first + block, repeats))
             seeds = [derive_rng(seed, repeat, u_index) for repeat in indices]
@@ -342,7 +352,9 @@ def run_learning_curve(
                 hashes[repeat][u_index] = partition_hash
             # With no test set every cell is NaN, so nothing is fitted.
             if test_sizes[u_index]:
-                errors[indices.start : indices.stop, u_index] = _block_errors(splits, lam, config)
+                errors[indices.start : indices.stop, u_index] = _block_errors(
+                    data, splits, lam, config
+                )
             # Drop this block's stacks before the next block gathers its own.
             del splits
 
@@ -377,23 +389,34 @@ def run_learning_curve(
     return LearningCurveReport(cells=cells, aggregates=aggregates)
 
 
-def _block_errors(splits, lam, config):
-    """The (R, 4) test errors of ``METHODS`` on a block of R gathered splits."""
+def _block_errors(data, splits, lam, config):
+    """The (R, 4) test errors of ``METHODS`` on a block of R splits gathered from ``data``.
+
+    Each split's test rows are the pool rows after its training rows in
+    ``splits.order``. They are gathered a chunk of repeats at a time, so a
+    chunk's (repeats, methods, test rows) decision values stay within
+    ``_BLOCK_ELEMENTS`` entries.
+    """
     supervised, operators, soft, hard = _fit_stack(splits.labels, splits.design, lam, config)
     # The oracle's design is the extended design, with the true labels of
     # the unlabeled part as its targets.
     truth = np.concatenate([splits.labels, splits.truth], axis=1)
     weights = {
         "supervised": supervised,
-        "soft": [result.weights for result in soft],
-        "hard": [result.weights for result in hard],
+        "soft": soft.weights,
+        "hard": hard.weights,
         "oracle": (operators @ truth[:, :, None])[:, :, 0],
     }
-    return _stacked_errors(
-        np.stack([weights[method] for method in METHODS], axis=1),
-        splits.test_features,
-        splits.test_labels,
-    )
+    weights = np.stack([weights[method] for method in METHODS], axis=1)
+    test = splits.order[:, splits.design.shape[1] :]
+    chunk = max(1, _BLOCK_ELEMENTS // (len(METHODS) * test.shape[1]))
+    errors = np.empty(weights.shape[:2])
+    for first in range(0, len(test), chunk):
+        rows = test[first : first + chunk]
+        errors[first : first + chunk] = _stacked_errors(
+            weights[first : first + chunk], data.labeled_features[rows], data.labels[rows]
+        )
+    return errors
 
 
 def _stacked_errors(weights, test_features, test_labels):
@@ -407,5 +430,6 @@ def _stacked_errors(weights, test_features, test_labels):
     every error, has that function's bits.
     """
     values = (test_features[:, None] @ weights[..., None])[..., 0]
-    mismatches = classify(values) != test_labels[:, None, :]
+    # The booleans of ``classify``, compared with the labels without its float copy.
+    mismatches = _above_threshold(values) != test_labels[:, None, :]
     return mismatches.mean(axis=-1)

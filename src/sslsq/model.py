@@ -212,10 +212,14 @@ def classify(values):
 
     A value of exactly 0.5 maps to class 0.
     """
-    values = np.asarray(values, dtype=float)
+    return _above_threshold(np.asarray(values, dtype=float)).astype(float)
+
+
+def _above_threshold(values):
+    """``values > 0.5`` as booleans; raises on a non-finite decision value."""
     if values.size and not np.all(np.isfinite(values)):
         raise InvalidInputError("decision values contain non-finite entries")
-    return (values > 0.5).astype(float)
+    return values > 0.5
 
 
 def supervised_objective(data, w, lam=0.0):

@@ -12,8 +12,10 @@ change between rounds.
 One descent loop serves every fit. It advances a block of starts in
 lock-step, one row of weights per start; ``fit_starts`` hands it many
 starts on one dataset, and ``fit_soft``/``fit_hard`` are its one-start
-case. The learning curve hands it a stack of same-shape problems, one
-supervised start per problem and solver, through ``_fit_stack``.
+case. Those fits keep every round for their traces. The learning curve
+hands it a stack of same-shape problems, one supervised start per
+problem and solver, through ``_fit_stack``, which keeps only each fit's
+final weights, objective, stop reason and round count.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,7 +241,22 @@ def _by_rows(block, matrix):
     return (block[:, None, :] @ matrix)[:, 0, :]
 
 
-def _run_descent(config, known, design, solve, starts, lam, hard):
+class _Finals(NamedTuple):
+    """How each start of a lock-step descent ended, one row or entry per start.
+
+    ``weights`` (S, d) and ``objectives`` (S,) are the start's last
+    round's, ``labels`` (S, U) that round's imputed labels, ``reasons``
+    its ``StopReason``s and ``rounds`` (S,) the number of rounds it ran.
+    """
+
+    weights: np.ndarray
+    objectives: np.ndarray
+    labels: np.ndarray
+    reasons: list
+    rounds: np.ndarray
+
+
+def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     """Advance a block of starts in lock-step until each one stops.
 
     ``starts`` is an (S, d) array, one starting weight vector per row.
@@ -255,25 +273,38 @@ def _run_descent(config, known, design, solve, starts, lam, hard):
     design. A start leaves the block, with its rows of any per-start
     stack, in the round it stops: on stable labels (hard), on the
     relative objective decrease (soft) or at ``max_iterations``.
-    Returns one ``FitResult`` per start, in order.
+    Returns the ``_Finals`` of the starts, in order. Nothing is kept per
+    round unless ``path`` is a list: it then receives every round's
+    working block as (start ids, weights, objectives), which
+    ``_start_results`` splits into traces.
     """
     n_labeled = known.shape[-1]
     per_start = design.ndim == 3
     tolerance = config.objective_tolerance
-    active = np.arange(len(starts))
+    count = len(starts)
+    active = np.arange(count)
     if not per_start:
-        known = known[None, :].repeat(len(starts), axis=0)
+        known = known[None, :].repeat(count, axis=0)
     operator_t, design_t = solve.swapaxes(-1, -2), design.swapaxes(-1, -2)
     scores = _by_rows(starts, design_t[..., n_labeled:])
+    finals = _Finals(
+        weights=np.empty(starts.shape),
+        objectives=np.empty(count),
+        labels=np.empty(scores.shape),
+        reasons=[None] * count,
+        rounds=np.empty(count, dtype=int),
+    )
+    labels = W = values = previous = None
 
-    rounds = []  # (start ids, weights, objectives) of every round's working block
-    stops = {}  # start id -> (stop reason, final labels)
-    labels = previous = None
-
-    def leave(mask, reason):
-        # Fancy indexing copies, so a final label row keeps no round's block alive.
-        for i, row in zip(active[mask].tolist(), labels[mask]):
-            stops[i] = (reason, row)
+    def leave(mask, reason, rounds_run):
+        # The last round's rows of the leaving starts; fancy indexing copies.
+        ids = active[mask]
+        finals.weights[ids] = W[mask]
+        finals.objectives[ids] = np.compress(mask, values)
+        finals.labels[ids] = labels[mask]
+        finals.rounds[ids] = rounds_run
+        for i in ids.tolist():
+            finals.reasons[i] = reason
 
     def shrink(keep):
         nonlocal active, known, solve, design, operator_t, design_t
@@ -286,13 +317,13 @@ def _run_descent(config, known, design, solve, starts, lam, hard):
         else:
             known = known[: active.size]
 
-    for _ in range(config.max_iterations):
+    for iteration in range(config.max_iterations):
         candidate = _hard_labels(scores) if hard else _soft_labels(scores)
         if hard and labels is not None:
             stable = (candidate == labels).all(axis=1)
             stopped = np.count_nonzero(stable)
             if stopped:
-                leave(stable, StopReason.LABELS_STABLE)
+                leave(stable, StopReason.LABELS_STABLE, iteration)
                 if stopped == active.size:
                     break
                 keep = ~stable
@@ -310,54 +341,54 @@ def _run_descent(config, known, design, solve, starts, lam, hard):
             )
         else:
             values = _squared_objective(residual, W, lam)
-        # Python floats: the trace stores them, and on a one-start block
+        # Python floats: a trace stores them, and on a one-start block
         # the stop test costs less in Python than in numpy calls.
         values = values.tolist()
-        rounds.append((active, W, values))
+        if path is not None:
+            path.append((active, W, values))
         if not hard and previous is not None:
             done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
             stopped = done.count(True)
             if stopped:
                 done = np.array(done)
-                leave(done, StopReason.OBJECTIVE_TOLERANCE)
+                leave(done, StopReason.OBJECTIVE_TOLERANCE, iteration + 1)
                 if stopped == active.size:
                     break
                 keep = ~done
                 shrink(keep)
-                labels, fitted = labels[keep], fitted[keep]
+                labels, fitted, W = labels[keep], fitted[keep], W[keep]
                 values = list(compress(values, keep))
         previous = values
         scores = fitted[:, n_labeled:]
     else:  # the round cap stops every start still working
-        leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS)
-    return _start_results(rounds, stops)
+        leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS, config.max_iterations)
+    return finals
 
 
-def _start_results(rounds, stops):
-    """Split the per-round blocks of a lock-step run into one ``FitResult`` per start.
+def _start_results(path, finals):
+    """One ``FitResult`` per start of a lock-step run, traced from its per-round ``path``.
 
     A start works from round 0 until it leaves, so after a stable sort
     by start id its rows are its rounds in order.
     """
-    ids = np.concatenate([active for active, _, _ in rounds])
+    ids = np.concatenate([active for active, _, _ in path])
     order = np.argsort(ids, kind="stable")
-    weights = np.concatenate([W for _, W, _ in rounds])[order]
-    objectives = np.array([value for _, _, values in rounds for value in values])[order]
-    counts = np.bincount(ids).tolist()
+    weights = np.concatenate([W for _, W, _ in path])[order]
+    objectives = np.array([value for _, _, values in path for value in values])[order]
     results = []
     end = 0
-    for i, rounds_run in enumerate(counts):
+    for i, rounds_run in enumerate(finals.rounds.tolist()):
         begin, end = end, end + rounds_run
         kept = _kept_rounds(rounds_run)
-        reason, labels = stops[i]
+        labels = finals.labels[i]
         trace = FitTrace(
             rounds=np.arange(rounds_run)[kept],
             weight_path=weights[begin:end][kept],
             objectives=objectives[begin:end][kept],
             final_labels=labels,
-            stop_reason=reason,
+            stop_reason=finals.reasons[i],
         )
-        results.append(FitResult(weights[end - 1], labels, float(objectives[end - 1]), trace))
+        results.append(FitResult(finals.weights[i], labels, float(finals.objectives[i]), trace))
     return results
 
 
@@ -382,16 +413,17 @@ def _fit(data, starts, method, lam, config):
 
 
 def _descend(config, known, design, solve, starts, lam, hard):
-    """``_run_descent`` over blocks of at most ``_BLOCK_ELEMENTS`` (start, design row) entries."""
-    rows = max(1, _BLOCK_ELEMENTS // design.shape[-2])
-    per_start = design.ndim == 3
+    """``_run_descent`` over blocks of at most ``_BLOCK_ELEMENTS`` (start, design row) entries.
+
+    Every start's ``FitResult`` keeps its per-round trace.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // design.shape[0])
     results = []
     for first in range(0, len(starts), rows):
-        block = slice(first, first + rows)
-        problem = (known, design, solve)
-        if per_start:
-            problem = (known[block], design[block], solve[block])
-        results += _run_descent(config, *problem, starts[block], lam, hard)
+        path = []
+        block = starts[first : first + rows]
+        finals = _run_descent(config, known, design, solve, block, lam, hard, path)
+        results += _start_results(path, finals)
     return results
 
 
@@ -442,28 +474,36 @@ def _fit_stack(known, design, lam, config):
 
     ``known`` (R, L) holds each problem's labels and ``design``
     (R, L + U, d) its extended design, labeled rows first; ``lam`` is
-    already checked. Every fit has the bits of ``fit_soft``/``fit_hard``
-    with ``config`` on its problem alone, but the problems advance in
-    lock-step, and both solvers share the stack's factorizations: one
-    stacked ``ridge_operator`` call for the labeled blocks, whose
-    supervised weights start the fits, and one for the extended designs.
-    Returns the supervised weights (R, d), the extended designs'
-    operators (R, d, L + U), and the soft and the hard ``FitResult``s,
-    one list each, in problem order.
+    already checked. The whole stack runs as one lock-step block, so the
+    caller bounds its size. Each fit's final weights, objective, stop
+    reason and round count have the bits of ``fit_soft``/``fit_hard``
+    with ``config`` on its problem alone, but no fit keeps a per-round
+    trace. Both solvers share the stack's factorizations: one stacked
+    ``ridge_operator`` call for the labeled blocks, whose supervised
+    weights start the fits, and one for the extended designs. Returns the
+    supervised weights (R, d), the extended designs' operators
+    (R, d, L + U), and the soft and the hard fits' ``_Finals``, in
+    problem order.
     """
     n_labeled = known.shape[1]
     # With no unlabeled rows the labeled block is the extended design.
     solve = ridge_operator(design[:, :n_labeled], lam)
     supervised = (solve @ known[:, :, None])[:, :, 0]
     if design.shape[1] == n_labeled:
+        # Each (L, d) @ (d, 1) slice is the BLAS matrix-vector call of a
+        # lone fit's ``features @ w``, so each objective has its bits.
+        residual = (design @ supervised[:, :, None])[:, :, 0] - known
+        objectives = _squared_objective(residual, supervised, lam)
+        count = len(known)
         fits = [
-            [_supervised_result(x, y, w, lam, hard) for x, y, w in zip(design, known, supervised)]
-            for hard in (False, True)
+            _Finals(supervised, objectives, np.zeros((count, 0)), [reason] * count,
+                    np.ones(count, dtype=int))
+            for reason in (StopReason.OBJECTIVE_TOLERANCE, StopReason.LABELS_STABLE)
         ]
     else:
         solve = ridge_operator(design, lam)
         fits = [
-            _descend(config, known, design, solve, supervised, lam, hard)
+            _run_descent(config, known, design, solve, supervised, lam, hard)
             for hard in (False, True)
         ]
     return supervised, solve, *fits

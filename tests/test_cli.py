@@ -655,3 +655,27 @@ class TestSeedRange:
         assert code == EXIT_USAGE
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
         assert snapshot(tmp_path) == before
+
+
+class TestImpossibleAllocation:
+    @pytest.mark.parametrize("subcommand", ["basin", "local-optima", "learning-curve"])
+    def test_count_too_large_to_hold_is_capacity_error(self, tmp_path, capsys, subcommand):
+        # 10^16 repeats, starts or restarts need arrays of 10^17 bytes and
+        # more, past any machine's address space, so numpy refuses them
+        # before it writes a byte, and the test uses no memory.
+        clusters = write_cluster_data(tmp_path)
+        pool = write_pool(tmp_path)
+        count = str(10**16)
+        argv = {
+            "basin": ["basin", "--data", str(clusters), "--method", "hard", "--starts", count],
+            "local-optima": ["local-optima", "--data", str(pool), "--restarts", count],
+            "learning-curve": ["learning-curve", "--data", str(pool), "--labeled", "8",
+                               "--u-values", "1,2", "--repeats", count],
+        }[subcommand]
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(argv + ["--seed", "1", "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CAPACITY
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert snapshot(tmp_path) == before

@@ -428,7 +428,9 @@ class TestLearningCurveSplit:
     @pytest.mark.parametrize("unlabeled", [0, 7, 24])
     def test_split_is_one_gathered_repeat(self, unlabeled):
         # The split, the stacked gather and the permutation each repeat
-        # draws, taken apart by hand, agree to the bit; 24 leaves no test set.
+        # draws, taken apart by hand, agree to the bit; the stack holds no
+        # test rows, so its test set is gathered from its order as the
+        # learning curve gathers it. 24 leaves no test set.
         from sslsq.datagen import _gather_learning_curve_splits
 
         pool, labeled = self.pool(30), 6
@@ -454,8 +456,8 @@ class TestLearningCurveSplit:
                 (split.train.extended_features, stack.design[r], X[order[:end]]),
                 (split.train.labels, stack.labels[r], y[parts[0]]),
                 (split.unlabeled_truth, stack.truth[r], y[parts[1]]),
-                (split.test_features, stack.test_features[r], X[parts[2]]),
-                (split.test_labels, stack.test_labels[r], y[parts[2]]),
+                (split.test_features, X[stack.order[r, end:]], X[parts[2]]),
+                (split.test_labels, y[stack.order[r, end:]], y[parts[2]]),
             ]
             for arrays in pairs:
                 assert len({(a.dtype, a.shape, a.tobytes()) for a in arrays}) == 1

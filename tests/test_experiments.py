@@ -594,17 +594,48 @@ class TestLearningCurve:
         return cells, aggregates, fits
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_stacked_cells_equal_lone_fits(self, monkeypatch, lam):
-        # Blocks of three repeats, so seven repeats span three blocks. u = 0
-        # leaves no unlabeled part and u = 32 no test set in the 40-row
-        # pool; the round cap stops some soft fits and not others.
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("block", [1, 9, None])
+    def test_stacked_cells_equal_lone_fits(self, monkeypatch, lam, chunk, block):
+        # Eleven repeats run in blocks of one, of nine (so u = 12 spans a
+        # block of nine and one of two) or all at once, and are scored in
+        # chunks of one or of three repeats. u = 0 leaves no unlabeled part
+        # and u = 32 no test set in the 40-row pool; the round cap stops
+        # some soft fits and not others.
         import sslsq.experiments as experiments
 
         pool = fully_labeled_pool(40, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D, separation=3.0)
-        monkeypatch.setattr(experiments, "_REPEAT_BLOCK_ENTRIES", 3 * pool.labeled_features.size)
-        u_values, repeats, config = [4, 0, 12, 32], 7, SolverConfig(max_iterations=15)
-        report = run_learning_curve(pool, 8, u_values, repeats, lam, seed=3, config=config)
-        cells, aggregates, fits = self.lone_reference(pool, 8, u_values, repeats, lam, 3, config)
+        labeled, u_values, repeats = 8, [4, 0, 12, 32], 11
+        config = SolverConfig(max_iterations=15)
+        entries = {1: 1, 9: 9 * (labeled + 12) * 3, None: 10**9}[block]
+        monkeypatch.setattr(experiments, "_BLOCK_DESIGN_ENTRIES", entries)
+        # Chunks of three at the 32 test rows of u = 0 and the 28 of u = 4.
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", {1: 1, 3: 3 * 4 * 32}[chunk])
+        blocks, chunks = [], []
+        fit_stack, stacked_errors = experiments._fit_stack, experiments._stacked_errors
+
+        def record_block(known, design, *args):
+            blocks.append((design.shape[1] - labeled, len(known)))
+            return fit_stack(known, design, *args)
+
+        def record_chunk(weights, features, labels):
+            chunks.append((features.shape[1], len(weights)))
+            return stacked_errors(weights, features, labels)
+
+        monkeypatch.setattr(experiments, "_fit_stack", record_block)
+        monkeypatch.setattr(experiments, "_stacked_errors", record_chunk)
+        report = run_learning_curve(pool, labeled, u_values, repeats, lam, seed=3,
+                                    config=config)
+        sizes = {u: [size for v, size in blocks if v == u] for u in (4, 0, 12)}
+        assert sizes == {
+            1: {u: [1] * repeats for u in (4, 0, 12)},
+            9: {4: [repeats], 0: [repeats], 12: [9, 2]},
+            None: {u: [repeats] for u in (4, 0, 12)},
+        }[block]
+        chunked = [size for test_rows, size in chunks if test_rows in (28, 32)]
+        assert max(chunked) == min(chunk, block or repeats)
+        cells, aggregates, fits = self.lone_reference(pool, labeled, u_values, repeats, lam,
+                                                      3, config)
         reasons = {fit.trace.stop_reason for fit in fits}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 3
 
@@ -624,24 +655,27 @@ class TestLearningCurve:
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_method_weights_equal_lone_solves(self, monkeypatch, lam):
-        # Every weight vector the runner scores must have the lone call's bits.
+        # Every weight vector the runner scores, and the test rows it scores
+        # it on, must have the bits of the lone call and the lone split.
         import sslsq.experiments as experiments
 
         scored = []
         stacked_errors = experiments._stacked_errors
 
-        def record(weights, *args):
-            scored.append(weights.copy())
-            return stacked_errors(weights, *args)
+        def record(weights, features, labels):
+            scored.append((weights.copy(), features.copy(), labels.copy()))
+            return stacked_errors(weights, features, labels)
 
         monkeypatch.setattr(experiments, "_stacked_errors", record)
         pool = self.pool()
         config = SolverConfig(max_iterations=15)
         u_values = (0, 6, 30)
         run_learning_curve(pool, 8, u_values, 5, lam, seed=9, config=config)
-        assert [weights.shape for weights in scored] == [(5, len(METHODS), 3)] * len(u_values)
-        for u_index, (u, weights) in enumerate(zip(u_values, scored)):
-            for repeat, row in enumerate(weights):
+        assert sum(len(weights) for weights, _, _ in scored) == 5 * len(u_values)
+        rows = [row for chunk in scored for row in zip(*chunk)]
+        for u_index, u in enumerate(u_values):
+            for repeat in range(5):
+                weights, features, labels = rows[5 * u_index + repeat]
                 split = sample_learning_curve_split(pool, 8, u, derive_rng(9, repeat, u_index))
                 train = split.train
                 lone = [
@@ -651,7 +685,25 @@ class TestLearningCurve:
                     ridge_solve(train.extended_features,
                                 np.concatenate([train.labels, split.unlabeled_truth]), lam),
                 ]
-                np.testing.assert_array_equal(row, lone)
+                np.testing.assert_array_equal(weights, lone)
+                np.testing.assert_array_equal(features, split.test_features)
+                np.testing.assert_array_equal(labels, split.test_labels)
+
+    @pytest.mark.parametrize("u", [1, 256])
+    def test_memory_is_bounded_at_one_hundred_repeats(self, u):
+        # At u = 1 the pool's test rows dominate what one block could hold,
+        # and at u = 256 the stacked designs do. Neither may be held for all
+        # 100 repeats at once: one such block, test rows included, peaked at
+        # 6.8 MB, where design-sized blocks scored in chunks peak at 1.1 MB.
+        pool = fully_labeled_pool(600, 3, kind=SyntheticKind.TWO_GAUSSIAN_2D)
+        tracemalloc.start()
+        try:
+            report = run_learning_curve(pool, 10, [u], repeats=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.cells) == 100 * len(METHODS)
+        assert peak < 3e6
 
     @pytest.mark.parametrize("labeled, u_values, error, message", [
         (10, [1, 595], CapacityError, r"requested 10 \+ 595 examples from 600"),

@@ -297,7 +297,14 @@ class TestReferenceLoop:
 
 
 def assert_same_fit(a, b):
-    """Two fit results with the same bits: weights, labels, stop and trace."""
+    """Two fit results with the same bits: weights, labels, stop and trace.
+
+    Each result's final weights and objective are its trace's last round.
+    """
+    for fit in (a, b):
+        np.testing.assert_array_equal(fit.weights, fit.trace.weight_path[-1])
+        assert fit.final_objective == fit.trace.objectives[-1]
+        assert fit.imputed is fit.trace.final_labels
     assert a.iterations == b.iterations
     assert a.trace.stop_reason is b.trace.stop_reason
     assert a.trace.converged == b.trace.converged
@@ -328,7 +335,7 @@ class TestSupervisedStart:
 
 
 class TestFitDatasets:
-    """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's bits."""
+    """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's final bits."""
 
     @staticmethod
     def datasets(n_unlabeled=30, count=7):
@@ -341,27 +348,32 @@ class TestFitDatasets:
         design = np.stack([data.extended_features for data in datasets])
         return _fit_stack(known, design, lam, config)
 
+    @staticmethod
+    def assert_final_equals(finals, i, fit):
+        """Entry ``i`` of a stack's finals has the lone fit's final bits."""
+        np.testing.assert_array_equal(finals.weights[i], fit.weights)
+        assert finals.objectives[i] == fit.final_objective
+        assert finals.reasons[i] is fit.trace.stop_reason
+        assert finals.rounds[i] == fit.iterations
+        np.testing.assert_array_equal(finals.labels[i], fit.imputed)
+
     @pytest.mark.parametrize("method", ["soft", "hard"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    @pytest.mark.parametrize("block", [None, 3])
-    def test_equals_lone_fits(self, monkeypatch, method, lam, block):
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_equals_lone_fits(self, method, lam, count):
         # The round cap stops some datasets and not others, so they leave
-        # the stack in different rounds; blocks of three datasets leave a
-        # last block of one.
-        import sslsq.selflearn as selflearn
-
-        if block:
-            monkeypatch.setattr(selflearn, "_BLOCK_ELEMENTS", block * (8 + 30))
+        # the stack in different rounds; stacks of one and three datasets
+        # take the first ones.
         config = SolverConfig(max_iterations={"soft": 20, "hard": 3}[method])
         datasets = self.datasets()
         alone = [lone_fit(data, method, lam, config) for data in datasets]
         reasons = {result.trace.stop_reason for result in alone}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
-        _, _, soft, hard = self.fit_stack(datasets, lam, config)
+        _, _, soft, hard = self.fit_stack(datasets[:count], lam, config)
         stacked = {"soft": soft, "hard": hard}[method]
-        assert len(stacked) == len(datasets)
-        for a, b in zip(stacked, alone):
-            assert_same_fit(a, b)
+        assert stacked.weights.shape == (count, 3) and len(stacked.reasons) == count
+        for i, fit in enumerate(alone[:count]):
+            self.assert_final_equals(stacked, i, fit)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("n_unlabeled", [0, 30])
@@ -379,7 +391,8 @@ class TestFitDatasets:
                 operators[i], ridge_operator(data.extended_features, lam)
             )
             for method in ("soft", "hard"):
-                assert_same_fit(fits[method][i], lone_fit(data, method, lam, SolverConfig()))
+                fit = lone_fit(data, method, lam, SolverConfig())
+                self.assert_final_equals(fits[method], i, fit)
 
 
 class TestTraceMemory:
