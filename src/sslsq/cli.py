@@ -230,12 +230,6 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _fit_oracle(data, truth, lam):
-    if truth is None:
-        raise SchemaError("oracle fitting needs a true_label column in the data file")
-    return update_weights(data, truth, lam)
-
-
 def cmd_fit(args):
     if args.trace:
         _check_outputs(
@@ -249,17 +243,7 @@ def cmd_fit(args):
         test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
         test = (test_data.labeled_features, test_data.labels)
 
-    if args.method == "supervised":
-        weights = ridge_solve(data.labeled_features, data.labels, lam)
-        objective = supervised_objective(data, weights, lam)
-        iterations, converged, stop_reason = 1, True, "supervised"
-        trace = (np.zeros(1, dtype=int), np.array([objective]), weights[None])
-    elif args.method == "oracle":
-        weights = _fit_oracle(data, truth, lam)
-        objective = label_objective(data, weights, truth, lam)
-        iterations, converged, stop_reason = 1, True, "oracle"
-        trace = (np.zeros(1, dtype=int), np.array([objective]), weights[None])
-    else:
+    if args.method in ("soft", "hard"):
         config = SolverConfig()
         fit = (fit_soft if args.method == "soft" else fit_hard)(data, lam, config)
         if fit.trace.stop_reason is StopReason.MAX_ITERATIONS:
@@ -274,6 +258,18 @@ def cmd_fit(args):
         converged = fit.trace.converged
         stop_reason = fit.trace.stop_reason.value
         trace = (fit.trace.rounds, fit.trace.objectives, fit.trace.weight_path)
+    else:
+        if args.method == "supervised":
+            weights = ridge_solve(data.labeled_features, data.labels, lam)
+            objective = supervised_objective(data, weights, lam)
+        else:
+            if truth is None:
+                raise SchemaError("oracle fitting needs a true_label column in the data file")
+            weights = update_weights(data, truth, lam)
+            objective = label_objective(data, weights, truth, lam)
+        # One closed-form solve: a one-round trace whose stop reason is the method.
+        iterations, converged, stop_reason = 1, True, args.method
+        trace = (np.zeros(1, dtype=int), np.array([objective]), weights[None])
 
     print(f"method = {args.method}")
     print(f"lambda = {_fmt(lam)}")

@@ -15,7 +15,9 @@ starts on one dataset, and ``fit_soft``/``fit_hard`` are its one-start
 case. Those fits keep every round for their traces. The learning curve
 hands it a stack of same-shape problems, one supervised start per
 problem and solver, through ``_fit_stack``, which keeps only each fit's
-final weights, objective, stop reason and round count.
+final weights, objective, stop reason and round count. A fit with no
+unlabeled rows takes the same loop: it runs one round, the supervised
+fit, and stops with the solver's converged stop reason.
 """
 
 from __future__ import annotations
@@ -197,20 +199,6 @@ def _check_start(data, w):
     return w
 
 
-def _supervised_result(features, known, w, lam, hard):
-    """A fit with no unlabeled rows: the supervised weights ``w`` of ``features`` (L, d)."""
-    objective = float(_squared_objective(features @ w - known, w, lam))
-    empty = np.zeros(0)
-    trace = FitTrace(
-        rounds=np.zeros(1, dtype=int),
-        weight_path=w[None, :],
-        objectives=np.array([objective]),
-        final_labels=empty,
-        stop_reason=StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE,
-    )
-    return FitResult(w, empty, objective, trace)
-
-
 def _kept_rounds(count):
     """Index of the rounds a trace keeps: all of them, or every tenth and the last."""
     if count <= _TRACE_LIMIT:
@@ -272,13 +260,16 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     their objectives and next decision values from one product with the
     design. A start leaves the block, with its rows of any per-start
     stack, in the round it stops: on stable labels (hard), on the
-    relative objective decrease (soft) or at ``max_iterations``.
-    Returns the ``_Finals`` of the starts, in order. Nothing is kept per
-    round unless ``path`` is a list: it then receives every round's
-    working block as (start ids, weights, objectives), which
-    ``_start_results`` splits into traces.
+    relative objective decrease (soft) or at ``max_iterations``. With
+    no unlabeled rows (N == L), round 0 is the supervised fit, and every
+    start leaves after it with the solver's converged stop reason, even
+    at ``max_iterations=1``. Returns the ``_Finals`` of the starts, in
+    order. Nothing is kept per round unless ``path`` is a list: it then
+    receives every round's working block as (start ids, weights,
+    objectives), which ``_start_results`` splits into traces.
     """
     n_labeled = known.shape[-1]
+    settled = design.shape[-2] == n_labeled  # no unlabeled rows
     per_start = design.ndim == 3
     tolerance = config.objective_tolerance
     count = len(starts)
@@ -346,6 +337,10 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         values = values.tolist()
         if path is not None:
             path.append((active, W, values))
+        if settled:
+            reason = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
+            leave(np.ones(active.size, dtype=bool), reason, 1)
+            break
         if not hard and previous is not None:
             done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
             stopped = done.count(True)
@@ -393,6 +388,7 @@ def _start_results(path, finals):
 
 
 def _fit(data, starts, method, lam, config):
+    """Traced ``FitResult``s of ``starts``, run in blocks of at most ``_BLOCK_ELEMENTS`` entries."""
     lam = _check_lam(lam)
     if method not in ("soft", "hard"):
         raise InvalidInputError(f"unknown method {method!r}")
@@ -400,23 +396,10 @@ def _fit(data, starts, method, lam, config):
     starts = [_check_start(data, w) for w in starts]
     if not starts:
         return []
-    if data.n_unlabeled == 0:
-        w = ridge_solve(data.labeled_features, data.labels, lam)
-        return [
-            _supervised_result(data.labeled_features, data.labels, w, lam, hard)
-            for _ in starts
-        ]
+    starts = np.asarray(starts)
     known, design = data.labels, data.extended_features
     # The design stays fixed over the fit, so it is factorized once.
     solve = ridge_operator(design, lam)
-    return _descend(config, known, design, solve, np.asarray(starts), lam, hard)
-
-
-def _descend(config, known, design, solve, starts, lam, hard):
-    """``_run_descent`` over blocks of at most ``_BLOCK_ELEMENTS`` (start, design row) entries.
-
-    Every start's ``FitResult`` keeps its per-round trace.
-    """
     rows = max(1, _BLOCK_ELEMENTS // design.shape[0])
     results = []
     for first in range(0, len(starts), rows):
@@ -433,7 +416,8 @@ def fit_soft(data, lam=0.0, config=SolverConfig()):
     Starts from the supervised solution; every round imputes clamped
     decision values and re-fits the weights. Stops when the relative
     objective decrease falls to ``config.objective_tolerance`` or at
-    ``max_iterations``.
+    ``max_iterations``. With no unlabeled rows it runs one round, the
+    supervised fit, and stops with OBJECTIVE_TOLERANCE.
     """
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     return _fit(data, [w_sup], "soft", lam, config)[0]
@@ -446,7 +430,9 @@ def fit_hard(data, lam=0.0, config=SolverConfig()):
     responsibilities by thresholding decision values at 0.5, then re-fits
     the weights on them as class targets. Stops when the responsibilities
     repeat exactly; equal-objective cycles are cut off by
-    ``max_iterations`` with stop reason MAX_ITERATIONS.
+    ``max_iterations`` with stop reason MAX_ITERATIONS. With no unlabeled
+    rows it runs one round, the supervised fit, and stops with
+    LABELS_STABLE.
     """
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     return _fit(data, [w_sup], "hard", lam, config)[0]
@@ -480,30 +466,16 @@ def _fit_stack(known, design, lam, config):
     with ``config`` on its problem alone, but no fit keeps a per-round
     trace. Both solvers share the stack's factorizations: one stacked
     ``ridge_operator`` call for the labeled blocks, whose supervised
-    weights start the fits, and one for the extended designs. Returns the
-    supervised weights (R, d), the extended designs' operators
-    (R, d, L + U), and the soft and the hard fits' ``_Finals``, in
-    problem order.
+    weights start the fits, and one for the extended designs (the same
+    matrices when U = 0). Returns the supervised weights (R, d), the
+    extended designs' operators (R, d, L + U), and the soft and the hard
+    fits' ``_Finals``, in problem order.
     """
     n_labeled = known.shape[1]
-    # With no unlabeled rows the labeled block is the extended design.
-    solve = ridge_operator(design[:, :n_labeled], lam)
-    supervised = (solve @ known[:, :, None])[:, :, 0]
-    if design.shape[1] == n_labeled:
-        # Each (L, d) @ (d, 1) slice is the BLAS matrix-vector call of a
-        # lone fit's ``features @ w``, so each objective has its bits.
-        residual = (design @ supervised[:, :, None])[:, :, 0] - known
-        objectives = _squared_objective(residual, supervised, lam)
-        count = len(known)
-        fits = [
-            _Finals(supervised, objectives, np.zeros((count, 0)), [reason] * count,
-                    np.ones(count, dtype=int))
-            for reason in (StopReason.OBJECTIVE_TOLERANCE, StopReason.LABELS_STABLE)
-        ]
-    else:
-        solve = ridge_operator(design, lam)
-        fits = [
-            _run_descent(config, known, design, solve, supervised, lam, hard)
-            for hard in (False, True)
-        ]
+    supervised = (ridge_operator(design[:, :n_labeled], lam) @ known[:, :, None])[:, :, 0]
+    solve = ridge_operator(design, lam)
+    fits = [
+        _run_descent(config, known, design, solve, supervised, lam, hard)
+        for hard in (False, True)
+    ]
     return supervised, solve, *fits

@@ -359,7 +359,7 @@ class TestBasinStudy:
         def no_descent(*args, **kwargs):
             raise AssertionError("a descent ran before every start was checked")
 
-        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        monkeypatch.setattr(selflearn, "_run_descent", no_descent)
         for bad, error, message in cases:
             with pytest.raises(error, match=message):
                 fit_starts(data, [good[0], bad, good[1]], method)
@@ -368,8 +368,8 @@ class TestBasinStudy:
                                 data.unlabeled_features, truth)
 
     def test_unknown_method_raises(self, monkeypatch):
-        # The method is checked first: before the starts, before the
-        # shortcut for data with no unlabeled rows, and before any descent.
+        # The method is checked first: before the starts and before any
+        # descent, on data with unlabeled rows and on data with none.
         import sslsq.selflearn as selflearn
 
         data, truth = small_two_cluster()
@@ -378,7 +378,7 @@ class TestBasinStudy:
         def no_descent(*args, **kwargs):
             raise AssertionError("a descent ran before the method was checked")
 
-        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        monkeypatch.setattr(selflearn, "_run_descent", no_descent)
         for problem in (data, supervised_only):
             w = ridge_solve(problem.labeled_features, problem.labels, 0.0)
             for starts in ([w], []):
@@ -447,7 +447,7 @@ class TestBasinStudy:
         w_sup = ridge_solve(data.labeled_features, data.labels, 0.0)
         non_finite = data.unlabeled_features.copy()
         non_finite[4, 0] = np.inf
-        monkeypatch.setattr(selflearn, "_descend", no_descent)
+        monkeypatch.setattr(selflearn, "_run_descent", no_descent)
         for features in (np.ones((60, 3)), non_finite, np.ones(60)):
             with pytest.raises(Exception) as lone:
                 evaluate_error(w_sup, features, truth)

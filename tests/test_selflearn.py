@@ -24,6 +24,7 @@ from sslsq import (
     responsibility_objective,
     ridge_operator,
     ridge_solve,
+    supervised_objective,
     update_hard_labels,
     update_soft_labels,
     update_weights,
@@ -31,6 +32,57 @@ from sslsq import (
 from sslsq.selflearn import _fit_stack
 
 from conftest import make_dataset, normal_equation_ridge, scaled_collinear_data
+
+
+def no_unlabeled_dataset(design, seed=0):
+    """Seven labeled rows of three features and no unlabeled rows.
+
+    ``design`` is "full-rank", "repeated-column" (the third column
+    repeats the first, so the design is rank-deficient) or "scaled"
+    (every feature times 1e6).
+    """
+    data = make_dataset(np.random.default_rng(seed), 7, 0, 3)
+    features = data.labeled_features.copy()
+    if design == "repeated-column":
+        features[:, 2] = features[:, 0]
+    elif design == "scaled":
+        features *= 1e6
+    return Dataset(features, data.labels)
+
+
+# Every design at lam 0 and 0.5, each under the default round cap and a cap of one round.
+NO_UNLABELED_CASES = pytest.mark.parametrize(
+    "design, lam, config",
+    [
+        (design, lam, config)
+        for design in ("full-rank", "repeated-column", "scaled")
+        for lam in (0.0, 0.5)
+        for config in (SolverConfig(), SolverConfig(max_iterations=1))
+    ],
+    ids=lambda value: f"cap{value.max_iterations}" if isinstance(value, SolverConfig) else None,
+)
+
+
+def assert_supervised_fit(fit, data, lam, reason):
+    """A fit with no unlabeled rows has the supervised fit's bits in its one round."""
+    weights = ridge_solve(data.labeled_features, data.labels, lam)
+    np.testing.assert_array_equal(fit.weights, weights)
+    assert fit.final_objective == supervised_objective(data, weights, lam)
+    assert fit.iterations == 1
+    assert fit.trace.rounds.tolist() == [0]
+    assert fit.trace.stop_reason is reason
+    assert fit.imputed.shape == (0,)
+
+
+def supervised_fits(data, method, lam, config):
+    """The lone fit and three ``fit_starts`` fits, one from a start scaled by 1e6."""
+    rng = np.random.default_rng(1)
+    starts = [
+        ridge_solve(data.labeled_features, data.labels, lam),
+        rng.standard_normal(data.n_features),
+        1e6 * rng.standard_normal(data.n_features),
+    ]
+    return [lone_fit(data, method, lam, config), *fit_starts(data, starts, method, lam, config)]
 
 
 def assert_monotone(trace, context=""):
@@ -115,13 +167,11 @@ class TestUpdateWeights:
 
 
 class TestFitSoft:
-    def test_no_unlabeled_reduces_to_supervised(self, rng):
-        data = make_dataset(rng, 7, 0, 3)
-        result = fit_soft(data, 0.2)
-        supervised = ridge_solve(data.labeled_features, data.labels, 0.2)
-        assert result.iterations == 1
-        assert result.trace.converged
-        np.testing.assert_allclose(result.weights, supervised, atol=1e-12)
+    @NO_UNLABELED_CASES
+    def test_no_unlabeled_reduces_to_supervised(self, design, lam, config):
+        data = no_unlabeled_dataset(design)
+        for fit in supervised_fits(data, "soft", lam, config):
+            assert_supervised_fit(fit, data, lam, StopReason.OBJECTIVE_TOLERANCE)
 
     def test_two_point_construction_shifts_boundary(self):
         # Two labeled points at x = 1 (class 0) and x = 2 (class 1), one
@@ -183,14 +233,11 @@ class TestFitSoft:
 
 
 class TestFitHard:
-    def test_no_unlabeled_reduces_to_supervised(self, rng):
-        data = make_dataset(rng, 7, 0, 3)
-        result = fit_hard(data, 0.2)
-        np.testing.assert_allclose(
-            result.weights, ridge_solve(data.labeled_features, data.labels, 0.2),
-            atol=1e-12,
-        )
-        assert result.trace.stop_reason is StopReason.LABELS_STABLE
+    @NO_UNLABELED_CASES
+    def test_no_unlabeled_reduces_to_supervised(self, design, lam, config):
+        data = no_unlabeled_dataset(design)
+        for fit in supervised_fits(data, "hard", lam, config):
+            assert_supervised_fit(fit, data, lam, StopReason.LABELS_STABLE)
 
     def test_monotone_descent_and_stability(self, rng):
         for _ in range(20):
@@ -338,9 +385,9 @@ class TestFitDatasets:
     """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's final bits."""
 
     @staticmethod
-    def datasets(n_unlabeled=30, count=7):
+    def datasets(count=7):
         rng = np.random.default_rng(0)
-        return [make_dataset(rng, 8, n_unlabeled, 3) for _ in range(count)]
+        return [make_dataset(rng, 8, 30, 3) for _ in range(count)]
 
     @staticmethod
     def fit_stack(datasets, lam, config=SolverConfig()):
@@ -376,13 +423,20 @@ class TestFitDatasets:
             self.assert_final_equals(stacked, i, fit)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    @pytest.mark.parametrize("n_unlabeled", [0, 30])
-    def test_methods_share_factorizations(self, lam, n_unlabeled):
+    @pytest.mark.parametrize("design", ["u30", "full-rank", "repeated-column", "scaled"])
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(max_iterations=1)],
+                             ids=["cap1000", "cap1"])
+    def test_methods_share_factorizations(self, lam, design, config):
         # One call fits both solvers; its supervised weights and operators
-        # are the lone ridge solves and operators of every dataset.
-        datasets = self.datasets(n_unlabeled=n_unlabeled, count=4)
-        supervised, operators, soft, hard = self.fit_stack(datasets, lam)
+        # are the lone ridge solves and operators of every dataset. With no
+        # unlabeled rows every fit is the supervised fit, bit for bit.
+        if design == "u30":
+            datasets = self.datasets(count=4)
+        else:
+            datasets = [no_unlabeled_dataset(design, seed) for seed in range(4)]
+        supervised, operators, soft, hard = self.fit_stack(datasets, lam, config)
         fits = {"soft": soft, "hard": hard}
+        converged = {"soft": StopReason.OBJECTIVE_TOLERANCE, "hard": StopReason.LABELS_STABLE}
         for i, data in enumerate(datasets):
             np.testing.assert_array_equal(
                 supervised[i], ridge_solve(data.labeled_features, data.labels, lam)
@@ -391,7 +445,9 @@ class TestFitDatasets:
                 operators[i], ridge_operator(data.extended_features, lam)
             )
             for method in ("soft", "hard"):
-                fit = lone_fit(data, method, lam, SolverConfig())
+                fit = lone_fit(data, method, lam, config)
+                if design != "u30":
+                    assert_supervised_fit(fit, data, lam, converged[method])
                 self.assert_final_equals(fits[method], i, fit)
 
 
