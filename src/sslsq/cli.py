@@ -5,7 +5,8 @@ Experiment subcommands require an explicit --seed and write long-format
 CSV reports (one row per run/cell), an aggregated CSV next to them and a
 key-value manifest sidecar. All output is deterministic given the flags,
 the seed and the input files. Every experiment runs in one thread; the
---threads flag is still accepted and ignored.
+--threads flag is still accepted and ignored. Every CSV file is written
+by ``datagen``'s one writer, the one ``save_csv`` uses.
 
 Exit codes: 0 success, 2 usage / invalid input, 3 file parse or schema
 errors, 4 capacity limits (an allocation the machine refuses included),
@@ -27,6 +28,8 @@ from . import __version__
 from .datagen import (
     SyntheticKind,
     SyntheticSpec,
+    _fmt,
+    _write_columns,
     generate,
     load_csv,
     save_csv,
@@ -65,58 +68,6 @@ EXIT_CAPACITY = 4
 EXIT_NUMERICAL = 5
 
 MANIFEST_FORMAT = "sslsq-manifest-v1"
-
-
-def _fmt(value):
-    """Render a value for CSV/manifest output; floats round-trip exactly."""
-    if type(value) is float:
-        return "" if math.isnan(value) else repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
-
-
-# Reports are formatted and written this many rows at a time, so the text
-# of one chunk, not of the whole file, is held in memory. On a 10k-row
-# basin paths file (5 columns) a 256-row chunk peaked at 0.19 MB of
-# formatted text against 0.75 MB at 1,024 rows, and wrote as fast: chunks
-# of 128 to 4,096 rows all took 45-46 ms.
-_CHUNK_ROWS = 256
-
-
-def _fields(column):
-    """A column's CSV fields, formatted in one pass by ``_fmt``'s rules."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        fields = list(map(repr, column.tolist()))
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            fields[i] = ""
-        return fields
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biu":
-        return list(map(str, column.tolist()))
-    return list(map(_fmt, column))
-
-
-def _write_columns(path, header, columns):
-    """Write a CSV report given as equal-length columns, one per header name.
-
-    A column is a float, integer or bool array, or a sequence of Python
-    values rendered by ``_fmt``; a field reads the same in either form.
-    """
-    rows = len(columns[0]) if columns else 0
-    if any(len(column) != rows for column in columns):
-        raise ValueError("report columns differ in length")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, rows, _CHUNK_ROWS):
-            chunk = [_fields(column[start : start + _CHUNK_ROWS]) for column in columns]
-            handle.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def _sha256(path):
@@ -441,10 +392,15 @@ def cmd_basin(args):
 
 
 def cmd_local_optima(args):
-    # A dataset is named by its file's stem, so two files may not share one.
+    # A dataset is named by its file's stem, so two files may not share one,
+    # and the stem is a report field, which the writer never quotes.
     paths = {}
     for path in args.data:
         name = Path(path).stem
+        if any(mark in name for mark in ',"\r\n'):
+            raise InvalidInputError(
+                f"{path}: a dataset name may not hold a comma, quote or line break"
+            )
         if name in paths:
             raise InvalidInputError(
                 f"{paths[name]} and {path} share the dataset name {name!r}; "

@@ -282,16 +282,14 @@ def brute_force_hard_minimum(data, lam=0.0):
     (its column of ``M`` vanishes) ties with itself flipped, so it is
     fixed to 0 and only the other labels are enumerated. On a design that
     fits every labeling exactly at ``lam = 0`` that fixes all of them, and
-    the all-zero labeling is returned, rescored the same way.
+    the all-zero labeling is returned, rescored the same way. With no
+    unlabeled rows the one empty labeling is rescored: the supervised fit.
     """
     unlabeled_count = data.n_unlabeled
     if unlabeled_count > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration of 2^{unlabeled_count} labelings exceeds the U <= {ENUMERATION_CAP} cap"
         )
-    if unlabeled_count == 0:
-        w = update_weights(data, np.zeros(0), lam)
-        return BruteForceResult(np.zeros(0), w, supervised_objective(data, w, lam))
 
     extended = data.extended_features
     operator = ridge_operator(extended, lam)

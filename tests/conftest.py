@@ -4,7 +4,7 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Four helpers are frozen copies of earlier library code:
+against these. Five helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
@@ -12,7 +12,10 @@ that preceded the columnar one, kept to pin its arrays and errors;
 ``pairwise_count_unique_optima``, the clustering that built all pairwise
 differences at once, kept to pin the blocked one's counts and ids; and
 ``rowwise_write_csv``, the report writer that formatted one field at a
-time before the columnar one, kept to pin its bytes.
+time before the columnar one, kept to pin its bytes; and
+``rowwise_save_csv``, the dataset writer that wrote through
+``csv.writer`` a row at a time before ``save_csv`` wrote through the
+columnar writer, kept to pin its bytes.
 """
 
 import csv
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
-from sslsq.errors import InvalidInputError, ParseError, SchemaError
+from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
 
 
 def make_dataset(rng, n_labeled=8, n_unlabeled=5, n_features=3):
@@ -283,6 +286,46 @@ def rowwise_write_csv(path, header, rows):
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(map(_rowwise_field, row)) + "\n")
+
+
+def _format_number(value):
+    return repr(float(value))
+
+
+def rowwise_save_csv(path, data, unlabeled_truth=None, intercept=True):
+    """The earlier ``save_csv``: ``csv.writer``, one row at a time."""
+    features_l = data.labeled_features
+    features_u = data.unlabeled_features
+    if intercept:
+        trailing = np.concatenate([features_l[:, -1], features_u[:, -1]])
+        if not np.all(trailing == 1.0):
+            raise InvalidInputError("last column is not a constant intercept column")
+        features_l = features_l[:, :-1]
+        features_u = features_u[:, :-1]
+    if unlabeled_truth is not None:
+        unlabeled_truth = np.asarray(unlabeled_truth, dtype=float)
+        if unlabeled_truth.shape != (data.n_unlabeled,):
+            raise DimensionError(
+                f"truth has shape {unlabeled_truth.shape}, expected ({data.n_unlabeled},)"
+            )
+
+    width = features_l.shape[1]
+    header = [f"x{i}" for i in range(width)] + ["label"]
+    if unlabeled_truth is not None:
+        header.append("true_label")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row, label in zip(features_l, data.labels):
+            record = [_format_number(v) for v in row] + [_format_number(label)]
+            if unlabeled_truth is not None:
+                record.append(_format_number(label))
+            writer.writerow(record)
+        for i, row in enumerate(features_u):
+            record = [_format_number(v) for v in row] + [""]
+            if unlabeled_truth is not None:
+                record.append(_format_number(unlabeled_truth[i]))
+            writer.writerow(record)
 
 
 def relative_error(actual, expected):

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 import sslsq.cli as cli
-from sslsq import HessianKind, build_hessian, diagnostics, is_psd, load_csv
+from sslsq import HessianKind, build_hessian, datagen, diagnostics, is_psd, load_csv
 from sslsq.cli import (
     EXIT_CAPACITY,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
-    _fmt,
-    _write_columns,
     main,
 )
+from sslsq.datagen import _fmt, _write_columns
 
 from conftest import rowwise_write_csv
 
@@ -94,8 +93,8 @@ class TestWriteColumns:
         # list entry as is; both must render as it rendered them, in and
         # across chunk boundaries and with no rows at all.
         if chunk is not None:
-            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
-        size = cli._CHUNK_ROWS
+            monkeypatch.setattr(datagen, "_CHUNK_ROWS", chunk)
+        size = datagen._CHUNK_ROWS
         header = [f"c{k}" for k in range(len(mixed_table(0)))]
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         for rows in sorted({0, size - 1, size, size + 1, 2 * size + 1}):
@@ -105,6 +104,15 @@ class TestWriteColumns:
             assert new.read_bytes() == old.read_bytes()
         _write_columns(new, header, mixed_table(0))
         assert new.read_text() == ",".join(header) + "\n"
+
+    def test_lone_empty_field_is_quoted(self, tmp_path):
+        # A blank line is no record to a csv reader, so a one-column row
+        # with an empty field is written as "".
+        path = tmp_path / "x.csv"
+        _write_columns(path, ["label"], [np.array([1.0, np.nan, 0.0])])
+        assert path.read_bytes() == b'label\n1.0\n""\n0.0\n'
+        _write_columns(path, ["a", "b"], [np.array([np.nan]), [None]])
+        assert path.read_bytes() == b"a,b\n,\n"
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError, match="report columns differ in length"):
@@ -512,6 +520,25 @@ class TestLocalOptima:
         err = capsys.readouterr().err
         assert f"{a} and {b} share the dataset name 'pool'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stem", ["p,q", 'p"q', "p\nq", "p\rq"],
+                             ids=["comma", "quote", "lf", "cr"])
+    def test_rejects_stems_a_report_field_cannot_hold(self, tmp_path, capsys, stem):
+        # The stem is the report's dataset field, which is never quoted.
+        a = write_pool(tmp_path, "a.csv", n=50, seed=1)
+        try:
+            bad = write_pool(tmp_path, f"{stem}.csv", n=50, seed=2)
+        except OSError:
+            pytest.skip(f"the file system refuses the name {stem!r}")
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["local-optima", "--data", str(a), str(bad), "--restarts", "2",
+                        "--seed", "5", "--out", str(tmp_path / "lo.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "may not hold a comma, quote or line break" in err
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("out_name, clash", [
         ("b.csv", "--out {out} is the same file as --data {b}"),

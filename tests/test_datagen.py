@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sslsq import (
 from sslsq.cli import main
 from sslsq.datagen import MAX_SEED, derive_rng
 
-from conftest import rowwise_load_csv
+from conftest import rowwise_load_csv, rowwise_save_csv
 
 
 class TestGenerate:
@@ -186,6 +187,72 @@ class TestCsvRoundTrip:
         data = Dataset([[1.0, 2.0]], [1.0])
         with pytest.raises(InvalidInputError):
             save_csv(tmp_path / "x.csv", data, intercept=True)
+
+
+class TestSaveCsv:
+    """``save_csv`` keeps the bytes of the row-at-a-time ``csv.writer`` version."""
+
+    def assert_saves_like_rowwise(self, tmp_path, data, truth, intercept):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(new, data, unlabeled_truth=truth, intercept=intercept)
+        rowwise_save_csv(old, data, unlabeled_truth=truth, intercept=intercept)
+        assert new.read_bytes() == old.read_bytes()
+        loaded, loaded_truth = load_csv(new, intercept=intercept)
+        for got, want in [(loaded.labeled_features, data.labeled_features),
+                          (loaded.labels, data.labels),
+                          (loaded.unlabeled_features, data.unlabeled_features)]:
+            assert got.tobytes() == want.tobytes()
+        if truth is None:
+            assert loaded_truth is None
+        else:
+            np.testing.assert_array_equal(loaded_truth, truth)
+        return new.read_bytes()
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    @pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
+    @pytest.mark.parametrize("kind", list(SyntheticKind), ids=lambda kind: kind.value)
+    def test_generated_files_equal_the_rowwise_writer(self, tmp_path, kind, intercept,
+                                                      with_truth):
+        for seed in (0, 3, 7):
+            for per_class in (1, 2, 25):
+                for unlabeled in (0, 5, 396):
+                    data, truth = generate(SyntheticSpec(
+                        kind=kind, labeled_per_class=per_class, unlabeled_total=unlabeled,
+                        seed=seed, intercept=intercept,
+                    ))
+                    self.assert_saves_like_rowwise(
+                        tmp_path, data, truth if with_truth else None, intercept
+                    )
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_extreme_floats_equal_the_rowwise_writer(self, tmp_path, with_truth):
+        extremes = [[1e300, -1e300, 1e-300, -0.0], [-0.0, 1e-300, -1e300, 1e300],
+                    [5e-324, -5e-324, 0.1 + 0.2, 1.0 / 3.0]]
+        data = Dataset(extremes[:2], [0.0, 1.0], extremes[2:])
+        self.assert_saves_like_rowwise(
+            tmp_path, data, [1.0] if with_truth else None, intercept=False
+        )
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_intercept_only_dataset_round_trips(self, tmp_path, with_truth):
+        # With the intercept dropped, only the label column is left, and an
+        # unlabeled row is a lone empty field: it is written quoted, since a
+        # blank line would be no row at all.
+        data = Dataset(np.ones((3, 1)), [0.0, 1.0, 0.0], np.ones((2, 1)))
+        truth = [1.0, 0.0] if with_truth else None
+        written = self.assert_saves_like_rowwise(tmp_path, data, truth, intercept=True)
+        if with_truth:
+            assert written == b"label,true_label\n0.0,0.0\n1.0,1.0\n0.0,0.0\n,1.0\n,0.0\n"
+        else:
+            assert written == b'label\n0.0\n1.0\n0.0\n""\n""\n'
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, -1.0, math.inf])
+    def test_truth_outside_zero_one_is_refused(self, tmp_path, bad):
+        data = Dataset([[1.0], [2.0]], [0.0, 1.0], [[3.0], [4.0]])
+        path = tmp_path / "x.csv"
+        with pytest.raises(InvalidInputError, match="truth entries must be exactly 0 or 1"):
+            save_csv(path, data, unlabeled_truth=[1.0, bad], intercept=False)
+        assert not path.exists()
 
 
 # One field over csv's default 131,072-character field limit.

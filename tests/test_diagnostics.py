@@ -26,6 +26,7 @@ from sslsq import (
     label_objective,
     responsibility_objective,
     soft_grid_slack,
+    supervised_objective,
     update_hard_labels,
     update_weights,
 )
@@ -231,12 +232,23 @@ class TestFindWitness:
 
 
 class TestBruteForce:
-    def test_no_unlabeled_is_supervised(self, rng):
-        data = make_dataset(rng, 5, 0, 2)
-        result = brute_force_hard_minimum(data, 0.0)
-        assert result.labels.size == 0
-        fit = fit_hard(data, 0.0)
-        assert result.objective == pytest.approx(fit.final_objective)
+    @pytest.mark.parametrize("design", ["full-rank", "repeated-column", "scaled-1e6"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_no_unlabeled_is_supervised(self, rng, design, lam):
+        # The enumeration's one empty labeling is the supervised solve, to
+        # the bit.
+        features = rng.standard_normal((6, 2))
+        if design == "repeated-column":
+            features = features[:, [0, 1, 1]]
+        elif design == "scaled-1e6":
+            features = 1e6 * features
+        data = Dataset(features, [0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        result = brute_force_hard_minimum(data, lam)
+        assert result.labels.shape == (0,)
+        w = update_weights(data, np.zeros(0), lam)
+        assert result.weights.tobytes() == w.tobytes()
+        assert result.objective == supervised_objective(data, w, lam)
+        assert result.objective == pytest.approx(fit_hard(data, lam).final_objective)
 
     def test_single_far_positive_point(self):
         # Supervised line fits the labeled points exactly; the unlabeled
