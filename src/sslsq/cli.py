@@ -181,6 +181,26 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+def _load_test_set(args, data):
+    """Features and labels of the ``--test`` file.
+
+    The file must have no unlabeled rows and the feature columns of ``data``.
+    """
+    test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
+    if test_data.n_unlabeled:
+        raise InvalidInputError(
+            f"{args.test}: --test input must be fully labeled, "
+            f"but it has {test_data.n_unlabeled} unlabeled rows"
+        )
+    if test_data.n_features != data.n_features:
+        intercept = 0 if args.no_intercept else 1
+        raise DimensionError(
+            f"{args.test}: --test input has {test_data.n_features - intercept} feature "
+            f"columns, but --data has {data.n_features - intercept}"
+        )
+    return test_data.labeled_features, test_data.labels
+
+
 def cmd_fit(args):
     if args.trace:
         _check_outputs(
@@ -189,10 +209,7 @@ def cmd_fit(args):
         )
     data, truth = load_csv(args.data, intercept=not args.no_intercept)
     lam = args.lam
-    test = None
-    if args.test:
-        test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
-        test = (test_data.labeled_features, test_data.labels)
+    test = _load_test_set(args, data) if args.test else None
 
     if args.method in ("soft", "hard"):
         config = SolverConfig()
@@ -288,8 +305,7 @@ def cmd_diagnose(args):
 
 def _basin_test_set(args, data, truth):
     if args.test:
-        test_data, _ = load_csv(args.test, intercept=not args.no_intercept)
-        return test_data.labeled_features, test_data.labels
+        return _load_test_set(args, data)
     if truth is not None and data.n_unlabeled > 0:
         return data.unlabeled_features, truth
     return None, None

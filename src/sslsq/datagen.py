@@ -211,6 +211,8 @@ def save_csv(path, data, unlabeled_truth=None, intercept=True):
     """
     features = data.extended_features
     if intercept:
+        if not features.shape[1]:
+            raise InvalidInputError("no feature columns, so no intercept column to drop")
         if not np.all(features[:, -1] == 1.0):
             raise InvalidInputError("last column is not a constant intercept column")
         features = features[:, :-1]

@@ -23,6 +23,7 @@ fit, and stops with the solver's converged stop reason.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -73,10 +74,19 @@ class SolverConfig:
     objective_tolerance: float = 1e-10
 
     def __post_init__(self):
+        try:
+            operator.index(self.max_iterations)
+        except TypeError:
+            raise InvalidInputError(
+                f"max_iterations must be an integer, not {self.max_iterations!r}"
+            ) from None
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
-        if self.objective_tolerance < 0.0:
-            raise InvalidInputError("objective_tolerance must be nonnegative")
+        # Written so that a NaN tolerance, which no decrease would ever meet, fails too.
+        if not self.objective_tolerance >= 0.0:
+            raise InvalidInputError(
+                f"objective_tolerance must be nonnegative, not {self.objective_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,12 +170,7 @@ def update_soft_labels(data, w):
     Values below 0 map to 0, values above 1 map to 1, and anything in
     between is kept as is (the unconstrained per-point minimizer).
     """
-    return _soft_labels(data.unlabeled_features @ _check_weights(data, w))
-
-
-def _soft_labels(scores):
-    # Two ufuncs do what np.clip does, without its Python-level dispatch.
-    return np.minimum(np.maximum(scores, 0.0), 1.0)
+    return np.clip(data.unlabeled_features @ _check_weights(data, w), 0.0, 1.0)
 
 
 def update_hard_labels(data, w):
@@ -174,11 +179,7 @@ def update_hard_labels(data, w):
     With class codes 1 and 0 that is where the responsibility objective
     decreases in q. A value of exactly 0.5 gets 0, matching ``classify``.
     """
-    return _hard_labels(data.unlabeled_features @ _check_weights(data, w))
-
-
-def _hard_labels(scores):
-    return np.where(scores > 0.5, 1.0, 0.0)
+    return np.where(data.unlabeled_features @ _check_weights(data, w) > 0.5, 1.0, 0.0)
 
 
 def update_weights(data, imputed, lam=0.0):
@@ -210,23 +211,26 @@ def _kept_rounds(count):
 
 
 # Starts run in blocks of at most this many (start, design row) entries.
-# A round keeps a few such (starts, N) arrays live, so the cap bounds its
-# memory whatever the number of starts, and at 128 KiB per array a round
-# stays in a per-core cache. On a 2-vCPU x86-64 machine with OpenBLAS,
-# 101 starts over a 416-row design ran the studies about 15% faster in
-# blocks of 39 than in one block, and raised peak RSS by 1.4 MB, not 4.5.
+# A block keeps three such (starts, N) buffers, its targets, fitted values
+# and residuals, so the cap bounds its memory whatever the number of
+# starts, and at 128 KiB per buffer a round stays in a per-core cache.
+# On a 2-vCPU x86-64 machine with OpenBLAS, 101 starts over a 416-row
+# design ran the studies about 15% faster in blocks of 39 than in one
+# block, and raised peak RSS by 1.4 MB, not 4.5.
 _BLOCK_ELEMENTS = 16384
 
 
-def _by_rows(block, matrix):
-    """``block @ matrix`` as one BLAS matrix-vector product per row.
+def _by_rows(block, matrix, out=None):
+    """``block @ matrix`` as one BLAS matrix-vector product per row, into ``out`` if given.
 
     ``matrix`` is either shared by every row or a stack with one matrix
     per row. A row then gets the bits it would get alone, which a
     matrix-matrix product does not promise, so a start's path does not
     depend on the starts it runs with.
     """
-    return (block[:, None, :] @ matrix)[:, 0, :]
+    if out is not None:
+        out = out[:, None, :]
+    return np.matmul(block[:, None, :], matrix, out=out)[:, 0, :]
 
 
 class _Finals(NamedTuple):
@@ -267,6 +271,13 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     order. Nothing is kept per round unless ``path`` is a list: it then
     receives every round's working block as (start ids, weights,
     objectives), which ``_start_results`` splits into traces.
+
+    The rounds write into buffers allocated once per block: the (S, N)
+    targets, whose first L columns hold the known labels, fitted values
+    and residuals, the objectives' (S,) row dots and, for the hard
+    solver, its (S, U) 0/1 labels. The working starts own the leading
+    rows, which move up when starts leave. Only the weights are new
+    every round, as ``path`` keeps them.
     """
     n_labeled = known.shape[-1]
     settled = design.shape[-2] == n_labeled  # no unlabeled rows
@@ -274,18 +285,25 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     tolerance = config.objective_tolerance
     count = len(starts)
     active = np.arange(count)
-    if not per_start:
-        known = known[None, :].repeat(count, axis=0)
     operator_t, design_t = solve.swapaxes(-1, -2), design.swapaxes(-1, -2)
-    scores = _by_rows(starts, design_t[..., n_labeled:])
+    # The round buffers; each name holds the working starts' leading rows.
+    targets = np.empty((count, design.shape[-2]))
+    targets[:, :n_labeled] = known
+    fitted = np.empty_like(targets)
+    residual = np.empty_like(targets)
+    n_unlabeled = targets.shape[1] - n_labeled
+    flags = np.empty((count, n_unlabeled if hard else 0), dtype=bool)  # soft: no columns
+    dots = np.empty(count)
+    labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
+    _by_rows(starts, design_t[..., n_labeled:], out=scores)
     finals = _Finals(
         weights=np.empty(starts.shape),
         objectives=np.empty(count),
-        labels=np.empty(scores.shape),
+        labels=np.empty((count, n_unlabeled)),
         reasons=[None] * count,
         rounds=np.empty(count, dtype=int),
     )
-    labels = W = values = previous = None
+    W = values = previous = None
 
     def leave(mask, reason, rounds_run):
         # The last round's rows of the leaving starts; fancy indexing copies.
@@ -298,40 +316,45 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
             finals.reasons[i] = reason
 
     def shrink(keep):
-        nonlocal active, known, solve, design, operator_t, design_t
+        nonlocal active, solve, design, operator_t, design_t
+        nonlocal targets, fitted, residual, flags, dots, labels, scores
         active = active[keep]
         if per_start:
             # Transpose after the copy, so each slice keeps the strides,
             # and with them the BLAS call, of a lone fit's operator.
-            known, solve, design = known[keep], solve[keep], design[keep]
+            solve, design = solve[keep], design[keep]
             operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
-        else:
-            known = known[: active.size]
+        # Move the kept rows to the front; fancy indexing copies first.
+        n = active.size
+        targets[:n], fitted[:n], flags[:n] = targets[keep], fitted[keep], flags[keep]
+        targets, fitted, residual, flags, dots = (
+            targets[:n], fitted[:n], residual[:n], flags[:n], dots[:n]
+        )
+        labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
 
     for iteration in range(config.max_iterations):
-        candidate = _hard_labels(scores) if hard else _soft_labels(scores)
-        if hard and labels is not None:
-            stable = (candidate == labels).all(axis=1)
-            stopped = np.count_nonzero(stable)
-            if stopped:
-                leave(stable, StopReason.LABELS_STABLE, iteration)
-                if stopped == active.size:
-                    break
-                keep = ~stable
-                shrink(keep)
-                candidate = candidate[keep]
-        labels = candidate
-        targets = np.concatenate((known, labels), axis=1)
+        if hard:
+            np.greater(scores, 0.5, out=flags)
+            if iteration:
+                stable = (flags == labels).all(axis=1)
+                stopped = np.count_nonzero(stable)
+                if stopped:
+                    leave(stable, StopReason.LABELS_STABLE, iteration)
+                    if stopped == active.size:
+                        break
+                    shrink(~stable)
+            np.copyto(labels, flags)
+        else:
+            np.clip(scores, 0.0, 1.0, out=labels)
         W = _by_rows(targets, operator_t)
-        fitted = _by_rows(W, design_t)
-        # The targets are spent once W is known, so the residual overwrites them.
-        residual = np.subtract(fitted, targets, out=targets)
+        _by_rows(W, design_t, out=fitted)
+        np.subtract(fitted, targets, out=residual)
         if hard:
             values = _responsibility_value(
-                residual[:, :n_labeled], fitted[:, n_labeled:], labels, W, _CLASS_CODES, lam
+                residual[:, :n_labeled], scores, labels, W, _CLASS_CODES, lam
             )
         else:
-            values = _squared_objective(residual, W, lam)
+            values = _squared_objective(residual, W, lam, out=dots)
         # Python floats: a trace stores them, and on a one-start block
         # the stop test costs less in Python than in numpy calls.
         values = values.tolist()
@@ -351,10 +374,9 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
                     break
                 keep = ~done
                 shrink(keep)
-                labels, fitted, W = labels[keep], fitted[keep], W[keep]
+                W = W[keep]
                 values = list(compress(values, keep))
         previous = values
-        scores = fitted[:, n_labeled:]
     else:  # the round cap stops every start still working
         leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS, config.max_iterations)
     return finals

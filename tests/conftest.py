@@ -4,7 +4,7 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Five helpers are frozen copies of earlier library code:
+against these. Six helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
@@ -12,21 +12,27 @@ that preceded the columnar one, kept to pin its arrays and errors;
 ``pairwise_count_unique_optima``, the clustering that built all pairwise
 differences at once, kept to pin the blocked one's counts and ids; and
 ``rowwise_write_csv``, the report writer that formatted one field at a
-time before the columnar one, kept to pin its bytes; and
+time before the columnar one, kept to pin its bytes;
 ``rowwise_save_csv``, the dataset writer that wrote through
 ``csv.writer`` a row at a time before ``save_csv`` wrote through the
-columnar writer, kept to pin its bytes.
+columnar writer, kept to pin its bytes; and ``allocating_run_descent``,
+the lock-step descent loop that built new (starts, N) arrays every round
+before the loop wrote its rounds into per-block buffers, kept to pin
+its finals and per-round path.
 """
 
 import csv
 import itertools
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
 
 from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
 from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
+from sslsq.model import _CLASS_CODES, _responsibility_value, _squared_objective
+from sslsq.selflearn import StopReason, _Finals
 
 
 def make_dataset(rng, n_labeled=8, n_unlabeled=5, n_features=3):
@@ -326,6 +332,145 @@ def rowwise_save_csv(path, data, unlabeled_truth=None, intercept=True):
             if unlabeled_truth is not None:
                 record.append(_format_number(unlabeled_truth[i]))
             writer.writerow(record)
+
+
+# The helpers of ``allocating_run_descent``, frozen with it.
+
+
+def _by_rows(block, matrix):
+    """``block @ matrix`` as one BLAS matrix-vector product per row.
+
+    ``matrix`` is either shared by every row or a stack with one matrix
+    per row. A row then gets the bits it would get alone, which a
+    matrix-matrix product does not promise, so a start's path does not
+    depend on the starts it runs with.
+    """
+    return (block[:, None, :] @ matrix)[:, 0, :]
+
+
+def _soft_labels(scores):
+    return np.minimum(np.maximum(scores, 0.0), 1.0)
+
+
+def _hard_labels(scores):
+    return np.where(scores > 0.5, 1.0, 0.0)
+
+
+def allocating_run_descent(config, known, design, solve, starts, lam, hard, path=None):
+    """Advance a block of starts in lock-step until each one stops.
+
+    ``starts`` is an (S, d) array, one starting weight vector per row.
+    The starts share one problem, given as the known labels ``known``
+    (L,), the stacked design ``design`` (N, d) and its ridge operator
+    ``solve`` (d, N), or each start has its own: ``known`` (S, L),
+    ``design`` (S, N, d) and ``solve`` (S, d, N). ``hard`` picks the
+    solver: 0/1 responsibilities scored by the responsibility objective,
+    or clamped decision values scored by the squared objective, each
+    with ridge penalty ``lam``. Every round imputes the
+    labels of all working starts from their decision values, re-fits
+    their weights with one product with the ridge operator, and takes
+    their objectives and next decision values from one product with the
+    design. A start leaves the block, with its rows of any per-start
+    stack, in the round it stops: on stable labels (hard), on the
+    relative objective decrease (soft) or at ``max_iterations``. With
+    no unlabeled rows (N == L), round 0 is the supervised fit, and every
+    start leaves after it with the solver's converged stop reason, even
+    at ``max_iterations=1``. Returns the ``_Finals`` of the starts, in
+    order. Nothing is kept per round unless ``path`` is a list: it then
+    receives every round's working block as (start ids, weights,
+    objectives), which ``_start_results`` splits into traces.
+    """
+    n_labeled = known.shape[-1]
+    settled = design.shape[-2] == n_labeled  # no unlabeled rows
+    per_start = design.ndim == 3
+    tolerance = config.objective_tolerance
+    count = len(starts)
+    active = np.arange(count)
+    if not per_start:
+        known = known[None, :].repeat(count, axis=0)
+    operator_t, design_t = solve.swapaxes(-1, -2), design.swapaxes(-1, -2)
+    scores = _by_rows(starts, design_t[..., n_labeled:])
+    finals = _Finals(
+        weights=np.empty(starts.shape),
+        objectives=np.empty(count),
+        labels=np.empty(scores.shape),
+        reasons=[None] * count,
+        rounds=np.empty(count, dtype=int),
+    )
+    labels = W = values = previous = None
+
+    def leave(mask, reason, rounds_run):
+        # The last round's rows of the leaving starts; fancy indexing copies.
+        ids = active[mask]
+        finals.weights[ids] = W[mask]
+        finals.objectives[ids] = np.compress(mask, values)
+        finals.labels[ids] = labels[mask]
+        finals.rounds[ids] = rounds_run
+        for i in ids.tolist():
+            finals.reasons[i] = reason
+
+    def shrink(keep):
+        nonlocal active, known, solve, design, operator_t, design_t
+        active = active[keep]
+        if per_start:
+            # Transpose after the copy, so each slice keeps the strides,
+            # and with them the BLAS call, of a lone fit's operator.
+            known, solve, design = known[keep], solve[keep], design[keep]
+            operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
+        else:
+            known = known[: active.size]
+
+    for iteration in range(config.max_iterations):
+        candidate = _hard_labels(scores) if hard else _soft_labels(scores)
+        if hard and labels is not None:
+            stable = (candidate == labels).all(axis=1)
+            stopped = np.count_nonzero(stable)
+            if stopped:
+                leave(stable, StopReason.LABELS_STABLE, iteration)
+                if stopped == active.size:
+                    break
+                keep = ~stable
+                shrink(keep)
+                candidate = candidate[keep]
+        labels = candidate
+        targets = np.concatenate((known, labels), axis=1)
+        W = _by_rows(targets, operator_t)
+        fitted = _by_rows(W, design_t)
+        # The targets are spent once W is known, so the residual overwrites them.
+        residual = np.subtract(fitted, targets, out=targets)
+        if hard:
+            values = _responsibility_value(
+                residual[:, :n_labeled], fitted[:, n_labeled:], labels, W, _CLASS_CODES, lam
+            )
+        else:
+            values = _squared_objective(residual, W, lam)
+        # Python floats: a trace stores them, and on a one-start block
+        # the stop test costs less in Python than in numpy calls.
+        values = values.tolist()
+        if path is not None:
+            path.append((active, W, values))
+        if settled:
+            reason = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
+            leave(np.ones(active.size, dtype=bool), reason, 1)
+            break
+        if not hard and previous is not None:
+            done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
+            stopped = done.count(True)
+            if stopped:
+                done = np.array(done)
+                leave(done, StopReason.OBJECTIVE_TOLERANCE, iteration + 1)
+                if stopped == active.size:
+                    break
+                keep = ~done
+                shrink(keep)
+                labels, fitted, W = labels[keep], fitted[keep], W[keep]
+                values = list(compress(values, keep))
+        previous = values
+        scores = fitted[:, n_labeled:]
+    else:  # the round cap stops every start still working
+        leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS, config.max_iterations)
+    return finals
+
 
 
 def relative_error(actual, expected):

@@ -155,6 +155,22 @@ class TestGenerate:
         assert "seed = 7" in manifest
 
 
+def assert_test_refused(code, capsys, error, directory, before):
+    """A ``--test`` file refused with exit 2 and ``error``, before any fit
+    prints or any file is written."""
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert snapshot(directory) == before
+
+
+def assert_unlabeled_test_refused(code, capsys, test, unlabeled, directory, before):
+    """A ``--test`` file with unlabeled rows is refused, naming the file and its unlabeled count."""
+    error = f"{test}: --test input must be fully labeled, but it has {unlabeled} unlabeled rows"
+    assert_test_refused(code, capsys, error, directory, before)
+
+
 class TestFit:
     def test_supervised_objective_matches_direct_computation(self, tmp_path, capsys):
         path = write_cluster_data(tmp_path)
@@ -224,6 +240,27 @@ class TestFit:
                         "--trace", str(trace)])
         assert_clash_refused(code, capsys, clash.format(data=data, test=test, trace=trace),
                              tmp_path, before)
+
+    @pytest.mark.parametrize("method", ["supervised", "soft", "hard"])
+    def test_test_file_with_unlabeled_rows_is_refused(self, tmp_path, capsys, method):
+        # Scoring such a file would silently drop its 40 unlabeled rows.
+        data = write_cluster_data(tmp_path, unlabeled=40)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["fit", "--data", str(data), "--method", method, "--test", str(data),
+                        "--trace", str(tmp_path / "trace.csv")])
+        assert_unlabeled_test_refused(code, capsys, data, 40, tmp_path, before)
+
+    def test_test_file_of_another_width_is_refused(self, tmp_path, capsys):
+        # The fit used to run and print its summary before the width clash.
+        data = write_cluster_data(tmp_path, unlabeled=30)
+        test = write_pool(tmp_path, "test.csv")
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["fit", "--data", str(data), "--method", "soft", "--test", str(test),
+                        "--trace", str(tmp_path / "trace.csv")])
+        assert_test_refused(code, capsys, f"{test}: --test input has 2 feature columns, "
+                            "but --data has 1", tmp_path, before)
 
     def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
         # Soft BCD on these overlapping clusters is still descending at the
@@ -460,6 +497,26 @@ class TestBasin:
         assert_clash_refused(run_cli(argv), capsys,
                              clash.format(data=data, test=test, out=out, paths=paths),
                              tmp_path, before)
+
+    def test_test_file_with_unlabeled_rows_is_refused(self, tmp_path, capsys):
+        data = write_cluster_data(tmp_path, "d.csv", unlabeled=30)
+        test = write_cluster_data(tmp_path, "test.csv", seed=8, unlabeled=12)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["basin", "--data", str(data), "--method", "soft", "--starts", "3",
+                        "--seed", "1", "--test", str(test), "--out", str(tmp_path / "o.csv"),
+                        "--paths", str(tmp_path / "p.csv")])
+        assert_unlabeled_test_refused(code, capsys, test, 12, tmp_path, before)
+
+    def test_test_file_of_another_width_is_refused(self, tmp_path, capsys):
+        data = write_cluster_data(tmp_path, "d.csv", unlabeled=30)
+        test = write_pool(tmp_path, "test.csv")
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["basin", "--data", str(data), "--method", "soft", "--starts", "3",
+                        "--seed", "1", "--test", str(test), "--out", str(tmp_path / "o.csv")])
+        assert_test_refused(code, capsys, f"{test}: --test input has 2 feature columns, "
+                            "but --data has 1", tmp_path, before)
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_scale_is_usage_error(self, tmp_path, capsys, scale):

@@ -246,6 +246,13 @@ class TestSaveCsv:
         else:
             assert written == b'label\n0.0\n1.0\n0.0\n""\n""\n'
 
+    def test_no_feature_columns_has_no_intercept_to_drop(self, tmp_path):
+        data = Dataset(np.zeros((2, 0)), [0.0, 1.0], np.zeros((1, 0)))
+        path = tmp_path / "x.csv"
+        with pytest.raises(InvalidInputError, match="no intercept column to drop"):
+            save_csv(path, data)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, 0.5, -1.0, math.inf])
     def test_truth_outside_zero_one_is_refused(self, tmp_path, bad):
         data = Dataset([[1.0], [2.0]], [0.0, 1.0], [[3.0], [4.0]])

@@ -29,9 +29,14 @@ from sslsq import (
     update_soft_labels,
     update_weights,
 )
-from sslsq.selflearn import _fit_stack
+from sslsq.selflearn import _fit_stack, _run_descent
 
-from conftest import make_dataset, normal_equation_ridge, scaled_collinear_data
+from conftest import (
+    allocating_run_descent,
+    make_dataset,
+    normal_equation_ridge,
+    scaled_collinear_data,
+)
 
 
 def no_unlabeled_dataset(design, seed=0):
@@ -451,6 +456,71 @@ class TestFitDatasets:
                 self.assert_final_equals(fits[method], i, fit)
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBufferedLoop:
+    """``_run_descent`` writes its rounds into per-block buffers with the frozen loop's bits."""
+
+    @staticmethod
+    def problem(case, n_unlabeled, lam):
+        """Known labels, design, ridge operator and starts of one lock-step block.
+
+        "one" is the supervised start on one dataset, "random-7" seven
+        random starts on it, and "stack-5" five datasets, each from its
+        supervised weights.
+        """
+        rng = np.random.default_rng(5)
+        if case == "stack-5":
+            datasets = [make_dataset(rng, 8, n_unlabeled, 3) for _ in range(5)]
+            known = np.stack([data.labels for data in datasets])
+            design = np.stack([data.extended_features for data in datasets])
+            starts = (ridge_operator(design[:, :8], lam) @ known[:, :, None])[:, :, 0]
+        else:
+            data = make_dataset(rng, 8, n_unlabeled, 3)
+            known, design = data.labels, data.extended_features
+            if case == "one":
+                starts = ridge_solve(data.labeled_features, known, lam)[None, :]
+            else:
+                starts = 2.0 * rng.standard_normal((7, 3))
+        return known, design, ridge_operator(design, lam), starts
+
+    # On the seven random starts with U = 30, the hard solver's cap of 4
+    # and the soft solver's caps of 18 and 19 stop some starts at the cap
+    # in the round that others stop in by their own rule.
+    @pytest.mark.parametrize("max_iterations", [1, 3, 4, 18, 19, 1000])
+    @pytest.mark.parametrize("n_unlabeled", [0, 30])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("case", ["one", "random-7", "stack-5"])
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    def test_matches_allocating_loop(self, hard, case, lam, n_unlabeled, max_iterations):
+        config = SolverConfig(max_iterations=max_iterations)
+        known, design, solve, starts = self.problem(case, n_unlabeled, lam)
+        path, expected_path = [], []
+        finals = _run_descent(config, known, design, solve, starts, lam, hard, path)
+        expected = allocating_run_descent(
+            config, known, design, solve, starts, lam, hard, expected_path
+        )
+        for name in ("weights", "objectives", "labels", "rounds"):
+            assert_same_bits(getattr(finals, name), getattr(expected, name))
+        assert finals.reasons == expected.reasons
+        assert len(path) == len(expected_path)
+        for (active, W, values), (want_active, want_W, want_values) in zip(path, expected_path):
+            assert_same_bits(active, want_active)
+            assert_same_bits(W, want_W)
+            assert_same_bits(values, want_values)
+        # Every round's weights are a new array: the traces keep them all.
+        spans = sorted((W.__array_interface__["data"][0], W.nbytes) for _, W, _ in path)
+        assert all(W.flags.c_contiguous for _, W, _ in path)
+        assert all(start + size <= after for (start, size), (after, _) in zip(spans, spans[1:]))
+        if case == "random-7" and n_unlabeled and max_iterations == 1000:
+            # The starts leave the block in different rounds.
+            assert len(set(finals.rounds.tolist())) > 1
+
+
 class TestTraceMemory:
     def test_only_final_record_holds_labels(self):
         # Soft BCD on these overlapping clusters is still descending after
@@ -476,6 +546,23 @@ class TestConfig:
             SolverConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             SolverConfig(objective_tolerance=-1.0)
+
+    # A float cap would fail in the descent loop's range(), and a NaN
+    # tolerance would never stop a soft fit before the cap.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iterations": 2.5}, "max_iterations must be an integer"),
+        ({"max_iterations": 3.0}, "max_iterations must be an integer"),
+        ({"max_iterations": "10"}, "max_iterations must be an integer"),
+        ({"objective_tolerance": float("nan")}, "objective_tolerance must be nonnegative"),
+    ])
+    def test_refuses_values_the_loop_cannot_run(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SolverConfig(**kwargs)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        data = make_dataset(np.random.default_rng(0), 8, 30, 3)
+        result = fit_soft(data, 0.0, SolverConfig(max_iterations=np.int64(3)))
+        assert result.iterations == 3
 
     def test_trace_thinning(self, rng, monkeypatch):
         import sslsq.selflearn as selflearn
