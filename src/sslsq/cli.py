@@ -58,7 +58,7 @@ from .experiments import (
     run_learning_curve,
     run_local_optima_study,
 )
-from .model import label_objective, ridge_solve, supervised_objective
+from .model import _check_lam, label_objective, ridge_solve, supervised_objective
 from .selflearn import SolverConfig, StopReason, fit_hard, fit_soft, update_weights
 
 EXIT_OK = 0
@@ -271,8 +271,9 @@ def cmd_fit(args):
 
 
 def cmd_diagnose(args):
+    # Refused before any line is printed, not halfway through the report.
+    lam = _check_lam(args.lam)
     data, _ = load_csv(args.data, intercept=not args.no_intercept)
-    lam = args.lam
     print(f"labeled = {data.n_labeled}")
     print(f"unlabeled = {data.n_unlabeled}")
     if data.n_unlabeled == 0:

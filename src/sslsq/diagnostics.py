@@ -22,6 +22,7 @@ from .errors import (
 )
 from .model import (
     _CLASS_CODES,
+    _check_lam,
     label_objective,
     responsibility_objective,
     ridge_operator,
@@ -97,6 +98,7 @@ def _hessian_blocks(data, kind, lam):
         bottom_diagonal = 0.0
     else:
         raise InvalidInputError(f"unknown hessian kind {kind!r}")
+    lam = _check_lam(lam)
     extended = data.extended_features
     leading = 2.0 * (extended.T @ extended)
     if lam > 0.0:
@@ -181,32 +183,35 @@ def find_witness(data, kind, lam=0.0):
     """Construct a direction with a negative quadratic form for the Hessian.
 
     For the label-based kind any unit vector in the label block works
-    (the trailing block carries -2 on the diagonal). For the
+    (the trailing block carries -2 on the diagonal); the first one is
+    taken, and its value -2 needs no matrix. For the
     responsibility-based kind a direction ``z2 = c * X_u z1`` is scaled
     past the threshold at which the cross term dominates the positive
     leading block, with a factor-2 margin; this requires a nonzero
     unlabeled design matrix.
     """
-    block = build_hessian(data, kind, lam)
-    d, unlabeled_count = data.n_features, data.n_unlabeled
     if kind == HessianKind.LABEL_BASED:
-        z1 = np.zeros(d)
-        z2 = np.zeros(unlabeled_count)
+        # The form along the first label's unit vector is the label
+        # block's diagonal, so the dense matrix is not needed.
+        _, bottom_diagonal = _hessian_blocks(data, kind, lam)
+        z2 = np.zeros(data.n_unlabeled)
         z2[0] = 1.0
-    else:
-        unlabeled = data.unlabeled_features
-        row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
-        if not np.any(row_norms > 0.0):
-            raise NoWitnessError(
-                "unlabeled features are all zero; the responsibility hessian is PSD"
-            )
-        z1 = unlabeled[int(np.argmax(row_norms))].copy()
-        pushed = unlabeled @ z1
-        leading = float(z1 @ (block.matrix[:d, :d] @ z1))
-        # The form along z2 = c * X_u z1 is leading - 4 c |X_u z1|^2;
-        # take twice the zero-crossing c for margin against rounding.
-        threshold = leading / (4.0 * float(pushed @ pushed))
-        z2 = 2.0 * threshold * pushed
+        return NonconvexityWitness(np.zeros(data.n_features), z2, bottom_diagonal)
+    block = build_hessian(data, kind, lam)
+    d = data.n_features
+    unlabeled = data.unlabeled_features
+    row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
+    if not np.any(row_norms > 0.0):
+        raise NoWitnessError(
+            "unlabeled features are all zero; the responsibility hessian is PSD"
+        )
+    z1 = unlabeled[int(np.argmax(row_norms))].copy()
+    pushed = unlabeled @ z1
+    leading = float(z1 @ (block.matrix[:d, :d] @ z1))
+    # The form along z2 = c * X_u z1 is leading - 4 c |X_u z1|^2;
+    # take twice the zero-crossing c for margin against rounding.
+    threshold = leading / (4.0 * float(pushed @ pushed))
+    z2 = 2.0 * threshold * pushed
     z = np.concatenate([z1, z2])
     value = float(z @ (block.matrix @ z))
     if not value < 0.0:
@@ -269,15 +274,27 @@ def brute_force_hard_minimum(data, lam=0.0):
     of about ``_CHUNK_LABELINGS`` labelings (at least one ``a`` row each),
     so no labeling needs its own solve and memory stays bounded.
 
+    The scan is pruned, after the branch and bound of Land and Doig
+    (1960). Every value in row ``a`` is at least ``f(a) + min h`` plus the
+    negative entries of ``2 a'A_ab``, and a block's bound is the least of
+    its rows'. Blocks are scored in ascending (stable) order of bound,
+    and the scan stops at the first block whose bound exceeds the best
+    value by more than twice the rounding slack: a value and its bound
+    each round by about ``(k+3) eps`` of the scale (``k`` labels in
+    ``b``), far less than the slack, so no unscored value lies within
+    the slack of the best. On an all-ties design every block is scored,
+    so the worst case is still all ``2^U`` labelings.
+
     Row-major order over ``(a, b)`` is lexicographic order. The table
     rounds differently from the objective, so every labeling within a
-    rounding slack of the running minimum is kept; the slack scales with
-    ``|c| + 2 ||g||_1 + ||A||_1`` (sums of absolute entries). Each kept
-    labeling is rescored exactly, with ``w = P t`` and
-    ``responsibility_objective``, and the first strict minimum in
-    lexicographic order wins. So ties go to the lexicographically
-    smallest labeling, and the result carries the bits of the same
-    solve a hard fit makes. Many exact ties make the rescoring longer.
+    rounding slack of the minimum is kept; the slack scales with
+    ``|c| + 2 ||g||_1 + ||A||_1`` (sums of absolute entries). The kept
+    set does not depend on the order the blocks are scored in. Each kept
+    labeling is rescored exactly, in lexicographic order, with
+    ``w = P t`` and ``responsibility_objective``, and the first strict
+    minimum wins. So ties go to the lexicographically smallest labeling,
+    and the result carries the bits of the same solve a hard fit makes.
+    Many exact ties make the rescoring longer.
     A label that cannot move the objective by more than rounding error
     (its column of ``M`` vanishes) ties with itself flipped, so it is
     fixed to 0 and only the other labels are enumerated. On a design that
@@ -316,15 +333,24 @@ def brute_force_hard_minimum(data, lam=0.0):
     slack = _SLACK_ULPS * len(free) * np.finfo(float).eps * scale
 
     # Index i * width + j is labeling (a_i, b_j), whose bits, most
-    # significant first, are the free labels.
+    # significant first, are the free labels. Row i's values are at least
+    # its bound: the best column plus every negative cross term.
     width = len(column_values)
     rows = max(1, _CHUNK_LABELINGS // width)
+    firsts = np.arange(0, len(row_values), rows)
+    row_bounds = row_values + column_values.min() + np.minimum(cross, 0.0).sum(axis=1)
+    block_bounds = np.minimum.reduceat(row_bounds, firsts)
     best = np.inf
     kept = np.zeros(0, dtype=np.int64)
     kept_values = np.zeros(0)
-    for first in range(0, len(row_values), rows):
+    for block_index in np.argsort(block_bounds, kind="stable"):
+        # A value and its bound each round by far less than slack, so no
+        # later block holds a value within slack of the best.
+        if block_bounds[block_index] > best + 2.0 * slack:
+            break
+        first = int(firsts[block_index])
         block = slice(first, first + rows)
-        values = row_values[block, None] + column_values[None, :] + cross[block] @ low_bits.T
+        values = _block_values(row_values[block], column_values, cross[block], low_bits)
         lowest = float(values.min())
         if lowest > best + slack:
             continue
@@ -337,7 +363,7 @@ def brute_force_hard_minimum(data, lam=0.0):
         kept_values = np.concatenate([kept_values, values.reshape(-1)[hits]])
 
     result = None
-    for index in kept:
+    for index in np.sort(kept):
         row, column = divmod(int(index), width)
         labels = np.zeros(unlabeled_count)
         labels[free] = np.concatenate([high_bits[row], low_bits[column]])
@@ -345,6 +371,11 @@ def brute_force_hard_minimum(data, lam=0.0):
         if result is None or candidate.objective < result.objective:
             result = candidate
     return result
+
+
+def _block_values(row_values, column_values, cross, low_bits):
+    """Table values of the labelings ``(a_i, b_j)`` for one block's rows ``i``, one row each."""
+    return row_values[:, None] + column_values[None, :] + cross @ low_bits.T
 
 
 def _rescored(data, operator, labels, lam):

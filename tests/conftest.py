@@ -4,7 +4,7 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Six helpers are frozen copies of earlier library code:
+against these. Seven helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
@@ -18,7 +18,10 @@ time before the columnar one, kept to pin its bytes;
 columnar writer, kept to pin its bytes; and ``allocating_run_descent``,
 the lock-step descent loop that built new (starts, N) arrays every round
 before the loop wrote its rounds into per-block buffers, kept to pin
-its finals and per-round path.
+its finals and per-round path; and ``unpruned_hard_minimum``, the
+meet-in-the-middle search that scored every block of sums in order
+before the search skipped blocks by their lower bounds, kept to pin the
+pruned search's labels, weights and objective.
 """
 
 import csv
@@ -471,6 +474,90 @@ def allocating_run_descent(config, known, design, solve, starts, lam, hard, path
         leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS, config.max_iterations)
     return finals
 
+
+
+# The helpers of ``unpruned_hard_minimum``, frozen with it.
+
+
+def _reduced_quadratic(extended, operator, lam):
+    fitted = extended @ operator - np.eye(extended.shape[0])
+    reduced = fitted.T @ fitted
+    if lam > 0.0:
+        reduced = reduced + lam * (operator.T @ operator)
+    return reduced
+
+
+def _bit_rows(count):
+    shifts = np.arange(count - 1, -1, -1, dtype=np.int64)
+    return ((np.arange(1 << count, dtype=np.int64)[:, None] >> shifts) & 1).astype(float)
+
+
+def _half_table(constant, linear, quadratic, bits):
+    return constant + 2.0 * (bits @ linear) + np.einsum("ij,ij->i", bits @ quadratic, bits)
+
+
+def _rescored(data, operator, labels, lam):
+    w = operator @ np.concatenate([data.labels, labels])
+    return labels, w, responsibility_objective(data, w, labels, _CLASS_CODES, lam)
+
+
+def unpruned_hard_minimum(data, lam=0.0, chunk=4096):
+    """The earlier meet-in-the-middle search, which scored every block of sums.
+
+    Returns ``(labels, weights, objective)``. The blocks of about
+    ``chunk`` labelings are scored in row order, every labeling within
+    the rounding slack of the running minimum is kept, and the kept
+    labelings are rescored in lexicographic order.
+    """
+    unlabeled_count = data.n_unlabeled
+    extended = data.extended_features
+    operator = ridge_operator(extended, lam)
+    reduced = _reduced_quadratic(extended, operator, lam)
+    y = data.labels
+    noise = 1024 * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
+    free = np.flatnonzero(np.diagonal(reduced)[data.n_labeled :] > noise * noise)
+    base = np.concatenate([y, np.zeros(unlabeled_count)])
+    tail = reduced[data.n_labeled + free]
+    constant = float(base @ (reduced @ base))
+    linear = tail @ base
+    quadratic = tail[:, data.n_labeled + free]
+
+    high = len(free) // 2
+    high_bits, low_bits = _bit_rows(high), _bit_rows(len(free) - high)
+    row_values = _half_table(constant, linear[:high], quadratic[:high, :high], high_bits)
+    column_values = _half_table(0.0, linear[high:], quadratic[high:, high:], low_bits)
+    cross = 2.0 * (high_bits @ quadratic[:high, high:])
+    scale = abs(constant) + 2.0 * np.sum(np.abs(linear)) + np.sum(np.abs(quadratic))
+    slack = 1024 * len(free) * np.finfo(float).eps * scale
+
+    width = len(column_values)
+    rows = max(1, chunk // width)
+    best = np.inf
+    kept = np.zeros(0, dtype=np.int64)
+    kept_values = np.zeros(0)
+    for first in range(0, len(row_values), rows):
+        block = slice(first, first + rows)
+        values = row_values[block, None] + column_values[None, :] + cross[block] @ low_bits.T
+        lowest = float(values.min())
+        if lowest > best + slack:
+            continue
+        if lowest < best:
+            best = lowest
+            keep = kept_values <= best + slack
+            kept, kept_values = kept[keep], kept_values[keep]
+        hits = np.flatnonzero(values <= best + slack)
+        kept = np.concatenate([kept, first * width + hits])
+        kept_values = np.concatenate([kept_values, values.reshape(-1)[hits]])
+
+    result = None
+    for index in kept:
+        row, column = divmod(int(index), width)
+        labels = np.zeros(unlabeled_count)
+        labels[free] = np.concatenate([high_bits[row], low_bits[column]])
+        candidate = _rescored(data, operator, labels, lam)
+        if result is None or candidate[2] < result[2]:
+            result = candidate
+    return result
 
 
 def relative_error(actual, expected):

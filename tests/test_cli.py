@@ -424,8 +424,21 @@ class TestDiagnose:
         assert f"label_hessian_psd = {expected[0]}" in out
         assert "label_hessian_min_diagonal = -2.0" in out
         assert f"responsibility_hessian_psd = {expected[1]}" in out
-        # Only the two witnesses still build the dense matrix.
-        assert built == [HessianKind.LABEL_BASED, HessianKind.RESPONSIBILITY_BASED]
+        # Only the responsibility witness still builds the dense matrix.
+        assert built == [HessianKind.RESPONSIBILITY_BASED]
+
+    @pytest.mark.parametrize("unlabeled", [20, 396])
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_lambda_is_refused_before_any_output(self, tmp_path, capsys, unlabeled, lam):
+        # Refused up front: not read as lam = 0 (U = 396), and not after the
+        # verdict lines are out (U = 20).
+        path = write_cluster_data(tmp_path, unlabeled=unlabeled)
+        capsys.readouterr()
+        assert run_cli(["diagnose", "--data", str(path), "--lambda", lam]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ridge penalty")
+        assert captured.err.count("\n") == 1
 
     def test_seed_is_not_an_option(self, tmp_path, capsys):
         # diagnose draws no random numbers and writes no manifest.

@@ -15,12 +15,14 @@ from sslsq import (
     InvalidInputError,
     NoWitnessError,
     SolverConfig,
+    SyntheticSpec,
     brute_force_hard_minimum,
     build_hessian,
     decision_values,
     find_witness,
     fit_hard,
     fit_soft,
+    generate,
     grid_soft_minimum,
     is_psd,
     label_objective,
@@ -37,6 +39,7 @@ from conftest import (
     exhaustive_hard_minimum,
     make_dataset,
     scaled_collinear_data,
+    unpruned_hard_minimum,
 )
 
 
@@ -71,6 +74,18 @@ class TestBuildHessian:
     def test_requires_unlabeled_block(self, rng):
         with pytest.raises(DegenerateInputError):
             build_hessian(make_dataset(rng, 4, 0, 2), HessianKind.LABEL_BASED)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_bad_ridge_penalty(self, rng, lam):
+        # A negative or NaN penalty is refused, not read as lam = 0.
+        data = make_dataset(rng, 4, 3, 2)
+        for kind in HessianKind:
+            with pytest.raises(InvalidInputError, match="ridge penalty"):
+                build_hessian(data, kind, lam)
+            with pytest.raises(InvalidInputError, match="ridge penalty"):
+                diagnostics._psd_verdict(data, kind, lam)
+            with pytest.raises(InvalidInputError, match="ridge penalty"):
+                find_witness(data, kind, lam)
 
     def test_symmetry(self, rng):
         for kind in HessianKind.LABEL_BASED, HessianKind.RESPONSIBILITY_BASED:
@@ -206,6 +221,37 @@ class TestFindWitness:
         np.testing.assert_array_equal(witness.z1, np.zeros(3))
         assert witness.quadratic_form_value == pytest.approx(-2.0)
 
+    def test_label_based_value_is_the_dense_form(self, rng, monkeypatch):
+        # The witness skips the dense matrix yet gives the bits of z'Hz.
+        cases = []
+        for lam in (0.0, 0.5):
+            for _ in range(10):
+                data = make_dataset(rng, int(rng.integers(2, 7)), int(rng.integers(1, 6)),
+                                    int(rng.integers(1, 4)))
+                H = build_hessian(data, HessianKind.LABEL_BASED, lam).matrix
+                cases.append((data, lam, H))
+        scaled = scaled_collinear_data(0)
+        cases.append((scaled, 0.0, build_hessian(scaled, HessianKind.LABEL_BASED).matrix))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the label-based witness built the dense matrix")
+
+        monkeypatch.setattr(diagnostics, "build_hessian", refuse)
+        for data, lam, H in cases:
+            witness = find_witness(data, HessianKind.LABEL_BASED, lam)
+            z = np.concatenate([witness.z1, witness.z2])
+            expected = float(z @ (H @ z))
+            assert np.float64(witness.quadratic_form_value).tobytes() == (
+                np.float64(expected).tobytes()
+            )
+            assert type(witness.quadratic_form_value) is float
+
+    def test_label_based_still_validates(self, rng):
+        with pytest.raises(DegenerateInputError):
+            find_witness(make_dataset(rng, 4, 0, 2), HessianKind.LABEL_BASED)
+        with pytest.raises(InvalidInputError, match="unknown hessian kind"):
+            find_witness(make_dataset(rng, 4, 3, 2), "label-based")
+
     def test_responsibility_worked_example(self):
         witness = find_witness(tiny_dataset(), HessianKind.RESPONSIBILITY_BASED)
         np.testing.assert_allclose(witness.z1, [1.0])
@@ -249,6 +295,67 @@ class TestBruteForce:
         assert result.weights.tobytes() == w.tobytes()
         assert result.objective == supervised_objective(data, w, lam)
         assert result.objective == pytest.approx(fit_hard(data, lam).final_objective)
+
+    @staticmethod
+    def pin_design(rng, design, unlabeled_count):
+        """A design of the given family with ``unlabeled_count`` unlabeled rows."""
+        if design == "interpolating":
+            # More features than points: at lam = 0 every label vanishes.
+            return make_dataset(rng, 2, unlabeled_count, unlabeled_count + 4)
+        if design == "integer-ties":
+            # Few distinct integer rows, so many labelings tie exactly.
+            features = rng.integers(-1, 2, size=(6 + unlabeled_count, 2)).astype(float)
+            features = np.hstack([features, np.ones((len(features), 1))])
+            return Dataset(features[:6], [0.0, 1.0, 1.0, 0.0, 1.0, 0.0], features[6:])
+        data = make_dataset(rng, 6, unlabeled_count, 3)
+        features = np.vstack([data.labeled_features, data.unlabeled_features])
+        if design == "duplicated-rows":
+            # Three distinct rows: swapping the labels of equal rows ties.
+            features = features[rng.integers(0, 3, size=len(features))]
+        elif design == "repeated-column":
+            features = features[:, [0, 1, 1, 2]]
+        elif design == "scaled-1e6":
+            features = 1e6 * features
+        return Dataset(features[:6], data.labels, features[6:])
+
+    @pytest.mark.parametrize("design", ["full-rank", "repeated-column", "scaled-1e6",
+                                        "integer-ties", "duplicated-rows", "interpolating"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_pruned_scan_keeps_unpruned_bits(self, rng, monkeypatch, design, lam, chunk):
+        # Scoring blocks best first and skipping those whose bound is out
+        # of reach keeps the set rescored, so every bit of the result.
+        # Blocks of one row put exact ties in different blocks even at
+        # small U; the default blocks split the table from U = 13 on.
+        monkeypatch.setattr(diagnostics, "_CHUNK_LABELINGS", chunk)
+        for unlabeled_count in range(21):
+            data = self.pin_design(rng, design, unlabeled_count)
+            labels, weights, objective = unpruned_hard_minimum(data, lam, chunk)
+            result = brute_force_hard_minimum(data, lam)
+            assert result.labels.tobytes() == labels.tobytes()
+            assert result.weights.tobytes() == weights.tobytes()
+            assert np.float64(result.objective).tobytes() == np.float64(objective).tobytes()
+
+    def test_pruned_scan_scores_few_blocks_on_separated_clusters(self, monkeypatch):
+        # At U = 20 the table has 2^10 rows in blocks of 4: 256 blocks.
+        scored = []
+        block_values = diagnostics._block_values
+
+        def counting(row_values, *args):
+            scored.append(len(row_values))
+            return block_values(row_values, *args)
+
+        monkeypatch.setattr(diagnostics, "_block_values", counting)
+        for seed in range(5):
+            data, _ = generate(SyntheticSpec(unlabeled_total=20, seed=seed))
+            for lam in (0.0, 0.5):
+                scored.clear()
+                result = brute_force_hard_minimum(data, lam)
+                assert set(scored) == {4}
+                assert len(scored) < 32
+                labels, _, objective = unpruned_hard_minimum(data, lam)
+                np.testing.assert_array_equal(result.labels, labels)
+                assert result.objective == objective
 
     def test_single_far_positive_point(self):
         # Supervised line fits the labeled points exactly; the unlabeled
