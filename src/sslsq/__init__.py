@@ -77,7 +77,6 @@ from .experiments import (
     BasinStudyResult,
     DatasetOptimaRecord,
     LearningCurveAggregate,
-    LearningCurveCell,
     LearningCurveReport,
     LocalOptimaReport,
     StartRecord,

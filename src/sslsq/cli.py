@@ -52,6 +52,7 @@ from .errors import (
     SchemaError,
 )
 from .experiments import (
+    METHODS,
     evaluate_error,
     random_init_near_supervised,
     run_basin_study,
@@ -528,18 +529,19 @@ def cmd_learning_curve(args):
         lam=args.lam,
         seed=args.seed,
     )
-    cells = report.cells
-    errors = np.array([c.error for c in cells])
+    # One row per cell of the (repeat, u, method) errors, in that order.
+    repeats, counts, methods = report.errors.shape
+    errors = report.errors.reshape(-1)
     _write_columns(
         args.out,
         ["u", "repeat", "method", "error", "test_size", "partition", "status"],
         [
-            np.array([c.u for c in cells]),
-            np.array([c.repeat for c in cells]),
-            [c.method for c in cells],
+            np.tile(np.repeat(report.u_values, methods), repeats),
+            np.repeat(np.arange(repeats), counts * methods),
+            list(METHODS) * (repeats * counts),
             errors,
-            np.array([c.test_size for c in cells]),
-            [c.partition_hash for c in cells],
+            np.tile(np.repeat(report.test_sizes, methods), repeats),
+            [h for row in report.partition_hashes for h in row for _ in range(methods)],
             ["empty-test" if missing else "ok" for missing in np.isnan(errors).tolist()],
         ],
     )
@@ -564,7 +566,7 @@ def cmd_learning_curve(args):
         inputs={"data": args.data},
         seed=args.seed,
     )
-    print(f"cells = {len(report.cells)}")
+    print(f"cells = {report.errors.size}")
     print(f"aggregates = {len(report.aggregates)}")
     return EXIT_OK
 

@@ -632,24 +632,14 @@ def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
 
     ``labeled_count`` must exceed the feature count so the supervised
     solve is well-defined; the test part is whatever remains and may be
-    empty (flagged through ``Split.has_test``). This is the one-repeat
-    case of the stacked gather the learning curve runs on; the test rows
-    are gathered from the repeat's permutation, as the learning curve
-    gathers them to score.
+    empty (flagged through ``Split.has_test``). The split cuts
+    ``derive_rng(seed).permutation(n)`` at L and L + U, the permutation
+    the learning curve's stacked gather draws for one repeat's seed, but
+    it is built on its own, without the gather.
     """
     unlabeled_count = int(unlabeled_count)
     labeled_count = _check_learning_curve_counts(data, labeled_count, [unlabeled_count])
-    stack = _gather_learning_curve_splits(data, labeled_count, unlabeled_count, [seed])
-    order, design = stack.order[0], stack.design[0]
-    train_end = labeled_count + unlabeled_count
-    test = order[train_end:]
-    return Split(
-        train=Dataset(design[:labeled_count], stack.labels[0], design[labeled_count:]),
-        unlabeled_truth=stack.truth[0],
-        test_features=data.labeled_features[test],
-        test_labels=data.labels[test],
-        labeled_indices=order[:labeled_count],
-        unlabeled_indices=order[labeled_count:train_end],
-        test_indices=test,
-        partition_hash=stack.partition_hashes[0],
+    order = derive_rng(seed).permutation(data.n_labeled)
+    return _build_split(
+        data, *np.split(order, [labeled_count, labeled_count + unlabeled_count])
     )

@@ -42,7 +42,6 @@ from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit
 __all__ = [
     "BasinStudyResult",
     "DatasetOptimaRecord",
-    "LearningCurveCell",
     "LearningCurveAggregate",
     "LearningCurveReport",
     "LocalOptimaReport",
@@ -78,6 +77,12 @@ def evaluate_error(w, test_features, test_labels):
     return float(np.mean(predictions != test_labels))
 
 
+def _check_scale(scale):
+    """The one rule for a restart cloud's scale: positive and finite."""
+    if not 0.0 < scale < np.inf:
+        raise InvalidInputError("scale must be positive and finite")
+
+
 def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     """Gaussian perturbations of the supervised solution, one per row.
 
@@ -86,8 +91,7 @@ def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     """
     if count < 1:
         raise InvalidInputError("count must be at least 1")
-    if not 0.0 < scale < np.inf:
-        raise InvalidInputError("scale must be positive and finite")
+    _check_scale(scale)
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     sd = scale * max(1.0, float(np.linalg.norm(w_sup)))
     rng = derive_rng(seed)
@@ -249,10 +253,14 @@ def run_local_optima_study(
     basin study per solver runs it from the supervised solution and from
     ``restarts`` random perturbations of it, collecting test errors and
     unique-minima counts. Datasets whose split is degenerate are skipped
-    with a recorded reason.
+    with a recorded reason. ``lam`` and ``scale`` are checked before any
+    split is drawn, so a bad value raises even when every dataset would
+    be skipped.
     """
     if restarts < 1:
         raise InvalidInputError("restarts must be at least 1")
+    lam = _check_lam(lam)
+    _check_scale(scale)
     records, skipped = [], []
     for position, (name, data) in enumerate(datasets.items()):
         try:
@@ -279,16 +287,6 @@ def run_local_optima_study(
 
 
 @dataclass(frozen=True)
-class LearningCurveCell:
-    u: int
-    repeat: int
-    method: str
-    error: float
-    test_size: int
-    partition_hash: str
-
-
-@dataclass(frozen=True)
 class LearningCurveAggregate:
     u: int
     method: str
@@ -299,7 +297,19 @@ class LearningCurveAggregate:
 
 @dataclass
 class LearningCurveReport:
-    cells: list[LearningCurveCell]
+    """Every test error of a learning curve, as one array.
+
+    ``errors[r, k, m]`` is method ``METHODS[m]``'s test error in repeat r
+    at unlabeled count ``u_values[k]``, NaN when that split has no test
+    rows; ``test_sizes[k]`` is the test row count at ``u_values[k]`` and
+    ``partition_hashes[r][k]`` the split's partition hash.
+    ``aggregates`` holds one entry per unlabeled count and method.
+    """
+
+    u_values: list[int]
+    test_sizes: list[int]
+    errors: np.ndarray
+    partition_hashes: list[list[str]]
     aggregates: list[LearningCurveAggregate]
 
 
@@ -317,13 +327,14 @@ def run_learning_curve(
     Per repeat and unlabeled count a fresh split is sampled; all four
     methods (supervised, soft, hard, oracle) are trained on that same
     split. The oracle solves the pooled system using the true labels of
-    the unlabeled part. Cells with an empty test set carry NaN and are
-    excluded from aggregation. The labeled count and every unlabeled
-    count are checked against the pool before any split is drawn. The
-    splits of one unlabeled count share their shapes, so they are
-    gathered and fitted in blocks, each as one stack, and scored in
-    chunks of repeats; every weight vector and test error equals the one
-    a lone fit on its split and ``evaluate_error`` give.
+    the unlabeled part. Returns a ``LearningCurveReport`` whose (repeats,
+    unlabeled counts, methods) ``errors`` carry NaN where a split has no
+    test rows; those are excluded from aggregation. The labeled count and
+    every unlabeled count are checked against the pool before any split
+    is drawn. The splits of one unlabeled count share their shapes, so
+    they are gathered and fitted in blocks, each as one stack, and scored
+    in chunks of repeats; every weight vector and test error equals the
+    one a lone fit on its split and ``evaluate_error`` give.
     """
     u_values = [int(u) for u in u_values]
     if repeats < 1:
@@ -358,19 +369,6 @@ def run_learning_curve(
             # Drop this block's stacks before the next block gathers its own.
             del splits
 
-    cells = [
-        LearningCurveCell(
-            u=u,
-            repeat=repeat,
-            method=method,
-            error=float(errors[repeat, u_index, m]),
-            test_size=test_sizes[u_index],
-            partition_hash=hashes[repeat][u_index],
-        )
-        for repeat in range(repeats)
-        for u_index, u in enumerate(u_values)
-        for m, method in enumerate(METHODS)
-    ]
     aggregates = []
     for u_index, u in enumerate(u_values):
         for m, method in enumerate(METHODS):
@@ -386,7 +384,7 @@ def run_learning_curve(
                     u=u, method=method, mean_error=mean, std_error=std_error, repeats_used=used
                 )
             )
-    return LearningCurveReport(cells=cells, aggregates=aggregates)
+    return LearningCurveReport(u_values, test_sizes, errors, hashes, aggregates)
 
 
 def _block_errors(data, splits, lam, config):

@@ -22,6 +22,8 @@ its finals and per-round path; and ``unpruned_hard_minimum``, the
 meet-in-the-middle search that scored every block of sums in order
 before the search skipped blocks by their lower bounds, kept to pin the
 pruned search's labels, weights and objective.
+``lone_learning_curve`` is the learning curve run one split and one lone
+fit at a time, the reference its stacked runner and report are pinned to.
 """
 
 import csv
@@ -32,7 +34,19 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from sslsq import ClassEncoding, Dataset, responsibility_objective, ridge_operator
+from sslsq import (
+    ClassEncoding,
+    Dataset,
+    evaluate_error,
+    fit_hard,
+    fit_soft,
+    responsibility_objective,
+    ridge_operator,
+    ridge_solve,
+    sample_learning_curve_split,
+)
+from sslsq.datagen import derive_rng
+from sslsq.experiments import METHODS
 from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
 from sslsq.model import _CLASS_CODES, _responsibility_value, _squared_objective
 from sslsq.selflearn import StopReason, _Finals
@@ -558,6 +572,41 @@ def unpruned_hard_minimum(data, lam=0.0, chunk=4096):
         if result is None or candidate[2] < result[2]:
             result = candidate
     return result
+
+
+def lone_learning_curve(pool, labeled, u_values, repeats, lam, seed, config):
+    """The learning curve from one lone split, solve and fit per repeat and count.
+
+    Returns the (repeats, counts, methods) errors, NaN where a split has
+    no test rows, the partition hashes by repeat and count, the test
+    sizes by count and every soft and hard fit.
+    """
+    errors = np.full((repeats, len(u_values), len(METHODS)), np.nan)
+    hashes = [[None] * len(u_values) for _ in range(repeats)]
+    test_sizes, fits = [None] * len(u_values), []
+    for repeat in range(repeats):
+        for u_index, u in enumerate(u_values):
+            split = sample_learning_curve_split(pool, labeled, u,
+                                                derive_rng(seed, repeat, u_index))
+            train = split.train
+            soft, hard = fit_soft(train, lam, config), fit_hard(train, lam, config=config)
+            weights = {
+                "supervised": ridge_solve(train.labeled_features, train.labels, lam),
+                "soft": soft.weights,
+                "hard": hard.weights,
+                "oracle": ridge_solve(
+                    np.vstack([train.labeled_features, train.unlabeled_features]),
+                    np.concatenate([train.labels, split.unlabeled_truth]), lam),
+            }
+            fits += [soft, hard]
+            if split.has_test:
+                errors[repeat, u_index] = [
+                    evaluate_error(weights[method], split.test_features, split.test_labels)
+                    for method in METHODS
+                ]
+            hashes[repeat][u_index] = split.partition_hash
+            test_sizes[u_index] = int(split.test_labels.size)
+    return errors, hashes, test_sizes, fits
 
 
 def relative_error(actual, expected):

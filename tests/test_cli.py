@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import sslsq.cli as cli
-from sslsq import HessianKind, build_hessian, datagen, diagnostics, is_psd, load_csv
+from sslsq import (
+    HessianKind,
+    SolverConfig,
+    build_hessian,
+    datagen,
+    diagnostics,
+    is_psd,
+    load_csv,
+)
 from sslsq.cli import (
     EXIT_CAPACITY,
     EXIT_NUMERICAL,
@@ -16,8 +24,9 @@ from sslsq.cli import (
     main,
 )
 from sslsq.datagen import _fmt, _write_columns
+from sslsq.experiments import METHODS
 
-from conftest import rowwise_write_csv
+from conftest import lone_learning_curve, rowwise_write_csv
 
 
 def run_cli(args):
@@ -624,6 +633,31 @@ class TestLocalOptima:
                         "--seed", "5", "--out", str(out)])
         assert_clash_refused(code, capsys, clash.format(out=out, b=b, agg=a), tmp_path, before)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "-1", "ridge penalty must be a finite nonnegative real, got -1.0"),
+        ("--lambda", "nan", "ridge penalty must be a finite nonnegative real, got nan"),
+        ("--lambda", "inf", "ridge penalty must be a finite nonnegative real, got inf"),
+        ("--scale", "-1", "scale must be positive and finite"),
+        ("--scale", "0", "scale must be positive and finite"),
+        ("--scale", "nan", "scale must be positive and finite"),
+    ])
+    def test_bad_lambda_or_scale_is_refused_when_every_dataset_is_skipped(
+            self, tmp_path, capsys, flag, value, message):
+        # The 4-row pool's split is degenerate, so its dataset is skipped
+        # and no split reaches a solve that would check the value.
+        path = tmp_path / "tiny.csv"
+        assert run_cli(["generate", "--unlabeled", "0", "--seed", "3",
+                        "--out", str(path)]) == EXIT_OK
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["local-optima", "--data", str(path), "--restarts", "2",
+                        flag, value, "--seed", "5", "--out", str(tmp_path / "lo.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert snapshot(tmp_path) == before
+
     def test_infinite_scale_is_usage_error(self, tmp_path, capsys):
         pool = write_pool(tmp_path, n=50)
         out = tmp_path / "lo.csv"
@@ -647,6 +681,31 @@ class TestLearningCurve:
         assert len(agg) == 1 + 3 * 4
         cells = out.read_text().splitlines()
         assert len(cells) == 1 + 3 * 5 * 4
+
+    def test_report_rows_follow_repeat_then_u_then_method(self, tmp_path, capsys):
+        # In the 60-row pool, u = 0 leaves no unlabeled part and u = 52 no
+        # test rows. Every row must be the lone reference's, in repeat, then
+        # u, then method order, and the three counts give distinct sizes.
+        path = write_pool(tmp_path, n=60)
+        out = tmp_path / "lc.csv"
+        u_values, repeats = [4, 0, 52], 3
+        capsys.readouterr()
+        assert run_cli(["learning-curve", "--data", str(path), "--labeled", "8",
+                        "--u-values", "4,0,52", "--repeats", str(repeats), "--seed", "2",
+                        "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "cells = 36\naggregates = 12\n"
+        pool, _ = load_csv(path)
+        errors, hashes, test_sizes, _ = lone_learning_curve(pool, 8, u_values, repeats, 0.0, 2,
+                                                            SolverConfig())
+        assert test_sizes == [48, 52, 0]
+        lines = ["u,repeat,method,error,test_size,partition,status"]
+        for repeat in range(repeats):
+            for k, u in enumerate(u_values):
+                for m, method in enumerate(METHODS):
+                    error = errors[repeat, k, m]
+                    lines.append(f"{u},{repeat},{method},{_fmt(error)},{test_sizes[k]},"
+                                 f"{hashes[repeat][k]},{'empty-test' if np.isnan(error) else 'ok'}")
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
     def test_output_may_not_overwrite_the_input(self, tmp_path, capsys, monkeypatch, alias):

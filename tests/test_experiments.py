@@ -28,10 +28,10 @@ from sslsq import (
     run_local_optima_study,
 )
 from sslsq.datagen import derive_rng, sample_learning_curve_split
-from sslsq.experiments import METHODS, LearningCurveAggregate, LearningCurveCell
+from sslsq.experiments import METHODS, LearningCurveAggregate
 from sslsq.model import decision_values
 
-from conftest import make_dataset, pairwise_count_unique_optima
+from conftest import lone_learning_curve, make_dataset, pairwise_count_unique_optima
 
 
 class TestEvaluateError:
@@ -486,6 +486,30 @@ class TestLocalOptimaStudy:
         assert [r.name for r in report.records] == ["good"]
         assert report.skipped and report.skipped[0][0] == "flat"
 
+    @pytest.mark.parametrize("lam, scale, message", [
+        (-1.0, 1.0, "ridge penalty must be a finite nonnegative real"),
+        (float("nan"), 1.0, "ridge penalty must be a finite nonnegative real"),
+        (float("inf"), 1.0, "ridge penalty must be a finite nonnegative real"),
+        (0.0, -1.0, "scale must be positive and finite"),
+        (0.0, 0.0, "scale must be positive and finite"),
+        (0.0, float("nan"), "scale must be positive and finite"),
+    ])
+    def test_bad_lambda_or_scale_raises_before_any_split(self, monkeypatch, lam, scale,
+                                                         message):
+        # The 4-row pool's split is always degenerate, so the dataset would
+        # be skipped and neither value would ever reach a solve.
+        import sslsq.experiments as experiments
+
+        pool = fully_labeled_pool(4, 3)
+        assert run_local_optima_study({"p": pool}, restarts=2, seed=1).skipped
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn before lam and scale were checked")
+
+        monkeypatch.setattr(experiments, "split_for_local_optima", no_split)
+        with pytest.raises(InvalidInputError, match=message):
+            run_local_optima_study({"p": pool}, restarts=2, lam=lam, seed=1, scale=scale)
+
     def test_errors_lie_in_unit_interval(self):
         report = run_local_optima_study({"a": fully_labeled_pool(60, 9)},
                                         restarts=5, seed=1)
@@ -503,30 +527,32 @@ class TestLearningCurve:
 
     def test_cell_and_aggregate_shapes(self):
         report = run_learning_curve(self.pool(), 8, [0, 4, 16], repeats=3, seed=1)
-        assert len(report.cells) == 3 * 3 * 4
+        assert report.errors.shape == (3, 3, 4)
+        assert report.u_values == [0, 4, 16]
+        assert report.test_sizes == [112, 108, 96]
         assert len(report.aggregates) == 3 * 4
         assert all(a.repeats_used == 3 for a in report.aggregates)
 
     def test_methods_share_split_within_cell(self):
-        report = run_learning_curve(self.pool(), 8, [4, 8], repeats=2, seed=1)
-        by_cell = {}
-        for cell in report.cells:
-            by_cell.setdefault((cell.u, cell.repeat), set()).add(cell.partition_hash)
-        assert all(len(hashes) == 1 for hashes in by_cell.values())
+        # One hash per repeat and count serves all four methods' errors.
+        pool = self.pool()
+        report = run_learning_curve(pool, 8, [4, 8], repeats=2, seed=1)
+        assert [len(row) for row in report.partition_hashes] == [2, 2]
+        for repeat, row in enumerate(report.partition_hashes):
+            for u_index, u in enumerate([4, 8]):
+                split = sample_learning_curve_split(pool, 8, u, derive_rng(1, repeat, u_index))
+                assert row[u_index] == split.partition_hash
 
     def test_u_zero_collapses_all_methods(self):
         report = run_learning_curve(self.pool(), 8, [0], repeats=2, seed=1)
         for repeat in (0, 1):
-            errors = {c.method: c.error for c in report.cells if c.repeat == repeat}
-            assert len(set(errors.values())) == 1
+            assert len(set(report.errors[repeat, 0].tolist())) == 1
 
     def test_oracle_equals_pooled_supervised(self):
         # With the truth revealed, the oracle is by definition the
         # supervised solve on the pooled data; check against a direct one.
         pool = self.pool()
         report = run_learning_curve(pool, 8, [10], repeats=1, seed=3)
-        from sslsq.datagen import derive_rng, sample_learning_curve_split
-
         split = sample_learning_curve_split(pool, 8, 10, derive_rng(3, 0, 0))
         pooled_w = ridge_solve(
             np.vstack([split.train.labeled_features, split.train.unlabeled_features]),
@@ -534,8 +560,7 @@ class TestLearningCurve:
             0.0,
         )
         direct = evaluate_error(pooled_w, split.test_features, split.test_labels)
-        oracle_cell = next(c for c in report.cells if c.method == "oracle")
-        assert oracle_cell.error == pytest.approx(direct)
+        assert report.errors[0, 0, METHODS.index("oracle")] == pytest.approx(direct)
 
     def test_empty_test_cells_are_flagged(self, monkeypatch):
         # Every cell of an empty test set is NaN, so its repeats are not
@@ -548,50 +573,30 @@ class TestLearningCurve:
         monkeypatch.setattr(experiments, "_fit_stack", no_fit)
         pool = fully_labeled_pool(20, 4)
         report = run_learning_curve(pool, 10, [10], repeats=2, seed=1)
-        assert all(np.isnan(c.error) for c in report.cells)
-        assert all(c.test_size == 0 for c in report.cells)
+        assert report.errors.shape == (2, 1, len(METHODS))
+        assert np.isnan(report.errors).all()
+        assert report.test_sizes == [0]
         assert all(a.repeats_used == 0 for a in report.aggregates)
-        for cell in report.cells:
-            split = sample_learning_curve_split(pool, 10, 10, derive_rng(1, cell.repeat, 0))
-            assert cell.partition_hash == split.partition_hash
+        for repeat, (partition_hash,) in enumerate(report.partition_hashes):
+            split = sample_learning_curve_split(pool, 10, 10, derive_rng(1, repeat, 0))
+            assert partition_hash == split.partition_hash
 
     @staticmethod
     def lone_reference(pool, labeled, u_values, repeats, lam, seed, config):
-        """Cells and aggregates from lone solves and fits on every split, and the fits."""
-        cells, fits = [], []
-        for repeat in range(repeats):
-            for u_index, u in enumerate(u_values):
-                split = sample_learning_curve_split(pool, labeled, u,
-                                                    derive_rng(seed, repeat, u_index))
-                train = split.train
-                soft, hard = fit_soft(train, lam, config), fit_hard(train, lam, config=config)
-                weights = {
-                    "supervised": ridge_solve(train.labeled_features, train.labels, lam),
-                    "soft": soft.weights,
-                    "hard": hard.weights,
-                    "oracle": ridge_solve(
-                        np.vstack([train.labeled_features, train.unlabeled_features]),
-                        np.concatenate([train.labels, split.unlabeled_truth]), lam),
-                }
-                fits += [soft, hard]
-                for method in METHODS:
-                    error = (evaluate_error(weights[method], split.test_features,
-                                            split.test_labels)
-                             if split.has_test else float("nan"))
-                    cells.append(LearningCurveCell(u, repeat, method, error,
-                                                   int(split.test_labels.size),
-                                                   split.partition_hash))
+        """``lone_learning_curve``'s errors, hashes, test sizes and fits, with
+        aggregates taken from its errors one column at a time."""
+        errors, hashes, test_sizes, fits = lone_learning_curve(
+            pool, labeled, u_values, repeats, lam, seed, config)
         aggregates = []
-        for u in u_values:
-            for method in METHODS:
-                errors = np.array([c.error for c in cells if c.u == u and c.method == method
-                                   and not np.isnan(c.error)])
-                used = errors.size
+        for u_index, u in enumerate(u_values):
+            for m, method in enumerate(METHODS):
+                column = [e for e in errors[:, u_index, m].tolist() if not np.isnan(e)]
+                used = len(column)
                 aggregates.append(LearningCurveAggregate(
-                    u, method, float(np.mean(errors)) if used else float("nan"),
-                    float(np.std(errors, ddof=1) / np.sqrt(used)) if used > 1 else float("nan"),
+                    u, method, float(np.mean(column)) if used else float("nan"),
+                    float(np.std(column, ddof=1) / np.sqrt(used)) if used > 1 else float("nan"),
                     used))
-        return cells, aggregates, fits
+        return errors, hashes, test_sizes, aggregates, fits
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("chunk", [1, 3])
@@ -634,8 +639,8 @@ class TestLearningCurve:
         }[block]
         chunked = [size for test_rows, size in chunks if test_rows in (28, 32)]
         assert max(chunked) == min(chunk, block or repeats)
-        cells, aggregates, fits = self.lone_reference(pool, labeled, u_values, repeats, lam,
-                                                      3, config)
+        errors, hashes, test_sizes, aggregates, fits = self.lone_reference(
+            pool, labeled, u_values, repeats, lam, 3, config)
         reasons = {fit.trace.stop_reason for fit in fits}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 3
 
@@ -647,11 +652,13 @@ class TestLearningCurve:
             return np.array([[v for v in vars(row).values() if isinstance(v, float)]
                              for row in rows])
 
-        assert fields(report.cells) == fields(cells)
-        np.testing.assert_array_equal(floats(report.cells), floats(cells))
+        assert report.u_values == u_values
+        assert report.test_sizes == test_sizes
+        assert report.partition_hashes == hashes
+        np.testing.assert_array_equal(report.errors, errors)
         assert fields(report.aggregates) == fields(aggregates)
         np.testing.assert_array_equal(floats(report.aggregates), floats(aggregates))
-        assert np.isnan(floats(report.cells)).any()
+        assert np.isnan(report.errors).any()
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_method_weights_equal_lone_solves(self, monkeypatch, lam):
@@ -702,7 +709,7 @@ class TestLearningCurve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(report.cells) == 100 * len(METHODS)
+        assert report.errors.shape == (100, 1, len(METHODS))
         assert peak < 3e6
 
     @pytest.mark.parametrize("labeled, u_values, error, message", [
@@ -731,5 +738,7 @@ class TestLearningCurve:
     def test_reports_are_reproducible(self):
         a = run_learning_curve(self.pool(), 8, [2, 8], repeats=2, seed=7)
         b = run_learning_curve(self.pool(), 8, [2, 8], repeats=2, seed=7)
-        assert a.cells == b.cells
+        np.testing.assert_array_equal(a.errors, b.errors)
+        assert (a.u_values, a.test_sizes, a.partition_hashes) == (
+            b.u_values, b.test_sizes, b.partition_hashes)
         assert a.aggregates == b.aggregates
