@@ -79,7 +79,6 @@ from .experiments import (
     LearningCurveAggregate,
     LearningCurveReport,
     LocalOptimaReport,
-    StartRecord,
     count_unique_optima,
     evaluate_error,
     random_init_near_supervised,

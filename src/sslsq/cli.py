@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import sys
 from pathlib import Path
 
@@ -323,56 +322,46 @@ def cmd_basin(args):
     starts = random_init_near_supervised(data, args.lam, args.starts, args.scale, args.seed)
     result = run_basin_study(data, args.lam, args.method, starts, test_features, test_labels)
 
-    d = data.n_features
-    header = [
-        "start",
-        "init",
-        "iterations",
-        "converged",
-        "stop_reason",
-        "final_objective",
-        "test_error",
-        "optimum",
-        "status",
-    ] + _weight_columns(d)
-    rows = [
-        (
-            record.start_index,
-            "random" if record.start_index >= 0 else "supervised",
-            record.fit.iterations,
-            record.fit.trace.converged,
-            record.fit.trace.stop_reason.value,
-            record.fit.final_objective,
-            record.test_error,
-            record.optimum_id,
-            "ok",
-            *record.fit.weights,
-        )
-        for record in result.runs
-    ]
-    _write_columns(args.out, header, list(zip(*rows)))
+    fits = result.fits
+    start = np.arange(-1, len(fits) - 1)
+    objectives = np.array([fit.final_objective for fit in fits])
+    weights = np.array([fit.weights for fit in fits])
+    columns = _weight_columns(data.n_features)
+    _write_columns(
+        args.out,
+        ["start", "init", "iterations", "converged", "stop_reason", "final_objective",
+         "test_error", "optimum", "status"] + columns,
+        [
+            start,
+            ["supervised"] + ["random"] * (len(fits) - 1),
+            np.array([fit.iterations for fit in fits]),
+            np.array([fit.trace.converged for fit in fits]),
+            [fit.trace.stop_reason.value for fit in fits],
+            objectives,
+            result.test_errors,
+            result.optimum_ids,
+            ["ok"] * len(fits),
+            *weights.T,
+        ],
+    )
 
-    by_optimum = {}
-    for record in result.runs:
-        by_optimum.setdefault(record.optimum_id, []).append(record)
-    agg_rows = []
-    for optimum in sorted(by_optimum):
-        members = by_optimum[optimum]
-        representative = min(members, key=lambda r: (r.fit.final_objective, r.start_index))
-        errors = [r.test_error for r in members if not math.isnan(r.test_error)]
-        agg_rows.append(
-            (
-                optimum,
-                len(members),
-                representative.fit.final_objective,
-                float(np.mean(errors)) if errors else None,
-                *representative.fit.weights,
-            )
-        )
+    # One row per optimum, with the objective and weights of its member of
+    # lowest objective, the earliest start among equals: a stable sort keeps
+    # each optimum's runs in start order. Without a test set every test
+    # error is NaN, and so is every mean.
+    sizes = np.bincount(result.optimum_ids)
+    members = np.split(np.argsort(result.optimum_ids, kind="stable"), np.cumsum(sizes)[:-1])
+    best = np.array([ids[np.argmin(objectives[ids])] for ids in members])
     _write_columns(
         _aggregate_path(args.out),
-        ["optimum", "size", "objective", "mean_test_error"] + _weight_columns(d),
-        list(zip(*agg_rows)),
+        ["optimum", "size", "objective", "mean_test_error"] + columns,
+        [
+            np.arange(sizes.size),
+            sizes,
+            objectives[best],
+            np.array([np.mean(result.test_errors[ids]) for ids in members]),
+            *weights[best].T,
+        ],
     )
     inputs = {"data": args.data}
     if args.test:
@@ -392,20 +381,19 @@ def cmd_basin(args):
     )
 
     if args.paths:
-        traces = [record.fit.trace for record in result.runs]
+        traces = [fit.trace for fit in fits]
         _write_columns(
             args.paths,
-            ["start", "iteration", "objective"] + _weight_columns(d),
+            ["start", "iteration", "objective"] + columns,
             [
-                np.repeat([record.start_index for record in result.runs],
-                          [trace.rounds.size for trace in traces]),
+                np.repeat(start, [trace.rounds.size for trace in traces]),
                 np.concatenate([trace.rounds for trace in traces]),
                 np.concatenate([trace.objectives for trace in traces]),
                 *np.concatenate([trace.weight_path for trace in traces]).T,
             ],
         )
     print(f"unique_optima = {result.unique_optima_count}")
-    print(f"runs = {len(result.runs)}")
+    print(f"runs = {len(fits)}")
     return EXIT_OK
 
 
@@ -444,12 +432,10 @@ def cmd_local_optima(args):
     for record in report.records:
         rows.append((record.name, "supervised", "supervised", -1, record.supervised_error, "ok"))
         for method, study in record.studies.items():
-            rows.append((record.name, method, "supervised", -1, study.runs[0].test_error, "ok"))
+            rows.append((record.name, method, "supervised", -1, study.test_errors[0], "ok"))
         for method, study in record.studies.items():
-            for start in study.runs[1:]:
-                rows.append(
-                    (record.name, method, "random", start.start_index, start.test_error, "ok")
-                )
+            for start, error in enumerate(study.test_errors[1:].tolist()):
+                rows.append((record.name, method, "random", start, error, "ok"))
     for name, reason in report.skipped:
         rows.append((name, "", "", None, None, f"skipped: {reason}"))
     _write_columns(
@@ -459,13 +445,13 @@ def cmd_local_optima(args):
     agg_rows = []
     for record in report.records:
         for method, study in record.studies.items():
-            errors = [start.test_error for start in study.runs[1:]]
+            errors = study.test_errors[1:]
             agg_rows.append(
                 (
                     record.name,
                     method,
                     record.supervised_error,
-                    study.runs[0].test_error,
+                    study.test_errors[0],
                     float(np.mean(errors)),
                     float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else None,
                     study.unique_optima_count,

@@ -3,17 +3,18 @@
 All runners are deterministic functions of their inputs and a base seed,
 and none uses threads. Basin and local-optima studies run all starts of
 a study, the supervised one first, through one ``fit_starts`` call,
-which advances them in lock-step; each start's record holds its
-``FitResult``, and a bad start raises before any fit runs. The test
-errors of a study's starts come from one stacked product per block of
-starts. The learning curve runs the repeats of one unlabeled count as
-blocks of same-shape splits, sized by their stacked designs. A block's
-designs and labels are gathered from the pool by index straight into
-stacked arrays and fitted as one stack that keeps only each fit's final
-weights. Its test rows are gathered from the pool a chunk of repeats at a
-time, and each chunk scores all four methods with one stacked product. A
-repeat derives its split from (base seed, repeat, unlabeled-count index),
-so neither the blocks nor the chunks change the report.
+which advances them in lock-step, and a bad start raises before any fit
+runs. A study holds one ``FitResult`` per run and arrays of the runs'
+test errors and optimum ids. The test errors of a study's starts come
+from one stacked product per block of starts. The learning curve runs
+the repeats of one unlabeled count as blocks of same-shape splits, sized
+by their stacked designs. A block's designs and labels are gathered from
+the pool by index straight into stacked arrays and fitted as one stack
+that keeps only each fit's final weights. Its test rows are gathered
+from the pool a chunk of repeats at a time, and each chunk scores all
+four methods with one stacked product. A repeat derives its split from
+(base seed, repeat, unlabeled-count index), so neither the blocks nor
+the chunks change the report.
 """
 
 from __future__ import annotations
@@ -28,13 +29,17 @@ from .datagen import (
     derive_rng,
     split_for_local_optima,
 )
-from .errors import DegenerateInputError, DegenerateSplitError, InvalidInputError
+from .errors import (
+    DegenerateInputError,
+    DegenerateSplitError,
+    DimensionError,
+    InvalidInputError,
+)
 from .model import (
     _above_threshold,
     _check_decision_inputs,
     _check_lam,
     classify,
-    decision_values,
     ridge_solve,
 )
 from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit_starts
@@ -45,7 +50,6 @@ __all__ = [
     "LearningCurveAggregate",
     "LearningCurveReport",
     "LocalOptimaReport",
-    "StartRecord",
     "count_unique_optima",
     "evaluate_error",
     "random_init_near_supervised",
@@ -69,12 +73,26 @@ _BLOCK_DESIGN_ENTRIES = 16384
 
 
 def evaluate_error(w, test_features, test_labels):
-    """Fraction of test points whose thresholded prediction differs from the truth."""
-    test_labels = np.asarray(test_labels, dtype=float)
-    if test_labels.size == 0:
+    """Fraction of test points whose thresholded prediction differs from the truth.
+
+    Raises ``DimensionError`` unless there is one label per test row, and
+    ``InvalidInputError`` for a label other than 0 or 1.
+    """
+    if np.asarray(test_labels).size == 0:
         raise DegenerateInputError("empty test set")
-    predictions = classify(decision_values(test_features, w))
-    return float(np.mean(predictions != test_labels))
+    test_features, w = _check_decision_inputs(test_features, w)
+    test_labels = _check_test_labels(test_labels, len(test_features))
+    return float(np.mean(classify(test_features @ w) != test_labels))
+
+
+def _check_test_labels(test_labels, rows):
+    """``test_labels`` as a float vector of ``rows`` entries, each exactly 0 or 1."""
+    test_labels = np.asarray(test_labels, dtype=float)
+    if test_labels.shape != (rows,):
+        raise DimensionError(f"test labels have shape {test_labels.shape}, expected ({rows},)")
+    if np.any((test_labels != 0.0) & (test_labels != 1.0)):
+        raise InvalidInputError("test labels must be exactly 0 or 1")
+    return test_labels
 
 
 def _check_scale(scale):
@@ -139,31 +157,19 @@ def count_unique_optima(finals):
 
 
 @dataclass
-class StartRecord:
-    """One descent run inside a basin study.
+class BasinStudyResult:
+    """Every run of a basin study: its fit, test error and optimum.
 
-    ``start_index`` is -1 for the supervised start and the start's
-    position otherwise; ``fit`` is the run's ``FitResult``, with its
-    weights, objective, stop reason and trace. ``test_error`` is NaN
-    without a test set, and ``optimum_id`` is the run's cluster in
+    Run 0 is the run from the supervised solution and run i the run from
+    ``starts[i - 1]``. ``fits[i]`` is run i's ``FitResult``, with its
+    weights, objective, stop reason and trace; ``test_errors[i]`` its test
+    error, NaN without a test set; and ``optimum_ids[i]`` its cluster in
     ``count_unique_optima``.
     """
 
-    start_index: int
-    fit: FitResult
-    test_error: float
-    optimum_id: int
-
-
-@dataclass
-class BasinStudyResult:
-    """Every run of a basin study, in one list.
-
-    ``runs[0]`` is the run from the supervised solution (``start_index``
-    -1), and ``runs[i]`` the run from ``starts[i - 1]``.
-    """
-
-    runs: list[StartRecord]
+    fits: list[FitResult]
+    test_errors: np.ndarray
+    optimum_ids: np.ndarray
     unique_optima_count: int
 
 
@@ -181,10 +187,13 @@ def run_basin_study(
     ``starts`` is a sequence of weight vectors; a run from the supervised
     solution is always added, first. All starts run through one
     ``fit_starts`` call, so a start of the wrong shape or with a
-    non-finite entry raises its error before any fit runs; so do test
-    features of the wrong width or with a non-finite entry. Each record
-    holds its run's ``FitResult``. Test errors are scored from all final
-    weights with stacked products, each error with the bits
+    non-finite entry raises its error before any fit runs; so does a test
+    set ``evaluate_error`` would refuse: features of the wrong width or
+    with a non-finite entry, or labels that are not one 0 or 1 per test
+    row. Returns a ``BasinStudyResult`` with one
+    ``FitResult`` per run, the supervised run first, and the runs' test
+    errors and cluster ids as arrays. Test errors are scored from all
+    final weights with stacked products, each error with the bits
     ``evaluate_error`` gives. Unique optima are counted over all runs,
     supervised start included.
     """
@@ -196,7 +205,7 @@ def run_basin_study(
     if has_test:
         # The checks, and messages, evaluate_error makes, before any fit runs.
         test_features, _ = _check_decision_inputs(test_features, w_sup)
-        test_labels = np.asarray(test_labels, dtype=float)
+        test_labels = _check_test_labels(test_labels, len(test_features))
     starts = [w_sup, *starts]
     results = fit_starts(data, starts, method, lam, config)
     finals = np.array([result.weights for result in results])
@@ -210,13 +219,7 @@ def run_basin_study(
             errors[first : first + block] = _stacked_errors(
                 finals[None, first : first + block], test_features[None], test_labels[None]
             )[0]
-    runs = [
-        StartRecord(start_index=index - 1, fit=result, test_error=error, optimum_id=int(cluster))
-        for index, (result, error, cluster) in enumerate(
-            zip(results, errors.tolist(), cluster_ids)
-        )
-    ]
-    return BasinStudyResult(runs=runs, unique_optima_count=count)
+    return BasinStudyResult(results, errors, cluster_ids, count)
 
 
 @dataclass

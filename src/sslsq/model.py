@@ -146,11 +146,16 @@ _CLASS_CODES = ClassEncoding()
 
 
 def _check_weights(data, w):
+    return _weight_vector(w, data.n_features)
+
+
+def _weight_vector(w, width):
+    """``w`` as a float vector of ``width`` finite entries."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (data.n_features,):
-        raise DimensionError(
-            f"weights have shape {w.shape}, expected ({data.n_features},)"
-        )
+    if w.shape != (width,):
+        raise DimensionError(f"weights have shape {w.shape}, expected ({width},)")
+    if w.size and not np.all(np.isfinite(w)):
+        raise InvalidInputError("weights contain non-finite entries")
     return w
 
 
@@ -193,12 +198,9 @@ def ridge_solve(features, targets, lam=0.0):
 
 
 def _check_decision_inputs(features, w):
-    """``features`` as a finite 2-D float array and ``w`` as a vector of its width."""
+    """``features`` as a finite 2-D float array and ``w`` as a finite vector of its width."""
     X = _as_float_array(features, "features", 2)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (X.shape[1],):
-        raise DimensionError(f"weights have shape {w.shape}, expected ({X.shape[1]},)")
-    return X, w
+    return X, _weight_vector(w, X.shape[1])
 
 
 def decision_values(features, w):

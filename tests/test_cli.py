@@ -1,5 +1,6 @@
 """CLI subcommands: behavior, file outputs, exit codes and determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,17 @@ from sslsq import (
     HessianKind,
     SolverConfig,
     build_hessian,
+    count_unique_optima,
     datagen,
+    derive_rng,
     diagnostics,
+    evaluate_error,
+    fit_starts,
     is_psd,
     load_csv,
+    random_init_near_supervised,
+    ridge_solve,
+    split_for_local_optima,
 )
 from sslsq.cli import (
     EXIT_CAPACITY,
@@ -456,7 +464,90 @@ class TestDiagnose:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def csv_text(rows):
+    """A report's text from its header and rows of Python values, floats by ``repr``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def duplicating(real):
+    """``random_init_near_supervised`` with its starts 0, 1 and 2 repeated."""
+    def starts(*args):
+        return real(*args)[[0, 1, 0, 2, 1, 0]]
+    return starts
+
+
+def basin_reference(data, truth, starts, method):
+    """The basin report and ``.agg`` text, from lone fits of the supervised start and ``starts``."""
+    fits = [fit_starts(data, [w], method)[0]
+            for w in [ridge_solve(data.labeled_features, data.labels), *starts]]
+    errors = [evaluate_error(fit.weights, data.unlabeled_features, truth) for fit in fits]
+    count, ids = count_unique_optima([fit.weights for fit in fits])
+    report = [["start", "init", "iterations", "converged", "stop_reason", "final_objective",
+               "test_error", "optimum", "status", "w_0", "w_1"]]
+    for i, (fit, error) in enumerate(zip(fits, errors)):
+        report.append([i - 1, "random" if i else "supervised", fit.iterations,
+                       fit.trace.converged, fit.trace.stop_reason.value,
+                       repr(fit.final_objective), repr(error), ids[i], "ok",
+                       *map(repr, fit.weights.tolist())])
+    agg = [["optimum", "size", "objective", "mean_test_error", "w_0", "w_1"]]
+    ties = 0
+    for k in range(count):
+        members = [i for i in range(len(fits)) if ids[i] == k]
+        best = min(members, key=lambda i: (fits[i].final_objective, i))
+        ties += sum(fits[i].final_objective == fits[best].final_objective for i in members) > 1
+        agg.append([k, len(members), repr(fits[best].final_objective),
+                    repr(float(np.mean([errors[i] for i in members]))),
+                    *map(repr, fits[best].weights.tolist())])
+    return csv_text(report), csv_text(agg), ties
+
+
 class TestBasin:
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_report_and_aggregate_equal_lone_references(self, tmp_path, monkeypatch, method):
+        # Starts 0, 1 and 2 run more than once, so their optima hold runs
+        # of equal objective: a tie in the .agg rule.
+        path = write_cluster_data(tmp_path, unlabeled=40)
+        data, truth = load_csv(path)
+        starts = duplicating(random_init_near_supervised)
+        monkeypatch.setattr(cli, "random_init_near_supervised", starts)
+        out = tmp_path / "b.csv"
+        assert run_cli(["basin", "--data", str(path), "--method", method, "--starts", "3",
+                        "--seed", "4", "--out", str(out)]) == EXIT_OK
+        report, agg, ties = basin_reference(data, truth, starts(data, 0.0, 3, 1.0, 4), method)
+        assert ties
+        assert out.read_text() == report
+        assert (tmp_path / "b.agg.csv").read_text() == agg
+
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_aggregate_tie_goes_to_the_earliest_start(self, tmp_path, monkeypatch, method):
+        # Runs from one start tie in their objective and share their bits.
+        # Every later run of a tie gets its weights nudged, so an .agg row
+        # shows the earliest run's unnudged weights only if the tie goes
+        # to it.
+        path = write_cluster_data(tmp_path, unlabeled=40)
+        data, truth = load_csv(path)
+        starts = duplicating(random_init_near_supervised)
+        study = cli.run_basin_study
+
+        def nudged(*args, **kwargs):
+            result = study(*args, **kwargs)
+            seen = set()
+            for i, fit in enumerate(result.fits):
+                key = (int(result.optimum_ids[i]), fit.final_objective)
+                if key in seen:
+                    result.fits[i] = dataclasses.replace(fit, weights=fit.weights * (1 + 1e-9))
+                seen.add(key)
+            return result
+
+        monkeypatch.setattr(cli, "random_init_near_supervised", starts)
+        monkeypatch.setattr(cli, "run_basin_study", nudged)
+        out = tmp_path / "b.csv"
+        assert run_cli(["basin", "--data", str(path), "--method", method, "--starts", "3",
+                        "--seed", "4", "--out", str(out)]) == EXIT_OK
+        _, agg, ties = basin_reference(data, truth, starts(data, 0.0, 3, 1.0, 4), method)
+        assert ties
+        assert (tmp_path / "b.agg.csv").read_text() == agg
+
     def test_row_count_and_determinism(self, tmp_path):
         data = write_cluster_data(tmp_path, unlabeled=60)
         out_a = tmp_path / "a.csv"
@@ -558,6 +649,35 @@ class TestBasin:
 
 
 class TestLocalOptima:
+    def test_report_equals_lone_references(self, tmp_path):
+        # The error of every row, and the start column that numbers the
+        # random restarts, from lone fits on each dataset's split.
+        pools = [write_pool(tmp_path, "a.csv", n=50, seed=1),
+                 write_pool(tmp_path, "b.csv", n=50, seed=2)]
+        out = tmp_path / "lo.csv"
+        assert run_cli(["local-optima", "--data", *map(str, pools), "--restarts", "3",
+                        "--seed", "5", "--out", str(out)]) == EXIT_OK
+        rows = [["dataset", "method", "init", "start", "error", "status"]]
+        for position, (name, pool) in enumerate(zip("ab", pools)):
+            data, _ = load_csv(pool)
+            split = split_for_local_optima(data, derive_rng(5, position, 0))
+            train = split.train
+            w_sup = ridge_solve(train.labeled_features, train.labels)
+            starts = random_init_near_supervised(train, 0.0, 3, 1.0, derive_rng(5, position, 1))
+
+            def error(w):
+                return repr(evaluate_error(w, split.test_features, split.test_labels))
+
+            finals = {method: [fit_starts(train, [w], method)[0].weights
+                               for w in [w_sup, *starts]]
+                      for method in ("soft", "hard")}
+            rows.append([name, "supervised", "supervised", -1, error(w_sup), "ok"])
+            rows += [[name, method, "supervised", -1, error(finals[method][0]), "ok"]
+                     for method in finals]
+            rows += [[name, method, "random", start, error(w), "ok"]
+                     for method in finals for start, w in enumerate(finals[method][1:])]
+        assert out.read_text() == csv_text(rows)
+
     def test_report_shape(self, tmp_path):
         a = write_pool(tmp_path, "a.csv", n=50, seed=1)
         b = write_pool(tmp_path, "b.csv", n=50, seed=2)

@@ -57,6 +57,20 @@ class TestEvaluateError:
         with pytest.raises(DegenerateInputError):
             evaluate_error(np.ones(2), np.empty((0, 2)), [])
 
+    def test_label_count_must_equal_test_rows(self):
+        # Checked before the labels reach numpy's broadcast.
+        features = np.ones((30, 2))
+        for labels in (np.zeros(29), np.zeros(31), np.zeros((30, 1))):
+            with pytest.raises(DimensionError, match="test labels have shape"):
+                evaluate_error(np.ones(2), features, labels)
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+    def test_labels_must_be_zero_or_one(self, bad):
+        # Otherwise a label of 2 counts as a miss on every row.
+        labels = np.array([0.0, 1.0, bad, 1.0])
+        with pytest.raises(InvalidInputError, match="test labels must be exactly 0 or 1"):
+            evaluate_error(np.ones(2), np.ones((4, 2)), labels)
+
 
 def place_on_threshold(features, row, w, target, rng):
     """Set ``features[row]`` so that its decision value under ``w`` is exactly ``target``.
@@ -255,12 +269,14 @@ class TestBasinStudy:
         starts = random_init_near_supervised(data, 0.0, 8, 1.0, seed=2)
         result = run_basin_study(data, 0.0, "hard", list(starts),
                                  data.unlabeled_features, truth)
-        assert [record.start_index for record in result.runs] == list(range(-1, 8))
+        assert len(result.fits) == 9
+        assert result.test_errors.shape == result.optimum_ids.shape == (9,)
+        assert result.optimum_ids.dtype.kind == "i"
         assert result.unique_optima_count <= 9
-        for record in result.runs:
-            assert 0 <= record.optimum_id < result.unique_optima_count
-            assert 0.0 <= record.test_error <= 1.0
-            objectives = record.fit.trace.objectives
+        for fit, error, optimum in zip(result.fits, result.test_errors, result.optimum_ids):
+            assert 0 <= optimum < result.unique_optima_count
+            assert 0.0 <= error <= 1.0
+            objectives = fit.trace.objectives
             for k in range(1, len(objectives)):
                 assert objectives[k] <= objectives[k - 1] + 1e-10 * (1 + abs(objectives[k - 1]))
 
@@ -279,14 +295,14 @@ class TestBasinStudy:
         config = SolverConfig(max_iterations=20000, objective_tolerance=0.0)
         settled = fit_soft(data, 0.0, config).weights
         result = run_basin_study(data, 0.0, "soft", [settled], config=config)
-        record = result.runs[1]
-        assert record.fit.iterations <= 2
-        assert np.max(np.abs(record.fit.weights - settled)) < 1e-8
+        fit = result.fits[1]
+        assert fit.iterations <= 2
+        assert np.max(np.abs(fit.weights - settled)) < 1e-8
 
     @pytest.mark.parametrize("method", ["soft", "hard"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_batch_equals_one_start_at_a_time(self, method, lam):
-        # The study runs all starts in lock-step; each record must match a
+        # The study runs all starts in lock-step; each run must match a
         # lone fit from that start. The round cap stops some starts and
         # not others, so starts leave the batch in different rounds; the
         # last start is a settled fixed point.
@@ -300,25 +316,25 @@ class TestBasinStudy:
         result = run_basin_study(data, lam, method, starts, data.unlabeled_features, truth,
                                  config=config)
         batch = fit_starts(data, starts, method, lam, config=config)
-        for record, start, fitted in zip(result.runs[1:], starts, batch):
+        for fit, error, start, fitted in zip(result.fits[1:], result.test_errors[1:], starts,
+                                             batch):
             alone = fit_starts(data, [start], method, lam, config=config)[0]
-            trace = record.fit.trace
-            assert record.fit.iterations == alone.iterations
+            trace = fit.trace
+            assert fit.iterations == alone.iterations
             assert trace.stop_reason is alone.trace.stop_reason
             assert trace.converged == alone.trace.converged
             np.testing.assert_allclose(trace.weight_path, alone.trace.weight_path, rtol=1e-12)
             np.testing.assert_allclose(trace.objectives, alone.trace.objectives, rtol=1e-12)
             np.testing.assert_array_equal(trace.rounds, alone.trace.rounds)
-            assert record.test_error == evaluate_error(alone.weights, data.unlabeled_features,
-                                                       truth)
+            assert error == evaluate_error(alone.weights, data.unlabeled_features, truth)
             if method == "hard":
                 np.testing.assert_array_equal(fitted.imputed, alone.imputed)
             else:
                 np.testing.assert_allclose(fitted.imputed, alone.imputed, rtol=1e-12)
-        assert result.runs[-1].fit.iterations <= 2
-        reasons = {r.fit.trace.stop_reason for r in result.runs[1:]}
+        assert result.fits[-1].iterations <= 2
+        reasons = {fit.trace.stop_reason for fit in result.fits[1:]}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 2
-        assert len({r.fit.iterations for r in result.runs[1:]}) >= 3
+        assert len({fit.iterations for fit in result.fits[1:]}) >= 3
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         # Starts run in blocks capped by selflearn._BLOCK_ELEMENTS; blocks of
@@ -394,10 +410,10 @@ class TestBasinStudy:
         data, truth = small_two_cluster()
         config = SolverConfig(max_iterations=200, objective_tolerance=0.0)
         result = run_basin_study(data, 0.0, "soft", [np.zeros(2)], config=config)
-        record = result.runs[1]
-        assert record.fit.iterations == 200
-        assert record.fit.trace.rounds.tolist() == list(range(0, 200, 10)) + [199]
-        assert len(record.fit.trace.objectives) == len(record.fit.trace.rounds)
+        fit = result.fits[1]
+        assert fit.iterations == 200
+        assert fit.trace.rounds.tolist() == list(range(0, 200, 10)) + [199]
+        assert len(fit.trace.objectives) == len(fit.trace.rounds)
 
     def test_requires_starts(self):
         data, _ = small_two_cluster()
@@ -416,7 +432,7 @@ class TestBasinStudy:
 
         data, truth = small_two_cluster()
         starts = list(random_init_near_supervised(data, lam, 5, 1.0, seed=2))
-        finals = [r.fit.weights for r in run_basin_study(data, lam, "hard", starts).runs]
+        finals = [fit.weights for fit in run_basin_study(data, lam, "hard", starts).fits]
         targets = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
         first = data.n_unlabeled
         test = np.vstack([data.unlabeled_features, np.zeros((3 * len(finals), 2))])
@@ -431,12 +447,13 @@ class TestBasinStudy:
             monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block * len(labels))
         result = run_basin_study(data, lam, "hard", starts, test, labels)
         assert len({tuple(w) for w in finals}) > 1
-        for record, w in zip(result.runs, finals):
-            np.testing.assert_array_equal(record.fit.weights, w)
-            assert record.test_error == evaluate_error(w, test, labels)
+        for fit, error, w in zip(result.fits, result.test_errors, finals):
+            np.testing.assert_array_equal(fit.weights, w)
+            assert error == evaluate_error(w, test, labels)
 
-    def test_bad_test_features_raise_as_evaluate_error_does(self, monkeypatch):
-        # Same class and message as a lone evaluate_error, before any fit runs.
+    def test_bad_test_set_raises_as_evaluate_error_does(self, monkeypatch):
+        # Same class and message as a lone evaluate_error, before any fit
+        # runs: bad features, and labels that are not one 0 or 1 per row.
         import sslsq.selflearn as selflearn
 
         def no_descent(*args, **kwargs):
@@ -448,11 +465,19 @@ class TestBasinStudy:
         non_finite = data.unlabeled_features.copy()
         non_finite[4, 0] = np.inf
         monkeypatch.setattr(selflearn, "_run_descent", no_descent)
-        for features in (np.ones((60, 3)), non_finite, np.ones(60)):
-            with pytest.raises(Exception) as lone:
-                evaluate_error(w_sup, features, truth)
+        features = data.unlabeled_features
+        cases = [(bad, truth, Exception) for bad in (np.ones((60, 3)), non_finite, np.ones(60))]
+        cases += [
+            (features, np.zeros(59), DimensionError),
+            (features, np.zeros(61), DimensionError),
+            (features, np.full(60, 2.0), InvalidInputError),
+            (features, np.r_[np.zeros(59), 0.5], InvalidInputError),
+        ]
+        for features, labels, error in cases:
+            with pytest.raises(error) as lone:
+                evaluate_error(w_sup, features, labels)
             with pytest.raises(type(lone.value)) as stacked:
-                run_basin_study(data, 0.0, "soft", starts, features, truth)
+                run_basin_study(data, 0.0, "soft", starts, features, labels)
             assert str(stacked.value) == str(lone.value)
 
 
@@ -469,7 +494,7 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study(datasets, restarts=1, lam=0.0, seed=0)
         assert [r.name for r in report.records] == ["a", "b"]
         for record in report.records:
-            assert [len(record.studies[m].runs[1:]) for m in ("soft", "hard")] == [1, 1]
+            assert [len(record.studies[m].fits[1:]) for m in ("soft", "hard")] == [1, 1]
 
     def test_soft_has_no_more_minima_than_hard(self):
         datasets = {"clusters": fully_labeled_pool(120, 3)}
@@ -514,8 +539,8 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study({"a": fully_labeled_pool(60, 9)},
                                         restarts=5, seed=1)
         record = report.records[0]
-        values = np.array([record.supervised_error] + [
-            start.test_error for study in record.studies.values() for start in study.runs
+        values = np.concatenate([[record.supervised_error]] + [
+            study.test_errors for study in record.studies.values()
         ])
         assert np.all((values >= 0.0) & (values <= 1.0))
 

@@ -10,6 +10,7 @@ from sslsq import (
     InvalidInputError,
     classify,
     decision_values,
+    evaluate_error,
     grad_label_objective_u,
     grad_label_objective_w,
     grad_responsibility_objective_q,
@@ -19,6 +20,8 @@ from sslsq import (
     ridge_operator,
     ridge_solve,
     supervised_objective,
+    update_hard_labels,
+    update_soft_labels,
 )
 
 from conftest import central_gradient, make_dataset, normal_equation_ridge, relative_error
@@ -261,6 +264,49 @@ class TestGradients:
                 lambda v: responsibility_objective(data, w, v, encoding, lam), q
             )
             assert relative_error(grad_q, fd_q) < 1e-6
+
+
+# Every public function that takes a weight vector, called on it with
+# valid other arguments: a dataset with U = 4 and d = 3, and a vector u in
+# [0, 1] for the imputed labels or responsibilities.
+WEIGHT_TAKERS = {
+    "decision_values": lambda data, w, u: decision_values(data.unlabeled_features, w),
+    "evaluate_error": lambda data, w, u: evaluate_error(w, data.unlabeled_features,
+                                                        [0.0, 1.0, 1.0, 0.0]),
+    "supervised_objective": lambda data, w, u: supervised_objective(data, w),
+    "label_objective": lambda data, w, u: label_objective(data, w, u),
+    "responsibility_objective": lambda data, w, u: responsibility_objective(data, w, u),
+    "grad_label_objective_u": lambda data, w, u: grad_label_objective_u(data, w, u),
+    "grad_label_objective_w": lambda data, w, u: grad_label_objective_w(data, w, u),
+    "grad_responsibility_objective_q": lambda data, w, u: grad_responsibility_objective_q(
+        data, w),
+    "grad_responsibility_objective_w": lambda data, w, u: grad_responsibility_objective_w(
+        data, w, u),
+    "update_soft_labels": lambda data, w, u: update_soft_labels(data, w),
+    "update_hard_labels": lambda data, w, u: update_hard_labels(data, w),
+}
+
+
+class TestWeightChecks:
+    @pytest.mark.parametrize("name", sorted(WEIGHT_TAKERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_refused(self, rng, name, bad):
+        # Otherwise a NaN weight gives all-zero hard labels or a NaN objective.
+        data = make_dataset(rng, 6, 4, 3)
+        call = WEIGHT_TAKERS[name]
+        u = np.array([0.0, 0.25, 1.0, 0.5])
+        call(data, np.ones(3), u)
+        for position in range(3):
+            w = np.ones(3)
+            w[position] = bad
+            with pytest.raises(InvalidInputError, match="weights contain non-finite entries"):
+                call(data, w, u)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_TAKERS))
+    def test_weights_of_the_wrong_shape_are_refused(self, rng, name):
+        data = make_dataset(rng, 6, 4, 3)
+        with pytest.raises(DimensionError, match=r"weights have shape \(2,\), expected \(3,\)"):
+            WEIGHT_TAKERS[name](data, np.ones(2), np.zeros(4))
 
 
 @pytest.mark.parametrize("module", ["datagen", "diagnostics", "experiments", "model", "selflearn"])
