@@ -75,7 +75,6 @@ from .datagen import (
 )
 from .experiments import (
     BasinStudyResult,
-    DatasetOptimaRecord,
     LearningCurveAggregate,
     LearningCurveReport,
     LocalOptimaReport,

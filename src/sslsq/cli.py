@@ -52,6 +52,7 @@ from .errors import (
 )
 from .experiments import (
     METHODS,
+    SOLVERS,
     evaluate_error,
     random_init_near_supervised,
     run_basin_study,
@@ -420,55 +421,43 @@ def cmd_local_optima(args):
         if data.n_unlabeled:
             raise InvalidInputError(f"{path}: local-optima input must be fully labeled")
         datasets[name] = data
-    report = run_local_optima_study(
-        datasets,
-        restarts=args.restarts,
-        lam=args.lam,
-        seed=args.seed,
-        scale=args.scale,
-    )
+    report = run_local_optima_study(datasets, restarts=args.restarts, lam=args.lam,
+                                    seed=args.seed, scale=args.scale)
 
-    rows = []
-    for record in report.records:
-        rows.append((record.name, "supervised", "supervised", -1, record.supervised_error, "ok"))
-        for method, study in record.studies.items():
-            rows.append((record.name, method, "supervised", -1, study.test_errors[0], "ok"))
-        for method, study in record.studies.items():
-            for start, error in enumerate(study.test_errors[1:].tolist()):
-                rows.append((record.name, method, "random", start, error, "ok"))
-    for name, reason in report.skipped:
-        rows.append((name, "", "", None, None, f"skipped: {reason}"))
+    # Per dataset: the supervised solution's row, each solver's run from it,
+    # then each solver's random restarts; skipped datasets come last.
+    count, solvers, runs = report.test_errors.shape
+    layout = [("supervised", "supervised", -1), *((m, "supervised", -1) for m in SOLVERS),
+              *((m, "random", j) for m in SOLVERS for j in range(runs - 1))]
+    blank = [None] * len(report.skipped)
+    methods, inits, starts = (list(column) * count + blank for column in zip(*layout))
+    randoms = report.test_errors[:, :, 1:]
+    errors = np.hstack([report.supervised_errors[:, None], report.test_errors[:, :, 0],
+                        randoms.reshape(count, solvers * (runs - 1))])
     _write_columns(
-        args.out, ["dataset", "method", "init", "start", "error", "status"], list(zip(*rows))
+        args.out,
+        ["dataset", "method", "init", "start", "error", "status"],
+        [np.repeat(report.names, len(layout)).tolist() + [name for name, _ in report.skipped],
+         methods, inits, starts, np.concatenate([errors.ravel(), np.full(len(blank), np.nan)]),
+         ["ok"] * errors.size + [f"skipped: {reason}" for _, reason in report.skipped]],
     )
-
-    agg_rows = []
-    for record in report.records:
-        for method, study in record.studies.items():
-            errors = study.test_errors[1:]
-            agg_rows.append(
-                (
-                    record.name,
-                    method,
-                    record.supervised_error,
-                    study.test_errors[0],
-                    float(np.mean(errors)),
-                    float(np.std(errors, ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else None,
-                    study.unique_optima_count,
-                )
-            )
+    # One row per dataset and solver; one restart has no standard error.
+    std_errors = np.full((count, solvers), np.nan)
+    if runs > 2:
+        std_errors = randoms.std(axis=-1, ddof=1) / np.sqrt(runs - 1)
     _write_columns(
         _aggregate_path(args.out),
+        ["dataset", "method", "supervised_error", "from_supervised_error",
+         "random_mean_error", "random_std_error", "unique_minima"],
         [
-            "dataset",
-            "method",
-            "supervised_error",
-            "from_supervised_error",
-            "random_mean_error",
-            "random_std_error",
-            "unique_minima",
+            np.repeat(report.names, solvers),
+            list(SOLVERS) * count,
+            np.repeat(report.supervised_errors, solvers),
+            report.test_errors[:, :, 0].ravel(),
+            randoms.mean(axis=-1).ravel(),
+            std_errors.ravel(),
+            report.unique_optima.ravel(),
         ],
-        list(zip(*agg_rows)),
     )
     _write_manifest(
         args.out,
@@ -482,7 +471,7 @@ def cmd_local_optima(args):
         inputs=paths,
         seed=args.seed,
     )
-    print(f"datasets = {len(report.records)}")
+    print(f"datasets = {len(report.names)}")
     print(f"skipped = {len(report.skipped)}")
     return EXIT_OK
 

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import Dataset
+from .model import Dataset, _check_count
 
 __all__ = [
     "Split",
@@ -104,9 +104,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SyntheticKind):
             raise InvalidInputError(f"kind must be a SyntheticKind, got {self.kind!r}")
-        if self.labeled_per_class < 1:
-            raise InvalidInputError("labeled_per_class must be at least 1")
-        if self.unlabeled_total < 0:
+        _check_count(self.labeled_per_class, "labeled_per_class", minimum=1)
+        if _check_count(self.unlabeled_total, "unlabeled_total") < 0:
             raise InvalidInputError("unlabeled_total must be nonnegative")
         if not self.class_separation > 0.0:
             raise InvalidInputError("class_separation must be positive")
@@ -562,13 +561,16 @@ def split_for_local_optima(data, seed=0):
 
 
 def _check_learning_curve_counts(data, labeled_count, unlabeled_counts):
-    """``labeled_count`` as an int; raises unless the pool supplies it with each unlabeled count.
+    """The counts as ints; raises unless the pool supplies the labeled count with each unlabeled.
 
-    Counts are checked in order, so the first one the pool cannot supply
-    is the one named.
+    All must be integers, the unlabeled ones nonnegative; then the first
+    unlabeled count the pool cannot supply with the labeled one is named.
     """
     _require_fully_labeled(data)
-    labeled_count = int(labeled_count)
+    labeled_count = _check_count(labeled_count, "labeled_count")
+    unlabeled_counts = [_check_count(u, "unlabeled_count") for u in unlabeled_counts]
+    if any(u < 0 for u in unlabeled_counts):
+        raise InvalidInputError("unlabeled counts must be nonnegative")
     if labeled_count <= data.n_features:
         raise InvalidInputError(
             f"labeled_count must exceed the feature count ({data.n_features}) "
@@ -576,13 +578,11 @@ def _check_learning_curve_counts(data, labeled_count, unlabeled_counts):
         )
     total = data.n_labeled
     for unlabeled_count in unlabeled_counts:
-        if unlabeled_count < 0:
-            raise InvalidInputError("unlabeled_count must be nonnegative")
         if labeled_count + unlabeled_count > total:
             raise CapacityError(
                 f"requested {labeled_count} + {unlabeled_count} examples from {total}"
             )
-    return labeled_count
+    return labeled_count, unlabeled_counts
 
 
 class _SplitStack(NamedTuple):
@@ -637,8 +637,9 @@ def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
     the learning curve's stacked gather draws for one repeat's seed, but
     it is built on its own, without the gather.
     """
-    unlabeled_count = int(unlabeled_count)
-    labeled_count = _check_learning_curve_counts(data, labeled_count, [unlabeled_count])
+    labeled_count, (unlabeled_count,) = _check_learning_curve_counts(
+        data, labeled_count, [unlabeled_count]
+    )
     order = derive_rng(seed).permutation(data.n_labeled)
     return _build_split(
         data, *np.split(order, [labeled_count, labeled_count + unlabeled_count])

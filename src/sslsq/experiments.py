@@ -4,9 +4,10 @@ All runners are deterministic functions of their inputs and a base seed,
 and none uses threads. Basin and local-optima studies run all starts of
 a study, the supervised one first, through one ``fit_starts`` call,
 which advances them in lock-step, and a bad start raises before any fit
-runs. A study holds one ``FitResult`` per run and arrays of the runs'
-test errors and optimum ids. The test errors of a study's starts come
-from one stacked product per block of starts. The learning curve runs
+runs. A basin study holds one ``FitResult`` per run and arrays of the
+runs' test errors and optimum ids; a local-optima study keeps only the
+arrays. The test errors of a study's starts come from one stacked
+product per block of starts. The learning curve runs
 the repeats of one unlabeled count as blocks of same-shape splits, sized
 by their stacked designs. A block's designs and labels are gathered from
 the pool by index straight into stacked arrays and fitted as one stack
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .model import (
     _above_threshold,
+    _check_count,
     _check_decision_inputs,
     _check_lam,
     classify,
@@ -46,7 +48,6 @@ from .selflearn import _BLOCK_ELEMENTS, FitResult, SolverConfig, _fit_stack, fit
 
 __all__ = [
     "BasinStudyResult",
-    "DatasetOptimaRecord",
     "LearningCurveAggregate",
     "LearningCurveReport",
     "LocalOptimaReport",
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 METHODS = ("supervised", "soft", "hard", "oracle")
+# The solvers of a local-optima study, in the order of its arrays' axis 1.
+SOLVERS = ("soft", "hard")
 CLUSTER_TOLERANCE = 1e-4
 
 # The learning curve fits the repeats of one unlabeled count in blocks of R
@@ -75,24 +78,26 @@ _BLOCK_DESIGN_ENTRIES = 16384
 def evaluate_error(w, test_features, test_labels):
     """Fraction of test points whose thresholded prediction differs from the truth.
 
-    Raises ``DimensionError`` unless there is one label per test row, and
+    Raises ``DegenerateInputError`` for an empty test set,
+    ``DimensionError`` unless there is one label per test row, and
     ``InvalidInputError`` for a label other than 0 or 1.
     """
-    if np.asarray(test_labels).size == 0:
-        raise DegenerateInputError("empty test set")
-    test_features, w = _check_decision_inputs(test_features, w)
-    test_labels = _check_test_labels(test_labels, len(test_features))
+    test_features, w, test_labels = _check_test_set(test_features, test_labels, w)
     return float(np.mean(classify(test_features @ w) != test_labels))
 
 
-def _check_test_labels(test_labels, rows):
-    """``test_labels`` as a float vector of ``rows`` entries, each exactly 0 or 1."""
+def _check_test_set(test_features, test_labels, w):
+    """The test set and weights ``evaluate_error`` scores, the labels as floats, each 0 or 1."""
+    if np.asarray(test_labels).size == 0:
+        raise DegenerateInputError("empty test set")
+    test_features, w = _check_decision_inputs(test_features, w)
+    rows = len(test_features)
     test_labels = np.asarray(test_labels, dtype=float)
     if test_labels.shape != (rows,):
         raise DimensionError(f"test labels have shape {test_labels.shape}, expected ({rows},)")
     if np.any((test_labels != 0.0) & (test_labels != 1.0)):
         raise InvalidInputError("test labels must be exactly 0 or 1")
-    return test_labels
+    return test_features, w, test_labels
 
 
 def _check_scale(scale):
@@ -107,13 +112,12 @@ def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     The per-coordinate standard deviation is ``scale * max(1, |w_sup|_2)``
     so the cloud stays proportionate to the solution it surrounds.
     """
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
+    count = _check_count(count, "count", minimum=1)
     _check_scale(scale)
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     sd = scale * max(1.0, float(np.linalg.norm(w_sup)))
     rng = derive_rng(seed)
-    return w_sup + sd * rng.standard_normal((int(count), w_sup.size))
+    return w_sup + sd * rng.standard_normal((count, w_sup.size))
 
 
 def count_unique_optima(finals):
@@ -188,24 +192,23 @@ def run_basin_study(
     solution is always added, first. All starts run through one
     ``fit_starts`` call, so a start of the wrong shape or with a
     non-finite entry raises its error before any fit runs; so does a test
-    set ``evaluate_error`` would refuse: features of the wrong width or
-    with a non-finite entry, or labels that are not one 0 or 1 per test
-    row. Returns a ``BasinStudyResult`` with one
-    ``FitResult`` per run, the supervised run first, and the runs' test
-    errors and cluster ids as arrays. Test errors are scored from all
-    final weights with stacked products, each error with the bits
-    ``evaluate_error`` gives. Unique optima are counted over all runs,
-    supervised start included.
+    set ``evaluate_error`` would refuse: no labels at all, features of the
+    wrong width or with a non-finite entry, or labels that are not one 0
+    or 1 per test row; ``test_labels=None`` means no test set. Returns a
+    ``BasinStudyResult`` with one ``FitResult`` per run, the supervised
+    run first, and the runs' test errors and cluster ids as arrays. Test
+    errors are scored from all final weights with stacked products, each
+    error with the bits ``evaluate_error`` gives. Unique optima are
+    counted over all runs, supervised start included.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if not starts:
         raise InvalidInputError("need at least one starting point")
-    has_test = test_labels is not None and np.asarray(test_labels).size > 0
+    has_test = test_labels is not None
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     if has_test:
         # The checks, and messages, evaluate_error makes, before any fit runs.
-        test_features, _ = _check_decision_inputs(test_features, w_sup)
-        test_labels = _check_test_labels(test_labels, len(test_features))
+        test_features, _, test_labels = _check_test_set(test_features, test_labels, w_sup)
     starts = [w_sup, *starts]
     results = fit_starts(data, starts, method, lam, config)
     finals = np.array([result.weights for result in results])
@@ -223,22 +226,20 @@ def run_basin_study(
 
 
 @dataclass
-class DatasetOptimaRecord:
-    """Per-dataset outcome of the local-optima study.
+class LocalOptimaReport:
+    """A local-optima study's test errors and optimum counts, as arrays.
 
-    ``studies`` maps each method ("soft", "hard") to its basin study on
-    the training split, with test errors measured on the held-out part.
+    ``names`` are the D fitted datasets, in input order, and ``skipped``
+    a (name, reason) pair per dataset whose split is degenerate. Axis 1 of
+    ``test_errors`` (D, 2, restarts + 1) and ``unique_optima`` (D, 2) is
+    ``SOLVERS``. Run 0 starts from the supervised solution, whose own test
+    errors are ``supervised_errors`` (D,), and run j from random start j - 1.
     """
 
-    name: str
-    supervised_error: float
-    studies: dict[str, BasinStudyResult]
-    partition_hash: str
-
-
-@dataclass
-class LocalOptimaReport:
-    records: list[DatasetOptimaRecord]
+    names: list[str]
+    supervised_errors: np.ndarray
+    test_errors: np.ndarray
+    unique_optima: np.ndarray
     skipped: list[tuple[str, str]]
 
 
@@ -255,16 +256,16 @@ def run_local_optima_study(
     test fifth, then labels hidden from four fifths of the rest), and one
     basin study per solver runs it from the supervised solution and from
     ``restarts`` random perturbations of it, collecting test errors and
-    unique-minima counts. Datasets whose split is degenerate are skipped
-    with a recorded reason. ``lam`` and ``scale`` are checked before any
-    split is drawn, so a bad value raises even when every dataset would
-    be skipped.
+    unique-minima counts. Input i's split comes from ``derive_rng(seed,
+    i, 0)`` and its starts from ``derive_rng(seed, i, 1)``. Datasets whose
+    split is degenerate are skipped with a recorded reason. ``restarts``,
+    ``lam`` and ``scale`` are checked before any split is drawn, so a bad
+    value raises even when every dataset would be skipped.
     """
-    if restarts < 1:
-        raise InvalidInputError("restarts must be at least 1")
+    restarts = _check_count(restarts, "restarts", minimum=1)
     lam = _check_lam(lam)
     _check_scale(scale)
-    records, skipped = [], []
+    names, supervised_errors, test_errors, unique_optima, skipped = [], [], [], [], []
     for position, (name, data) in enumerate(datasets.items()):
         try:
             split = split_for_local_optima(data, derive_rng(seed, position, 0))
@@ -273,20 +274,21 @@ def run_local_optima_study(
             continue
         train = split.train
         w_sup = ridge_solve(train.labeled_features, train.labels, lam)
-        supervised_error = evaluate_error(w_sup, split.test_features, split.test_labels)
+        test = split.test_features, split.test_labels
+        names.append(name)
+        supervised_errors.append(evaluate_error(w_sup, *test))
         starts = random_init_near_supervised(
             train, lam, restarts, scale, derive_rng(seed, position, 1)
         )
-        studies = {
-            method: run_basin_study(
-                train, lam, method, starts, split.test_features, split.test_labels
-            )
-            for method in ("soft", "hard")
-        }
-        records.append(
-            DatasetOptimaRecord(name, supervised_error, studies, split.partition_hash)
-        )
-    return LocalOptimaReport(records=records, skipped=skipped)
+        for method in SOLVERS:
+            study = run_basin_study(train, lam, method, starts, *test)
+            test_errors.append(study.test_errors)
+            unique_optima.append(study.unique_optima_count)
+    shape = (len(names), len(SOLVERS))
+    return LocalOptimaReport(
+        names, np.array(supervised_errors), np.reshape(test_errors, (*shape, restarts + 1)),
+        np.array(unique_optima, dtype=int).reshape(shape), skipped,
+    )
 
 
 @dataclass(frozen=True)
@@ -332,27 +334,24 @@ def run_learning_curve(
     split. The oracle solves the pooled system using the true labels of
     the unlabeled part. Returns a ``LearningCurveReport`` whose (repeats,
     unlabeled counts, methods) ``errors`` carry NaN where a split has no
-    test rows; those are excluded from aggregation. The labeled count and
-    every unlabeled count are checked against the pool before any split
-    is drawn. The splits of one unlabeled count share their shapes, so
-    they are gathered and fitted in blocks, each as one stack, and scored
-    in chunks of repeats; every weight vector and test error equals the
-    one a lone fit on its split and ``evaluate_error`` give.
+    test rows; those are excluded from aggregation. Every count must be an
+    integer, and the labeled count and every unlabeled count are checked
+    against the pool before any split is drawn. The splits of one
+    unlabeled count share their shapes, so they are gathered and fitted in
+    blocks, each as one stack, and scored in chunks of repeats; every
+    weight vector and test error equals the one a lone fit on its split
+    and ``evaluate_error`` give.
     """
-    u_values = [int(u) for u in u_values]
-    if repeats < 1:
-        raise InvalidInputError("repeats must be at least 1")
+    repeats = _check_count(repeats, "repeats", minimum=1)
+    u_values = list(u_values)
     if not u_values:
         raise InvalidInputError("need at least one unlabeled count")
-    if any(u < 0 for u in u_values):
-        raise InvalidInputError("unlabeled counts must be nonnegative")
+    # Every count is checked before any split is drawn or fitted.
+    labeled_count, u_values = _check_learning_curve_counts(data, labeled_count, u_values)
     repeated = sorted({u for u in u_values if u_values.count(u) > 1})
     if repeated:
         raise InvalidInputError(f"unlabeled counts must be distinct; repeated: {repeated}")
     lam = _check_lam(lam)
-    # Every count is checked before any split is drawn or fitted.
-    labeled_count = _check_learning_curve_counts(data, labeled_count, u_values)
-    repeats = int(repeats)
     errors = np.full((repeats, len(u_values), len(METHODS)), np.nan)
     hashes = [[None] * len(u_values) for _ in range(repeats)]
     test_sizes = [data.n_labeled - labeled_count - u for u in u_values]

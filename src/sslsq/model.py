@@ -12,6 +12,7 @@ at a vertex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,17 @@ def _check_lam(lam):
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError(f"ridge penalty must be a finite nonnegative real, got {lam}")
     return lam
+
+
+def _check_count(value, name, minimum=None):
+    """A count as an int, by ``operator.index``: a float or string is refused, not truncated."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, not {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise InvalidInputError(f"{name} must be at least {minimum}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ fit, and stops with the solver's converged stop reason.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError
 from .model import (
     _CLASS_CODES,
+    _check_count,
     _check_lam,
     _check_weights,
     _responsibility_value,
@@ -74,14 +74,7 @@ class SolverConfig:
     objective_tolerance: float = 1e-10
 
     def __post_init__(self):
-        try:
-            operator.index(self.max_iterations)
-        except TypeError:
-            raise InvalidInputError(
-                f"max_iterations must be an integer, not {self.max_iterations!r}"
-            ) from None
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
+        _check_count(self.max_iterations, "max_iterations", minimum=1)
         # Written so that a NaN tolerance, which no decrease would ever meet, fails too.
         if not self.objective_tolerance >= 0.0:
             raise InvalidInputError(

@@ -8,6 +8,7 @@ import pytest
 
 import sslsq.cli as cli
 from sslsq import (
+    DegenerateSplitError,
     HessianKind,
     SolverConfig,
     build_hessian,
@@ -63,6 +64,13 @@ def write_pool(tmp_path, name="pool.csv", n=60, seed=3, kind="two-gaussian-2d"):
         "--separation", "3.0", "--out", str(path),
     ])
     assert code == EXIT_OK
+    return path
+
+
+def write_tiny_pool(tmp_path, name="tiny.csv"):
+    """A 4-row fully labeled pool, whose local-optima split is always degenerate."""
+    path = tmp_path / name
+    assert run_cli(["generate", "--unlabeled", "0", "--seed", "3", "--out", str(path)]) == EXIT_OK
     return path
 
 
@@ -648,35 +656,83 @@ class TestBasin:
         assert _fmt(value) == _fmt(np.float64(value))
 
 
+def local_optima_reference(paths, restarts, seed):
+    """The local-optima report and ``.agg`` text, from lone fits and errors on each split.
+
+    Dataset i's split is drawn from ``derive_rng(seed, i, 0)`` and its
+    starts from ``derive_rng(seed, i, 1)``; a dataset whose split is
+    degenerate gets one skipped row, after every fitted dataset's rows.
+    """
+    report = [["dataset", "method", "init", "start", "error", "status"]]
+    agg = [["dataset", "method", "supervised_error", "from_supervised_error",
+            "random_mean_error", "random_std_error", "unique_minima"]]
+    skipped = []
+    for position, path in enumerate(paths):
+        name = path.stem
+        data, _ = load_csv(path)
+        try:
+            split = split_for_local_optima(data, derive_rng(seed, position, 0))
+        except DegenerateSplitError as exc:
+            skipped.append([name, "", "", "", "", f"skipped: {exc}"])
+            continue
+        train = split.train
+        w_sup = ridge_solve(train.labeled_features, train.labels)
+        starts = random_init_near_supervised(train, 0.0, restarts, 1.0,
+                                             derive_rng(seed, position, 1))
+
+        def error(w):
+            return evaluate_error(w, split.test_features, split.test_labels)
+
+        finals = {method: [fit_starts(train, [w], method)[0].weights for w in [w_sup, *starts]]
+                  for method in ("soft", "hard")}
+        errors = {method: [error(w) for w in finals[method]] for method in finals}
+        report.append([name, "supervised", "supervised", -1, repr(error(w_sup)), "ok"])
+        report += [[name, method, "supervised", -1, repr(errors[method][0]), "ok"]
+                   for method in finals]
+        report += [[name, method, "random", start, repr(e), "ok"]
+                   for method in finals for start, e in enumerate(errors[method][1:])]
+        for method in finals:
+            randoms = errors[method][1:]
+            std_error = (repr(float(np.std(randoms, ddof=1) / np.sqrt(restarts)))
+                         if restarts > 1 else "")
+            agg.append([name, method, repr(error(w_sup)), repr(errors[method][0]),
+                        repr(float(np.mean(randoms))), std_error,
+                        count_unique_optima(finals[method])[0]])
+    return csv_text(report + skipped), csv_text(agg)
+
+
 class TestLocalOptima:
-    def test_report_equals_lone_references(self, tmp_path):
-        # The error of every row, and the start column that numbers the
-        # random restarts, from lone fits on each dataset's split.
-        pools = [write_pool(tmp_path, "a.csv", n=50, seed=1),
+    @pytest.mark.parametrize("restarts", [3, 1])
+    def test_report_equals_lone_references(self, tmp_path, restarts):
+        # Every report row and .agg field, from lone fits on each dataset's
+        # split. The 4-row pool in the middle is always skipped and keeps
+        # its position in the seed streams; with one restart there is no
+        # standard error, so that field is blank.
+        pools = [write_pool(tmp_path, "a.csv", n=50, seed=1), write_tiny_pool(tmp_path),
                  write_pool(tmp_path, "b.csv", n=50, seed=2)]
         out = tmp_path / "lo.csv"
-        assert run_cli(["local-optima", "--data", *map(str, pools), "--restarts", "3",
+        assert run_cli(["local-optima", "--data", *map(str, pools), "--restarts",
+                        str(restarts), "--seed", "5", "--out", str(out)]) == EXIT_OK
+        report, agg = local_optima_reference(pools, restarts, 5)
+        assert report.splitlines()[-1].startswith("tiny,,,,,skipped: ")
+        assert out.read_text() == report
+        assert (tmp_path / "lo.agg.csv").read_text() == agg
+        std_errors = [line.split(",")[5] for line in agg.splitlines()[1:]]
+        assert len(std_errors) == 4
+        assert all((field == "") == (restarts == 1) for field in std_errors)
+
+    def test_every_dataset_skipped_writes_a_header_only_aggregate(self, tmp_path, capsys):
+        tiny = write_tiny_pool(tmp_path)
+        out = tmp_path / "lo.csv"
+        capsys.readouterr()
+        assert run_cli(["local-optima", "--data", str(tiny), "--restarts", "2",
                         "--seed", "5", "--out", str(out)]) == EXIT_OK
-        rows = [["dataset", "method", "init", "start", "error", "status"]]
-        for position, (name, pool) in enumerate(zip("ab", pools)):
-            data, _ = load_csv(pool)
-            split = split_for_local_optima(data, derive_rng(5, position, 0))
-            train = split.train
-            w_sup = ridge_solve(train.labeled_features, train.labels)
-            starts = random_init_near_supervised(train, 0.0, 3, 1.0, derive_rng(5, position, 1))
-
-            def error(w):
-                return repr(evaluate_error(w, split.test_features, split.test_labels))
-
-            finals = {method: [fit_starts(train, [w], method)[0].weights
-                               for w in [w_sup, *starts]]
-                      for method in ("soft", "hard")}
-            rows.append([name, "supervised", "supervised", -1, error(w_sup), "ok"])
-            rows += [[name, method, "supervised", -1, error(finals[method][0]), "ok"]
-                     for method in finals]
-            rows += [[name, method, "random", start, error(w), "ok"]
-                     for method in finals for start, w in enumerate(finals[method][1:])]
-        assert out.read_text() == csv_text(rows)
+        assert capsys.readouterr().out == "datasets = 0\nskipped = 1\n"
+        report, agg = local_optima_reference([tiny], 2, 5)
+        assert out.read_text() == report
+        assert (tmp_path / "lo.agg.csv").read_text() == agg == (
+            "dataset,method,supervised_error,from_supervised_error,random_mean_error,"
+            "random_std_error,unique_minima\n")
 
     def test_report_shape(self, tmp_path):
         a = write_pool(tmp_path, "a.csv", n=50, seed=1)
@@ -765,9 +821,7 @@ class TestLocalOptima:
             self, tmp_path, capsys, flag, value, message):
         # The 4-row pool's split is degenerate, so its dataset is skipped
         # and no split reaches a solve that would check the value.
-        path = tmp_path / "tiny.csv"
-        assert run_cli(["generate", "--unlabeled", "0", "--seed", "3",
-                        "--out", str(path)]) == EXIT_OK
+        path = write_tiny_pool(tmp_path)
         before = snapshot(tmp_path)
         capsys.readouterr()
         code = run_cli(["local-optima", "--data", str(path), "--restarts", "2",

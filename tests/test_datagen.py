@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ class TestGenerate:
             SyntheticSpec(noise_sd=0.0)
         with pytest.raises(InvalidInputError):
             SyntheticSpec(kind="two-cluster-1d")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"labeled_per_class": 2.5}, "labeled_per_class must be an integer, not 2.5"),
+        ({"labeled_per_class": 2.0}, "labeled_per_class must be an integer, not 2.0"),
+        ({"unlabeled_total": 3.7}, "unlabeled_total must be an integer, not 3.7"),
+        ({"unlabeled_total": -1}, "unlabeled_total must be nonnegative"),
+    ])
+    def test_counts_must_be_integers(self, kwargs, message):
+        # Refused when the spec is built, not with a bare TypeError from generate.
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            SyntheticSpec(**kwargs)
 
 
 class TestCsvRoundTrip:
@@ -489,6 +501,23 @@ class TestLearningCurveSplit:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             sample_learning_curve_split(self.pool(30), 20, 11, seed=3)
+
+    @pytest.mark.parametrize("labeled, unlabeled, message", [
+        (6.5, 4, "labeled_count must be an integer, not 6.5"),
+        (6.0, 4, "labeled_count must be an integer, not 6.0"),
+        (6, 4.9, "unlabeled_count must be an integer, not 4.9"),
+        (6, "4", "unlabeled_count must be an integer, not '4'"),
+        (6, -1, "unlabeled counts must be nonnegative"),
+    ])
+    def test_counts_must_be_nonnegative_integers(self, labeled, unlabeled, message):
+        # Never truncated: 6.5 labeled rows do not become 6.
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            sample_learning_curve_split(self.pool(30), labeled, unlabeled, seed=3)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        a = sample_learning_curve_split(self.pool(30), np.int64(6), np.uint8(4), seed=5)
+        b = sample_learning_curve_split(self.pool(30), 6, 4, seed=5)
+        assert a.partition_hash == b.partition_hash
 
     def test_zero_unlabeled(self):
         split = sample_learning_curve_split(self.pool(30), 6, 0, seed=3)

@@ -1,5 +1,6 @@
 """Experiment harnesses: restarts, clustering, studies and curves."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,8 @@ from sslsq import (
     run_learning_curve,
     run_local_optima_study,
 )
-from sslsq.datagen import derive_rng, sample_learning_curve_split
-from sslsq.experiments import METHODS, LearningCurveAggregate
+from sslsq.datagen import derive_rng, sample_learning_curve_split, split_for_local_optima
+from sslsq.experiments import METHODS, SOLVERS, LearningCurveAggregate
 from sslsq.model import decision_values
 
 from conftest import lone_learning_curve, make_dataset, pairwise_count_unique_optima
@@ -182,6 +183,20 @@ class TestRandomInit:
         for seed in (-1, 2**64):
             with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
                 random_init_near_supervised(data, 0.0, 5, 1.0, seed=seed)
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, "3", None])
+    def test_count_must_be_an_integer(self, rng, count):
+        # Never truncated: 2.7 starts do not become 2.
+        data = make_dataset(rng, 6, 3, 2)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"count must be an integer, not {count!r}")):
+            random_init_near_supervised(data, 0.0, count, 1.0)
+
+    def test_numpy_integer_count_is_accepted(self, rng):
+        data = make_dataset(rng, 6, 3, 2)
+        np.testing.assert_array_equal(
+            random_init_near_supervised(data, 0.0, np.int64(3), 1.0, seed=9),
+            random_init_near_supervised(data, 0.0, 3, 1.0, seed=9))
 
 
 class TestUniqueOptima:
@@ -451,6 +466,24 @@ class TestBasinStudy:
             np.testing.assert_array_equal(fit.weights, w)
             assert error == evaluate_error(w, test, labels)
 
+    @pytest.mark.parametrize("labels", [[], np.empty(0)], ids=["list", "array"])
+    def test_empty_test_labels_raise_before_any_fit(self, monkeypatch, labels):
+        # Only test_labels=None means no test set; empty labels are the
+        # empty test set evaluate_error refuses, not NaN test errors.
+        import sslsq.experiments as experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the test set was checked")
+
+        data, _ = small_two_cluster()
+        starts = random_init_near_supervised(data, 0.0, 2, 1.0, seed=2)
+        w_sup = ridge_solve(data.labeled_features, data.labels, 0.0)
+        with pytest.raises(DegenerateInputError, match="empty test set"):
+            evaluate_error(w_sup, data.unlabeled_features, labels)
+        monkeypatch.setattr(experiments, "fit_starts", no_fit)
+        with pytest.raises(DegenerateInputError, match="empty test set"):
+            run_basin_study(data, 0.0, "soft", starts, data.unlabeled_features, labels)
+
     def test_bad_test_set_raises_as_evaluate_error_does(self, monkeypatch):
         # Same class and message as a lone evaluate_error, before any fit
         # runs: bad features, and labels that are not one 0 or 1 per row.
@@ -492,24 +525,71 @@ class TestLocalOptimaStudy:
     def test_single_restart_bookkeeping(self):
         datasets = {"a": fully_labeled_pool(40, 1), "b": fully_labeled_pool(40, 2)}
         report = run_local_optima_study(datasets, restarts=1, lam=0.0, seed=0)
-        assert [r.name for r in report.records] == ["a", "b"]
-        for record in report.records:
-            assert [len(record.studies[m].fits[1:]) for m in ("soft", "hard")] == [1, 1]
+        assert report.names == ["a", "b"]
+        # (dataset, solver, run): the supervised run and one restart per solver.
+        assert SOLVERS == ("soft", "hard")
+        assert report.test_errors.shape == (2, 2, 2)
+        assert report.supervised_errors.shape == (2,)
+        assert report.unique_optima.shape == (2, 2)
 
     def test_soft_has_no_more_minima_than_hard(self):
         datasets = {"clusters": fully_labeled_pool(120, 3)}
         report = run_local_optima_study(datasets, restarts=12, lam=0.0, seed=5)
-        record = report.records[0]
-        assert (record.studies["soft"].unique_optima_count
-                <= record.studies["hard"].unique_optima_count)
+        soft, hard = report.unique_optima[0].tolist()
+        assert soft <= hard
 
     def test_degenerate_dataset_is_skipped(self):
         ok = fully_labeled_pool(40, 1)
         single_class = Dataset(np.arange(30.0).reshape(-1, 1), np.ones(30))
         report = run_local_optima_study({"good": ok, "flat": single_class},
                                         restarts=2, seed=0)
-        assert [r.name for r in report.records] == ["good"]
+        assert report.names == ["good"]
+        assert report.test_errors.shape == (1, 2, 3)
         assert report.skipped and report.skipped[0][0] == "flat"
+
+    def test_arrays_equal_lone_basin_studies(self):
+        # The skipped dataset in the middle still takes its position in the
+        # seed streams, so the last dataset's split and starts come from
+        # position 2.
+        datasets = {"a": fully_labeled_pool(40, 1), "tiny": fully_labeled_pool(4, 3),
+                    "b": fully_labeled_pool(60, 2, kind=SyntheticKind.TWO_GAUSSIAN_2D)}
+        lam, seed, scale, restarts = 0.5, 7, 2.0, 4
+        report = run_local_optima_study(datasets, restarts, lam, seed, scale)
+        assert report.names == ["a", "b"]
+        assert [name for name, _ in report.skipped] == ["tiny"]
+        for i, position in enumerate([0, 2]):
+            split = split_for_local_optima(datasets[report.names[i]],
+                                           derive_rng(seed, position, 0))
+            train = split.train
+            w_sup = ridge_solve(train.labeled_features, train.labels, lam)
+            assert report.supervised_errors[i] == evaluate_error(
+                w_sup, split.test_features, split.test_labels)
+            starts = random_init_near_supervised(train, lam, restarts, scale,
+                                                 derive_rng(seed, position, 1))
+            for s, method in enumerate(SOLVERS):
+                study = run_basin_study(train, lam, method, starts, split.test_features,
+                                        split.test_labels)
+                np.testing.assert_array_equal(report.test_errors[i, s], study.test_errors)
+                assert report.unique_optima[i, s] == study.unique_optima_count
+
+    def test_every_dataset_skipped_gives_empty_arrays(self):
+        report = run_local_optima_study({"tiny": fully_labeled_pool(4, 3)}, restarts=3, seed=1)
+        assert report.names == []
+        assert [name for name, _ in report.skipped] == ["tiny"]
+        assert report.supervised_errors.shape == (0,)
+        assert report.test_errors.shape == (0, 2, 4)
+        assert report.unique_optima.shape == (0, 2)
+
+    def test_report_holds_arrays_only(self):
+        import dataclasses
+
+        import sslsq
+        import sslsq.experiments as experiments
+
+        assert [field.name for field in dataclasses.fields(sslsq.LocalOptimaReport)] == [
+            "names", "supervised_errors", "test_errors", "unique_optima", "skipped"]
+        assert not hasattr(sslsq, "DatasetOptimaRecord")
+        assert "DatasetOptimaRecord" not in experiments.__all__
 
     @pytest.mark.parametrize("lam, scale, message", [
         (-1.0, 1.0, "ridge penalty must be a finite nonnegative real"),
@@ -535,13 +615,23 @@ class TestLocalOptimaStudy:
         with pytest.raises(InvalidInputError, match=message):
             run_local_optima_study({"p": pool}, restarts=2, lam=lam, seed=1, scale=scale)
 
+    @pytest.mark.parametrize("restarts", [1.5, 2.0, "2"])
+    def test_non_integer_restarts_raise_before_any_split(self, monkeypatch, restarts):
+        # Never truncated: 1.5 restarts do not become 1.
+        import sslsq.experiments as experiments
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn before the restart count was checked")
+
+        monkeypatch.setattr(experiments, "split_for_local_optima", no_split)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"restarts must be an integer, not {restarts!r}")):
+            run_local_optima_study({"a": fully_labeled_pool(40, 1)}, restarts=restarts)
+
     def test_errors_lie_in_unit_interval(self):
         report = run_local_optima_study({"a": fully_labeled_pool(60, 9)},
                                         restarts=5, seed=1)
-        record = report.records[0]
-        values = np.concatenate([[record.supervised_error]] + [
-            study.test_errors for study in record.studies.values()
-        ])
+        values = np.concatenate([report.supervised_errors, report.test_errors.ravel()])
         assert np.all((values >= 0.0) & (values <= 1.0))
 
 
@@ -753,6 +843,35 @@ class TestLearningCurve:
         pool = fully_labeled_pool(600, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D)
         with pytest.raises(error, match=message):
             run_learning_curve(pool, labeled, u_values, repeats=3)
+
+    @pytest.mark.parametrize("labeled, u_values, repeats, message", [
+        (6.5, [2], 2, "labeled_count must be an integer, not 6.5"),
+        (8, [2.5, 4.9], 2, "unlabeled_count must be an integer, not 2.5"),
+        (8, [2, 4.0], 2, "unlabeled_count must be an integer, not 4.0"),
+        (8, [2], 2.9, "repeats must be an integer, not 2.9"),
+        (8, [2], "2", "repeats must be an integer, not '2'"),
+        (8, [2, -1], 2, "unlabeled counts must be nonnegative"),
+        (8, [700, -1], 2, "unlabeled counts must be nonnegative"),
+    ])
+    def test_counts_must_be_nonnegative_integers_before_any_split(
+            self, monkeypatch, labeled, u_values, repeats, message):
+        # Never truncated: 2.9 repeats do not become 2, nor u = 2.5 become 2.
+        # A negative count is named before a count the pool cannot supply.
+        import sslsq.experiments as experiments
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn before the counts were checked")
+
+        monkeypatch.setattr(experiments, "_gather_learning_curve_splits", no_split)
+        monkeypatch.setattr(experiments, "_fit_stack", no_split)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            run_learning_curve(self.pool(), labeled, u_values, repeats)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        a = run_learning_curve(self.pool(), np.int64(8), np.array([2, 4]), np.int32(2), seed=1)
+        b = run_learning_curve(self.pool(), 8, [2, 4], 2, seed=1)
+        np.testing.assert_array_equal(a.errors, b.errors)
+        assert a.u_values == b.u_values and all(type(u) is int for u in a.u_values)
 
     def test_rejects_repeated_or_missing_unlabeled_counts(self):
         with pytest.raises(InvalidInputError, match=r"repeated: \[4\]"):
