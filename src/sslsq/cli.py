@@ -36,7 +36,9 @@ from .datagen import (
 from .diagnostics import (
     ENUMERATION_CAP,
     HessianKind,
+    _block_factors,
     _psd_verdict,
+    _responsibility_witness,
     brute_force_hard_minimum,
     find_witness,
 )
@@ -280,15 +282,17 @@ def cmd_diagnose(args):
     if data.n_unlabeled == 0:
         raise DegenerateInputError("diagnostics need at least one unlabeled row")
 
-    label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam)
+    # Both verdicts and the responsibility witness read one factorization.
+    factors = _block_factors(data, lam)
+    label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam, factors)
     print(f"label_hessian_psd = {label_psd}")
     print(f"label_hessian_min_diagonal = {_fmt(label_min_diagonal)}")
     label_witness = find_witness(data, HessianKind.LABEL_BASED, lam=lam)
     print(f"label_witness_value = {_fmt(label_witness.quadratic_form_value)}")
-    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam)
+    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam, factors)
     print(f"responsibility_hessian_psd = {resp_psd}")
     try:
-        witness = find_witness(data, HessianKind.RESPONSIBILITY_BASED, lam=lam)
+        witness = _responsibility_witness(data, factors[0])
         print(f"responsibility_witness_value = {_fmt(witness.quadratic_form_value)}")
     except NoWitnessError as exc:
         print(f"responsibility_witness_value = none ({exc})")

@@ -88,22 +88,38 @@ class GridSearchResult(NamedTuple):
     objective: float
 
 
-def _hessian_blocks(data, kind, lam):
-    """The leading block ``A`` and the trailing diagonal value of the kind's Hessian."""
+def _bottom_diagonal(data, kind):
+    """The trailing block's diagonal value of the kind's Hessian: -2 or 0.
+
+    Raises when ``data`` has no unlabeled block or ``kind`` is unknown.
+    """
     if data.n_unlabeled == 0:
         raise DegenerateInputError("hessian in (weights, labels) needs an unlabeled block")
     if kind == HessianKind.LABEL_BASED:
-        bottom_diagonal = -2.0
-    elif kind == HessianKind.RESPONSIBILITY_BASED:
-        bottom_diagonal = 0.0
-    else:
-        raise InvalidInputError(f"unknown hessian kind {kind!r}")
+        return -2.0
+    if kind == HessianKind.RESPONSIBILITY_BASED:
+        return 0.0
+    raise InvalidInputError(f"unknown hessian kind {kind!r}")
+
+
+def _leading_block(data, lam):
+    """The weights' block ``A = 2 X_e'X_e + 2 lam I``, which both kinds share."""
     lam = _check_lam(lam)
     extended = data.extended_features
     leading = 2.0 * (extended.T @ extended)
     if lam > 0.0:
         leading += 2.0 * lam * np.eye(data.n_features)
-    return leading, bottom_diagonal
+    return leading
+
+
+def _block_factors(data, lam):
+    """``A`` and the R factor of ``-2 X_u``, which both kinds' verdicts read.
+
+    The kinds differ only in their trailing diagonal, so one
+    factorization serves both verdicts of a dataset.
+    """
+    leading = _leading_block(data, lam)
+    return leading, np.linalg.qr(-2.0 * data.unlabeled_features, mode="r")
 
 
 def build_hessian(data, kind, lam=0.0):
@@ -114,7 +130,8 @@ def build_hessian(data, kind, lam=0.0):
     1 and 0 for the responsibility-based kind, so with those codes the
     two kinds share their off-diagonal blocks.
     """
-    leading, bottom_diagonal = _hessian_blocks(data, kind, lam)
+    bottom_diagonal = _bottom_diagonal(data, kind)
+    leading = _leading_block(data, lam)
     d, unlabeled_count = data.n_features, data.n_unlabeled
     cross = -2.0 * data.unlabeled_features.T
     # Filled in place: the (d+U)^2 matrix is the only large allocation.
@@ -155,17 +172,17 @@ def is_psd(matrix):
     return _psd_rule(np.linalg.eigvalsh(work))
 
 
-def _psd_verdict(data, kind, lam=0.0):
+def _psd_verdict(data, kind, lam=0.0, factors=None):
     """``is_psd`` and the smallest diagonal entry of ``build_hessian(data, kind, lam).matrix``.
 
     Neither needs the (d+U)^2 matrix, so this costs O(U d^2) time and O(U d) memory.
     With ``-2 X_u = Q R`` (Q orthogonal, R of k = min(U, d) rows), conjugating H by
     ``diag(I_d, Q)`` gives ``[[A, R'], [R, delta I_k]]`` plus U - k copies of delta.
+    ``factors`` is ``_block_factors(data, lam)`` when the caller already has it.
     """
-    leading, bottom_diagonal = _hessian_blocks(data, kind, lam)
-    d = data.n_features
-    coupling = np.linalg.qr(-2.0 * data.unlabeled_features, mode="r")
-    k = coupling.shape[0]
+    bottom_diagonal = _bottom_diagonal(data, kind)
+    leading, coupling = _block_factors(data, lam) if factors is None else factors
+    d, k = data.n_features, coupling.shape[0]
     reduced = np.zeros((d + k, d + k))
     reduced[:d, :d] = leading
     reduced[d:, :d] = coupling
@@ -185,20 +202,31 @@ def find_witness(data, kind, lam=0.0):
     For the label-based kind any unit vector in the label block works
     (the trailing block carries -2 on the diagonal); the first one is
     taken, and its value -2 needs no matrix. For the
-    responsibility-based kind a direction ``z2 = c * X_u z1`` is scaled
-    past the threshold at which the cross term dominates the positive
-    leading block, with a factor-2 margin; this requires a nonzero
-    unlabeled design matrix.
+    responsibility-based kind see ``_responsibility_witness``. Neither
+    builds the (d+U)^2 matrix.
     """
-    if kind == HessianKind.LABEL_BASED:
-        # The form along the first label's unit vector is the label
-        # block's diagonal, so the dense matrix is not needed.
-        _, bottom_diagonal = _hessian_blocks(data, kind, lam)
-        z2 = np.zeros(data.n_unlabeled)
-        z2[0] = 1.0
-        return NonconvexityWitness(np.zeros(data.n_features), z2, bottom_diagonal)
-    block = build_hessian(data, kind, lam)
-    d = data.n_features
+    bottom_diagonal = _bottom_diagonal(data, kind)
+    if kind == HessianKind.RESPONSIBILITY_BASED:
+        return _responsibility_witness(data, _leading_block(data, lam))
+    _check_lam(lam)
+    # The form along the first label's unit vector is the label
+    # block's diagonal.
+    z2 = np.zeros(data.n_unlabeled)
+    z2[0] = 1.0
+    return NonconvexityWitness(np.zeros(data.n_features), z2, bottom_diagonal)
+
+
+def _responsibility_witness(data, leading):
+    """The responsibility kind's witness, given its leading block ``A``.
+
+    ``z1`` is the largest-norm unlabeled row and ``z2 = c X_u z1``,
+    with ``c`` scaled past the threshold at which the cross term
+    dominates the positive leading block, with a factor-2 margin; this
+    requires a nonzero unlabeled design matrix. The trailing block is
+    zero, so ``z'Hz = z1'A z1 - 4 (X_u z1)'z2``: O(U d) time and memory.
+    It rounds differently from the dense ``z @ (H @ z)``, by a few ulps
+    of the terms.
+    """
     unlabeled = data.unlabeled_features
     row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
     if not np.any(row_norms > 0.0):
@@ -207,13 +235,12 @@ def find_witness(data, kind, lam=0.0):
         )
     z1 = unlabeled[int(np.argmax(row_norms))].copy()
     pushed = unlabeled @ z1
-    leading = float(z1 @ (block.matrix[:d, :d] @ z1))
-    # The form along z2 = c * X_u z1 is leading - 4 c |X_u z1|^2;
+    form = float(z1 @ (leading @ z1))
+    # The form along z2 = c * X_u z1 is form - 4 c |X_u z1|^2;
     # take twice the zero-crossing c for margin against rounding.
-    threshold = leading / (4.0 * float(pushed @ pushed))
+    threshold = form / (4.0 * float(pushed @ pushed))
     z2 = 2.0 * threshold * pushed
-    z = np.concatenate([z1, z2])
-    value = float(z @ (block.matrix @ z))
+    value = form - 4.0 * float(pushed @ z2)
     if not value < 0.0:
         raise NoWitnessError(f"constructed direction is not a witness (form = {value})")
     return NonconvexityWitness(z1=z1, z2=z2, quadratic_form_value=value)

@@ -262,8 +262,13 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     start leaves after it with the solver's converged stop reason, even
     at ``max_iterations=1``. Returns the ``_Finals`` of the starts, in
     order. Nothing is kept per round unless ``path`` is a list: it then
-    receives every round's working block as (start ids, weights,
-    objectives), which ``_start_results`` splits into traces.
+    receives the working block of every round a trace keeps as (start
+    ids, weights, objectives), which ``_start_results`` splits into
+    traces. Past ``_TRACE_LIMIT`` rounds only every tenth round is kept,
+    and the starts still working then drop their earlier rounds that are
+    not multiples of 10 (see ``_kept_rounds``), so a run's path holds at
+    most about ``_TRACE_LIMIT`` rounds while it runs. A start's last
+    round, if not kept, is in the ``_Finals``.
 
     The rounds write into buffers allocated once per block: the (S, N)
     targets, whose first L columns hold the known labels, fitted values
@@ -352,7 +357,10 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         # the stop test costs less in Python than in numpy calls.
         values = values.tolist()
         if path is not None:
-            path.append((active, W, values))
+            if iteration == _TRACE_LIMIT:
+                _thin_path(path, active)
+            if iteration < _TRACE_LIMIT or iteration % 10 == 0:
+                path.append((active, W, values))
         if settled:
             reason = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
             leave(np.ones(active.size, dtype=bool), reason, 1)
@@ -375,26 +383,53 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     return finals
 
 
+def _thin_path(path, passing):
+    """Drop the ``passing`` starts' rounds that are not multiples of 10 from ``path``.
+
+    ``path`` holds rounds 0 to ``_TRACE_LIMIT - 1``, one entry each, and
+    ``passing`` the starts that run past them. The starts that left
+    before keep every round; an entry left with no rows is removed.
+    """
+    # Round 0 holds every start, so its ids size the lookup.
+    left = np.ones(path[0][0].size, dtype=bool)
+    left[passing] = False
+    kept = []
+    for iteration, (active, W, values) in enumerate(path):
+        if iteration % 10:
+            stay = left[active]
+            if not stay.any():
+                continue
+            active, W, values = active[stay], W[stay], list(compress(values, stay))
+        kept.append((active, W, values))
+    path[:] = kept
+
+
 def _start_results(path, finals):
-    """One ``FitResult`` per start of a lock-step run, traced from its per-round ``path``.
+    """One ``FitResult`` per start of a lock-step run, traced from its kept rounds ``path``.
 
     A start works from round 0 until it leaves, so after a stable sort
-    by start id its rows are its rounds in order.
+    by start id its rows are its kept rounds in order. The last round,
+    when the path did not keep it, comes from ``finals``.
     """
     ids = np.concatenate([active for active, _, _ in path])
     order = np.argsort(ids, kind="stable")
     weights = np.concatenate([W for _, W, _ in path])[order]
     objectives = np.array([value for _, _, values in path for value in values])[order]
+    counts = np.bincount(ids, minlength=len(finals.rounds)).tolist()
     results = []
     end = 0
     for i, rounds_run in enumerate(finals.rounds.tolist()):
-        begin, end = end, end + rounds_run
-        kept = _kept_rounds(rounds_run)
+        begin, end = end, end + counts[i]
+        rounds = np.arange(rounds_run)[_kept_rounds(rounds_run)]
+        weight_path, values = weights[begin:end], objectives[begin:end]
+        if end - begin < len(rounds):
+            weight_path = np.vstack([weight_path, finals.weights[i]])
+            values = np.append(values, finals.objectives[i])
         labels = finals.labels[i]
         trace = FitTrace(
-            rounds=np.arange(rounds_run)[kept],
-            weight_path=weights[begin:end][kept],
-            objectives=objectives[begin:end][kept],
+            rounds=rounds,
+            weight_path=weight_path,
+            objectives=values,
             final_labels=labels,
             stop_reason=finals.reasons[i],
         )

@@ -4,7 +4,7 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Seven helpers are frozen copies of earlier library code:
+against these. Eight helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
@@ -15,13 +15,16 @@ differences at once, kept to pin the blocked one's counts and ids; and
 time before the columnar one, kept to pin its bytes;
 ``rowwise_save_csv``, the dataset writer that wrote through
 ``csv.writer`` a row at a time before ``save_csv`` wrote through the
-columnar writer, kept to pin its bytes; and ``allocating_run_descent``,
+columnar writer, kept to pin its bytes; ``allocating_run_descent``,
 the lock-step descent loop that built new (starts, N) arrays every round
 before the loop wrote its rounds into per-block buffers, kept to pin
-its finals and per-round path; and ``unpruned_hard_minimum``, the
+its finals and per-round path; ``unpruned_hard_minimum``, the
 meet-in-the-middle search that scored every block of sums in order
 before the search skipped blocks by their lower bounds, kept to pin the
-pruned search's labels, weights and objective.
+pruned search's labels, weights and objective; and
+``dense_responsibility_witness``, the responsibility witness as it was
+formed from the dense (d+U)^2 Hessian before it was formed from the
+Hessian's blocks, kept to pin the block form's direction and value.
 ``lone_learning_curve`` is the learning curve run one split and one lone
 fit at a time, the reference its stacked runner and report are pinned to.
 """
@@ -37,6 +40,8 @@ import pytest
 from sslsq import (
     ClassEncoding,
     Dataset,
+    HessianKind,
+    build_hessian,
     evaluate_error,
     fit_hard,
     fit_soft,
@@ -572,6 +577,21 @@ def unpruned_hard_minimum(data, lam=0.0, chunk=4096):
         if result is None or candidate[2] < result[2]:
             result = candidate
     return result
+
+
+def dense_responsibility_witness(data, lam=0.0):
+    """The responsibility witness's ``(z1, z2, z'Hz)``, read off the dense Hessian."""
+    H = build_hessian(data, HessianKind.RESPONSIBILITY_BASED, lam).matrix
+    d = data.n_features
+    unlabeled = data.unlabeled_features
+    row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
+    z1 = unlabeled[int(np.argmax(row_norms))].copy()
+    pushed = unlabeled @ z1
+    leading = float(z1 @ (H[:d, :d] @ z1))
+    threshold = leading / (4.0 * float(pushed @ pushed))
+    z2 = 2.0 * threshold * pushed
+    z = np.concatenate([z1, z2])
+    return z1, z2, float(z @ (H @ z))
 
 
 def lone_learning_curve(pool, labeled, u_values, repeats, lam, seed, config):

@@ -439,18 +439,54 @@ class TestDiagnose:
             built.append(kind)
             return build_hessian(data, kind, lam)
 
+        factorized = []
+        qr = np.linalg.qr
+
+        def counting_qr(matrix, mode="reduced"):
+            factorized.append(matrix.shape)
+            return qr(matrix, mode=mode)
+
         monkeypatch.setattr(cli, "is_psd", refuse, raising=False)
         monkeypatch.setattr(cli, "build_hessian", refuse, raising=False)
         monkeypatch.setattr(diagnostics, "is_psd", refuse)
         monkeypatch.setattr(diagnostics, "build_hessian", counting_build)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         capsys.readouterr()
         assert run_cli(["diagnose", "--data", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert f"label_hessian_psd = {expected[0]}" in out
         assert "label_hessian_min_diagonal = -2.0" in out
         assert f"responsibility_hessian_psd = {expected[1]}" in out
-        # Only the responsibility witness still builds the dense matrix.
-        assert built == [HessianKind.RESPONSIBILITY_BASED]
+        assert "responsibility_witness_value = -" in out
+        # Neither verdict nor witness builds the dense matrix, and both
+        # verdicts read one QR of the unlabeled design.
+        assert built == []
+        assert factorized == [(396, data.n_features)]
+
+    def test_memory_is_linear_in_unlabeled_count(self, tmp_path, capsys, monkeypatch):
+        # At U = 20,000 the dense (d+U)^2 matrix alone would take 3.2 GB.
+        path = tmp_path / "big.csv"
+        generated = run_cli(["generate", "--unlabeled", "20000", "--seed", "1", "--out", str(path)])
+        assert generated == EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagnose built or tested the dense matrix")
+
+        monkeypatch.setattr(diagnostics, "build_hessian", refuse)
+        monkeypatch.setattr(diagnostics, "is_psd", refuse)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli(["diagnose", "--data", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "unlabeled = 20000" in out
+        assert "responsibility_witness_value = -" in out
+        assert out.endswith("brute_force_objective = skipped (U > 20)\n")
+        assert peak < 16e6
 
     @pytest.mark.parametrize("unlabeled", [20, 396])
     @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])

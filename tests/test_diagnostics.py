@@ -36,6 +36,7 @@ from sslsq import (
 from conftest import (
     central_hessian,
     chunked_gemm_hard_minimum,
+    dense_responsibility_witness,
     exhaustive_hard_minimum,
     make_dataset,
     scaled_collinear_data,
@@ -168,6 +169,9 @@ def psd_instance(rng, variant):
         unlabeled[:] = 0.0
     elif variant == "rank-deficient unlabeled":
         unlabeled = np.outer(rng.standard_normal(unlabeled_count), rng.standard_normal(d))
+    elif variant == "rank-deficient design":
+        # The last column repeats the first in every row, labeled and unlabeled.
+        labeled[:, -1], unlabeled[:, -1] = labeled[:, 0], unlabeled[:, 0]
     elif variant == "features scaled by 1e6":
         labeled, unlabeled = 1e6 * labeled, 1e6 * unlabeled
     elif variant == "features scaled by 1e-6":
@@ -181,7 +185,8 @@ def psd_instance(rng, variant):
 class TestPsdVerdict:
     @pytest.mark.parametrize("variant", [
         "plain", "fewer unlabeled than features", "zero unlabeled", "rank-deficient unlabeled",
-        "features scaled by 1e6", "features scaled by 1e-6", "coupling near the threshold",
+        "rank-deficient design", "features scaled by 1e6", "features scaled by 1e-6",
+        "coupling near the threshold",
     ])
     def test_equals_dense_verdict_and_min_diagonal(self, rng, variant):
         verdicts = set()
@@ -268,6 +273,33 @@ class TestFindWitness:
                 z = np.concatenate([witness.z1, witness.z2])
                 assert witness.quadratic_form_value == pytest.approx(float(z @ H @ z))
                 assert witness.quadratic_form_value < 0.0
+
+    @pytest.mark.parametrize("variant", [
+        "plain", "rank-deficient design", "features scaled by 1e6", "features scaled by 1e-6",
+    ])
+    def test_responsibility_matches_the_dense_form(self, rng, monkeypatch, variant):
+        # The direction keeps the dense-era bits. The value, formed from the
+        # blocks, rounds differently from the dense z'Hz: 53 of these 160
+        # instances matched it to the bit, and the widest gap was 8e-16
+        # relative, so 1e-12 leaves a wide margin.
+        cases = []
+        for _ in range(20):
+            data = psd_instance(rng, variant)
+            for lam in 0.0, 0.5:
+                cases.append((data, lam, dense_responsibility_witness(data, lam)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the responsibility witness built the dense matrix")
+
+        monkeypatch.setattr(diagnostics, "build_hessian", refuse)
+        for data, lam, (z1, z2, dense) in cases:
+            witness = find_witness(data, HessianKind.RESPONSIBILITY_BASED, lam)
+            assert witness.z1.tobytes() == z1.tobytes()
+            assert witness.z2.tobytes() == z2.tobytes()
+            value = witness.quadratic_form_value
+            assert type(value) is float
+            assert abs(value - dense) <= 1e-12 * abs(dense)
+            assert value < 0.0
 
     def test_zero_unlabeled_features_have_no_witness(self):
         data = Dataset([[1.0], [2.0]], [0.0, 1.0], [[0.0], [0.0]])

@@ -1,5 +1,7 @@
 """Block coordinate descent: updates, fits, stopping and descent invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -538,6 +540,66 @@ class TestTraceMemory:
         np.testing.assert_allclose(
             result.imputed, update_soft_labels(data, records[-2].weights), rtol=1e-12
         )
+
+    def test_peak_is_bounded_in_the_round_count(self):
+        # The first coordinate fits the labeled row (1, 0) exactly; along
+        # the second, the labeled row (0, 1e-3) pulls the weight to 0 against
+        # unlabeled rows whose decision values stay inside (0, 1). Each round
+        # moves it by a factor of about 1 - 3e-7, so the objective still
+        # falls after 50,000 rounds and the zero tolerance never stops it.
+        # The trace thins while the run goes, so its peak is set by the
+        # 10,000 rounds kept up to the limit, not by the run's length: the
+        # two peaks measured 4.6 and 4.5 MB, against 6.1 and 25 MB when the
+        # trace was thinned only after the run.
+        c = np.linspace(-1.0, 1.0, 10)
+        data = Dataset([[1.0, 0.0], [0.0, 1e-3]], [1.0, 0.0],
+                       np.column_stack([np.full(10, 0.5), c]))
+        peaks = []
+        for rounds in 12_000, 50_000:
+            config = SolverConfig(max_iterations=rounds, objective_tolerance=0.0)
+            tracemalloc.start()
+            try:
+                fit = fit_starts(data, [np.array([1.0, 0.4])], "soft", 0.0, config)[0]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert fit.trace.stop_reason is StopReason.MAX_ITERATIONS
+            assert len(fit.trace.rounds) == rounds // 10 + 1
+            peaks.append(peak)
+        assert peaks[1] < 1.5 * peaks[0]
+
+    # Seven random starts on one problem leave the lock-step block in
+    # different rounds: soft at 53-69 (zero tolerance) and 30-42, hard at
+    # 2-5. Each limit has starts on both sides of it but the 10.
+    @pytest.mark.parametrize("method, tolerance, limit", [
+        ("soft", 0.0, 60), ("soft", 1e-10, 36), ("soft", 0.0, 10), ("hard", 1e-10, 3),
+    ])
+    def test_thinning_while_running_keeps_the_rounds_of_a_full_path(
+        self, monkeypatch, method, tolerance, limit
+    ):
+        import sslsq.selflearn as selflearn
+
+        rng = np.random.default_rng(1)
+        data = make_dataset(rng, 8, 30, 3)
+        starts = list(2.0 * rng.standard_normal((7, 3)))
+        config = SolverConfig(max_iterations=300, objective_tolerance=tolerance)
+        full = fit_starts(data, starts, method, 0.0, config)
+        monkeypatch.setattr(selflearn, "_TRACE_LIMIT", limit)
+        thinned = fit_starts(data, starts, method, 0.0, config)
+        counts = [fit.iterations for fit in full]
+        assert max(counts) > limit
+        for whole, fit in zip(full, thinned):
+            count = whole.iterations
+            kept = list(range(count))
+            if count > limit:
+                kept = list(range(0, count, 10)) + ([count - 1] if (count - 1) % 10 else [])
+            assert fit.trace.rounds.tolist() == kept
+            assert fit.trace.weight_path.tobytes() == whole.trace.weight_path[kept].tobytes()
+            assert fit.trace.objectives.tobytes() == whole.trace.objectives[kept].tobytes()
+            assert fit.weights.tobytes() == whole.weights.tobytes()
+            assert fit.imputed.tobytes() == whole.imputed.tobytes()
+            assert fit.final_objective == whole.final_objective
+            assert fit.trace.stop_reason is whole.trace.stop_reason
 
 
 class TestConfig:
