@@ -55,6 +55,7 @@ from .errors import (
 from .experiments import (
     METHODS,
     SOLVERS,
+    _mean_and_std_error,
     evaluate_error,
     random_init_near_supervised,
     run_basin_study,
@@ -446,9 +447,7 @@ def cmd_local_optima(args):
          ["ok"] * errors.size + [f"skipped: {reason}" for _, reason in report.skipped]],
     )
     # One row per dataset and solver; one restart has no standard error.
-    std_errors = np.full((count, solvers), np.nan)
-    if runs > 2:
-        std_errors = randoms.std(axis=-1, ddof=1) / np.sqrt(runs - 1)
+    means, std_errors = _mean_and_std_error(randoms)
     _write_columns(
         _aggregate_path(args.out),
         ["dataset", "method", "supervised_error", "from_supervised_error",
@@ -458,7 +457,7 @@ def cmd_local_optima(args):
             list(SOLVERS) * count,
             np.repeat(report.supervised_errors, solvers),
             report.test_errors[:, :, 0].ravel(),
-            randoms.mean(axis=-1).ravel(),
+            means.ravel(),
             std_errors.ravel(),
             report.unique_optima.ravel(),
         ],
@@ -527,10 +526,13 @@ def cmd_learning_curve(args):
     _write_columns(
         _aggregate_path(args.out),
         ["u", "method", "mean_error", "std_error", "repeats_used"],
-        list(zip(*[
-            (a.u, a.method, a.mean_error, a.std_error, a.repeats_used)
-            for a in report.aggregates
-        ])),
+        [
+            np.repeat(report.u_values, methods),
+            list(METHODS) * counts,
+            report.mean_errors.ravel(),
+            report.std_errors.ravel(),
+            report.repeats_used.ravel(),
+        ],
     )
     _write_manifest(
         args.out,
@@ -546,7 +548,7 @@ def cmd_learning_curve(args):
         seed=args.seed,
     )
     print(f"cells = {report.errors.size}")
-    print(f"aggregates = {len(report.aggregates)}")
+    print(f"aggregates = {report.mean_errors.size}")
     return EXIT_OK
 
 

@@ -57,10 +57,11 @@ MAX_SEED = 2**64 - 1
 
 
 def _check_seed(seed):
-    """The one rule for a root seed: an integer in ``[0, MAX_SEED]``."""
-    if not 0 <= int(seed) <= MAX_SEED:
+    """The one rule for a root seed: an integer in ``[0, MAX_SEED]``, by ``_check_count``."""
+    seed = _check_count(seed, "seed")
+    if not 0 <= seed <= MAX_SEED:
         raise InvalidInputError("seed must fit in 64 unsigned bits")
-    return int(seed)
+    return seed
 
 
 def derive_rng(seed, *key):
@@ -68,13 +69,15 @@ def derive_rng(seed, *key):
 
     Distinct keys give statistically independent streams, so each repeat
     can be seeded as ``derive_rng(seed, repeat_index)``. The root seed
-    must lie in ``[0, MAX_SEED]``; a seed outside raises
+    must be an integer in ``[0, MAX_SEED]`` and each key a nonnegative
+    integer; anything else, a float or a string included, raises
     ``InvalidInputError``. Passing an existing Generator returns it
     unchanged.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(map(int, key)))
+    key = tuple(_check_count(k, "stream key", minimum=0) for k in key)
+    sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=key)
     return np.random.default_rng(sequence)
 
 
@@ -147,16 +150,12 @@ def generate(spec):
 
 def _fmt(value):
     """Render a value for CSV/manifest output; floats round-trip exactly."""
-    if type(value) is float:
-        return "" if math.isnan(value) else repr(value)
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    if isinstance(value, (np.integer,)):
+        return "" if math.isnan(value) else repr(value)
+    if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .datagen import (
     _check_learning_curve_counts,
+    _check_seed,
     _gather_learning_curve_splits,
     derive_rng,
     split_for_local_optima,
@@ -259,10 +260,11 @@ def run_local_optima_study(
     unique-minima counts. Input i's split comes from ``derive_rng(seed,
     i, 0)`` and its starts from ``derive_rng(seed, i, 1)``. Datasets whose
     split is degenerate are skipped with a recorded reason. ``restarts``,
-    ``lam`` and ``scale`` are checked before any split is drawn, so a bad
-    value raises even when every dataset would be skipped.
+    ``seed``, ``lam`` and ``scale`` are checked before any split is drawn,
+    so a bad value raises even when every dataset would be skipped.
     """
     restarts = _check_count(restarts, "restarts", minimum=1)
+    seed = _check_seed(seed)
     lam = _check_lam(lam)
     _check_scale(scale)
     names, supervised_errors, test_errors, unique_optima, skipped = [], [], [], [], []
@@ -291,8 +293,19 @@ def run_local_optima_study(
     )
 
 
+def _mean_and_std_error(values):
+    """Mean and ``ddof=1`` standard error over the last axis; NaN errors below two values."""
+    count = values.shape[-1]
+    mean = values.mean(axis=-1)
+    if count < 2:
+        return mean, np.full(mean.shape, np.nan)
+    return mean, values.std(axis=-1, ddof=1) / np.sqrt(count)
+
+
 @dataclass(frozen=True)
 class LearningCurveAggregate:
+    """One unlabeled count's and method's entry of ``LearningCurveReport.aggregates``."""
+
     u: int
     method: str
     mean_error: float
@@ -302,20 +315,34 @@ class LearningCurveAggregate:
 
 @dataclass
 class LearningCurveReport:
-    """Every test error of a learning curve, as one array.
+    """Every test error of a learning curve, and their aggregates, as arrays.
 
     ``errors[r, k, m]`` is method ``METHODS[m]``'s test error in repeat r
     at unlabeled count ``u_values[k]``, NaN when that split has no test
     rows; ``test_sizes[k]`` is the test row count at ``u_values[k]`` and
     ``partition_hashes[r][k]`` the split's partition hash.
-    ``aggregates`` holds one entry per unlabeled count and method.
+    ``mean_errors``, ``std_errors`` and ``repeats_used`` are (count, method)
+    arrays over the repeats with a test set: all of them, or none, with
+    NaN aggregates, when the count leaves no test rows.
     """
 
     u_values: list[int]
     test_sizes: list[int]
     errors: np.ndarray
     partition_hashes: list[list[str]]
-    aggregates: list[LearningCurveAggregate]
+    mean_errors: np.ndarray
+    std_errors: np.ndarray
+    repeats_used: np.ndarray
+
+    @property
+    def aggregates(self):
+        """One ``LearningCurveAggregate`` per count and method, built from the arrays."""
+        return [
+            LearningCurveAggregate(u, method, mean, std_error, used)
+            for u, *rows in zip(self.u_values, self.mean_errors.tolist(),
+                                self.std_errors.tolist(), self.repeats_used.tolist())
+            for method, mean, std_error, used in zip(METHODS, *rows)
+        ]
 
 
 def run_learning_curve(
@@ -334,15 +361,16 @@ def run_learning_curve(
     split. The oracle solves the pooled system using the true labels of
     the unlabeled part. Returns a ``LearningCurveReport`` whose (repeats,
     unlabeled counts, methods) ``errors`` carry NaN where a split has no
-    test rows; those are excluded from aggregation. Every count must be an
-    integer, and the labeled count and every unlabeled count are checked
-    against the pool before any split is drawn. The splits of one
-    unlabeled count share their shapes, so they are gathered and fitted in
-    blocks, each as one stack, and scored in chunks of repeats; every
-    weight vector and test error equals the one a lone fit on its split
-    and ``evaluate_error`` give.
+    test rows, and whose (unlabeled counts, methods) ``mean_errors``,
+    ``std_errors`` and ``repeats_used`` aggregate the rest. Every count
+    and the seed must be integers, and all are checked before any split
+    is drawn. The splits of one unlabeled count share their shapes, so
+    they are gathered and fitted in blocks, each as one stack, and scored
+    in chunks of repeats; every weight vector and test error equals the
+    one a lone fit on its split and ``evaluate_error`` give.
     """
     repeats = _check_count(repeats, "repeats", minimum=1)
+    seed = _check_seed(seed)
     u_values = list(u_values)
     if not u_values:
         raise InvalidInputError("need at least one unlabeled count")
@@ -371,22 +399,12 @@ def run_learning_curve(
             # Drop this block's stacks before the next block gathers its own.
             del splits
 
-    aggregates = []
-    for u_index, u in enumerate(u_values):
-        for m, method in enumerate(METHODS):
-            column = errors[:, u_index, m]
-            column = column[~np.isnan(column)]
-            used = int(column.size)
-            mean = float(np.mean(column)) if used else float("nan")
-            std_error = (
-                float(np.std(column, ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
-            )
-            aggregates.append(
-                LearningCurveAggregate(
-                    u=u, method=method, mean_error=mean, std_error=std_error, repeats_used=used
-                )
-            )
-    return LearningCurveReport(u_values, test_sizes, errors, hashes, aggregates)
+    # Over a contiguous last axis each mean is summed as its lone 1-D column
+    # would be. Only the test size depends on u, so a u slice is NaN
+    # throughout or nowhere.
+    means, std_errors = _mean_and_std_error(np.ascontiguousarray(errors.transpose(1, 2, 0)))
+    used = np.where(np.isnan(means), 0, repeats)
+    return LearningCurveReport(u_values, test_sizes, errors, hashes, means, std_errors, used)
 
 
 def _block_errors(data, splits, lam, config):

@@ -629,6 +629,23 @@ def lone_learning_curve(pool, labeled, u_values, repeats, lam, seed, config):
     return errors, hashes, test_sizes, fits
 
 
+def column_aggregates(errors):
+    """The (count, method) means, standard errors and repeats used of the
+    (repeats, counts, methods) ``errors``, taken one column at a time over
+    its non-NaN cells; a mean of no cells, and a standard error of fewer
+    than two, is NaN."""
+    shape = errors.shape[1:]
+    means, std_errors = np.full(shape, np.nan), np.full(shape, np.nan)
+    used = np.zeros(shape, dtype=int)
+    for k, m in np.ndindex(shape):
+        column = [e for e in errors[:, k, m].tolist() if not np.isnan(e)]
+        used[k, m] = len(column)
+        if column:
+            means[k, m] = np.mean(column)
+        if len(column) > 1:
+            std_errors[k, m] = np.std(column, ddof=1) / np.sqrt(len(column))
+    return means, std_errors, used
+
 def relative_error(actual, expected):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)

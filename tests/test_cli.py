@@ -35,7 +35,7 @@ from sslsq.cli import (
 from sslsq.datagen import _fmt, _write_columns
 from sslsq.experiments import METHODS
 
-from conftest import lone_learning_curve, rowwise_write_csv
+from conftest import column_aggregates, lone_learning_curve, rowwise_write_csv
 
 
 def run_cli(args):
@@ -892,18 +892,21 @@ class TestLearningCurve:
         cells = out.read_text().splitlines()
         assert len(cells) == 1 + 3 * 5 * 4
 
-    def test_report_rows_follow_repeat_then_u_then_method(self, tmp_path, capsys):
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_report_rows_follow_repeat_then_u_then_method(self, tmp_path, capsys, repeats):
         # In the 60-row pool, u = 0 leaves no unlabeled part and u = 52 no
         # test rows. Every row must be the lone reference's, in repeat, then
         # u, then method order, and the three counts give distinct sizes.
+        # The aggregate rows are the lone columns' means and standard
+        # errors, in u, then method order; one repeat has no standard error.
         path = write_pool(tmp_path, n=60)
         out = tmp_path / "lc.csv"
-        u_values, repeats = [4, 0, 52], 3
+        u_values = [4, 0, 52]
         capsys.readouterr()
         assert run_cli(["learning-curve", "--data", str(path), "--labeled", "8",
                         "--u-values", "4,0,52", "--repeats", str(repeats), "--seed", "2",
                         "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().out == "cells = 36\naggregates = 12\n"
+        assert capsys.readouterr().out == f"cells = {12 * repeats}\naggregates = 12\n"
         pool, _ = load_csv(path)
         errors, hashes, test_sizes, _ = lone_learning_curve(pool, 8, u_values, repeats, 0.0, 2,
                                                             SolverConfig())
@@ -916,6 +919,19 @@ class TestLearningCurve:
                     lines.append(f"{u},{repeat},{method},{_fmt(error)},{test_sizes[k]},"
                                  f"{hashes[repeat][k]},{'empty-test' if np.isnan(error) else 'ok'}")
         assert out.read_text() == "\n".join(lines) + "\n"
+        means, std_errors, used = column_aggregates(errors)
+
+        def field(value):
+            return "" if np.isnan(value) else repr(float(value))
+
+        lines = ["u,method,mean_error,std_error,repeats_used"] + [
+            f"{u},{method},{field(means[k, m])},{field(std_errors[k, m])},{used[k, m]}"
+            for k, u in enumerate(u_values) for m, method in enumerate(METHODS)
+        ]
+        agg = (tmp_path / "lc.agg.csv").read_text()
+        assert agg == "\n".join(lines) + "\n"
+        assert [row.split(",")[3] == "" for row in lines[1:]] == [
+            repeats == 1 or u == 52 for u in u_values for _ in METHODS]
 
     @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
     def test_output_may_not_overwrite_the_input(self, tmp_path, capsys, monkeypatch, alias):

@@ -588,3 +588,29 @@ class TestDeriveRng:
                 derive_rng(seed, 1)
             with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
                 SyntheticSpec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, "2", None])
+    def test_root_seed_must_be_an_integer(self, seed):
+        # Never truncated: seed 2.7 does not draw seed 2's stream.
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            derive_rng(seed, 1)
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            SyntheticSpec(seed=seed)
+
+    @pytest.mark.parametrize("key, message", [
+        (0.5, "stream key must be an integer"),
+        (1.0, "stream key must be an integer"),
+        ("1", "stream key must be an integer"),
+        (-1, "stream key must be at least 0"),
+    ])
+    def test_stream_key_is_a_nonnegative_integer(self, key, message):
+        with pytest.raises(InvalidInputError, match=message):
+            derive_rng(1, 0, key)
+
+    def test_integers_of_any_type_are_accepted(self):
+        # Stream keys are not root seeds: a key of 2**64 names a stream too.
+        expected = derive_rng(MAX_SEED, 3, 2**64).standard_normal(4)
+        actual = derive_rng(np.uint64(MAX_SEED), np.int32(3), 2**64).standard_normal(4)
+        np.testing.assert_array_equal(actual, expected)
+        assert np.any(expected != derive_rng(MAX_SEED, 3, 0).standard_normal(4))
+        assert SyntheticSpec(seed=np.uint64(MAX_SEED)).seed == MAX_SEED

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,22 @@ from sslsq.datagen import derive_rng, sample_learning_curve_split, split_for_loc
 from sslsq.experiments import METHODS, SOLVERS, LearningCurveAggregate
 from sslsq.model import decision_values
 
-from conftest import lone_learning_curve, make_dataset, pairwise_count_unique_optima
+from conftest import (
+    column_aggregates,
+    lone_learning_curve,
+    make_dataset,
+    pairwise_count_unique_optima,
+)
+
+# Seeds the runners refuse, and the message each gives: a float or a string
+# is not an integer, and an integer outside [0, 2**64 - 1] does not fit.
+BAD_SEEDS = [
+    (1.5, "seed must be an integer"),
+    (1.0, "seed must be an integer"),
+    ("1", "seed must be an integer"),
+    (-1, "seed must fit in 64 unsigned bits"),
+    (2**64, "seed must fit in 64 unsigned bits"),
+]
 
 
 class TestEvaluateError:
@@ -615,6 +631,22 @@ class TestLocalOptimaStudy:
         with pytest.raises(InvalidInputError, match=message):
             run_local_optima_study({"p": pool}, restarts=2, lam=lam, seed=1, scale=scale)
 
+    @pytest.mark.parametrize("seed, message", BAD_SEEDS)
+    def test_bad_seed_raises_before_any_split(self, monkeypatch, seed, message):
+        # With no dataset, or one whose split is degenerate, no seed is
+        # ever drawn from, yet a bad one still raises.
+        import sslsq.experiments as experiments
+
+        with pytest.raises(InvalidInputError, match=message):
+            run_local_optima_study({}, seed=seed)
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn before the seed was checked")
+
+        monkeypatch.setattr(experiments, "split_for_local_optima", no_split)
+        with pytest.raises(InvalidInputError, match=message):
+            run_local_optima_study({"p": fully_labeled_pool(4, 3)}, restarts=2, seed=seed)
+
     @pytest.mark.parametrize("restarts", [1.5, 2.0, "2"])
     def test_non_integer_restarts_raise_before_any_split(self, monkeypatch, restarts):
         # Never truncated: 1.5 restarts do not become 1.
@@ -645,8 +677,51 @@ class TestLearningCurve:
         assert report.errors.shape == (3, 3, 4)
         assert report.u_values == [0, 4, 16]
         assert report.test_sizes == [112, 108, 96]
-        assert len(report.aggregates) == 3 * 4
-        assert all(a.repeats_used == 3 for a in report.aggregates)
+        for aggregate in (report.mean_errors, report.std_errors, report.repeats_used):
+            assert aggregate.shape == (3, len(METHODS))
+        assert report.repeats_used.dtype.kind == "i"
+        assert (report.repeats_used == 3).all()
+        assert np.isfinite(report.mean_errors).all() and np.isfinite(report.std_errors).all()
+
+    def test_aggregates_list_the_arrays(self):
+        # The u = 112 slice has no test rows: a NaN mean and no repeats.
+        report = run_learning_curve(self.pool(), 8, [4, 0, 112], repeats=3, seed=1)
+        expected = [
+            (u, method, repr(float(report.mean_errors[k, m])),
+             repr(float(report.std_errors[k, m])), int(report.repeats_used[k, m]))
+            for k, u in enumerate([4, 0, 112]) for m, method in enumerate(METHODS)
+        ]
+        aggregates = report.aggregates
+        assert all(type(a) is LearningCurveAggregate for a in aggregates)
+        assert [(a.u, a.method, repr(a.mean_error), repr(a.std_error), a.repeats_used)
+                for a in aggregates] == expected
+        assert {type(value) for a in aggregates for value in vars(a).values()} == {int, str, float}
+        assert expected[-1][2:] == ("nan", "nan", 0)
+        with pytest.raises(AttributeError):
+            report.aggregates = []
+
+    def test_runner_builds_no_aggregate_objects(self, monkeypatch):
+        # The runner keeps arrays; only ``aggregates`` builds the objects.
+        import sslsq.experiments as experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a LearningCurveAggregate")
+
+        monkeypatch.setattr(experiments, "LearningCurveAggregate", refuse)
+        report = run_learning_curve(self.pool(), 8, [0, 4], repeats=3, seed=1)
+        assert report.mean_errors.shape == (2, len(METHODS))
+
+    def test_one_repeat_has_no_standard_error(self):
+        # One repeat: each mean is that repeat's error, and no standard
+        # error is taken, so no degrees-of-freedom warning is raised. The
+        # u = 112 slice has no test rows: no repeats used and a NaN mean.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_learning_curve(self.pool(), 8, [4, 112], repeats=1, seed=1)
+        np.testing.assert_array_equal(report.mean_errors, report.errors[0])
+        assert np.isnan(report.std_errors).all()
+        np.testing.assert_array_equal(report.repeats_used, [[1] * len(METHODS), [0] * len(METHODS)])
+        assert np.isnan(report.mean_errors[1]).all() and np.isfinite(report.mean_errors[0]).all()
 
     def test_methods_share_split_within_cell(self):
         # One hash per repeat and count serves all four methods' errors.
@@ -691,27 +766,11 @@ class TestLearningCurve:
         assert report.errors.shape == (2, 1, len(METHODS))
         assert np.isnan(report.errors).all()
         assert report.test_sizes == [0]
-        assert all(a.repeats_used == 0 for a in report.aggregates)
+        np.testing.assert_array_equal(report.repeats_used, np.zeros((1, len(METHODS))))
+        assert np.isnan(report.mean_errors).all() and np.isnan(report.std_errors).all()
         for repeat, (partition_hash,) in enumerate(report.partition_hashes):
             split = sample_learning_curve_split(pool, 10, 10, derive_rng(1, repeat, 0))
             assert partition_hash == split.partition_hash
-
-    @staticmethod
-    def lone_reference(pool, labeled, u_values, repeats, lam, seed, config):
-        """``lone_learning_curve``'s errors, hashes, test sizes and fits, with
-        aggregates taken from its errors one column at a time."""
-        errors, hashes, test_sizes, fits = lone_learning_curve(
-            pool, labeled, u_values, repeats, lam, seed, config)
-        aggregates = []
-        for u_index, u in enumerate(u_values):
-            for m, method in enumerate(METHODS):
-                column = [e for e in errors[:, u_index, m].tolist() if not np.isnan(e)]
-                used = len(column)
-                aggregates.append(LearningCurveAggregate(
-                    u, method, float(np.mean(column)) if used else float("nan"),
-                    float(np.std(column, ddof=1) / np.sqrt(used)) if used > 1 else float("nan"),
-                    used))
-        return errors, hashes, test_sizes, aggregates, fits
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("chunk", [1, 3])
@@ -754,25 +813,21 @@ class TestLearningCurve:
         }[block]
         chunked = [size for test_rows, size in chunks if test_rows in (28, 32)]
         assert max(chunked) == min(chunk, block or repeats)
-        errors, hashes, test_sizes, aggregates, fits = self.lone_reference(
+        errors, hashes, test_sizes, fits = lone_learning_curve(
             pool, labeled, u_values, repeats, lam, 3, config)
         reasons = {fit.trace.stop_reason for fit in fits}
         assert StopReason.MAX_ITERATIONS in reasons and len(reasons) == 3
-
-        def fields(rows):
-            return [tuple(v for v in vars(row).values() if not isinstance(v, float))
-                    for row in rows]
-
-        def floats(rows):
-            return np.array([[v for v in vars(row).values() if isinstance(v, float)]
-                             for row in rows])
 
         assert report.u_values == u_values
         assert report.test_sizes == test_sizes
         assert report.partition_hashes == hashes
         np.testing.assert_array_equal(report.errors, errors)
-        assert fields(report.aggregates) == fields(aggregates)
-        np.testing.assert_array_equal(floats(report.aggregates), floats(aggregates))
+        # Every aggregate has the bits of one taken over a lone column.
+        means, std_errors, used = column_aggregates(errors)
+        np.testing.assert_array_equal(report.mean_errors, means)
+        np.testing.assert_array_equal(report.std_errors, std_errors)
+        np.testing.assert_array_equal(report.repeats_used, used)
+        assert used[u_values.index(32)].tolist() == [0] * len(METHODS)
         assert np.isnan(report.errors).any()
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -872,6 +927,18 @@ class TestLearningCurve:
         b = run_learning_curve(self.pool(), 8, [2, 4], 2, seed=1)
         np.testing.assert_array_equal(a.errors, b.errors)
         assert a.u_values == b.u_values and all(type(u) is int for u in a.u_values)
+
+    @pytest.mark.parametrize("seed, message", BAD_SEEDS)
+    def test_bad_seed_raises_before_any_split(self, monkeypatch, seed, message):
+        # Never truncated: seed 1.5 does not run seed 1's curve.
+        import sslsq.experiments as experiments
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn before the seed was checked")
+
+        monkeypatch.setattr(experiments, "_gather_learning_curve_splits", no_split)
+        with pytest.raises(InvalidInputError, match=message):
+            run_learning_curve(self.pool(), 8, [2, 4], repeats=2, seed=seed)
 
     def test_rejects_repeated_or_missing_unlabeled_counts(self):
         with pytest.raises(InvalidInputError, match=r"repeated: \[4\]"):
