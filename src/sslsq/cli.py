@@ -71,6 +71,17 @@ EXIT_PARSE = 3
 EXIT_CAPACITY = 4
 EXIT_NUMERICAL = 5
 
+# The exit code of each error a subcommand raises. The first match wins, so
+# Error, which DegenerateInputError and NoWitnessError fall through to, is
+# last. numpy refuses an array larger than the machine can map before it
+# writes anything, so its MemoryError is a capacity limit.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE, SchemaError: EXIT_PARSE, OSError: EXIT_PARSE,
+    CapacityError: EXIT_CAPACITY, MemoryError: EXIT_CAPACITY,
+    InvalidInputError: EXIT_USAGE, DimensionError: EXIT_USAGE,
+    Error: EXIT_NUMERICAL,
+}
+
 MANIFEST_FORMAT = "sslsq-manifest-v1"
 
 
@@ -106,16 +117,21 @@ def _file_identity(path):
     return status.st_dev, status.st_ino
 
 
+def _input_files(args):
+    """The ``--data`` and ``--test`` files a subcommand was given, by option name."""
+    return {name: path for name in ("data", "test") if (path := getattr(args, name, None))}
+
+
 def _check_outputs(outputs, inputs):
     """Refuse outputs that coincide with each other or with an input file.
 
-    ``outputs`` and ``inputs`` are ``(name, path)`` pairs, a ``None`` path
-    standing for a file not asked for.
+    ``outputs`` are ``(name, path)`` pairs, a ``None`` path standing for a
+    file not asked for, and ``inputs`` ``(option name, path)`` pairs, such
+    as the items of ``_input_files``.
     """
     seen = {}
     for name, path in inputs:
-        if path is not None:
-            seen.setdefault(_file_identity(path), f"{name} {path}")
+        seen.setdefault(_file_identity(path), f"--{name} {path}")
     for name, path in outputs:
         if path is None:
             continue
@@ -134,16 +150,25 @@ def _experiment_outputs(out):
             ("manifest", _manifest_path(out))]
 
 
-def _write_manifest(output_path, subcommand, params, inputs, seed=None):
+def _write_manifest(args, output_path, params, inputs=None):
+    """Write the manifest of ``output_path``: the subcommand of ``args``, its
+    seed, penalty and intercept flag where it takes them, its own ``params``
+    and the hashes of ``inputs`` (name to path; ``_input_files(args)`` if None).
+    """
     # Execution-only knobs (--threads, output paths) are deliberately not
     # recorded: they never influence the produced bytes.
+    params = dict(params, intercept=not args.no_intercept)
+    if hasattr(args, "lam"):
+        params["lambda"] = args.lam
+    if inputs is None:
+        inputs = _input_files(args)
     lines = [
         f"format = {MANIFEST_FORMAT}",
         f"tool = sslsq {__version__}",
-        f"subcommand = {subcommand}",
+        f"subcommand = {args.subcommand}",
     ]
-    if seed is not None:
-        lines.append(f"seed = {seed}")
+    if hasattr(args, "seed"):
+        lines.append(f"seed = {args.seed}")
     for key in sorted(params):
         lines.append(f"param.{key} = {_fmt(params[key])}")
     for name in sorted(inputs):
@@ -167,20 +192,13 @@ def cmd_generate(args):
     )
     data, truth = generate(spec)
     save_csv(args.out, data, unlabeled_truth=truth, intercept=spec.intercept)
-    _write_manifest(
-        args.out,
-        "generate",
-        params={
-            "kind": args.kind,
-            "labeled_per_class": spec.labeled_per_class,
-            "unlabeled": spec.unlabeled_total,
-            "separation": spec.class_separation,
-            "noise_sd": spec.noise_sd,
-            "intercept": spec.intercept,
-        },
-        inputs={},
-        seed=spec.seed,
-    )
+    _write_manifest(args, args.out, {
+        "kind": args.kind,
+        "labeled_per_class": spec.labeled_per_class,
+        "unlabeled": spec.unlabeled_total,
+        "separation": spec.class_separation,
+        "noise_sd": spec.noise_sd,
+    })
     print(f"wrote {args.out}: {data.n_labeled} labeled + {data.n_unlabeled} unlabeled rows")
     return EXIT_OK
 
@@ -209,7 +227,7 @@ def cmd_fit(args):
     if args.trace:
         _check_outputs(
             [("--trace", args.trace), ("manifest", _manifest_path(args.trace))],
-            [("--data", args.data), ("--test", args.test)],
+            _input_files(args).items(),
         )
     data, truth = load_csv(args.data, intercept=not args.no_intercept)
     lam = args.lam
@@ -262,15 +280,7 @@ def cmd_fit(args):
             ["iteration", "objective"] + _weight_columns(data.n_features),
             [rounds, objectives, *weight_path.T],
         )
-        inputs = {"data": args.data}
-        if args.test:
-            inputs["test"] = args.test
-        _write_manifest(
-            args.trace,
-            "fit",
-            params={"method": args.method, "lambda": lam, "intercept": not args.no_intercept},
-            inputs=inputs,
-        )
+        _write_manifest(args, args.trace, {"method": args.method})
     return EXIT_OK
 
 
@@ -278,10 +288,10 @@ def cmd_diagnose(args):
     # Refused before any line is printed, not halfway through the report.
     lam = _check_lam(args.lam)
     data, _ = load_csv(args.data, intercept=not args.no_intercept)
-    print(f"labeled = {data.n_labeled}")
-    print(f"unlabeled = {data.n_unlabeled}")
     if data.n_unlabeled == 0:
         raise DegenerateInputError("diagnostics need at least one unlabeled row")
+    print(f"labeled = {data.n_labeled}")
+    print(f"unlabeled = {data.n_unlabeled}")
 
     # Both verdicts and the responsibility witness read one factorization.
     factors = _block_factors(data, lam)
@@ -320,8 +330,7 @@ def _basin_test_set(args, data, truth):
 
 def cmd_basin(args):
     _check_outputs(
-        _experiment_outputs(args.out) + [("--paths", args.paths)],
-        [("--data", args.data), ("--test", args.test)],
+        _experiment_outputs(args.out) + [("--paths", args.paths)], _input_files(args).items()
     )
     data, truth = load_csv(args.data, intercept=not args.no_intercept)
     test_features, test_labels = _basin_test_set(args, data, truth)
@@ -369,21 +378,8 @@ def cmd_basin(args):
             *weights[best].T,
         ],
     )
-    inputs = {"data": args.data}
-    if args.test:
-        inputs["test"] = args.test
     _write_manifest(
-        args.out,
-        "basin",
-        params={
-            "method": args.method,
-            "starts": args.starts,
-            "scale": args.scale,
-            "lambda": args.lam,
-            "intercept": not args.no_intercept,
-        },
-        inputs=inputs,
-        seed=args.seed,
+        args, args.out, {"method": args.method, "starts": args.starts, "scale": args.scale}
     )
 
     if args.paths:
@@ -419,7 +415,7 @@ def cmd_local_optima(args):
                 "local-optima needs distinct file stems"
             )
         paths[name] = path
-    _check_outputs(_experiment_outputs(args.out), [("--data", path) for path in args.data])
+    _check_outputs(_experiment_outputs(args.out), [("data", path) for path in args.data])
     datasets = {}
     for name, path in paths.items():
         data, _ = load_csv(path, intercept=not args.no_intercept)
@@ -462,18 +458,7 @@ def cmd_local_optima(args):
             report.unique_optima.ravel(),
         ],
     )
-    _write_manifest(
-        args.out,
-        "local-optima",
-        params={
-            "restarts": args.restarts,
-            "scale": args.scale,
-            "lambda": args.lam,
-            "intercept": not args.no_intercept,
-        },
-        inputs=paths,
-        seed=args.seed,
-    )
+    _write_manifest(args, args.out, {"restarts": args.restarts, "scale": args.scale}, paths)
     print(f"datasets = {len(report.names)}")
     print(f"skipped = {len(report.skipped)}")
     return EXIT_OK
@@ -495,7 +480,7 @@ def _parse_u_values(text):
 
 def cmd_learning_curve(args):
     u_values = _parse_u_values(args.u_values)
-    _check_outputs(_experiment_outputs(args.out), [("--data", args.data)])
+    _check_outputs(_experiment_outputs(args.out), _input_files(args).items())
     data, _ = load_csv(args.data, intercept=not args.no_intercept)
     if data.n_unlabeled:
         raise InvalidInputError(f"{args.data}: learning-curve input must be fully labeled")
@@ -534,19 +519,11 @@ def cmd_learning_curve(args):
             report.repeats_used.ravel(),
         ],
     )
-    _write_manifest(
-        args.out,
-        "learning-curve",
-        params={
-            "labeled": args.labeled,
-            "u_values": ",".join(str(u) for u in u_values),
-            "repeats": args.repeats,
-            "lambda": args.lam,
-            "intercept": not args.no_intercept,
-        },
-        inputs={"data": args.data},
-        seed=args.seed,
-    )
+    _write_manifest(args, args.out, {
+        "labeled": args.labeled,
+        "u_values": ",".join(str(u) for u in u_values),
+        "repeats": args.repeats,
+    })
     print(f"cells = {report.errors.size}")
     print(f"aggregates = {report.mean_errors.size}")
     return EXIT_OK
@@ -641,29 +618,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.command](args)
-    except (ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except MemoryError as exc:
-        # numpy refuses an array larger than the machine can map before it
-        # writes anything, so a count too large to hold is a capacity limit.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (DegenerateInputError, NoWitnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (InvalidInputError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        # numpy's MemoryError may carry no message.
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

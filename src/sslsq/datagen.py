@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import Dataset, _check_count
+from .model import Dataset, _check_binary, _check_count
 
 __all__ = [
     "Split",
@@ -222,8 +222,7 @@ def save_csv(path, data, unlabeled_truth=None, intercept=True):
             raise DimensionError(
                 f"truth has shape {unlabeled_truth.shape}, expected ({data.n_unlabeled},)"
             )
-        if np.any((unlabeled_truth != 0.0) & (unlabeled_truth != 1.0)):
-            raise InvalidInputError("truth entries must be exactly 0 or 1")
+        _check_binary(unlabeled_truth, "truth entries")
         header.append(TRUE_LABEL_COLUMN)
         columns.append(np.concatenate([data.labels, unlabeled_truth]))
     _write_columns(path, header, columns)

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .model import (
     _above_threshold,
+    _check_binary,
     _check_count,
     _check_decision_inputs,
     _check_lam,
@@ -96,8 +97,7 @@ def _check_test_set(test_features, test_labels, w):
     test_labels = np.asarray(test_labels, dtype=float)
     if test_labels.shape != (rows,):
         raise DimensionError(f"test labels have shape {test_labels.shape}, expected ({rows},)")
-    if np.any((test_labels != 0.0) & (test_labels != 1.0)):
-        raise InvalidInputError("test labels must be exactly 0 or 1")
+    _check_binary(test_labels, "test labels")
     return test_features, w, test_labels
 
 
@@ -130,9 +130,10 @@ def count_unique_optima(finals):
     does not depend on input order.
     """
     finals = np.asarray(finals, dtype=float)
-    if finals.size == 0:
+    if len(finals) == 0:
         return 0, np.zeros(0, dtype=int)
-    threshold = CLUSTER_TOLERANCE * (1.0 + float(np.max(np.abs(finals))))
+    # Zero-width vectors are all one optimum.
+    threshold = CLUSTER_TOLERANCE * (1.0 + float(np.max(np.abs(finals), initial=0.0)))
     n, d = finals.shape
     # A breadth-first search from each vector not yet reached, in index
     # order, so ids follow each cluster's first vector. The frontier is
@@ -151,8 +152,8 @@ def count_unique_optima(finals):
             block, frontier = finals[frontier[:rows]], frontier[rows:]
             # Column by column: the same bits as a max over the last axis
             # of the (rows, n, d) differences, without building them.
-            distances = np.abs(block[:, None, 0] - finals[None, :, 0])
-            for k in range(1, d):
+            distances = np.zeros((len(block), n))
+            for k in range(d):
                 np.maximum(distances, np.abs(block[:, None, k] - finals[None, :, k]), out=distances)
             reached = np.flatnonzero((distances < threshold).any(axis=0) & (labels < 0))
             labels[reached] = count
@@ -161,7 +162,9 @@ def count_unique_optima(finals):
     return count, labels
 
 
-@dataclass
+# The reports that hold arrays compare by identity: a generated == would
+# compare the arrays inside a tuple and raise on their ambiguous truth value.
+@dataclass(eq=False)
 class BasinStudyResult:
     """Every run of a basin study: its fit, test error and optimum.
 
@@ -226,7 +229,7 @@ def run_basin_study(
     return BasinStudyResult(results, errors, cluster_ids, count)
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalOptimaReport:
     """A local-optima study's test errors and optimum counts, as arrays.
 
@@ -313,7 +316,7 @@ class LearningCurveAggregate:
     repeats_used: int
 
 
-@dataclass
+@dataclass(eq=False)
 class LearningCurveReport:
     """Every test error of a learning curve, and their aggregates, as arrays.
 

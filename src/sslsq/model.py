@@ -53,6 +53,12 @@ def _check_lam(lam):
     return lam
 
 
+def _check_binary(values, name):
+    """Raise unless every entry of the float array ``values`` is exactly 0 or 1."""
+    if np.any((values != 0.0) & (values != 1.0)):
+        raise InvalidInputError(f"{name} must be exactly 0 or 1")
+
+
 def _check_count(value, name, minimum=None):
     """A count as an int, by ``operator.index``: a float or string is refused, not truncated."""
     try:
@@ -100,8 +106,7 @@ class Dataset:
                 "labeled and unlabeled blocks disagree on column count: "
                 f"{features.shape[1]} vs {unlabeled.shape[1]}"
             )
-        if labels.size and np.any((labels != 0.0) & (labels != 1.0)):
-            raise InvalidInputError("labels must be exactly 0 or 1")
+        _check_binary(labels, "labels")
         object.__setattr__(self, "labeled_features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unlabeled_features", unlabeled)
@@ -161,13 +166,13 @@ def _check_weights(data, w):
     return _weight_vector(w, data.n_features)
 
 
-def _weight_vector(w, width):
-    """``w`` as a float vector of ``width`` finite entries."""
+def _weight_vector(w, width, name="weights"):
+    """``w`` as a float vector of ``width`` finite entries, called ``name`` when refused."""
     w = np.asarray(w, dtype=float)
     if w.shape != (width,):
-        raise DimensionError(f"weights have shape {w.shape}, expected ({width},)")
+        raise DimensionError(f"{name} have shape {w.shape}, expected ({width},)")
     if w.size and not np.all(np.isfinite(w)):
-        raise InvalidInputError("weights contain non-finite entries")
+        raise InvalidInputError(f"{name} contain non-finite entries")
     return w
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import InvalidInputError
 from .model import (
     _CLASS_CODES,
     _check_count,
@@ -37,6 +37,7 @@ from .model import (
     _check_weights,
     _responsibility_value,
     _squared_objective,
+    _weight_vector,
     ridge_operator,
     ridge_solve,
 )
@@ -181,28 +182,6 @@ def update_weights(data, imputed, lam=0.0):
     return ridge_solve(data.extended_features, targets, lam)
 
 
-def _check_start(data, w):
-    """Starting weights as a float vector; raises on a wrong shape or a non-finite entry."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (data.n_features,):
-        raise DimensionError(
-            f"initial weights have shape {w.shape}, expected ({data.n_features},)"
-        )
-    if w.size and not np.all(np.isfinite(w)):
-        raise InvalidInputError("initial weights contain non-finite entries")
-    return w
-
-
-def _kept_rounds(count):
-    """Index of the rounds a trace keeps: all of them, or every tenth and the last."""
-    if count <= _TRACE_LIMIT:
-        return slice(None)
-    kept = list(range(0, count, 10))
-    if kept[-1] != count - 1:
-        kept.append(count - 1)
-    return np.array(kept)
-
-
 # Starts run in blocks of at most this many (start, design row) entries.
 # A block keeps three such (starts, N) buffers, its targets, fitted values
 # and residuals, so the cap bounds its memory whatever the number of
@@ -262,13 +241,13 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     start leaves after it with the solver's converged stop reason, even
     at ``max_iterations=1``. Returns the ``_Finals`` of the starts, in
     order. Nothing is kept per round unless ``path`` is a list: it then
-    receives the working block of every round a trace keeps as (start
-    ids, weights, objectives), which ``_start_results`` splits into
+    receives the working block of every round a trace keeps as (round,
+    start ids, weights, objectives), which ``_start_results`` splits into
     traces. Past ``_TRACE_LIMIT`` rounds only every tenth round is kept,
     and the starts still working then drop their earlier rounds that are
-    not multiples of 10 (see ``_kept_rounds``), so a run's path holds at
-    most about ``_TRACE_LIMIT`` rounds while it runs. A start's last
-    round, if not kept, is in the ``_Finals``.
+    not multiples of 10, so a run's path holds at most about
+    ``_TRACE_LIMIT`` rounds while it runs. A start's last round, if not
+    kept, is in the ``_Finals``.
 
     The rounds write into buffers allocated once per block: the (S, N)
     targets, whose first L columns hold the known labels, fitted values
@@ -360,7 +339,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
             if iteration == _TRACE_LIMIT:
                 _thin_path(path, active)
             if iteration < _TRACE_LIMIT or iteration % 10 == 0:
-                path.append((active, W, values))
+                path.append((iteration, active, W, values))
         if settled:
             reason = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
             leave(np.ones(active.size, dtype=bool), reason, 1)
@@ -391,16 +370,16 @@ def _thin_path(path, passing):
     before keep every round; an entry left with no rows is removed.
     """
     # Round 0 holds every start, so its ids size the lookup.
-    left = np.ones(path[0][0].size, dtype=bool)
+    left = np.ones(path[0][1].size, dtype=bool)
     left[passing] = False
     kept = []
-    for iteration, (active, W, values) in enumerate(path):
+    for iteration, active, W, values in path:
         if iteration % 10:
             stay = left[active]
             if not stay.any():
                 continue
             active, W, values = active[stay], W[stay], list(compress(values, stay))
-        kept.append((active, W, values))
+        kept.append((iteration, active, W, values))
     path[:] = kept
 
 
@@ -408,21 +387,24 @@ def _start_results(path, finals):
     """One ``FitResult`` per start of a lock-step run, traced from its kept rounds ``path``.
 
     A start works from round 0 until it leaves, so after a stable sort
-    by start id its rows are its kept rounds in order. The last round,
-    when the path did not keep it, comes from ``finals``.
+    by start id its rows are its kept rounds in order, each tagged with
+    its round. The last round, when the path did not keep it, comes from
+    ``finals``.
     """
-    ids = np.concatenate([active for active, _, _ in path])
+    iterations, actives, weight_blocks, value_lists = zip(*path)
+    ids = np.concatenate(actives)
     order = np.argsort(ids, kind="stable")
-    weights = np.concatenate([W for _, W, _ in path])[order]
-    objectives = np.array([value for _, _, values in path for value in values])[order]
+    tags = np.repeat(iterations, list(map(len, actives)))[order]
+    weights = np.concatenate(weight_blocks)[order]
+    objectives = np.array(list(chain.from_iterable(value_lists)))[order]
     counts = np.bincount(ids, minlength=len(finals.rounds)).tolist()
     results = []
     end = 0
     for i, rounds_run in enumerate(finals.rounds.tolist()):
         begin, end = end, end + counts[i]
-        rounds = np.arange(rounds_run)[_kept_rounds(rounds_run)]
-        weight_path, values = weights[begin:end], objectives[begin:end]
-        if end - begin < len(rounds):
+        rounds, weight_path, values = tags[begin:end], weights[begin:end], objectives[begin:end]
+        if rounds[-1] != rounds_run - 1:
+            rounds = np.append(rounds, rounds_run - 1)
             weight_path = np.vstack([weight_path, finals.weights[i]])
             values = np.append(values, finals.objectives[i])
         labels = finals.labels[i]
@@ -443,7 +425,7 @@ def _fit(data, starts, method, lam, config):
     if method not in ("soft", "hard"):
         raise InvalidInputError(f"unknown method {method!r}")
     hard = method == "hard"
-    starts = [_check_start(data, w) for w in starts]
+    starts = [_weight_vector(w, data.n_features, "initial weights") for w in starts]
     if not starts:
         return []
     starts = np.asarray(starts)

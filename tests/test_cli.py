@@ -1,6 +1,7 @@
 """CLI subcommands: behavior, file outputs, exit codes and determinism."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,18 @@ import pytest
 
 import sslsq.cli as cli
 from sslsq import (
+    CapacityError,
+    DegenerateInputError,
     DegenerateSplitError,
+    DimensionError,
+    Error,
     HessianKind,
+    InvalidInputError,
+    NoWitnessError,
+    ParseError,
+    SchemaError,
     SolverConfig,
+    __version__,
     build_hessian,
     count_unique_optima,
     datagen,
@@ -421,9 +431,14 @@ class TestDiagnose:
         assert run_cli(["diagnose", "--data", str(path)]) == 42
         assert seen == [str(path)]
 
-    def test_no_unlabeled_rows_is_numerical_class(self, tmp_path):
+    def test_no_unlabeled_rows_is_numerical_class(self, tmp_path, capsys):
         pool = write_pool(tmp_path, n=10)
+        capsys.readouterr()
         assert run_cli(["diagnose", "--data", str(pool)]) == EXIT_NUMERICAL
+        # Refused before any line of the report is printed.
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: diagnostics need at least one unlabeled row\n"
 
     def test_verdicts_come_without_the_dense_psd_test(self, tmp_path, capsys, monkeypatch):
         path = write_cluster_data(tmp_path, unlabeled=396)
@@ -546,6 +561,21 @@ def basin_reference(data, truth, starts, method):
 
 
 class TestBasin:
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_label_only_file_without_intercept_has_one_optimum(self, tmp_path, capsys, method):
+        # With no feature column and no intercept every weight vector is
+        # empty, so every run ends at the one optimum.
+        data = tmp_path / "labels.csv"
+        data.write_text('label\n1\n0\n1\n""\n""\n""\n')
+        out = tmp_path / "b.csv"
+        assert run_cli(["basin", "--data", str(data), "--method", method, "--starts", "3",
+                        "--seed", "1", "--no-intercept", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "unique_optima = 1\nruns = 4\n"
+        assert [row.split(",")[7] for row in out.read_text().splitlines()[1:]] == ["0"] * 4
+        aggregate = (tmp_path / "b.agg.csv").read_text().splitlines()
+        assert aggregate[0] == "optimum,size,objective,mean_test_error"
+        assert len(aggregate) == 2 and aggregate[1].startswith("0,4,")
+
     @pytest.mark.parametrize("method", ["soft", "hard"])
     def test_report_and_aggregate_equal_lone_references(self, tmp_path, monkeypatch, method):
         # Starts 0, 1 and 2 run more than once, so their optima hold runs
@@ -738,6 +768,16 @@ def local_optima_reference(paths, restarts, seed):
 
 
 class TestLocalOptima:
+    def test_label_only_file_without_intercept_has_one_minimum_per_solver(self, tmp_path,
+                                                                          capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(40)))
+        out = tmp_path / "lo.csv"
+        assert run_cli(["local-optima", "--data", str(data), "--restarts", "3", "--seed", "1",
+                        "--no-intercept", "--out", str(out)]) == EXIT_OK
+        rows = (tmp_path / "lo.agg.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows] == ["unique_minima", "1", "1"]
+
     @pytest.mark.parametrize("restarts", [3, 1])
     def test_report_equals_lone_references(self, tmp_path, restarts):
         # Every report row and .agg field, from lone fits on each dataset's
@@ -1061,3 +1101,151 @@ class TestImpossibleAllocation:
         assert code == EXIT_CAPACITY
         assert err.startswith("error: ") and err.count("\n") == 1
         assert snapshot(tmp_path) == before
+
+
+# Each error class a handler may raise, the exit code it gets and the text
+# after "error: " on stderr. A MemoryError with no message, as numpy raises
+# for an array the machine cannot map, still says why.
+EXIT_CASES = [
+    (ParseError("row 2: bad field", row=2, column=1), EXIT_PARSE, "row 2: bad field"),
+    (SchemaError("missing label column"), EXIT_PARSE, "missing label column"),
+    (FileNotFoundError(2, "No such file or directory", "x.csv"), EXIT_PARSE,
+     "[Errno 2] No such file or directory: 'x.csv'"),
+    (OSError("disk gone"), EXIT_PARSE, "disk gone"),
+    (CapacityError("U > 20"), EXIT_CAPACITY, "U > 20"),
+    (MemoryError(), EXIT_CAPACITY, "out of memory"),
+    (MemoryError("Unable to allocate 8 EiB"), EXIT_CAPACITY, "Unable to allocate 8 EiB"),
+    (DegenerateInputError("empty test set"), EXIT_NUMERICAL, "empty test set"),
+    (DegenerateSplitError("one class"), EXIT_NUMERICAL, "one class"),
+    (NoWitnessError("no witness"), EXIT_NUMERICAL, "no witness"),
+    (InvalidInputError("bad seed"), EXIT_USAGE, "bad seed"),
+    (DimensionError("wrong width"), EXIT_USAGE, "wrong width"),
+    (Error("bare"), EXIT_NUMERICAL, "bare"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code, message", EXIT_CASES,
+                             ids=[type(error).__name__ for error, _, _ in EXIT_CASES])
+    def test_each_error_class_has_its_exit_code(self, monkeypatch, capsys, error, code,
+                                                message):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_diagnose", fail)
+        assert run_cli(["diagnose", "--data", "unused.csv"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def fail(args):
+            raise ValueError("a bug, not an input error")
+
+        monkeypatch.setattr(cli, "cmd_diagnose", fail)
+        with pytest.raises(ValueError, match="a bug"):
+            run_cli(["diagnose", "--data", "unused.csv"])
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def manifest_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestManifest:
+    """Every line of each manifest: the subcommand, its seed if it draws
+    random numbers, its sorted parameters and its inputs' hashes."""
+
+    HEAD = ["format = sslsq-manifest-v1", f"tool = sslsq {__version__}"]
+
+    def test_generate(self, tmp_path):
+        assert run_cli(["generate", "--kind", "two-gaussian-2d", "--labeled-per-class", "3",
+                        "--unlabeled", "5", "--separation", "2", "--noise-sd", "0.5",
+                        "--seed", "11", "--no-intercept", "--out", str(tmp_path / "g.csv")]) == 0
+        assert manifest_lines(tmp_path / "g.manifest.txt") == self.HEAD + [
+            "subcommand = generate",
+            "seed = 11",
+            "param.intercept = False",
+            "param.kind = two-gaussian-2d",
+            "param.labeled_per_class = 3",
+            "param.noise_sd = 0.5",
+            "param.separation = 2.0",
+            "param.unlabeled = 5",
+        ]
+
+    @pytest.mark.parametrize("with_test", [False, True], ids=["data", "data-and-test"])
+    def test_fit_trace(self, tmp_path, capsys, with_test):
+        data = write_cluster_data(tmp_path, unlabeled=8)
+        argv = ["fit", "--data", str(data), "--method", "hard", "--lambda", "0.5",
+                "--trace", str(tmp_path / "t.csv")]
+        inputs = [f"input.data.sha256 = {sha256_of(data)}"]
+        if with_test:
+            test = write_cluster_data(tmp_path, "test.csv", seed=8, unlabeled=0)
+            argv += ["--test", str(test)]
+            inputs.append(f"input.test.sha256 = {sha256_of(test)}")
+        assert run_cli(argv) == EXIT_OK
+        # fit draws no random numbers, so it records no seed.
+        assert manifest_lines(tmp_path / "t.manifest.txt") == self.HEAD + [
+            "subcommand = fit",
+            "param.intercept = True",
+            "param.lambda = 0.5",
+            "param.method = hard",
+        ] + inputs
+
+    @pytest.mark.parametrize("with_test", [False, True], ids=["data", "data-and-test"])
+    def test_basin(self, tmp_path, capsys, with_test):
+        data = write_cluster_data(tmp_path, unlabeled=8)
+        argv = ["basin", "--data", str(data), "--method", "soft", "--starts", "3",
+                "--scale", "0.5", "--lambda", "0.25", "--seed", "9", "--threads", "2",
+                "--no-intercept", "--out", str(tmp_path / "b.csv")]
+        inputs = [f"input.data.sha256 = {sha256_of(data)}"]
+        if with_test:
+            test = write_cluster_data(tmp_path, "test.csv", seed=8, unlabeled=0)
+            argv += ["--test", str(test)]
+            inputs.append(f"input.test.sha256 = {sha256_of(test)}")
+        assert run_cli(argv) == EXIT_OK
+        assert manifest_lines(tmp_path / "b.manifest.txt") == self.HEAD + [
+            "subcommand = basin",
+            "seed = 9",
+            "param.intercept = False",
+            "param.lambda = 0.25",
+            "param.method = soft",
+            "param.scale = 0.5",
+            "param.starts = 3",
+        ] + inputs
+
+    def test_local_optima(self, tmp_path, capsys):
+        # Inputs are named by their file stems, in sorted order.
+        zeta = write_pool(tmp_path, "zeta.csv", seed=4)
+        alpha = write_pool(tmp_path, "alpha.csv")
+        assert run_cli(["local-optima", "--data", str(zeta), str(alpha), "--restarts", "2",
+                        "--scale", "2", "--seed", "5", "--out", str(tmp_path / "lo.csv")]) == 0
+        assert manifest_lines(tmp_path / "lo.manifest.txt") == self.HEAD + [
+            "subcommand = local-optima",
+            "seed = 5",
+            "param.intercept = True",
+            "param.lambda = 0.0",
+            "param.restarts = 2",
+            "param.scale = 2.0",
+            f"input.alpha.sha256 = {sha256_of(alpha)}",
+            f"input.zeta.sha256 = {sha256_of(zeta)}",
+        ]
+
+    def test_learning_curve(self, tmp_path, capsys):
+        pool = write_pool(tmp_path)
+        assert run_cli(["learning-curve", "--data", str(pool), "--labeled", "8",
+                        "--u-values", "4, 0,,16", "--repeats", "2", "--lambda", "1e-3",
+                        "--seed", "2", "--out", str(tmp_path / "lc.csv")]) == EXIT_OK
+        assert manifest_lines(tmp_path / "lc.manifest.txt") == self.HEAD + [
+            "subcommand = learning-curve",
+            "seed = 2",
+            "param.intercept = True",
+            "param.labeled = 8",
+            "param.lambda = 0.001",
+            "param.repeats = 2",
+            "param.u_values = 4,0,16",
+            f"input.data.sha256 = {sha256_of(pool)}",
+        ]

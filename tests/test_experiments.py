@@ -236,6 +236,17 @@ class TestUniqueOptima:
         count, labels = count_unique_optima(np.zeros((0, 2)))
         assert count == 0 and labels.size == 0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0,)])
+    def test_empty_of_any_width(self, shape):
+        count, labels = count_unique_optima(np.zeros(shape))
+        assert count == 0 and labels.size == 0
+
+    def test_zero_width_vectors_are_one_optimum(self):
+        # The weights of a label-only file read without an intercept.
+        count, labels = count_unique_optima(np.zeros((3, 0)))
+        assert count == 1
+        np.testing.assert_array_equal(labels, [0, 0, 0])
+
     @pytest.mark.parametrize("block_elements", [1, 50, 16384])
     def test_blocked_adjacency_matches_pairwise(self, monkeypatch, rng, block_elements):
         # Blocks of one row, of a few rows and of every row must give the
@@ -553,6 +564,11 @@ class TestLocalOptimaStudy:
         report = run_local_optima_study(datasets, restarts=12, lam=0.0, seed=5)
         soft, hard = report.unique_optima[0].tolist()
         assert soft <= hard
+
+    def test_zero_width_dataset_has_one_minimum_per_solver(self):
+        labels_only = Dataset(np.zeros((40, 0)), np.arange(40) % 2)
+        report = run_local_optima_study({"labels": labels_only}, restarts=3, seed=1)
+        assert report.unique_optima.tolist() == [[1, 1]]
 
     def test_degenerate_dataset_is_skipped(self):
         ok = fully_labeled_pool(40, 1)
@@ -947,9 +963,32 @@ class TestLearningCurve:
             run_learning_curve(self.pool(), 8, [], repeats=3)
 
     def test_reports_are_reproducible(self):
-        a = run_learning_curve(self.pool(), 8, [2, 8], repeats=2, seed=7)
-        b = run_learning_curve(self.pool(), 8, [2, 8], repeats=2, seed=7)
+        # The u = 112 slice has no test rows, so its means are NaN, which
+        # assert_array_equal and repr treat as equal and == does not.
+        a = run_learning_curve(self.pool(), 8, [2, 8, 112], repeats=2, seed=7)
+        b = run_learning_curve(self.pool(), 8, [2, 8, 112], repeats=2, seed=7)
         np.testing.assert_array_equal(a.errors, b.errors)
         assert (a.u_values, a.test_sizes, a.partition_hashes) == (
             b.u_values, b.test_sizes, b.partition_hashes)
-        assert a.aggregates == b.aggregates
+        for name in ("mean_errors", "std_errors", "repeats_used"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert list(map(repr, a.aggregates)) == list(map(repr, b.aggregates))
+
+
+REPORT_RUNNERS = {
+    "basin": lambda: run_basin_study(small_two_cluster()[0], 0.0, "hard", np.zeros((3, 2))),
+    "local-optima": lambda: run_local_optima_study({"pool": fully_labeled_pool(40, 1)},
+                                                   restarts=2, seed=1),
+    # u = 32 leaves the 40-row pool no test rows.
+    "learning-curve": lambda: run_learning_curve(fully_labeled_pool(40, 1), 8, [2, 32], 2,
+                                                 seed=1),
+}
+
+
+@pytest.mark.parametrize("study", REPORT_RUNNERS)
+def test_reports_compare_by_identity(study):
+    # A generated == would compare the array fields inside a tuple and raise.
+    a, b = REPORT_RUNNERS[study](), REPORT_RUNNERS[study]()
+    assert a == a
+    assert (a == b) is False
+    assert a != b

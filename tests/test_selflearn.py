@@ -510,6 +510,9 @@ class TestBufferedLoop:
             assert_same_bits(getattr(finals, name), getattr(expected, name))
         assert finals.reasons == expected.reasons
         assert len(path) == len(expected_path)
+        # Each entry is tagged with its round; below the trace limit every round is kept.
+        assert [iteration for iteration, *_ in path] == list(range(len(path)))
+        path = [entry[1:] for entry in path]
         for (active, W, values), (want_active, want_W, want_values) in zip(path, expected_path):
             assert_same_bits(active, want_active)
             assert_same_bits(W, want_W)
