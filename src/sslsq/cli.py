@@ -119,7 +119,11 @@ def _file_identity(path):
 
 def _input_files(args):
     """The ``--data`` and ``--test`` files a subcommand was given, by option name."""
-    return {name: path for name in ("data", "test") if (path := getattr(args, name, None))}
+    return {
+        name: path
+        for name in ("data", "test")
+        if (path := getattr(args, name, None)) is not None
+    }
 
 
 def _check_outputs(outputs, inputs):
@@ -231,7 +235,7 @@ def cmd_fit(args):
         )
     data, truth = load_csv(args.data, intercept=not args.no_intercept)
     lam = args.lam
-    test = _load_test_set(args, data) if args.test else None
+    test = _load_test_set(args, data) if args.test is not None else None
 
     if args.method in ("soft", "hard"):
         config = SolverConfig()
@@ -321,7 +325,7 @@ def cmd_diagnose(args):
 
 
 def _basin_test_set(args, data, truth):
-    if args.test:
+    if args.test is not None:
         return _load_test_set(args, data)
     if truth is not None and data.n_unlabeled > 0:
         return data.unlabeled_features, truth

@@ -150,6 +150,9 @@ def generate(spec):
 
 def _fmt(value):
     """Render a value for CSV/manifest output; floats round-trip exactly."""
+    # Most fields of a report are plain strings; a subclass takes ``str(value)`` below.
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):

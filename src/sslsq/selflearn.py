@@ -36,7 +36,7 @@ from .model import (
     _check_lam,
     _check_weights,
     _responsibility_value,
-    _squared_objective,
+    _row_dots,
     _weight_vector,
     ridge_operator,
     ridge_solve,
@@ -192,19 +192,6 @@ def update_weights(data, imputed, lam=0.0):
 _BLOCK_ELEMENTS = 16384
 
 
-def _by_rows(block, matrix, out=None):
-    """``block @ matrix`` as one BLAS matrix-vector product per row, into ``out`` if given.
-
-    ``matrix`` is either shared by every row or a stack with one matrix
-    per row. A row then gets the bits it would get alone, which a
-    matrix-matrix product does not promise, so a start's path does not
-    depend on the starts it runs with.
-    """
-    if out is not None:
-        out = out[:, None, :]
-    return np.matmul(block[:, None, :], matrix, out=out)[:, 0, :]
-
-
 class _Finals(NamedTuple):
     """How each start of a lock-step descent ended, one row or entry per start.
 
@@ -254,7 +241,13 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     and residuals, the objectives' (S,) row dots and, for the hard
     solver, its (S, U) 0/1 labels. The working starts own the leading
     rows, which move up when starts leave. Only the weights are new
-    every round, as ``path`` keeps them.
+    every round, as ``path`` keeps them. The buffers' 3-D views, (S, 1, N)
+    rows, (S, N, 1) columns and (S, 1, 1) dots, are built once per block
+    and again after each departure, and every round calls numpy's
+    products on them directly. Each product is one BLAS matrix-vector
+    call (or dot) per row, so a row gets the bits it would get alone,
+    which a matrix-matrix product does not promise, and a start's path
+    does not depend on the starts it runs with.
     """
     n_labeled = known.shape[-1]
     settled = design.shape[-2] == n_labeled  # no unlabeled rows
@@ -271,8 +264,17 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     n_unlabeled = targets.shape[1] - n_labeled
     flags = np.empty((count, n_unlabeled if hard else 0), dtype=bool)  # soft: no columns
     dots = np.empty(count)
-    labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
-    _by_rows(starts, design_t[..., n_labeled:], out=scores)
+
+    def views():
+        # The working rows' label and score columns and the products' 3-D operands.
+        nonlocal labels, scores, targets3, fitted3, residual_row, residual_col, dots3
+        labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
+        targets3, fitted3, dots3 = targets[:, None, :], fitted[:, None, :], dots[:, None, None]
+        residual_row, residual_col = residual[:, None, :], residual[:, :, None]
+
+    labels = scores = targets3 = fitted3 = residual_row = residual_col = dots3 = None
+    views()
+    np.matmul(starts[:, None, :], design_t[..., n_labeled:], out=scores[:, None, :])
     finals = _Finals(
         weights=np.empty(starts.shape),
         objectives=np.empty(count),
@@ -294,7 +296,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
 
     def shrink(keep):
         nonlocal active, solve, design, operator_t, design_t
-        nonlocal targets, fitted, residual, flags, dots, labels, scores
+        nonlocal targets, fitted, residual, flags, dots
         active = active[keep]
         if per_start:
             # Transpose after the copy, so each slice keeps the strides,
@@ -307,7 +309,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         targets, fitted, residual, flags, dots = (
             targets[:n], fitted[:n], residual[:n], flags[:n], dots[:n]
         )
-        labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
+        views()
 
     for iteration in range(config.max_iterations):
         if hard:
@@ -322,16 +324,19 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
                     shrink(~stable)
             np.copyto(labels, flags)
         else:
-            np.clip(scores, 0.0, 1.0, out=labels)
-        W = _by_rows(targets, operator_t)
-        _by_rows(W, design_t, out=fitted)
+            scores.clip(0.0, 1.0, out=labels)
+        W3 = np.matmul(targets3, operator_t)
+        W = W3[:, 0, :]
+        np.matmul(W3, design_t, out=fitted3)
         np.subtract(fitted, targets, out=residual)
         if hard:
             values = _responsibility_value(
                 residual[:, :n_labeled], scores, labels, W, _CLASS_CODES, lam
             )
         else:
-            values = _squared_objective(residual, W, lam, out=dots)
+            # The squared objective; adding 0 * ||W||^2 would not change a bit.
+            np.matmul(residual_row, residual_col, out=dots3)
+            values = dots + lam * _row_dots(W) if lam else dots
         # Python floats: a trace stores them, and on a one-start block
         # the stop test costs less in Python than in numpy calls.
         values = values.tolist()

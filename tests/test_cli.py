@@ -103,6 +103,13 @@ SPECIAL_FLOATS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324, 
                   0.1 + 0.2, 1.0 / 3.0, -1.5]
 
 
+class Shown(str):
+    """A ``str`` subclass whose ``str()`` differs from its value, as an enum-like tag's may."""
+
+    def __str__(self):
+        return f"shown-{super().__str__()}"
+
+
 def mixed_table(rows):
     """Columns of every form the report writer takes, cycling through edge values."""
     def cycle(values):
@@ -118,6 +125,7 @@ def mixed_table(rows):
         cycle([True, False]),
         np.array(cycle([True, False, False])),
         cycle([None, "ok", "empty-test", np.float64("nan"), np.float64(-0.0), np.bool_(True)]),
+        cycle(["soft", Shown("hard"), "", Shown("")]),
     ]
 
 
@@ -139,6 +147,11 @@ class TestWriteColumns:
             assert new.read_bytes() == old.read_bytes()
         _write_columns(new, header, mixed_table(0))
         assert new.read_text() == ",".join(header) + "\n"
+
+    def test_string_fields_pass_through_and_subclasses_take_str(self):
+        assert _fmt("soft") == "soft"
+        assert _fmt("") == ""
+        assert _fmt(Shown("hard")) == "shown-hard"
 
     def test_lone_empty_field_is_quoted(self, tmp_path):
         # A blank line is no record to a csv reader, so a one-column row
@@ -204,6 +217,16 @@ def assert_unlabeled_test_refused(code, capsys, test, unlabeled, directory, befo
     """A ``--test`` file with unlabeled rows is refused, naming the file and its unlabeled count."""
     error = f"{test}: --test input must be fully labeled, but it has {unlabeled} unlabeled rows"
     assert_test_refused(code, capsys, error, directory, before)
+
+
+def assert_empty_test_path_refused(code, capsys, directory, before):
+    """An empty ``--test`` path is opened like any other, so it exits 3 as a missing file
+    does, with nothing on stdout and no file written."""
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert snapshot(directory) == before
 
 
 class TestFit:
@@ -296,6 +319,14 @@ class TestFit:
                         "--trace", str(tmp_path / "trace.csv")])
         assert_test_refused(code, capsys, f"{test}: --test input has 2 feature columns, "
                             "but --data has 1", tmp_path, before)
+
+    def test_empty_test_path_is_a_missing_file(self, tmp_path, capsys):
+        # An empty path used to count as no --test at all: the fit ran and exited 0.
+        data = write_cluster_data(tmp_path)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["fit", "--data", str(data), "--method", "soft", "--test", ""])
+        assert_empty_test_path_refused(code, capsys, tmp_path, before)
 
     def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
         # Soft BCD on these overlapping clusters is still descending at the
@@ -704,6 +735,15 @@ class TestBasin:
                         "--seed", "1", "--test", str(test), "--out", str(tmp_path / "o.csv")])
         assert_test_refused(code, capsys, f"{test}: --test input has 2 feature columns, "
                             "but --data has 1", tmp_path, before)
+
+    def test_empty_test_path_is_a_missing_file(self, tmp_path, capsys):
+        # An empty path used to count as no --test at all: the study ran and wrote its report.
+        data = write_cluster_data(tmp_path, "d.csv", unlabeled=30)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["basin", "--data", str(data), "--method", "hard", "--starts", "3",
+                        "--seed", "1", "--test", "", "--out", str(tmp_path / "o.csv")])
+        assert_empty_test_path_refused(code, capsys, tmp_path, before)
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_scale_is_usage_error(self, tmp_path, capsys, scale):

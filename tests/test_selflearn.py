@@ -490,22 +490,13 @@ class TestBufferedLoop:
                 starts = 2.0 * rng.standard_normal((7, 3))
         return known, design, ridge_operator(design, lam), starts
 
-    # On the seven random starts with U = 30, the hard solver's cap of 4
-    # and the soft solver's caps of 18 and 19 stop some starts at the cap
-    # in the round that others stop in by their own rule.
-    @pytest.mark.parametrize("max_iterations", [1, 3, 4, 18, 19, 1000])
-    @pytest.mark.parametrize("n_unlabeled", [0, 30])
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    @pytest.mark.parametrize("case", ["one", "random-7", "stack-5"])
-    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
-    def test_matches_allocating_loop(self, hard, case, lam, n_unlabeled, max_iterations):
+    @staticmethod
+    def check_against_allocating_loop(max_iterations, problem, lam, hard):
+        """Run both loops on ``problem``, compare every final and path entry, return the finals."""
         config = SolverConfig(max_iterations=max_iterations)
-        known, design, solve, starts = self.problem(case, n_unlabeled, lam)
         path, expected_path = [], []
-        finals = _run_descent(config, known, design, solve, starts, lam, hard, path)
-        expected = allocating_run_descent(
-            config, known, design, solve, starts, lam, hard, expected_path
-        )
+        finals = _run_descent(config, *problem, lam, hard, path)
+        expected = allocating_run_descent(config, *problem, lam, hard, expected_path)
         for name in ("weights", "objectives", "labels", "rounds"):
             assert_same_bits(getattr(finals, name), getattr(expected, name))
         assert finals.reasons == expected.reasons
@@ -521,9 +512,46 @@ class TestBufferedLoop:
         spans = sorted((W.__array_interface__["data"][0], W.nbytes) for _, W, _ in path)
         assert all(W.flags.c_contiguous for _, W, _ in path)
         assert all(start + size <= after for (start, size), (after, _) in zip(spans, spans[1:]))
-        if case == "random-7" and n_unlabeled and max_iterations == 1000:
-            # The starts leave the block in different rounds.
+        return finals
+
+    # On the seven random starts with U = 30, the hard solver's cap of 4
+    # and the soft solver's caps of 18 and 19 stop some starts at the cap
+    # in the round that others stop in by their own rule.
+    @pytest.mark.parametrize("max_iterations", [1, 3, 4, 18, 19, 1000])
+    @pytest.mark.parametrize("n_unlabeled", [0, 30])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("case", ["one", "random-7", "stack-5"])
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    def test_matches_allocating_loop(self, hard, case, lam, n_unlabeled, max_iterations):
+        problem = self.problem(case, n_unlabeled, lam)
+        finals = self.check_against_allocating_loop(max_iterations, problem, lam, hard)
+        if case != "one" and n_unlabeled and max_iterations == 1000:
+            # The starts leave the block in different rounds (soft 16-27,
+            # hard 1-5), so the round views are rebuilt after departures,
+            # in per-start mode with the stack's rows too.
             assert len(set(finals.rounds.tolist())) > 1
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 1000])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    def test_matches_allocating_loop_on_a_large_design(self, hard, lam, max_iterations):
+        # One start with U = 2,000: the products of a 2,008-row design
+        # take other BLAS paths than those of the 38-row ones above.
+        problem = self.problem("one", 2000, lam)
+        self.check_against_allocating_loop(max_iterations, problem, lam, hard)
+
+    @pytest.mark.parametrize("case", ["random-7", "stack-5"])
+    @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+    def test_leaves_its_inputs_unchanged(self, hard, case):
+        # The rounds write through views of the block's own buffers, never
+        # into the caller's known labels, design, operator or starts, with
+        # a shared problem or one per start, and as starts leave.
+        problem = self.problem(case, 30, 0.5)
+        copies = [array.copy() for array in problem]
+        finals = _run_descent(SolverConfig(), *problem, 0.5, hard, [])
+        assert len(set(finals.rounds.tolist())) > 1
+        for array, copy in zip(problem, copies):
+            assert_same_bits(array, copy)
 
 
 class TestTraceMemory:
