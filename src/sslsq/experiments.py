@@ -390,8 +390,8 @@ def run_learning_curve(
         block = max(1, _BLOCK_DESIGN_ENTRIES // ((labeled_count + u) * data.n_features))
         for first in range(0, repeats, block):
             indices = range(first, min(first + block, repeats))
-            seeds = [derive_rng(seed, repeat, u_index) for repeat in indices]
-            splits = _gather_learning_curve_splits(data, labeled_count, u, seeds)
+            rngs = [derive_rng(seed, repeat, u_index) for repeat in indices]
+            splits = _gather_learning_curve_splits(data, labeled_count, u, rngs)
             for repeat, partition_hash in zip(indices, splits.partition_hashes):
                 hashes[repeat][u_index] = partition_hash
             # With no test set every cell is NaN, so nothing is fitted.

@@ -248,24 +248,18 @@ def supervised_objective(data, w, lam=0.0):
     return float(_squared_objective(data.labeled_features @ w - data.labels, w, lam))
 
 
-def _row_dots(a, out=None):
+def _row_dots(a):
     """``a @ a`` over the last axis: a scalar for a vector, one value per row of a block.
 
     Each row goes through the same BLAS dot as a lone vector, so a row
-    of a block gets the bits that vector would get. A block's dots go
-    into ``out`` if given.
+    of a block gets the bits that vector would get.
     """
-    if out is not None:
-        out = out[..., None, None]
-    return np.matmul(a[..., None, :], a[..., :, None], out=out)[..., 0, 0]
+    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
 
 
-def _squared_objective(residual, w, lam, out=None):
-    """``||residual||^2 + lam * ||w||^2``, per row for (S, N) residuals and (S, d) weights.
-
-    The residuals' row dots go into ``out`` if given.
-    """
-    return _add_penalty(_row_dots(residual, out), w, lam)
+def _squared_objective(residual, w, lam):
+    """``||residual||^2 + lam * ||w||^2``, per row for (S, N) residuals and (S, d) weights."""
+    return _add_penalty(_row_dots(residual), w, lam)
 
 
 def _add_penalty(value, w, lam):

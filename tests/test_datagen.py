@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sslsq import (
     save_csv,
     split_for_local_optima,
 )
+from sslsq import datagen
 from sslsq.cli import main
 from sslsq.datagen import MAX_SEED, derive_rng
 
@@ -321,6 +323,31 @@ LOADER_CASES = [
 ]
 
 
+def _long_plain(last=b"1.0,2.0,,1", final_newline=True):
+    """A plain file of 5,002 lines and over 64 KiB, ending in the row ``last``.
+
+    The first 4,000 body rows are all labeled, and the next 1,000
+    alternate between labeled and unlabeled rows.
+    """
+    lines = [b"x0,x1,label,true_label"]
+    for i in range(5000):
+        label = b"" if i >= 4000 and i % 2 else b"%d" % (i % 2)
+        lines.append(b"%d.25,-%d.5,%s,%d" % (i, i, label, i % 2))
+    lines.append(last)
+    return b"\n".join(lines) + (b"\n" if final_newline else b"")
+
+
+# (id, file bytes, error class or None); the loader's default chunk of
+# 64 KiB ends inside the labeled rows, so the last row is in a later chunk.
+LONG_PLAIN_CASES = [
+    ("clean", _long_plain(), None),
+    ("no-final-newline", _long_plain(final_newline=False), None),
+    ("bad-feature-in-later-chunk", _long_plain(b"1.0,abc,,1"), ParseError),
+    ("bad-label-in-later-chunk", _long_plain(b"1.0,2.0,yes,1"), SchemaError),
+    ("bad-true-label-in-later-chunk", _long_plain(b"1.0,2.0,,maybe"), SchemaError),
+]
+
+
 def _bits(array):
     array = np.asarray(array)
     return array.dtype, array.shape, array.tobytes()
@@ -394,6 +421,72 @@ class TestColumnarLoad:
         path = tmp_path / "big.csv"
         save_csv(path, data, unlabeled_truth=truth)
         assert_loads_like_rowwise(path)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize(
+        "content, load_kwargs",
+        [case[1:] for case in LOADER_CASES],
+        ids=[case[0] for case in LOADER_CASES],
+    )
+    def test_matches_rowwise_loader_in_small_chunks(
+            self, monkeypatch, tmp_path, content, load_kwargs, chunk):
+        # A chunk of a character or a few holds one line or two, so every
+        # plain file spans many chunks.
+        monkeypatch.setattr(datagen, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        assert_loads_like_rowwise(path, **load_kwargs)
+
+    @pytest.mark.parametrize("chunk", [7, 100])
+    def test_large_plain_file_matches_rowwise_loader_in_small_chunks(
+            self, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(datagen, "_CHUNK_CHARS", chunk)
+        self.test_large_plain_file_matches_rowwise_loader(tmp_path)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 4096])
+    @pytest.mark.parametrize(
+        "content, error",
+        [case[1:] for case in LONG_PLAIN_CASES],
+        ids=[case[0] for case in LONG_PLAIN_CASES],
+    )
+    def test_plain_file_across_chunks(self, monkeypatch, tmp_path, content, error, chunk):
+        # The loader's own chunk (None) ends before the first unlabeled row,
+        # so its first chunk has none and the final row is in a later one.
+        assert content.index(b",,") > datagen._CHUNK_CHARS
+        if chunk is not None:
+            monkeypatch.setattr(datagen, "_CHUNK_CHARS", chunk)
+        path = tmp_path / "long.csv"
+        path.write_bytes(content)
+        if error is None:
+            # A clean plain file is parsed a chunk at a time, never row by row.
+            def no_rows(*args):
+                raise AssertionError("a clean plain file went through the row loop")
+
+            monkeypatch.setattr(datagen, "_rowwise", no_rows)
+        assert_loads_like_rowwise(path)
+        if error is not None:
+            with pytest.raises(error) as excinfo:
+                load_csv(path)
+            assert excinfo.value.row == 5001
+
+    def test_plain_load_memory_is_bounded(self, tmp_path):
+        # Only the raw bytes and the decoded text are as large as the file,
+        # and the fields are strings one chunk at a time: a 100k-row 2-D
+        # file peaked at 3.0 times its size, and at 10.2 times split whole.
+        data, truth = generate(SyntheticSpec(
+            kind=SyntheticKind.TWO_GAUSSIAN_2D, unlabeled_total=100_000, seed=2,
+        ))
+        path = tmp_path / "huge.csv"
+        save_csv(path, data, unlabeled_truth=truth)
+        del data, truth
+        tracemalloc.start()
+        try:
+            loaded, _ = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_unlabeled == 100_000
+        assert peak < 4 * path.stat().st_size
 
     @pytest.mark.parametrize("content, row, column", [
         (b"x0,label\n1.0,0\n\xff2.0,1\n3.0,\n", 2, 1),
