@@ -9,8 +9,8 @@ function of its inputs and a seed.
 Dataset files have one format: comma-delimited UTF-8 with a header row,
 raw feature columns, a ``label`` column (empty field = unlabeled) and,
 optionally, a ``true_label`` column with the hidden ground truth. The
-intercept is a load-time convention: it is appended as a trailing ones
-column by the loader/generators and never stored in the file itself.
+intercept is a load-time convention: the loader and generators append one
+trailing ones column to the whole feature matrix; files never store it.
 
 The one CSV writer, ``_write_columns``, lives here too: ``save_csv`` and
 every report, trace and path file of the command line go through it.
@@ -136,16 +136,15 @@ def generate(spec):
         return center + spec.noise_sd * rng.standard_normal((count, dim))
 
     per_class = spec.labeled_per_class
-    labeled = np.vstack([draw(per_class, False), draw(per_class, True)])
-    labels = np.concatenate([np.zeros(per_class), np.ones(per_class)])
     n_positive = spec.unlabeled_total // 2
     n_negative = spec.unlabeled_total - n_positive
-    unlabeled = np.vstack([draw(n_negative, False), draw(n_positive, True)])
-    truth = np.concatenate([np.zeros(n_negative), np.ones(n_positive)])
+    draws = [(per_class, False), (per_class, True), (n_negative, False), (n_positive, True)]
+    features = np.vstack([draw(count, positive) for count, positive in draws])
     if spec.intercept:
-        labeled = np.hstack([labeled, np.ones((labeled.shape[0], 1))])
-        unlabeled = np.hstack([unlabeled, np.ones((unlabeled.shape[0], 1))])
-    return Dataset(labeled, labels, unlabeled), truth
+        features = np.hstack([features, np.ones((features.shape[0], 1))])
+    labels = np.concatenate([np.zeros(per_class), np.ones(per_class)])
+    truth = np.concatenate([np.zeros(n_negative), np.ones(n_positive)])
+    return Dataset(features[: 2 * per_class], labels, features[2 * per_class :]), truth
 
 
 def _fmt(value):
@@ -388,7 +387,7 @@ def _plain_columnar(text, start, stop, width, feature_indices, label_index, trut
     A chunk runs ``_CHUNK_CHARS`` characters from its start and on to the
     end of that line. ``None`` when a chunk's fields fail a check; the
     checks are per field, so that is exactly when the whole body's would.
-    The chunks' arrays are joined, and a body of one chunk keeps its own.
+    The chunks' arrays are joined.
     """
     parts = []
     while start < stop:
@@ -402,8 +401,6 @@ def _plain_columnar(text, start, stop, width, feature_indices, label_index, trut
             return None
         parts.append(part)
         start = end + 1
-    if len(parts) == 1:
-        return parts[0]
     features, labels, truth = zip(*parts)
     truth = None if truth_index is None else np.concatenate(truth)
     return np.concatenate(features), np.concatenate(labels), truth
@@ -517,18 +514,15 @@ def load_csv(path, intercept=True):
         if rows is None:
             rows = _csv_rows(text)[1:]
         parsed = _rowwise(rows, width, *indices)
-    del text, rows
     features, labels, truth = parsed
+    del text, rows, parsed
 
     unlabeled = np.isnan(labels)
     if unlabeled.all():
         raise InvalidInputError(f"{path}: no labeled rows")
-    labeled_block, unlabeled_block = features[~unlabeled], features[unlabeled]
     if intercept:
-        labeled_block = np.hstack([labeled_block, np.ones((labeled_block.shape[0], 1))])
-        unlabeled_block = np.hstack([unlabeled_block, np.ones((unlabeled_block.shape[0], 1))])
-
-    return Dataset(labeled_block, labels[~unlabeled], unlabeled_block), truth
+        features = np.hstack([features, np.ones((features.shape[0], 1))])
+    return Dataset(features[~unlabeled], labels[~unlabeled], features[unlabeled]), truth
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,15 @@ __all__ = [
 ]
 
 
-def _as_float_array(value, name, ndim):
-    arr = np.array(value, dtype=float)
+def _as_float_array(value, name, ndim, copy=True):
+    """``value`` as a finite float array of ``ndim`` axes; with ``copy``, a read-only copy."""
+    arr = np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
+    if copy:
+        arr.setflags(write=False)
     return arr
 
 
@@ -78,9 +80,11 @@ class Dataset:
     entries exactly 0 or 1, and ``unlabeled_features`` is (U, d) with
     U >= 0 (``None`` means an empty block). Both blocks share the column
     count d; an intercept, when used, is an ordinary constant-ones column
-    (by convention the last one). Instances are immutable; the wrapped
-    arrays, and the extended design stacked from them once at
-    construction, are copies with the writeable flag cleared.
+    (by convention the last one). Instances are immutable. The features
+    are held once, as the read-only (L + U, d) extended design, copied
+    from the blocks at construction with the labeled rows first; the two
+    blocks are views of its first L and last U rows, and ``labels`` is a
+    read-only copy.
     """
 
     labeled_features: np.ndarray
@@ -88,13 +92,12 @@ class Dataset:
     unlabeled_features: np.ndarray | None = None
 
     def __post_init__(self):
-        features = _as_float_array(self.labeled_features, "labeled_features", 2)
+        features = _as_float_array(self.labeled_features, "labeled_features", 2, copy=False)
         labels = _as_float_array(self.labels, "labels", 1)
-        if self.unlabeled_features is None:
+        unlabeled = self.unlabeled_features
+        if unlabeled is None:
             unlabeled = np.empty((0, features.shape[1]))
-            unlabeled.setflags(write=False)
-        else:
-            unlabeled = _as_float_array(self.unlabeled_features, "unlabeled_features", 2)
+        unlabeled = _as_float_array(unlabeled, "unlabeled_features", 2, copy=False)
         if features.shape[0] < 1:
             raise InvalidInputError("need at least one labeled example")
         if labels.shape[0] != features.shape[0]:
@@ -107,11 +110,12 @@ class Dataset:
                 f"{features.shape[1]} vs {unlabeled.shape[1]}"
             )
         _check_binary(labels, "labels")
-        object.__setattr__(self, "labeled_features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unlabeled_features", unlabeled)
-        extended = np.vstack([features, unlabeled])
+        extended = np.concatenate([features, unlabeled])
         extended.setflags(write=False)
+        n_labeled = features.shape[0]
+        object.__setattr__(self, "labeled_features", extended[:n_labeled])
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "unlabeled_features", extended[n_labeled:])
         object.__setattr__(self, "_extended_features", extended)
 
     @property

@@ -1,5 +1,7 @@
 """Core model: ridge solve, prediction, objectives and their gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,61 @@ class TestDataset:
         data = Dataset([[1.0]], [1.0])
         with pytest.raises(ValueError):
             data.labels[0] = 0.0
+
+    @staticmethod
+    def assert_blocks_view_extended_design(data):
+        extended = data.extended_features
+        L = data.n_labeled
+        np.testing.assert_array_equal(data.labeled_features, extended[:L])
+        np.testing.assert_array_equal(data.unlabeled_features, extended[L:])
+        assert data.labeled_features.shape == (L, extended.shape[1])
+        assert data.unlabeled_features.shape == (data.n_unlabeled, extended.shape[1])
+        # np.shares_memory is False for an empty array, so an empty block is checked by shape.
+        for block in (data.labeled_features, data.unlabeled_features):
+            assert np.shares_memory(block, extended) or block.size == 0
+
+    def test_blocks_are_views_of_the_extended_design(self, rng):
+        data = Dataset(rng.standard_normal((3, 2)), [0, 1, 1], rng.standard_normal((5, 2)))
+        self.assert_blocks_view_extended_design(data)
+        assert data.n_unlabeled == 5
+
+    def test_feature_arrays_are_read_only(self, rng):
+        data = Dataset(rng.standard_normal((3, 2)), [0, 1, 1], rng.standard_normal((5, 2)))
+        for array in (data.extended_features, data.labeled_features, data.unlabeled_features):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 7.0
+        # A block views the read-only design, so its flag cannot be turned back on.
+        for block in (data.labeled_features, data.unlabeled_features):
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
+
+    def test_writing_the_inputs_leaves_the_dataset_unchanged(self, rng):
+        features, labels = rng.standard_normal((3, 2)), np.array([0.0, 1.0, 1.0])
+        unlabeled = rng.standard_normal((5, 2))
+        data = Dataset(features, labels, unlabeled)
+        want = data.extended_features.copy(), data.labels.copy()
+        features[:], labels[:], unlabeled[:] = 0.0, 0.0, 0.0
+        np.testing.assert_array_equal(data.extended_features, want[0])
+        np.testing.assert_array_equal(data.labels, want[1])
+        for block in (features, labels, unlabeled):
+            assert block.flags.writeable
+            assert not np.shares_memory(block, data.extended_features)
+        self.assert_blocks_view_extended_design(data)
+
+    def test_no_unlabeled_block_is_an_empty_view(self):
+        data = Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        assert data.unlabeled_features.shape == (0, 2)
+        assert data.unlabeled_features.base is data.extended_features
+        self.assert_blocks_view_extended_design(data)
+
+    def test_replace_keeps_the_layout(self, rng):
+        data = Dataset(rng.standard_normal((3, 2)), [0, 1, 1], rng.standard_normal((5, 2)))
+        relabeled = dataclasses.replace(data, labels=[1, 0, 0])
+        np.testing.assert_array_equal(relabeled.labels, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(relabeled.extended_features, data.extended_features)
+        self.assert_blocks_view_extended_design(relabeled)
+        assert not np.shares_memory(relabeled.extended_features, data.extended_features)
 
 
 class TestObjectives:
