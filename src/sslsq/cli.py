@@ -289,29 +289,29 @@ def cmd_fit(args):
 
 
 def cmd_diagnose(args):
-    # Refused before any line is printed, not halfway through the report.
+    # Every verdict and witness is computed, or refused, before the first
+    # line is printed, not halfway through the report.
     lam = _check_lam(args.lam)
     data, _ = load_csv(args.data, intercept=not args.no_intercept)
     if data.n_unlabeled == 0:
         raise DegenerateInputError("diagnostics need at least one unlabeled row")
-    print(f"labeled = {data.n_labeled}")
-    print(f"unlabeled = {data.n_unlabeled}")
-
     # Both verdicts and the responsibility witness read one factorization.
     factors = _block_factors(data, lam)
     label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam, factors)
+    label_witness = find_witness(data, HessianKind.LABEL_BASED, lam=lam)
+    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam, factors)
+    try:
+        witness = _fmt(_responsibility_witness(data, factors[0]).quadratic_form_value)
+    except NoWitnessError as exc:
+        witness = f"none ({exc})"
+
+    print(f"labeled = {data.n_labeled}")
+    print(f"unlabeled = {data.n_unlabeled}")
     print(f"label_hessian_psd = {label_psd}")
     print(f"label_hessian_min_diagonal = {_fmt(label_min_diagonal)}")
-    label_witness = find_witness(data, HessianKind.LABEL_BASED, lam=lam)
     print(f"label_witness_value = {_fmt(label_witness.quadratic_form_value)}")
-    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam, factors)
     print(f"responsibility_hessian_psd = {resp_psd}")
-    try:
-        witness = _responsibility_witness(data, factors[0])
-        print(f"responsibility_witness_value = {_fmt(witness.quadratic_form_value)}")
-    except NoWitnessError as exc:
-        print(f"responsibility_witness_value = none ({exc})")
-
+    print(f"responsibility_witness_value = {witness}")
     if data.n_unlabeled <= ENUMERATION_CAP:
         brute = brute_force_hard_minimum(data, lam)
         local = fit_hard(data, lam)

@@ -14,12 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DegenerateInputError,
-    InvalidInputError,
-    NoWitnessError,
-)
+from .errors import CapacityError, DegenerateInputError, InvalidInputError, NoWitnessError
 from .model import (
     _CLASS_CODES,
     _check_lam,
@@ -106,9 +101,10 @@ def _leading_block(data, lam):
     """The weights' block ``A = 2 X_e'X_e + 2 lam I``, which both kinds share."""
     lam = _check_lam(lam)
     extended = data.extended_features
-    leading = 2.0 * (extended.T @ extended)
-    if lam > 0.0:
-        leading += 2.0 * lam * np.eye(data.n_features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        leading = 2.0 * (extended.T @ extended) + 2.0 * lam * np.eye(data.n_features)
+    if not np.all(np.isfinite(leading)):
+        raise DegenerateInputError("the hessian's weight block overflows double precision")
     return leading
 
 
@@ -116,10 +112,22 @@ def _block_factors(data, lam):
     """``A`` and the R factor of ``-2 X_u``, which both kinds' verdicts read.
 
     The kinds differ only in their trailing diagonal, so one
-    factorization serves both verdicts of a dataset.
+    factorization serves both verdicts of a dataset. A finite ``A`` bounds
+    every column norm of ``-2 X_u``, so R is finite too.
     """
     leading = _leading_block(data, lam)
     return leading, np.linalg.qr(-2.0 * data.unlabeled_features, mode="r")
+
+
+def _block_matrix(leading, coupling, bottom_diagonal):
+    """``[[A, B'], [B, delta I]]`` for the leading block ``A`` and the coupling ``B``."""
+    d, k = len(leading), len(coupling)
+    matrix = np.zeros((d + k, d + k))
+    matrix[:d, :d] = leading
+    matrix[d:, :d] = coupling
+    matrix[:d, d:] = coupling.T
+    np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
+    return matrix
 
 
 def build_hessian(data, kind, lam=0.0):
@@ -132,15 +140,8 @@ def build_hessian(data, kind, lam=0.0):
     """
     bottom_diagonal = _bottom_diagonal(data, kind)
     leading = _leading_block(data, lam)
-    d, unlabeled_count = data.n_features, data.n_unlabeled
-    cross = -2.0 * data.unlabeled_features.T
-    # Filled in place: the (d+U)^2 matrix is the only large allocation.
-    matrix = np.zeros((d + unlabeled_count, d + unlabeled_count))
-    matrix[:d, :d] = leading
-    matrix[:d, d:] = cross
-    matrix[d:, :d] = cross.T
-    np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
-    return HessianBlock(matrix=matrix, kind=kind)
+    coupling = -2.0 * data.unlabeled_features
+    return HessianBlock(_block_matrix(leading, coupling, bottom_diagonal), kind)
 
 
 def _psd_rule(eigenvalues):
@@ -182,15 +183,9 @@ def _psd_verdict(data, kind, lam=0.0, factors=None):
     """
     bottom_diagonal = _bottom_diagonal(data, kind)
     leading, coupling = _block_factors(data, lam) if factors is None else factors
-    d, k = data.n_features, coupling.shape[0]
-    reduced = np.zeros((d + k, d + k))
-    reduced[:d, :d] = leading
-    reduced[d:, :d] = coupling
-    reduced[:d, d:] = coupling.T
-    np.fill_diagonal(reduced[d:, d:], bottom_diagonal)
-    eigenvalues = np.linalg.eigvalsh(reduced)
+    eigenvalues = np.linalg.eigvalsh(_block_matrix(leading, coupling, bottom_diagonal))
     # The rule reads only the extremes, so one copy of delta stands for all U - k.
-    if data.n_unlabeled > k:
+    if data.n_unlabeled > len(coupling):
         eigenvalues = np.append(eigenvalues, bottom_diagonal)
     min_diagonal = float(np.min(np.append(np.diag(leading), bottom_diagonal)))
     return _psd_rule(eigenvalues), min_diagonal
@@ -225,39 +220,47 @@ def _responsibility_witness(data, leading):
     requires a nonzero unlabeled design matrix. The trailing block is
     zero, so ``z'Hz = z1'A z1 - 4 (X_u z1)'z2``: O(U d) time and memory.
     It rounds differently from the dense ``z @ (H @ z)``, by a few ulps
-    of the terms.
+    of the terms. A non-finite value is refused.
     """
     unlabeled = data.unlabeled_features
-    row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
-    if not np.any(row_norms > 0.0):
-        raise NoWitnessError(
-            "unlabeled features are all zero; the responsibility hessian is PSD"
-        )
-    z1 = unlabeled[int(np.argmax(row_norms))].copy()
-    pushed = unlabeled @ z1
-    form = float(z1 @ (leading @ z1))
-    # The form along z2 = c * X_u z1 is form - 4 c |X_u z1|^2;
-    # take twice the zero-crossing c for margin against rounding.
-    threshold = form / (4.0 * float(pushed @ pushed))
-    z2 = 2.0 * threshold * pushed
-    value = form - 4.0 * float(pushed @ z2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
+        if not np.any(row_norms > 0.0):
+            raise NoWitnessError(
+                "unlabeled features are all zero; the responsibility hessian is PSD"
+            )
+        z1 = unlabeled[int(np.argmax(row_norms))].copy()
+        pushed = unlabeled @ z1
+        form = z1 @ (leading @ z1)
+        # The form along z2 = c * X_u z1 is form - 4 c |X_u z1|^2;
+        # take twice the zero-crossing c for margin against rounding.
+        threshold = form / (4.0 * (pushed @ pushed))
+        z2 = 2.0 * threshold * pushed
+        value = float(form - 4.0 * (pushed @ z2))
+    if not np.isfinite(value):
+        raise DegenerateInputError(f"the responsibility witness overflows (form = {value})")
     if not value < 0.0:
         raise NoWitnessError(f"constructed direction is not a witness (form = {value})")
     return NonconvexityWitness(z1=z1, z2=z2, quadratic_form_value=value)
 
 
-def _reduced_quadratic(extended, operator, lam):
-    """The (N, N) matrix ``M`` with ``t' M t`` the optimal objective for targets ``t``.
+def _label_columns(data, lam):
+    """``P``, the (N + d, U) label columns ``C`` and the base residual ``r``.
 
-    With ``P = ridge_operator(X_e, lam)`` the best weights for targets
-    ``t`` are ``P t``; their residual is ``R t`` with ``R = X_e P - I``,
-    so the objective is ``t' (R'R + lam P'P) t``.
+    With ``P = ridge_operator(X_e, lam)`` and ``X_lam = [X_e; sqrt(lam) I]``,
+    targets ``t = [y; q]`` get the weights ``P t`` and the objective
+    ``||X_lam P t - [t; 0]||^2 = ||r + C q||^2``, where
+    ``C = X_lam P[:, L:] - E_u`` (``E_u`` the unlabeled rows' unit columns)
+    and ``r = X_lam P[:, :L] y - [y; 0]``.
     """
-    fitted = extended @ operator - np.eye(extended.shape[0])
-    reduced = fitted.T @ fitted
-    if lam > 0.0:
-        reduced = reduced + lam * (operator.T @ operator)
-    return reduced
+    operator = ridge_operator(data.extended_features, lam)
+    labeled, unlabeled_count = data.n_labeled, data.n_unlabeled
+    augmented = np.vstack([data.extended_features, np.sqrt(lam) * np.eye(data.n_features)])
+    columns = augmented @ operator[:, labeled:]
+    columns[labeled + np.arange(unlabeled_count), np.arange(unlabeled_count)] -= 1.0
+    residual = augmented @ (operator[:, :labeled] @ data.labels)
+    residual[:labeled] -= data.labels
+    return operator, columns, residual
 
 
 def _bit_rows(count):
@@ -276,12 +279,12 @@ def _half_table(constant, linear, quadratic, bits):
 # well-conditioned data, and by 28 on the 1e6-scaled collinear designs.
 _SLACK_ULPS = 1024
 
-# The rounding error of forming R = X_e P - I, in ulps of
-# ||X_e||_F ||P||_F. A label whose column of R (and of sqrt(lam) P) is
-# no longer than this cannot move the objective. Such columns measured at
-# most 9.6 of these (interpolating designs up to 1e8-conditioned, and
-# leverage-1 points at lam = 0); every other column measured at least 3e9,
-# the 1e6-scaled collinear designs included.
+# The rounding error of forming a label column of C = X_lam P[:, L:] - E_u,
+# in ulps of ||X_e||_F ||P||_F. A label whose column is no longer than
+# this cannot move the objective. Such columns measured at most 18 of
+# these (interpolating designs up to 1e8-conditioned, and leverage-1
+# points, at lam = 0); every other column at lam = 0 or 0.5 measured at
+# least 1e5. A penalty near 1e-8 puts interpolating columns on both sides.
 _VANISH_ULPS = 1024
 
 # The (a, b) sums are scanned in blocks of about this many labelings.
@@ -293,8 +296,10 @@ def brute_force_hard_minimum(data, lam=0.0):
 
     Covers all ``2^U`` labelings (capped at U <= 20) by meet in the
     middle, after Horowitz and Sahni (1974). With optimal weights, the
-    objective for a binary labeling ``q`` is the quadratic
-    ``c + 2 g'q + q'A q`` (see ``_reduced_quadratic``). Split ``q`` into
+    objective for a binary labeling ``q`` is ``||r + C q||^2`` (see
+    ``_label_columns``), the quadratic ``c + 2 g'q + q'A q`` with
+    ``c = r'r``, ``g = C'r`` and ``A = C'C``. Its terms come from the U
+    label columns, in O(N d U) time and O(N U) memory. Split ``q`` into
     its first ``floor(U/2)`` labels ``a`` and the rest ``b``: the value is
     ``f(a) + h(b) + 2 a'A_ab b``. The two half-tables ``f`` and ``h`` have
     ``2^(U/2)`` entries each, and the ``(a, b)`` sums are scanned in blocks
@@ -323,7 +328,7 @@ def brute_force_hard_minimum(data, lam=0.0):
     and the result carries the bits of the same solve a hard fit makes.
     Many exact ties make the rescoring longer.
     A label that cannot move the objective by more than rounding error
-    (its column of ``M`` vanishes) ties with itself flipped, so it is
+    (its column of ``C`` vanishes) ties with itself flipped, so it is
     fixed to 0 and only the other labels are enumerated. On a design that
     fits every labeling exactly at ``lam = 0`` that fixes all of them, and
     the all-zero labeling is returned, rescored the same way. With no
@@ -335,21 +340,17 @@ def brute_force_hard_minimum(data, lam=0.0):
             f"enumeration of 2^{unlabeled_count} labelings exceeds the U <= {ENUMERATION_CAP} cap"
         )
 
+    operator, columns, residual = _label_columns(data, lam)
+    gram = columns.T @ columns
+    # Label j moves the objective only through column j of C, whose
+    # squared norm is gram[j, j]. Labels whose column is rounding error
+    # stay 0; only the free ones are enumerated.
     extended = data.extended_features
-    operator = ridge_operator(extended, lam)
-    reduced = _reduced_quadratic(extended, operator, lam)
-    y = data.labels
-    # Label j moves the objective only through column j of R (and of
-    # sqrt(lam) P), whose squared norm is reduced[j, j]. Labels whose
-    # column is rounding error stay 0; only the free ones are enumerated.
     noise = _VANISH_ULPS * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
-    free = np.flatnonzero(np.diagonal(reduced)[data.n_labeled :] > noise * noise)
-    # Targets are base + q, with q in the unlabeled rows only.
-    base = np.concatenate([y, np.zeros(unlabeled_count)])
-    tail = reduced[data.n_labeled + free]
-    constant = float(base @ (reduced @ base))
-    linear = tail @ base
-    quadratic = tail[:, data.n_labeled + free]
+    free = np.flatnonzero(np.diagonal(gram) > noise * noise)
+    constant = float(residual @ residual)
+    linear = columns[:, free].T @ residual
+    quadratic = gram[np.ix_(free, free)]
 
     high = len(free) // 2
     high_bits, low_bits = _bit_rows(high), _bit_rows(len(free) - high)
@@ -454,18 +455,16 @@ def grid_soft_minimum(data, lam=0.0, step=0.05):
 def soft_grid_slack(data, lam=0.0, step=0.05):
     """Worst-case gap between the grid minimum and the true soft minimum.
 
-    The partially minimized soft objective is a quadratic in the imputed
-    labels; rounding the minimizer to the nearest grid point moves each
-    free coordinate by at most ``step / 2``, so the gap is bounded by
-    ``lam_max * U * step^2 / 4`` with ``lam_max`` the largest eigenvalue
-    of the reduced Hessian, computed here from the actual data.
+    The partially minimized soft objective is ``||r + C u||^2`` in the
+    imputed labels ``u`` (see ``_label_columns``); rounding the minimizer
+    to the nearest grid point moves each free coordinate by at most
+    ``step / 2``, so the gap is bounded by ``lam_max * U * step^2 / 4``
+    with ``lam_max`` the largest eigenvalue of the (U, U) matrix ``C'C``.
     """
     _grid_axis(step)
     unlabeled_count = data.n_unlabeled
     if unlabeled_count == 0:
         return 0.0
-    extended = data.extended_features
-    reduced = _reduced_quadratic(extended, ridge_operator(extended, lam), lam)
-    tail = reduced[data.n_labeled :, data.n_labeled :]
-    lam_max = float(np.max(np.linalg.eigvalsh(0.5 * (tail + tail.T))))
+    _, columns, _ = _label_columns(data, lam)
+    lam_max = float(np.max(np.linalg.eigvalsh(columns.T @ columns)))
     return max(lam_max, 0.0) * unlabeled_count * step * step / 4.0 + 1e-12

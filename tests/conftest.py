@@ -496,6 +496,8 @@ def allocating_run_descent(config, known, design, solve, starts, lam, hard, path
 
 
 # The helpers of ``unpruned_hard_minimum``, frozen with it.
+# ``_reduced_quadratic`` is the (N, N) matrix the oracles read before they
+# read the U label columns; the grid slack is also pinned against it.
 
 
 def _reduced_quadratic(extended, operator, lam):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,30 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: diagnostics need at least one unlabeled row\n"
+
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_overflow_is_refused_before_any_output(self, tmp_path, capsys, scale):
+        # The feature column times 1e80 overflows the responsibility form,
+        # and times 1e160 the weights' block too. Either exits 5 before the
+        # first line, not with a witness of "none (... form = nan)", and
+        # numpy raises no warning on the way.
+        path = tmp_path / "plain.csv"
+        code = run_cli(["generate", "--seed", "1", "--unlabeled", "40", "--out", str(path)])
+        assert code == EXIT_OK
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",")[0] == "x0"
+        scaled = tmp_path / "scaled.csv"
+        pairs = (row.split(",", 1) for row in rows)
+        lines = [header] + [f"{float(x0) * scale!r},{rest}" for x0, rest in pairs]
+        scaled.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["diagnose", "--data", str(scaled)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_verdicts_come_without_the_dense_psd_test(self, tmp_path, capsys, monkeypatch):
         path = write_cluster_data(tmp_path, unlabeled=396)

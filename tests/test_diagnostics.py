@@ -1,6 +1,7 @@
 """Hessian assembly, PSD testing, witnesses and the brute-force oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sslsq import (
     is_psd,
     label_objective,
     responsibility_objective,
+    ridge_operator,
     soft_grid_slack,
     supervised_objective,
     update_hard_labels,
@@ -34,6 +36,7 @@ from sslsq import (
 )
 
 from conftest import (
+    _reduced_quadratic,
     central_hessian,
     chunked_gemm_hard_minimum,
     dense_responsibility_witness,
@@ -301,6 +304,21 @@ class TestFindWitness:
             assert abs(value - dense) <= 1e-12 * abs(dense)
             assert value < 0.0
 
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_overflow_is_refused(self, rng, scale):
+        # At 1e80 the responsibility form overflows, and at 1e160 the
+        # weights' block 2 X_e'X_e does too. Either is refused, not read
+        # as "no witness", and numpy raises no warning on the way.
+        features = np.hstack([scale * rng.standard_normal((44, 1)), np.ones((44, 1))])
+        data = Dataset(features[:4], [0.0, 1.0, 1.0, 0.0], features[4:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflows"):
+                find_witness(data, HessianKind.RESPONSIBILITY_BASED)
+            if scale > 1e100:
+                with pytest.raises(DegenerateInputError, match="weight block overflows"):
+                    diagnostics._psd_verdict(data, HessianKind.LABEL_BASED)
+
     def test_zero_unlabeled_features_have_no_witness(self):
         data = Dataset([[1.0], [2.0]], [0.0, 1.0], [[0.0], [0.0]])
         with pytest.raises(NoWitnessError):
@@ -334,6 +352,9 @@ class TestBruteForce:
         if design == "interpolating":
             # More features than points: at lam = 0 every label vanishes.
             return make_dataset(rng, 2, unlabeled_count, unlabeled_count + 4)
+        if design == "tall":
+            # A few hundred labeled rows, so N is far above U.
+            return make_dataset(rng, 300, unlabeled_count, 3)
         if design == "integer-ties":
             # Few distinct integer rows, so many labelings tie exactly.
             features = rng.integers(-1, 2, size=(6 + unlabeled_count, 2)).astype(float)
@@ -351,7 +372,8 @@ class TestBruteForce:
         return Dataset(features[:6], data.labels, features[6:])
 
     @pytest.mark.parametrize("design", ["full-rank", "repeated-column", "scaled-1e6",
-                                        "integer-ties", "duplicated-rows", "interpolating"])
+                                        "integer-ties", "duplicated-rows", "interpolating",
+                                        "tall"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("chunk", [1, 4096])
     def test_pruned_scan_keeps_unpruned_bits(self, rng, monkeypatch, design, lam, chunk):
@@ -367,6 +389,21 @@ class TestBruteForce:
             assert result.labels.tobytes() == labels.tobytes()
             assert result.weights.tobytes() == weights.tobytes()
             assert np.float64(result.objective).tobytes() == np.float64(objective).tobytes()
+
+    def test_memory_does_not_grow_as_n_squared(self, rng):
+        # At N = 4,012 one (N, N) matrix alone would take 128 MB; the
+        # oracles read only the U label columns.
+        hard, soft = make_dataset(rng, 4000, 12, 3), make_dataset(rng, 4009, 3, 3)
+        tracemalloc.start()
+        try:
+            result = brute_force_hard_minimum(hard)
+            slack = soft_grid_slack(soft)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.labels.shape == (12,)
+        assert slack > 0.0
+        assert peak < 16e6
 
     def test_pruned_scan_scores_few_blocks_on_separated_clusters(self, monkeypatch):
         # At U = 20 the table has 2^10 rows in blocks of 4: 256 blocks.
@@ -626,3 +663,19 @@ class TestGridSearch:
             fit = fit_soft(data, 0.0, config)
             slack = soft_grid_slack(data, 0.0, step=0.05)
             assert fit.final_objective <= grid.objective + slack
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1e-8])
+    def test_slack_matches_the_reduced_quadratic_bound(self, rng, lam):
+        # The slack reads the (U, U) matrix C'C; the bound from the tail of
+        # the (N, N) matrix R'R + lam P'P rounds differently, by at most
+        # 1.6e-15 relative on 610 random designs at these three penalties.
+        cases = [make_dataset(rng, int(rng.integers(2, 40)), int(rng.integers(1, 4)),
+                              int(rng.integers(1, 5))) for _ in range(30)]
+        cases += [scaled_collinear_data(seed) for seed in range(5)]
+        for data in cases:
+            extended = data.extended_features
+            reduced = _reduced_quadratic(extended, ridge_operator(extended, lam), lam)
+            tail = reduced[data.n_labeled :, data.n_labeled :]
+            lam_max = float(np.max(np.linalg.eigvalsh(0.5 * (tail + tail.T))))
+            expected = max(lam_max, 0.0) * data.n_unlabeled * 0.05 * 0.05 / 4.0 + 1e-12
+            assert abs(soft_grid_slack(data, lam) - expected) <= 1e-12 * expected
