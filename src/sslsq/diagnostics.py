@@ -21,9 +21,7 @@ from .model import (
     label_objective,
     responsibility_objective,
     ridge_operator,
-    supervised_objective,
 )
-from .selflearn import update_weights
 
 __all__ = [
     "BruteForceResult",
@@ -425,30 +423,29 @@ def _grid_axis(step):
 def grid_soft_minimum(data, lam=0.0, step=0.05):
     """Exhaustive grid search over soft labelings, capped at U <= 3.
 
-    Every grid point gets its exact optimal weights; serves as an
-    independent check on the soft descent solver.
+    With optimal weights, the soft labeling ``u`` scores ``||r + C u||^2``
+    (see ``_label_columns``), so every grid point is scored from the U
+    label columns by ``_half_table``, in O(points * U) memory whatever the
+    number of rows. The best point's weights and objective are its exact
+    solve, ``P [y; u]`` and ``label_objective``. The table rounds
+    differently from that objective, so of exactly tied points another
+    than the first may be chosen. With no unlabeled rows the one empty
+    point is taken: the supervised fit. Serves as an independent check on
+    the soft descent solver.
     """
     unlabeled_count = data.n_unlabeled
     if unlabeled_count > GRID_CAP:
         raise CapacityError(f"grid search limited to U <= {GRID_CAP}, got {unlabeled_count}")
     axis = _grid_axis(step)
-    if unlabeled_count == 0:
-        w = update_weights(data, np.zeros(0), lam)
-        return GridSearchResult(np.zeros(0), w, supervised_objective(data, w, lam))
-
-    grids = np.meshgrid(*([axis] * unlabeled_count), indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    extended = data.extended_features
-    operator = ridge_operator(extended, lam)
-    targets = np.hstack([np.tile(data.labels, (len(points), 1)), points])
-    weights = targets @ operator.T
-    residuals = weights @ extended.T - targets
-    objectives = np.einsum("ij,ij->i", residuals, residuals)
-    if lam > 0.0:
-        objectives = objectives + lam * np.einsum("ij,ij->i", weights, weights)
-    best = int(np.argmin(objectives))
-    u = points[best].copy()
-    w = weights[best].copy()
+    # All axis.size^U points as rows, in lexicographic order; U = 0 gives one empty row.
+    shape = (axis.size,) * unlabeled_count
+    points = axis[np.indices(shape).reshape(unlabeled_count, axis.size**unlabeled_count).T]
+    operator, columns, residual = _label_columns(data, lam)
+    objectives = _half_table(
+        float(residual @ residual), columns.T @ residual, columns.T @ columns, points
+    )
+    u = points[int(np.argmin(objectives))].copy()
+    w = operator @ data.extended_targets(u)
     return GridSearchResult(u, w, label_objective(data, w, u, lam))
 
 
@@ -461,6 +458,7 @@ def soft_grid_slack(data, lam=0.0, step=0.05):
     ``step / 2``, so the gap is bounded by ``lam_max * U * step^2 / 4``
     with ``lam_max`` the largest eigenvalue of the (U, U) matrix ``C'C``.
     """
+    _check_lam(lam)
     _grid_axis(step)
     unlabeled_count = data.n_unlabeled
     if unlabeled_count == 0:

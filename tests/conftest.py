@@ -4,7 +4,7 @@ The helpers here deliberately avoid the library's own code paths: the
 ridge oracle goes through explicitly formed normal equations, gradients
 and Hessians come from central finite differences, and the exhaustive
 minimum uses plain itertools enumeration. Tests compare the library
-against these. Eight helpers are frozen copies of earlier library code:
+against these. Nine helpers are frozen copies of earlier library code:
 ``chunked_gemm_hard_minimum``, the batched enumeration the oracle used
 before its meet-in-the-middle search, kept to pin the search at sizes the
 plain loop cannot reach; ``rowwise_load_csv``, the row-by-row CSV loader
@@ -21,10 +21,13 @@ before the loop wrote its rounds into per-block buffers, kept to pin
 its finals and per-round path; ``unpruned_hard_minimum``, the
 meet-in-the-middle search that scored every block of sums in order
 before the search skipped blocks by their lower bounds, kept to pin the
-pruned search's labels, weights and objective; and
+pruned search's labels, weights and objective;
 ``dense_responsibility_witness``, the responsibility witness as it was
 formed from the dense (d+U)^2 Hessian before it was formed from the
-Hessian's blocks, kept to pin the block form's direction and value.
+Hessian's blocks, kept to pin the block form's direction and value;
+and ``tiled_grid_soft_minimum``, the soft grid search that solved every
+grid point's targets before the search scored its points from the label
+columns, kept to pin the chosen point and objective.
 ``lone_learning_curve`` is the learning curve run one split and one lone
 fit at a time, the reference its stacked runner and report are pinned to.
 """
@@ -45,12 +48,16 @@ from sslsq import (
     evaluate_error,
     fit_hard,
     fit_soft,
+    label_objective,
     responsibility_objective,
     ridge_operator,
     ridge_solve,
     sample_learning_curve_split,
+    supervised_objective,
+    update_weights,
 )
 from sslsq.datagen import derive_rng
+from sslsq.diagnostics import _grid_axis
 from sslsq.experiments import METHODS
 from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
 from sslsq.model import _CLASS_CODES, _responsibility_value, _squared_objective
@@ -594,6 +601,34 @@ def dense_responsibility_witness(data, lam=0.0):
     z2 = 2.0 * threshold * pushed
     z = np.concatenate([z1, z2])
     return z1, z2, float(z @ (H @ z))
+
+
+def tiled_grid_soft_minimum(data, lam=0.0, step=0.05):
+    """The earlier soft grid search, which solved every point's (N,) targets at once.
+
+    Returns ``(soft_labels, weights, objective)``. The targets of all grid
+    points are one (points, N) matrix, their weights one product with the
+    ridge operator, and each point is scored by its residuals.
+    """
+    axis = _grid_axis(step)
+    if data.n_unlabeled == 0:
+        w = update_weights(data, np.zeros(0), lam)
+        return np.zeros(0), w, supervised_objective(data, w, lam)
+
+    grids = np.meshgrid(*([axis] * data.n_unlabeled), indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=1)
+    extended = data.extended_features
+    operator = ridge_operator(extended, lam)
+    targets = np.hstack([np.tile(data.labels, (len(points), 1)), points])
+    weights = targets @ operator.T
+    residuals = weights @ extended.T - targets
+    objectives = np.einsum("ij,ij->i", residuals, residuals)
+    if lam > 0.0:
+        objectives = objectives + lam * np.einsum("ij,ij->i", weights, weights)
+    best = int(np.argmin(objectives))
+    u = points[best].copy()
+    w = weights[best].copy()
+    return u, w, label_objective(data, w, u, lam)
 
 
 def lone_learning_curve(pool, labeled, u_values, repeats, lam, seed, config):

@@ -43,6 +43,7 @@ from conftest import (
     exhaustive_hard_minimum,
     make_dataset,
     scaled_collinear_data,
+    tiled_grid_soft_minimum,
     unpruned_hard_minimum,
 )
 
@@ -663,6 +664,59 @@ class TestGridSearch:
             fit = fit_soft(data, 0.0, config)
             slack = soft_grid_slack(data, 0.0, step=0.05)
             assert fit.final_objective <= grid.objective + slack
+
+    @pytest.mark.parametrize("design", ["full-rank", "scaled-1e6", "repeated-column"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1e-8])
+    def test_result_is_the_exact_solve_at_its_point(self, rng, design, lam):
+        for unlabeled_count in range(diagnostics.GRID_CAP + 1):
+            for _ in range(5):
+                data = TestBruteForce.pin_design(rng, design, unlabeled_count)
+                result = grid_soft_minimum(data, lam)
+                w = update_weights(data, result.soft_labels, lam)
+                assert result.weights.tobytes() == w.tobytes()
+                assert result.objective == label_objective(data, w, result.soft_labels, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1e-8])
+    def test_matches_the_tiled_grid_up_to_exact_ties(self, rng, lam, record_property):
+        # The table rounds differently from the tiled residuals, so exactly
+        # tied points may resolve either way: on integer, duplicated-row
+        # and (at lam = 0) interpolating designs, where many points tie.
+        differing = 0
+        for design in ("full-rank", "scaled-1e6", "repeated-column", "integer-ties",
+                       "duplicated-rows", "interpolating"):
+            for unlabeled_count in range(diagnostics.GRID_CAP + 1):
+                for _ in range(10):
+                    data = TestBruteForce.pin_design(rng, design, unlabeled_count)
+                    labels, _, objective = tiled_grid_soft_minimum(data, lam)
+                    result = grid_soft_minimum(data, lam)
+                    scale = float(data.labels @ data.labels) + unlabeled_count
+                    assert abs(result.objective - objective) <= 1e-12 * scale
+                    if result.soft_labels.tobytes() != labels.tobytes():
+                        differing += 1
+                        w = update_weights(data, labels, lam)
+                        tied = label_objective(data, w, labels, lam)
+                        assert abs(result.objective - tied) <= 16 * np.finfo(float).eps * scale
+        record_property("differing_points", differing)
+
+    def test_memory_does_not_grow_with_rows(self, rng):
+        # The tiled search held (points, N) targets, weights and residuals:
+        # about 300 MB here. The table needs (points, U).
+        data = make_dataset(rng, 2000, 3, 3)
+        tracemalloc.start()
+        try:
+            result = grid_soft_minimum(data, 0.0, step=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.soft_labels.shape == (3,)
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_penalty_is_refused_without_unlabeled_rows(self, rng, lam):
+        data = make_dataset(rng, 5, 0, 2)
+        for oracle in (grid_soft_minimum, soft_grid_slack):
+            with pytest.raises(InvalidInputError, match="ridge penalty"):
+                oracle(data, lam)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1e-8])
     def test_slack_matches_the_reduced_quadratic_bound(self, rng, lam):
