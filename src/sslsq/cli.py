@@ -36,9 +36,7 @@ from .datagen import (
 from .diagnostics import (
     ENUMERATION_CAP,
     HessianKind,
-    _block_factors,
     _psd_verdict,
-    _responsibility_witness,
     brute_force_hard_minimum,
     find_witness,
 )
@@ -295,13 +293,12 @@ def cmd_diagnose(args):
     data, _ = load_csv(args.data, intercept=not args.no_intercept)
     if data.n_unlabeled == 0:
         raise DegenerateInputError("diagnostics need at least one unlabeled row")
-    # Both verdicts and the responsibility witness read one factorization.
-    factors = _block_factors(data, lam)
-    label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam, factors)
+    label_psd, label_min_diagonal = _psd_verdict(data, HessianKind.LABEL_BASED, lam)
     label_witness = find_witness(data, HessianKind.LABEL_BASED, lam=lam)
-    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam, factors)
+    resp_psd, _ = _psd_verdict(data, HessianKind.RESPONSIBILITY_BASED, lam)
     try:
-        witness = _fmt(_responsibility_witness(data, factors[0]).quadratic_form_value)
+        resp_witness = find_witness(data, HessianKind.RESPONSIBILITY_BASED, lam=lam)
+        witness = _fmt(resp_witness.quadratic_form_value)
     except NoWitnessError as exc:
         witness = f"none ({exc})"
 

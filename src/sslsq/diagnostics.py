@@ -106,28 +106,6 @@ def _leading_block(data, lam):
     return leading
 
 
-def _block_factors(data, lam):
-    """``A`` and the R factor of ``-2 X_u``, which both kinds' verdicts read.
-
-    The kinds differ only in their trailing diagonal, so one
-    factorization serves both verdicts of a dataset. A finite ``A`` bounds
-    every column norm of ``-2 X_u``, so R is finite too.
-    """
-    leading = _leading_block(data, lam)
-    return leading, np.linalg.qr(-2.0 * data.unlabeled_features, mode="r")
-
-
-def _block_matrix(leading, coupling, bottom_diagonal):
-    """``[[A, B'], [B, delta I]]`` for the leading block ``A`` and the coupling ``B``."""
-    d, k = len(leading), len(coupling)
-    matrix = np.zeros((d + k, d + k))
-    matrix[:d, :d] = leading
-    matrix[d:, :d] = coupling
-    matrix[:d, d:] = coupling.T
-    np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
-    return matrix
-
-
 def build_hessian(data, kind, lam=0.0):
     """Assemble the block curvature matrix for the chosen objective kind.
 
@@ -139,13 +117,13 @@ def build_hessian(data, kind, lam=0.0):
     bottom_diagonal = _bottom_diagonal(data, kind)
     leading = _leading_block(data, lam)
     coupling = -2.0 * data.unlabeled_features
-    return HessianBlock(_block_matrix(leading, coupling, bottom_diagonal), kind)
-
-
-def _psd_rule(eigenvalues):
-    """True iff the smallest eigenvalue is at least ``-1e-8`` times the largest magnitude."""
-    tolerance = 1e-8 * float(np.max(np.abs(eigenvalues)))
-    return bool(np.min(eigenvalues) >= -tolerance)
+    d, k = data.n_features, data.n_unlabeled
+    matrix = np.zeros((d + k, d + k))
+    matrix[:d, :d] = leading
+    matrix[d:, :d] = coupling
+    matrix[:d, d:] = coupling.T
+    np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
+    return HessianBlock(matrix, kind)
 
 
 def is_psd(matrix):
@@ -168,25 +146,26 @@ def is_psd(matrix):
         raise InvalidInputError("matrix is not symmetric")
     work = np.add(H, H.T, out=work)
     work *= 0.5
-    return _psd_rule(np.linalg.eigvalsh(work))
+    eigenvalues = np.linalg.eigvalsh(work)
+    return bool(np.min(eigenvalues) >= -1e-8 * float(np.max(np.abs(eigenvalues))))
 
 
-def _psd_verdict(data, kind, lam=0.0, factors=None):
-    """``is_psd`` and the smallest diagonal entry of ``build_hessian(data, kind, lam).matrix``.
+def _psd_verdict(data, kind, lam=0.0):
+    """Whether ``build_hessian(data, kind, lam).matrix`` is PSD, and its smallest diagonal entry.
 
-    Neither needs the (d+U)^2 matrix, so this costs O(U d^2) time and O(U d) memory.
-    With ``-2 X_u = Q R`` (Q orthogonal, R of k = min(U, d) rows), conjugating H by
-    ``diag(I_d, Q)`` gives ``[[A, R'], [R, delta I_k]]`` plus U - k copies of delta.
-    ``factors`` is ``_block_factors(data, lam)`` when the caller already has it.
+    Both are read off the block form ``[[A, B'], [B, delta I]]``, with no
+    matrix and no factorization. The weights' diagonal ``2 |column|^2 +
+    2 lam`` is never negative, so the smallest entry is delta. The
+    label-based kind (delta = -2) is never PSD. A PSD matrix with a zero
+    diagonal entry is zero in that row and column (Horn and Johnson,
+    *Matrix Analysis*, ch. 7), so the responsibility-based kind (delta =
+    0) is PSD exactly when ``B = -2 X_u`` is zero. Unlike ``is_psd``
+    there is no tolerance, so at extreme feature scales the two can
+    disagree.
     """
     bottom_diagonal = _bottom_diagonal(data, kind)
-    leading, coupling = _block_factors(data, lam) if factors is None else factors
-    eigenvalues = np.linalg.eigvalsh(_block_matrix(leading, coupling, bottom_diagonal))
-    # The rule reads only the extremes, so one copy of delta stands for all U - k.
-    if data.n_unlabeled > len(coupling):
-        eigenvalues = np.append(eigenvalues, bottom_diagonal)
-    min_diagonal = float(np.min(np.append(np.diag(leading), bottom_diagonal)))
-    return _psd_rule(eigenvalues), min_diagonal
+    _check_lam(lam)
+    return bottom_diagonal == 0.0 and not np.any(data.unlabeled_features), bottom_diagonal
 
 
 def find_witness(data, kind, lam=0.0):
@@ -212,33 +191,36 @@ def find_witness(data, kind, lam=0.0):
 def _responsibility_witness(data, leading):
     """The responsibility kind's witness, given its leading block ``A``.
 
+    There is none exactly when the unlabeled design matrix is zero, the
+    rule that makes the Hessian PSD (see ``_psd_verdict``). Otherwise
     ``z1`` is the largest-norm unlabeled row and ``z2 = c X_u z1``,
     with ``c`` scaled past the threshold at which the cross term
-    dominates the positive leading block, with a factor-2 margin; this
-    requires a nonzero unlabeled design matrix. The trailing block is
-    zero, so ``z'Hz = z1'A z1 - 4 (X_u z1)'z2``: O(U d) time and memory.
-    It rounds differently from the dense ``z @ (H @ z)``, by a few ulps
-    of the terms. A non-finite value is refused.
+    dominates the positive leading block, with a factor-2 margin. The
+    trailing block is zero, so ``z'Hz = z1'A z1 - 4 (X_u z1)'z2``: O(U d)
+    time and memory. It rounds differently from the dense ``z @ (H @ z)``,
+    by a few ulps of the terms. Its exact value is ``-z1'A z1 < 0``, so a
+    non-finite or non-negative value means the arithmetic left double
+    range, and is refused.
     """
     unlabeled = data.unlabeled_features
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    if not np.any(unlabeled):
+        raise NoWitnessError("unlabeled features are all zero; the responsibility hessian is PSD")
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
-        if not np.any(row_norms > 0.0):
-            raise NoWitnessError(
-                "unlabeled features are all zero; the responsibility hessian is PSD"
-            )
         z1 = unlabeled[int(np.argmax(row_norms))].copy()
         pushed = unlabeled @ z1
         form = z1 @ (leading @ z1)
+        push = pushed @ pushed
         # The form along z2 = c * X_u z1 is form - 4 c |X_u z1|^2;
         # take twice the zero-crossing c for margin against rounding.
-        threshold = form / (4.0 * (pushed @ pushed))
+        threshold = form / (4.0 * push)
         z2 = 2.0 * threshold * pushed
         value = float(form - 4.0 * (pushed @ z2))
-    if not np.isfinite(value):
-        raise DegenerateInputError(f"the responsibility witness overflows (form = {value})")
-    if not value < 0.0:
-        raise NoWitnessError(f"constructed direction is not a witness (form = {value})")
+    if not (np.isfinite(value) and value < 0.0):
+        # In exact arithmetic form >= 2 push > 0 (A contains 2 X_u'X_u), so
+        # either a term vanished (underflow) or one left range (overflow).
+        flow = "underflows" if form == 0.0 or push == 0.0 else "overflows"
+        raise DegenerateInputError(f"the responsibility witness {flow} (form = {value})")
     return NonconvexityWitness(z1=z1, z2=z2, quadratic_form_value=value)
 
 

@@ -57,6 +57,20 @@ def run_cli(args):
         return exc.code
 
 
+def write_scaled_generated(tmp_path, scale):
+    """``generate --seed 1 --unlabeled 40`` with its ``x0`` column times ``scale``."""
+    path = tmp_path / "plain.csv"
+    code = run_cli(["generate", "--seed", "1", "--unlabeled", "40", "--out", str(path)])
+    assert code == EXIT_OK
+    header, *rows = path.read_text().splitlines()
+    assert header.split(",")[0] == "x0"
+    scaled = tmp_path / "scaled.csv"
+    pairs = (row.split(",", 1) for row in rows)
+    lines = [header] + [f"{float(x0) * scale!r},{rest}" for x0, rest in pairs]
+    scaled.write_text("\n".join(lines) + "\n")
+    return scaled
+
+
 def write_cluster_data(tmp_path, name="clusters.csv", seed=7, unlabeled=40):
     path = tmp_path / name
     code = run_cli([
@@ -478,15 +492,7 @@ class TestDiagnose:
         # and times 1e160 the weights' block too. Either exits 5 before the
         # first line, not with a witness of "none (... form = nan)", and
         # numpy raises no warning on the way.
-        path = tmp_path / "plain.csv"
-        code = run_cli(["generate", "--seed", "1", "--unlabeled", "40", "--out", str(path)])
-        assert code == EXIT_OK
-        header, *rows = path.read_text().splitlines()
-        assert header.split(",")[0] == "x0"
-        scaled = tmp_path / "scaled.csv"
-        pairs = (row.split(",", 1) for row in rows)
-        lines = [header] + [f"{float(x0) * scale!r},{rest}" for x0, rest in pairs]
-        scaled.write_text("\n".join(lines) + "\n")
+        scaled = write_scaled_generated(tmp_path, scale)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -494,6 +500,55 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "overflows" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("k, witness", [
+        (0, -5879.91578455543),
+        (3, -5838287981052929.0),
+        (4, -5.838288026961364e19),
+        (8, -5.838288027425088e35),
+        (76, -5.838288027425092e307),
+    ])
+    def test_verdicts_do_not_depend_on_feature_scale(self, tmp_path, capsys, k, witness):
+        # Both Hessians have a witness at every scale, so both verdicts
+        # read False. A -1e-8 * ||H|| eigenvalue tolerance said True beside
+        # that witness from 10^3 (responsibility) and 10^4 (label) on.
+        scaled = write_scaled_generated(tmp_path, 10.0**k)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["diagnose", "--data", str(scaled)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        witness_line = lines.pop(6)
+        assert witness_line.startswith("responsibility_witness_value = ")
+        assert float(witness_line.split(" = ")[1]) == pytest.approx(witness, rel=1e-12)
+        assert lines == [
+            "labeled = 4",
+            "unlabeled = 40",
+            "label_hessian_psd = False",
+            "label_hessian_min_diagonal = -2.0",
+            "label_witness_value = -2.0",
+            "responsibility_hessian_psd = False",
+            "brute_force_objective = skipped (U > 20)",
+        ]
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-120])
+    def test_underflow_is_refused_before_any_output(self, tmp_path, capsys, scale):
+        # Nonzero unlabeled features whose witness underflows exit 5: not
+        # "none (unlabeled features are all zero ...)" beside a False
+        # verdict at 1e-170, and not a witness said to overflow at 1e-120.
+        path = tmp_path / "tiny.csv"
+        path.write_text(f"x0,label\n1.0,0\n2.0,1\n3.0,1\n{scale!r},\n{2 * scale!r},\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["diagnose", "--data", str(path), "--no-intercept"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the responsibility witness underflows")
         assert captured.err.count("\n") == 1
 
     def test_verdicts_come_without_the_dense_psd_test(self, tmp_path, capsys, monkeypatch):
@@ -510,18 +565,15 @@ class TestDiagnose:
             built.append(kind)
             return build_hessian(data, kind, lam)
 
-        factorized = []
-        qr = np.linalg.qr
-
-        def counting_qr(matrix, mode="reduced"):
-            factorized.append(matrix.shape)
-            return qr(matrix, mode=mode)
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("diagnose took a verdict from a factorization")
 
         monkeypatch.setattr(cli, "is_psd", refuse, raising=False)
         monkeypatch.setattr(cli, "build_hessian", refuse, raising=False)
         monkeypatch.setattr(diagnostics, "is_psd", refuse)
         monkeypatch.setattr(diagnostics, "build_hessian", counting_build)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", no_factorization)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_factorization)
         capsys.readouterr()
         assert run_cli(["diagnose", "--data", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
@@ -529,10 +581,9 @@ class TestDiagnose:
         assert "label_hessian_min_diagonal = -2.0" in out
         assert f"responsibility_hessian_psd = {expected[1]}" in out
         assert "responsibility_witness_value = -" in out
-        # Neither verdict nor witness builds the dense matrix, and both
-        # verdicts read one QR of the unlabeled design.
+        # Neither verdict nor witness builds the dense matrix, and the
+        # verdicts are read off its block form with no QR or eigenvalues.
         assert built == []
-        assert factorized == [(396, data.n_features)]
 
     def test_memory_is_linear_in_unlabeled_count(self, tmp_path, capsys, monkeypatch):
         # At U = 20,000 the dense (d+U)^2 matrix alone would take 3.2 GB.

@@ -193,18 +193,41 @@ class TestPsdVerdict:
         "coupling near the threshold",
     ])
     def test_equals_dense_verdict_and_min_diagonal(self, rng, variant):
-        verdicts = set()
+        # The verdict is the block-form rule: the label kind is never PSD,
+        # and the responsibility kind is PSD exactly when X_u = 0, which is
+        # also exactly when it has no witness. is_psd's -1e-8 * ||H||
+        # tolerance passes small negative eigenvalues, so on the scaled and
+        # weakly coupled variants it can say True beside a witness; there
+        # only the rule is checked.
+        dense_agrees = variant not in {
+            "features scaled by 1e6", "features scaled by 1e-6", "coupling near the threshold",
+        }
+        tolerance_hides_a_witness = False
         for _ in range(40):
             data = psd_instance(rng, variant)
+            zero = not np.any(data.unlabeled_features)
             for lam in 0.0, 0.5, 1.0:
+                try:
+                    witness = find_witness(data, HessianKind.RESPONSIBILITY_BASED, lam)
+                except NoWitnessError:
+                    witness = None
+                assert (witness is None) == zero
                 for kind in HessianKind.LABEL_BASED, HessianKind.RESPONSIBILITY_BASED:
                     H = build_hessian(data, kind, lam).matrix
-                    expected = (is_psd(H), float(np.min(np.diag(H))))
-                    assert diagnostics._psd_verdict(data, kind, lam) == expected
-                    verdicts.add((kind, expected[0]))
+                    psd, min_diagonal = diagnostics._psd_verdict(data, kind, lam)
+                    responsibility = kind == HessianKind.RESPONSIBILITY_BASED
+                    assert type(psd) is bool
+                    assert psd == (responsibility and zero)
+                    assert min_diagonal == (0.0 if responsibility else -2.0)
+                    assert min_diagonal == float(np.min(np.diag(H)))
+                    if responsibility and witness is not None:
+                        assert witness.quadratic_form_value < 0.0 and not psd
+                    if dense_agrees:
+                        assert psd == is_psd(H)
+                    else:
+                        tolerance_hides_a_witness |= is_psd(H) and not psd
         if variant == "coupling near the threshold":
-            assert (HessianKind.RESPONSIBILITY_BASED, True) in verdicts
-            assert (HessianKind.RESPONSIBILITY_BASED, False) in verdicts
+            assert tolerance_hides_a_witness
 
     def test_memory_is_linear_in_unlabeled_count(self, rng):
         # At d = 3 and U = 20,000 the dense matrix alone would take 3.2 GB.
@@ -318,7 +341,28 @@ class TestFindWitness:
                 find_witness(data, HessianKind.RESPONSIBILITY_BASED)
             if scale > 1e100:
                 with pytest.raises(DegenerateInputError, match="weight block overflows"):
-                    diagnostics._psd_verdict(data, HessianKind.LABEL_BASED)
+                    build_hessian(data, HessianKind.LABEL_BASED)
+
+    @pytest.mark.parametrize("unlabeled, flow", [
+        ([[1e-170], [2e-170]], "underflows"),
+        ([[0.0], [1e-170]], "underflows"),
+        ([[1e-120], [2e-120]], "underflows"),
+        ([[1e80], [2e80]], "overflows"),
+    ])
+    def test_nonzero_features_out_of_range_are_refused(self, unlabeled, flow):
+        # Nonzero unlabeled features always have a witness in exact
+        # arithmetic, and the verdict says so. When its value leaves double
+        # range, that is refused by name: not read as "all zero" (the
+        # squared row norms underflow at 1e-170), and not called an overflow
+        # at 1e-120, where the form divides by an underflowed |X_u z1|^2.
+        data = Dataset([[1.0], [2.0], [3.0]], [0.0, 1.0, 1.0], unlabeled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diagnostics._psd_verdict(data, HessianKind.RESPONSIBILITY_BASED) == (
+                False, 0.0
+            )
+            with pytest.raises(DegenerateInputError, match=f"witness {flow}"):
+                find_witness(data, HessianKind.RESPONSIBILITY_BASED)
 
     def test_zero_unlabeled_features_have_no_witness(self):
         data = Dataset([[1.0], [2.0]], [0.0, 1.0], [[0.0], [0.0]])
