@@ -8,6 +8,14 @@ the seed and the input files. Every experiment runs in one thread; the
 --threads flag is still accepted and ignored. Every CSV file is written
 by ``datagen``'s one writer, the one ``save_csv`` uses.
 
+Importing this module loads ``errors``, ``model``, ``datagen`` and
+``selflearn``, which every fitting subcommand uses. The rest is imported
+by the subcommands that run it: ``diagnose`` imports ``diagnostics``;
+``basin``, ``local-optima``, ``learning-curve`` and ``fit --test`` import
+``experiments``; and ``_sha256`` imports ``hashlib`` when a manifest
+records an input's digest. So ``generate`` and a plain ``fit`` load
+neither ``diagnostics`` nor ``experiments``.
+
 Exit codes: 0 success, 2 usage / invalid input, 3 file parse or schema
 errors, 4 capacity limits (an allocation the machine refuses included),
 5 numerical or degenerate-input errors.
@@ -17,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 from pathlib import Path
 
@@ -33,13 +40,6 @@ from .datagen import (
     load_csv,
     save_csv,
 )
-from .diagnostics import (
-    ENUMERATION_CAP,
-    HessianKind,
-    _psd_verdict,
-    brute_force_hard_minimum,
-    find_witness,
-)
 from .errors import (
     CapacityError,
     DegenerateInputError,
@@ -49,16 +49,6 @@ from .errors import (
     NoWitnessError,
     ParseError,
     SchemaError,
-)
-from .experiments import (
-    METHODS,
-    SOLVERS,
-    _mean_and_std_error,
-    evaluate_error,
-    random_init_near_supervised,
-    run_basin_study,
-    run_learning_curve,
-    run_local_optima_study,
 )
 from .model import _check_lam, label_objective, ridge_solve, supervised_objective
 from .selflearn import SolverConfig, StopReason, fit_hard, fit_soft, update_weights
@@ -84,6 +74,8 @@ MANIFEST_FORMAT = "sslsq-manifest-v1"
 
 
 def _sha256(path):
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):
@@ -273,6 +265,8 @@ def cmd_fit(args):
     print(f"final_objective = {_fmt(objective)}")
     print("weights = " + ",".join(_fmt(w) for w in weights))
     if test is not None:
+        from .experiments import evaluate_error
+
         print(f"test_error = {_fmt(evaluate_error(weights, *test))}")
 
     if args.trace:
@@ -287,6 +281,14 @@ def cmd_fit(args):
 
 
 def cmd_diagnose(args):
+    from .diagnostics import (
+        ENUMERATION_CAP,
+        HessianKind,
+        _psd_verdict,
+        brute_force_hard_minimum,
+        find_witness,
+    )
+
     # Every verdict and witness is computed, or refused, before the first
     # line is printed, not halfway through the report.
     lam = _check_lam(args.lam)
@@ -330,6 +332,8 @@ def _basin_test_set(args, data, truth):
 
 
 def cmd_basin(args):
+    from .experiments import random_init_near_supervised, run_basin_study
+
     _check_outputs(
         _experiment_outputs(args.out) + [("--paths", args.paths)], _input_files(args).items()
     )
@@ -401,6 +405,8 @@ def cmd_basin(args):
 
 
 def cmd_local_optima(args):
+    from .experiments import SOLVERS, _mean_and_std_error, run_local_optima_study
+
     # A dataset is named by its file's stem, so two files may not share one,
     # and the stem is a report field, which the writer never quotes.
     paths = {}
@@ -480,6 +486,8 @@ def _parse_u_values(text):
 
 
 def cmd_learning_curve(args):
+    from .experiments import METHODS, run_learning_curve
+
     u_values = _parse_u_values(args.u_values)
     _check_outputs(_experiment_outputs(args.out), _input_files(args).items())
     data, _ = load_csv(args.data, intercept=not args.no_intercept)

@@ -18,9 +18,7 @@ every report, trace and path file of the command line go through it.
 
 from __future__ import annotations
 
-import csv
 import enum
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -273,6 +271,8 @@ def _csv_rows(text, rows=None):
     a ``ParseError`` at that record's row; the rows before it are in
     ``rows`` by then.
     """
+    import csv
+
     rows = [] if rows is None else rows
     try:
         rows.extend(csv.reader(io.StringIO(text, newline="")))
@@ -312,6 +312,14 @@ def _decode(data):
     raise error
 
 
+# A plain file's raw bytes are checked, and its body split and parsed,
+# this many bytes or characters at a time, so no scratch as long as the
+# file is made, and one chunk's fields, not the whole file's, are held as
+# Python strings at once: about 60 bytes each. Loading a 200k-row 2-D file
+# (8.8 MB) peaked at 21.7 MB traced this way against 89.0 MB split whole,
+# and took no longer.
+_CHUNK_CHARS = 1 << 16
+
 # The deletion table of ``_plain_layout``: every byte but a comma and a newline.
 _NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
 
@@ -322,19 +330,27 @@ def _plain_layout(data, width):
     That holds when the file has no quote, carriage return or NUL byte and
     every line, the last one included, holds exactly ``width - 1`` commas
     (so, with ``width >= 2``, no line is blank). The check runs on the raw
-    bytes, which no multi-byte UTF-8 sequence can fool: it drops every
-    byte but commas and newlines, and the rest must be ``width - 1``
-    commas and a newline, once per line.
+    bytes, which no multi-byte UTF-8 sequence can fool, a ``_CHUNK_CHARS``
+    block at a time: it drops every byte but commas and newlines, and the
+    rest must follow the line pattern of ``width - 1`` commas and a newline,
+    each block from the place in a line where the one before it stopped.
+    The file must stop at the end of a line, or just before its newline
+    when it has no final one.
     """
     if width < 2:
         return False
     if b'"' in data or b"\r" in data or b"\0" in data:
         return False
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    line = b"," * (width - 1) + b"\n"
-    marks = data.translate(None, _NOT_COMMA_OR_NEWLINE)
-    return marks == line * marks.count(b"\n")
+    block = _CHUNK_CHARS
+    # Long enough that a block's marks, from any place in a line, are a slice of it.
+    pattern = (b"," * (width - 1) + b"\n") * (block // width + 2)
+    place = 0
+    for start in range(0, len(data), block):
+        marks = data[start : start + block].translate(None, _NOT_COMMA_OR_NEWLINE)
+        if not pattern.startswith(marks, place):
+            return False
+        place = (place + len(marks)) % width
+    return place == (0 if data.endswith(b"\n") else width - 1)
 
 
 def _columnar(columns, feature_indices, label_index, truth_index):
@@ -365,14 +381,6 @@ def _columnar(columns, feature_indices, label_index, truth_index):
     except SchemaError:
         return None
     return features, labels, np.fromiter(map(truth_of.__getitem__, hidden), float, len(hidden))
-
-
-# A plain file's body is split and parsed this many characters at a time,
-# cut at the next line end, so one chunk's fields, not the whole file's,
-# are held as Python strings at once: about 60 bytes each. Loading a
-# 200k-row 2-D file (8.8 MB) peaked at 26.3 MB traced this way against
-# 89.0 MB split whole, and took no longer.
-_CHUNK_CHARS = 1 << 16
 
 
 def _plain_fields(lines, width):
@@ -544,6 +552,8 @@ class Split:
 
 
 def _hash_partition(*index_arrays):
+    import hashlib
+
     digest = hashlib.sha256()
     for indices in index_arrays:
         digest.update(np.asarray(indices, dtype=np.int64).tobytes())

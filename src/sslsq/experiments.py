@@ -20,6 +20,7 @@ the chunks change the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +306,11 @@ def _mean_and_std_error(values):
     return mean, values.std(axis=-1, ddof=1) / np.sqrt(count)
 
 
+def _one_nan(value):
+    """``value``, or the shared ``math.nan`` when it is NaN."""
+    return math.nan if math.isnan(value) else value
+
+
 @dataclass(frozen=True)
 class LearningCurveAggregate:
     """One unlabeled count's and method's entry of ``LearningCurveReport.aggregates``."""
@@ -339,9 +345,14 @@ class LearningCurveReport:
 
     @property
     def aggregates(self):
-        """One ``LearningCurveAggregate`` per count and method, built from the arrays."""
+        """One ``LearningCurveAggregate`` per count and method, built from the arrays.
+
+        Every NaN entry is the one ``math.nan`` object, so the aggregates of
+        two equal reports compare equal: equality takes an object as equal
+        to itself, where two NaN floats are never equal.
+        """
         return [
-            LearningCurveAggregate(u, method, mean, std_error, used)
+            LearningCurveAggregate(u, method, _one_nan(mean), _one_nan(std_error), used)
             for u, *rows in zip(self.u_values, self.mean_errors.tolist(),
                                 self.std_errors.tolist(), self.repeats_used.tolist())
             for method, mean, std_error, used in zip(METHODS, *rows)

@@ -28,6 +28,7 @@ from sslsq import (
     derive_rng,
     diagnostics,
     evaluate_error,
+    experiments,
     fit_starts,
     is_psd,
     load_csv,
@@ -690,7 +691,7 @@ class TestBasin:
         path = write_cluster_data(tmp_path, unlabeled=40)
         data, truth = load_csv(path)
         starts = duplicating(random_init_near_supervised)
-        monkeypatch.setattr(cli, "random_init_near_supervised", starts)
+        monkeypatch.setattr(experiments, "random_init_near_supervised", starts)
         out = tmp_path / "b.csv"
         assert run_cli(["basin", "--data", str(path), "--method", method, "--starts", "3",
                         "--seed", "4", "--out", str(out)]) == EXIT_OK
@@ -708,7 +709,7 @@ class TestBasin:
         path = write_cluster_data(tmp_path, unlabeled=40)
         data, truth = load_csv(path)
         starts = duplicating(random_init_near_supervised)
-        study = cli.run_basin_study
+        study = experiments.run_basin_study
 
         def nudged(*args, **kwargs):
             result = study(*args, **kwargs)
@@ -720,8 +721,8 @@ class TestBasin:
                 seen.add(key)
             return result
 
-        monkeypatch.setattr(cli, "random_init_near_supervised", starts)
-        monkeypatch.setattr(cli, "run_basin_study", nudged)
+        monkeypatch.setattr(experiments, "random_init_near_supervised", starts)
+        monkeypatch.setattr(experiments, "run_basin_study", nudged)
         out = tmp_path / "b.csv"
         assert run_cli(["basin", "--data", str(path), "--method", method, "--starts", "3",
                         "--seed", "4", "--out", str(out)]) == EXIT_OK

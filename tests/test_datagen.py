@@ -308,6 +308,8 @@ LOADER_CASES = [
     ("two-errors", b"x0,label\n1.0,0\n2.0,7\n3.0,\nabc,1\n", {}),
     # Short then long: the field total is right and, shifted, every field parses.
     ("ragged-counts-cancel", b"x0,x1,label\n1.0,2.0,0\n3.0,1\n1,5.0,1,0\n", {}),
+    ("short-line", b"x0,label\n1.0\n2.0,1\n", {}),
+    ("short-last-line-without-newline", b"x0,x1,label\n1.25,-2.5,0\n3.0,4.0", {}),
     # Dialects the format no longer has: each header lacks a "label" field.
     ("semicolon-and-na", b"x0;label\n1.5;0\n2.5;NA\n3.5;1\n", {}),
     ("tab-delimiter", b"x0\tx1\tlabel\n1.0\t2.0\t0\n3.0\t4.0\t\n5.0\t6.0\t1\n", {}),
@@ -538,6 +540,67 @@ class TestColumnarLoad:
             load_csv(path)
         assert (excinfo.value.row, excinfo.value.column) == (row, column)
         assert str(excinfo.value).startswith(f"row {row}" if row else "header")
+
+
+def whole_file_layout(data, width):
+    """``_plain_layout``'s rule on the whole file at once: every line holds
+    ``width - 1`` commas, the last one with or without a newline."""
+    if width < 2 or any(mark in data for mark in (b'"', b"\r", b"\0")):
+        return False
+    marks = re.sub(rb"[^,\n]", b"", data if data.endswith(b"\n") else data + b"\n")
+    return marks == (b"," * (width - 1) + b"\n") * marks.count(b"\n")
+
+
+# (id, file bytes, plain). Blocks of 5 bytes cut the lines of each short
+# file; with 9-byte blocks the header "x0,label\n" is the first block. The
+# long files span many blocks, and their bad line is in a late one.
+PLAIN_LAYOUT_CASES = [
+    ("line-across-blocks", b"x0,x1,label\n1.25,-2.5,0\n3.0,4.0,\n", True),
+    ("short-line-in-second-block", b"x0,label\n1.0\n2.0,1\n", False),
+    ("extra-comma-in-second-block", b"x0,label\n1.0,0\n2,0,1\n", False),
+    ("no-final-newline", b"x0,x1,label\n1.25,-2.5,0\n3.0,4.0,", True),
+    ("short-last-line-without-newline", b"x0,x1,label\n1.25,-2.5,0\n3.0,4.0", False),
+    ("blank-last-line", b"x0,label\n1.0,0\n\n", False),
+    ("header-only-without-newline", b"x0,label", True),
+    ("quote-in-second-block", b'x0,label\n1.0,0\n"2.0",1\n', False),
+    ("long", _long_plain(), True),
+    ("long-without-final-newline", _long_plain(final_newline=False), True),
+    ("long-extra-comma-late", _long_plain(b"1.0,2.0,,1,"), False),
+]
+
+
+class TestPlainLayout:
+    """``_plain_layout`` checks a file a block at a time, as one pass over it would."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 9, 1 << 16])
+    @pytest.mark.parametrize(
+        "content, plain",
+        [case[1:] for case in PLAIN_LAYOUT_CASES],
+        ids=[case[0] for case in PLAIN_LAYOUT_CASES],
+    )
+    def test_blocks_give_the_whole_file_verdict(self, monkeypatch, content, plain, chunk):
+        monkeypatch.setattr(datagen, "_CHUNK_CHARS", chunk)
+        width = content.split(b"\n")[0].count(b",") + 1
+        assert datagen._plain_layout(content, width) is plain
+        assert whole_file_layout(content, width) is plain
+
+    @pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no-newline"])
+    def test_check_makes_no_file_sized_scratch(self, final_newline):
+        # A 2.4 MB file, checked in 64 KiB blocks: a block, its marks and
+        # the line pattern, about 0.2 MB, where the whole-file check made a
+        # copy as long as the file.
+        content = b"x0,label\n" + b"1.0,0\n" * 400_000
+        if not final_newline:
+            content = content[:-1]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plain = datagen._plain_layout(content, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert plain is True
+        assert peak < 4 * datagen._CHUNK_CHARS < len(content) // 8
 
 
 class TestSplitForLocalOptima:

@@ -963,16 +963,24 @@ class TestLearningCurve:
             run_learning_curve(self.pool(), 8, [], repeats=3)
 
     def test_reports_are_reproducible(self):
-        # The u = 112 slice has no test rows, so its means are NaN, which
-        # assert_array_equal and repr treat as equal and == does not.
-        a = run_learning_curve(self.pool(), 8, [2, 8, 112], repeats=2, seed=7)
-        b = run_learning_curve(self.pool(), 8, [2, 8, 112], repeats=2, seed=7)
-        np.testing.assert_array_equal(a.errors, b.errors)
-        assert (a.u_values, a.test_sizes, a.partition_hashes) == (
-            b.u_values, b.test_sizes, b.partition_hashes)
-        for name in ("mean_errors", "std_errors", "repeats_used"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert list(map(repr, a.aggregates)) == list(map(repr, b.aggregates))
+        # u = 112 of the 120-row pool and u = 34 of a 40-row pool with 6
+        # labeled rows leave no test rows, so their aggregates are NaN.
+        for pool, labeled, u_values, repeats in [
+            (self.pool(), 8, [2, 8, 112], 2),
+            (fully_labeled_pool(40, 1), 6, [0, 4, 34], 3),
+        ]:
+            a = run_learning_curve(pool, labeled, u_values, repeats=repeats, seed=7)
+            b = run_learning_curve(pool, labeled, u_values, repeats=repeats, seed=7)
+            np.testing.assert_array_equal(a.errors, b.errors)
+            assert (a.u_values, a.test_sizes, a.partition_hashes) == (
+                b.u_values, b.test_sizes, b.partition_hashes)
+            for name in ("mean_errors", "std_errors", "repeats_used"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert list(map(repr, a.aggregates)) == list(map(repr, b.aggregates))
+            # Every NaN aggregate is one shared object, so == holds on all
+            # of them, the counts with no test rows included.
+            assert any(np.isnan(entry.mean_error) for entry in a.aggregates)
+            assert a.aggregates == b.aggregates
 
 
 REPORT_RUNNERS = {
