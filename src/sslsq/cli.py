@@ -12,9 +12,8 @@ Importing this module loads ``errors``, ``model``, ``datagen`` and
 ``selflearn``, which every fitting subcommand uses. The rest is imported
 by the subcommands that run it: ``diagnose`` imports ``diagnostics``;
 ``basin``, ``local-optima``, ``learning-curve`` and ``fit --test`` import
-``experiments``; and ``_sha256`` imports ``hashlib`` when a manifest
-records an input's digest. So ``generate`` and a plain ``fit`` load
-neither ``diagnostics`` nor ``experiments``.
+``experiments``. So ``generate`` and a plain ``fit`` load neither
+``diagnostics`` nor ``experiments``.
 
 Exit codes: 0 success, 2 usage / invalid input, 3 file parse or schema
 errors, 4 capacity limits (an allocation the machine refuses included),
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import sys
 from pathlib import Path
 
@@ -74,8 +74,6 @@ MANIFEST_FORMAT = "sslsq-manifest-v1"
 
 
 def _sha256(path):
-    import hashlib
-
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):

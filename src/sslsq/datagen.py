@@ -19,6 +19,7 @@ every report, trace and path file of the command line go through it.
 from __future__ import annotations
 
 import enum
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -552,8 +553,6 @@ class Split:
 
 
 def _hash_partition(*index_arrays):
-    import hashlib
-
     digest = hashlib.sha256()
     for indices in index_arrays:
         digest.update(np.asarray(indices, dtype=np.int64).tobytes())

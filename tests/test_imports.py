@@ -20,21 +20,22 @@ CLI_MODULES = ["sslsq", "sslsq.cli", "sslsq.datagen", "sslsq.errors", "sslsq.mod
 
 def imported_by(statement, setup=""):
     """The ``sslsq`` modules loaded after ``setup`` and ``statement`` in a fresh
-    interpreter, and which of ``csv``, ``_hashlib`` and ``numpy`` the
-    statement loaded that the interpreter and ``setup`` had not."""
+    interpreter, and which of ``csv`` and ``numpy`` the statement loaded
+    that the interpreter and ``setup`` had not."""
     code = "\n".join([
         "import sys",
         setup,
         "before = set(sys.modules)",
         statement,
         "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'sslsq')))",
-        "print(','.join(m for m in ('csv', '_hashlib', 'numpy')"
+        "print(','.join(m for m in ('csv', 'numpy')"
         " if m in sys.modules and m not in before))",
     ])
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
-    package, others = done.stdout.splitlines()
+    # The statement may print first; the last two lines are the report.
+    package, others = done.stdout.splitlines()[-2:]
     return package.split(","), others.split(",") if others else []
 
 
@@ -42,6 +43,18 @@ def test_cli_import_loads_only_what_every_fit_needs():
     # numpy and the standard modules the command line needs come first, so
     # only what sslsq itself imports is counted.
     package, others = imported_by("import sslsq.cli", "import argparse, numpy, pathlib")
+    assert package == CLI_MODULES
+    assert others == []
+
+
+def test_version_runs_no_subcommand_import():
+    package, others = imported_by(
+        "from sslsq.cli import main\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass",
+        "import argparse, numpy, pathlib")
     assert package == CLI_MODULES
     assert others == []
 
