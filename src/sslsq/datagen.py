@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import Dataset, _check_binary, _check_count
+from .model import Dataset, _check_binary, _check_count, _check_positive
 
 __all__ = [
     "Split",
@@ -92,7 +92,8 @@ class SyntheticSpec:
     Class centers sit at ``-separation/2`` and ``+separation/2`` on the
     first axis with isotropic Gaussian noise. Defaults reproduce the
     standard small demonstration problem: 2 labeled points per class and
-    396 unlabeled points.
+    396 unlabeled points. The separation and the noise's standard
+    deviation must be positive and finite.
     """
 
     kind: SyntheticKind = SyntheticKind.TWO_CLUSTER_1D
@@ -109,10 +110,8 @@ class SyntheticSpec:
         _check_count(self.labeled_per_class, "labeled_per_class", minimum=1)
         if _check_count(self.unlabeled_total, "unlabeled_total") < 0:
             raise InvalidInputError("unlabeled_total must be nonnegative")
-        if not self.class_separation > 0.0:
-            raise InvalidInputError("class_separation must be positive")
-        if not self.noise_sd > 0.0:
-            raise InvalidInputError("noise_sd must be positive")
+        _check_positive(self.class_separation, "class_separation")
+        _check_positive(self.noise_sd, "noise_sd")
         _check_seed(self.seed)
 
 
@@ -123,7 +122,9 @@ def generate(spec):
     """Draw a dataset from the spec; returns ``(dataset, unlabeled_truth)``.
 
     The true class of every unlabeled point is returned separately and is
-    never part of the dataset itself, so solvers cannot see it.
+    never part of the dataset itself, so solvers cannot see it. A draw
+    that overflows raises ``InvalidInputError`` naming the spec's
+    ``noise_sd`` (and ``class_separation`` when only their sum overflows).
     """
     dim = _KIND_DIMS[spec.kind]
     rng = derive_rng(spec.seed)
@@ -132,13 +133,22 @@ def generate(spec):
     def draw(count, positive):
         center = np.zeros(dim)
         center[0] = offset if positive else -offset
-        return center + spec.noise_sd * rng.standard_normal((count, dim))
+        noise = spec.noise_sd * rng.standard_normal((count, dim))
+        if not np.all(np.isfinite(noise)):
+            raise InvalidInputError(f"noise_sd {spec.noise_sd!r} overflows the noise draw")
+        return center + noise
 
     per_class = spec.labeled_per_class
     n_positive = spec.unlabeled_total // 2
     n_negative = spec.unlabeled_total - n_positive
     draws = [(per_class, False), (per_class, True), (n_negative, False), (n_positive, True)]
-    features = np.vstack([draw(count, positive) for count, positive in draws])
+    with np.errstate(over="ignore"):
+        features = np.vstack([draw(count, positive) for count, positive in draws])
+    if not np.all(np.isfinite(features)):
+        raise InvalidInputError(
+            f"class_separation {spec.class_separation!r} with noise_sd {spec.noise_sd!r}"
+            " overflows the draw"
+        )
     if spec.intercept:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
     labels = np.concatenate([np.zeros(per_class), np.ones(per_class)])
@@ -317,7 +327,7 @@ def _decode(data):
 # this many bytes or characters at a time, so no scratch as long as the
 # file is made, and one chunk's fields, not the whole file's, are held as
 # Python strings at once: about 60 bytes each. Loading a 200k-row 2-D file
-# (8.8 MB) peaked at 21.7 MB traced this way against 89.0 MB split whole,
+# (8.8 MB) peaked at 21.6 MB traced this way against 89.0 MB split whole,
 # and took no longer.
 _CHUNK_CHARS = 1 << 16
 

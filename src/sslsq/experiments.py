@@ -44,6 +44,7 @@ from .model import (
     _check_count,
     _check_decision_inputs,
     _check_lam,
+    _check_positive,
     classify,
     ridge_solve,
 )
@@ -102,24 +103,23 @@ def _check_test_set(test_features, test_labels, w):
     return test_features, w, test_labels
 
 
-def _check_scale(scale):
-    """The one rule for a restart cloud's scale: positive and finite."""
-    if not 0.0 < scale < np.inf:
-        raise InvalidInputError("scale must be positive and finite")
-
-
 def random_init_near_supervised(data, lam, count, scale=1.0, seed=0):
     """Gaussian perturbations of the supervised solution, one per row.
 
     The per-coordinate standard deviation is ``scale * max(1, |w_sup|_2)``
-    so the cloud stays proportionate to the solution it surrounds.
+    so the cloud stays proportionate to the solution it surrounds. A
+    cloud that overflows raises ``InvalidInputError`` naming ``scale``.
     """
     count = _check_count(count, "count", minimum=1)
-    _check_scale(scale)
+    _check_positive(scale, "scale")
     w_sup = ridge_solve(data.labeled_features, data.labels, lam)
     sd = scale * max(1.0, float(np.linalg.norm(w_sup)))
     rng = derive_rng(seed)
-    return w_sup + sd * rng.standard_normal((count, w_sup.size))
+    with np.errstate(over="ignore"):
+        starts = w_sup + sd * rng.standard_normal((count, w_sup.size))
+    if not np.all(np.isfinite(starts)):
+        raise InvalidInputError(f"scale {scale!r} overflows the restart cloud")
+    return starts
 
 
 def count_unique_optima(finals):
@@ -270,7 +270,7 @@ def run_local_optima_study(
     restarts = _check_count(restarts, "restarts", minimum=1)
     seed = _check_seed(seed)
     lam = _check_lam(lam)
-    _check_scale(scale)
+    _check_positive(scale, "scale")
     names, supervised_errors, test_errors, unique_optima, skipped = [], [], [], [], []
     for position, (name, data) in enumerate(datasets.items()):
         try:

@@ -55,6 +55,12 @@ def _check_lam(lam):
     return lam
 
 
+def _check_positive(value, name):
+    """Raise unless ``value`` is positive and finite; a NaN fails too."""
+    if not 0.0 < value < np.inf:
+        raise InvalidInputError(f"{name} must be positive and finite")
+
+
 def _check_binary(values, name):
     """Raise unless every entry of the float array ``values`` is exactly 0 or 1."""
     if np.any((values != 0.0) & (values != 1.0)):

@@ -67,8 +67,10 @@ class SolverConfig:
     """Iteration budget and stopping rule.
 
     The soft solver stops on a relative objective decrease below
-    ``objective_tolerance``; the hard solver stops on exact label
-    stability. Either stops at ``max_iterations`` rounds.
+    ``objective_tolerance``, the hard solver when a round's weights would
+    impute the labels they were fitted on; each tests after every round,
+    the last allowed one too. A fit still working after
+    ``max_iterations`` rounds stops with MAX_ITERATIONS.
     """
 
     max_iterations: int = 1000
@@ -221,20 +223,23 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     labels of all working starts from their decision values, re-fits
     their weights with one product with the ridge operator, and takes
     their objectives and next decision values from one product with the
-    design. A start leaves the block, with its rows of any per-start
-    stack, in the round it stops: on stable labels (hard), on the
-    relative objective decrease (soft) or at ``max_iterations``. With
-    no unlabeled rows (N == L), round 0 is the supervised fit, and every
-    start leaves after it with the solver's converged stop reason, even
-    at ``max_iterations=1``. Returns the ``_Finals`` of the starts, in
-    order. Nothing is kept per round unless ``path`` is a list: it then
-    receives the working block of every round a trace keeps as (round,
-    start ids, weights, objectives), which ``_start_results`` splits into
-    traces. Past ``_TRACE_LIMIT`` rounds only every tenth round is kept,
-    and the starts still working then drop their earlier rounds that are
-    not multiples of 10, so a run's path holds at most about
-    ``_TRACE_LIMIT`` rounds while it runs. A start's last round, if not
-    kept, is in the ``_Finals``.
+    design. Each round ends in one stop test, and a start leaves the
+    block, with its rows of any per-start stack, in the round it passes
+    it: the next round would impute the labels this one did (hard), or
+    the relative objective decrease is within ``objective_tolerance``
+    (soft). A start that passes it in round ``max_iterations - 1`` stops
+    with its converged reason like any other; the starts still working
+    after that round stop at the cap. With no unlabeled rows (N == L),
+    round 0 is the supervised fit, and every start passes the test after
+    it. Returns the ``_Finals`` of the starts, in order. Nothing is kept
+    per round unless ``path`` is a list: it then receives the working
+    block of every round a trace keeps as (round, start ids, weights,
+    objectives), which ``_start_results`` splits into traces. Past
+    ``_TRACE_LIMIT`` rounds only every tenth round is kept, and the starts
+    still working then drop their earlier rounds that are not multiples
+    of 10, so a run's path holds at most about ``_TRACE_LIMIT`` rounds
+    while it runs. A start's last round, if not kept, is in the
+    ``_Finals``.
 
     The rounds write into buffers allocated once per block: the (S, N)
     targets, whose first L columns hold the known labels, fitted values
@@ -250,7 +255,6 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     does not depend on the starts it runs with.
     """
     n_labeled = known.shape[-1]
-    settled = design.shape[-2] == n_labeled  # no unlabeled rows
     per_start = design.ndim == 3
     tolerance = config.objective_tolerance
     count = len(starts)
@@ -275,6 +279,8 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     labels = scores = targets3 = fitted3 = residual_row = residual_col = dots3 = None
     views()
     np.matmul(starts[:, None, :], design_t[..., n_labeled:], out=scores[:, None, :])
+    if hard:
+        np.greater(scores, 0.5, out=flags)
     finals = _Finals(
         weights=np.empty(starts.shape),
         objectives=np.empty(count),
@@ -282,6 +288,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         reasons=[None] * count,
         rounds=np.empty(count, dtype=int),
     )
+    converged = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
     W = values = previous = None
 
     def leave(mask, reason, rounds_run):
@@ -294,34 +301,8 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         for i in ids.tolist():
             finals.reasons[i] = reason
 
-    def shrink(keep):
-        nonlocal active, solve, design, operator_t, design_t
-        nonlocal targets, fitted, residual, flags, dots
-        active = active[keep]
-        if per_start:
-            # Transpose after the copy, so each slice keeps the strides,
-            # and with them the BLAS call, of a lone fit's operator.
-            solve, design = solve[keep], design[keep]
-            operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
-        # Move the kept rows to the front; fancy indexing copies first.
-        n = active.size
-        targets[:n], fitted[:n], flags[:n] = targets[keep], fitted[keep], flags[keep]
-        targets, fitted, residual, flags, dots = (
-            targets[:n], fitted[:n], residual[:n], flags[:n], dots[:n]
-        )
-        views()
-
     for iteration in range(config.max_iterations):
         if hard:
-            np.greater(scores, 0.5, out=flags)
-            if iteration:
-                stable = (flags == labels).all(axis=1)
-                stopped = np.count_nonzero(stable)
-                if stopped:
-                    leave(stable, StopReason.LABELS_STABLE, iteration)
-                    if stopped == active.size:
-                        break
-                    shrink(~stable)
             np.copyto(labels, flags)
         else:
             scores.clip(0.0, 1.0, out=labels)
@@ -337,30 +318,44 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
             # The squared objective; adding 0 * ||W||^2 would not change a bit.
             np.matmul(residual_row, residual_col, out=dots3)
             values = dots + lam * _row_dots(W) if lam else dots
-        # Python floats: a trace stores them, and on a one-start block
-        # the stop test costs less in Python than in numpy calls.
+        # Python floats: a trace stores them, and on one-start blocks, which
+        # every large fit runs, the stop test costs less on lists than in numpy.
         values = values.tolist()
         if path is not None:
             if iteration == _TRACE_LIMIT:
                 _thin_path(path, active)
             if iteration < _TRACE_LIMIT or iteration % 10 == 0:
                 path.append((iteration, active, W, values))
-        if settled:
-            reason = StopReason.LABELS_STABLE if hard else StopReason.OBJECTIVE_TOLERANCE
-            leave(np.ones(active.size, dtype=bool), reason, 1)
-            break
-        if not hard and previous is not None:
+        # The one stop test: the next round's labels would repeat this
+        # round's (hard), or the objective's relative decrease is within
+        # tolerance (soft). With no unlabeled rows round 0 passes it.
+        if hard:
+            np.greater(scores, 0.5, out=flags)
+            done = (flags == labels).all(axis=1).tolist()
+        elif previous is None:
+            done = [n_unlabeled == 0] * active.size
+        else:
             done = [p - v <= tolerance * (1.0 + abs(p)) for p, v in zip(previous, values)]
-            stopped = done.count(True)
-            if stopped:
-                done = np.array(done)
-                leave(done, StopReason.OBJECTIVE_TOLERANCE, iteration + 1)
-                if stopped == active.size:
-                    break
-                keep = ~done
-                shrink(keep)
-                W = W[keep]
-                values = list(compress(values, keep))
+        stopped = done.count(True)
+        if stopped:
+            done = np.array(done)
+            leave(done, converged, iteration + 1)
+            if stopped == active.size:
+                break
+            keep = ~done
+            active, W, values = active[keep], W[keep], list(compress(values, keep))
+            if per_start:
+                # Transpose after the copy, so each slice keeps the strides,
+                # and with them the BLAS call, of a lone fit's operator.
+                solve, design = solve[keep], design[keep]
+                operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
+            # Move the kept rows to the front; fancy indexing copies first.
+            n = active.size
+            targets[:n], fitted[:n], flags[:n] = targets[keep], fitted[keep], flags[keep]
+            targets, fitted, residual, flags, dots = (
+                targets[:n], fitted[:n], residual[:n], flags[:n], dots[:n]
+            )
+            views()
         previous = values
     else:  # the round cap stops every start still working
         leave(np.ones(active.size, dtype=bool), StopReason.MAX_ITERATIONS, config.max_iterations)
@@ -465,8 +460,9 @@ def fit_hard(data, lam=0.0, config=SolverConfig()):
 
     Starts from the supervised solution. Every round assigns 0/1
     responsibilities by thresholding decision values at 0.5, then re-fits
-    the weights on them as class targets. Stops when the responsibilities
-    repeat exactly; equal-objective cycles are cut off by
+    the weights on them as class targets. Stops with LABELS_STABLE after
+    a round whose weights would assign the same responsibilities again,
+    the last allowed round too; equal-objective cycles are cut off by
     ``max_iterations`` with stop reason MAX_ITERATIONS. With no unlabeled
     rows it runs one round, the supervised fit, and stops with
     LABELS_STABLE.

@@ -218,6 +218,26 @@ class TestGenerate:
         assert "subcommand = generate" in manifest
         assert "seed = 7" in manifest
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise-sd", "inf", "noise_sd must be positive and finite"),
+        ("--separation", "inf", "class_separation must be positive and finite"),
+        ("--noise-sd", "1e308", "noise_sd 1e+308 overflows the noise draw"),
+    ])
+    def test_out_of_range_scale_is_refused_by_name(self, tmp_path, capsys, flag, value,
+                                                   message):
+        # Refused with the flag's parameter named, with no numpy warning,
+        # before any file is written.
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["generate", flag, value, "--out", str(tmp_path / "g.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert snapshot(tmp_path) == before
+
 
 def assert_test_refused(code, capsys, error, directory, before):
     """A ``--test`` file refused with exit 2 and ``error``, before any fit
@@ -343,6 +363,32 @@ class TestFit:
         capsys.readouterr()
         code = run_cli(["fit", "--data", str(data), "--method", "soft", "--test", ""])
         assert_empty_test_path_refused(code, capsys, tmp_path, before)
+
+    @pytest.mark.parametrize("cap", [4, 5])
+    def test_hard_fit_converging_at_the_cap(self, tmp_path, capsys, monkeypatch, cap):
+        # The hard fit on these overlapping clusters stops on stable labels
+        # after 5 rounds. At a cap of 5 it reports that, as the uncapped
+        # fit does, with no warning; at 4 it stops at the cap and warns.
+        path = tmp_path / "g.csv"
+        assert run_cli(["generate", "--seed", "2", "--unlabeled", "400",
+                        "--separation", "1.0", "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["fit", "--data", str(path), "--method", "hard"]) == EXIT_OK
+        uncapped = capsys.readouterr().out
+        monkeypatch.setattr(cli, "SolverConfig", lambda: SolverConfig(max_iterations=cap))
+        assert run_cli(["fit", "--data", str(path), "--method", "hard"]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert f"iterations = {cap}" in lines
+        if cap == 5:
+            assert captured.out == uncapped
+            assert "converged = True" in lines and "stop_reason = labels-stable" in lines
+            assert captured.err == ""
+        else:
+            assert "converged = False" in lines and "stop_reason = max-iterations" in lines
+            assert captured.err == (
+                "warning: hard fit stopped at the round cap of 4 rounds before converging\n"
+            )
 
     def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
         # Soft BCD on these overlapping clusters is still descending at the
@@ -831,6 +877,22 @@ class TestBasin:
         assert code == EXIT_USAGE
         assert "scale must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_scale_is_usage_error(self, tmp_path, capsys):
+        # A finite scale whose restart cloud overflows is refused by name,
+        # with no numpy warning, before any file is written.
+        data = write_cluster_data(tmp_path, unlabeled=20)
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["basin", "--data", str(data), "--method", "soft", "--starts", "20",
+                            "--seed", "3", "--scale", "1e308", "--out", str(tmp_path / "s.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == "error: scale 1e+308 overflows the restart cloud\n"
+        assert captured.out == ""
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 2.5e16, 1.0 / 3.0, float("inf"),
                                        float("nan")])

@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ class TestGenerate:
             SyntheticSpec(noise_sd=0.0)
         with pytest.raises(InvalidInputError):
             SyntheticSpec(kind="two-cluster-1d")
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["class_separation", "noise_sd"])
+    def test_scales_must_be_positive_and_finite(self, name, value):
+        # An infinite one used to pass, and generate then drew non-finite features.
+        with pytest.raises(InvalidInputError, match=f"^{name} must be positive and finite$"):
+            SyntheticSpec(**{name: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise_sd": 1e308}, "noise_sd 1e+308 overflows the noise draw"),
+        ({"class_separation": 1.7e308, "noise_sd": 4e307},
+         "class_separation 1.7e+308 with noise_sd 4e+307 overflows the draw"),
+    ])
+    def test_overflowing_draw_is_refused_by_name(self, kwargs, message):
+        # Finite parameters whose draw overflows: no numpy warning, one
+        # error that names them.
+        spec = SyntheticSpec(**kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                generate(spec)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"labeled_per_class": 2.5}, "labeled_per_class must be an integer, not 2.5"),

@@ -200,6 +200,16 @@ class TestRandomInit:
             with pytest.raises(InvalidInputError, match="seed must fit in 64 unsigned bits"):
                 random_init_near_supervised(data, 0.0, 5, 1.0, seed=seed)
 
+    def test_overflowing_cloud_is_refused_by_name(self, rng):
+        # A finite scale whose cloud overflows: no numpy warning, one error
+        # that names the scale.
+        data = make_dataset(rng, 6, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match="^scale 1e\\+308 overflows the restart cloud$"):
+                random_init_near_supervised(data, 0.0, 20, 1e308, seed=3)
+
     @pytest.mark.parametrize("count", [2.7, 2.0, "3", None])
     def test_count_must_be_an_integer(self, rng, count):
         # Never truncated: 2.7 starts do not become 2.

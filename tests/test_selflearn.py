@@ -92,6 +92,11 @@ def supervised_fits(data, method, lam, config):
     return [lone_fit(data, method, lam, config), *fit_starts(data, starts, method, lam, config)]
 
 
+def cap_data(seed):
+    """Overlapping 1-D clusters on which ``fit_hard`` runs 2, 5 or 7 rounds (seeds 1, 2, 3)."""
+    return generate(SyntheticSpec(seed=seed, unlabeled_total=400, class_separation=1.0))[0]
+
+
 def assert_monotone(trace, context=""):
     objectives = trace.objectives
     for k in range(1, len(objectives)):
@@ -278,30 +283,39 @@ class TestFitHard:
             classify(decision_values(data.unlabeled_features, result.weights)),
         )
 
-    def test_max_iterations_backstop(self, rng):
-        data = Dataset([[1.0, 1.0], [2.0, 1.0]], [0.0, 1.0], [[0.0, 1.0], [5.0, 1.0]])
+    def test_max_iterations_backstop(self):
+        # The imputed labels still change after round 1 (the fit runs 5
+        # rounds), so a cap of one round stops it.
+        data = cap_data(2)
         result = fit_hard(data, 0.0, config=SolverConfig(max_iterations=1))
         assert not result.trace.converged
         assert result.trace.stop_reason is StopReason.MAX_ITERATIONS
         assert result.iterations == 1
+
+    def test_fixed_point_in_the_only_allowed_round_is_stable(self):
+        # Round 1 of the two-point construction is a fixed point: its
+        # weights impute the labels they were fitted on. So a cap of one
+        # round ends the fit on stable labels, with the uncapped fit's bits.
+        data = Dataset([[1.0, 1.0], [2.0, 1.0]], [0.0, 1.0], [[0.0, 1.0], [5.0, 1.0]])
+        result = fit_hard(data, 0.0, config=SolverConfig(max_iterations=1))
+        assert result.trace.converged
+        assert result.trace.stop_reason is StopReason.LABELS_STABLE
+        assert_same_fit(result, fit_hard(data, 0.0))
 
 
 def reference_descent(data, lam, config, hard):
     """The textbook BCD loop, written out of the public block functions.
 
     Returns per-round weights and objectives, the last round's imputed
-    labels and the stop reason, with the solvers' stopping rules.
+    labels and the stop reason, with the solvers' stopping rules, each
+    tested after the round's update.
     """
     w = ridge_solve(data.labeled_features, data.labels, lam)
     weights, objectives = [], []
     labels = previous_objective = None
     reason = StopReason.MAX_ITERATIONS
     for _ in range(config.max_iterations):
-        candidate = update_hard_labels(data, w) if hard else update_soft_labels(data, w)
-        if hard and labels is not None and np.array_equal(candidate, labels):
-            reason = StopReason.LABELS_STABLE
-            break
-        labels = candidate
+        labels = update_hard_labels(data, w) if hard else update_soft_labels(data, w)
         w = update_weights(data, labels, lam)
         if hard:
             value = responsibility_objective(data, w, labels, ClassEncoding(), lam)
@@ -309,6 +323,9 @@ def reference_descent(data, lam, config, hard):
             value = label_objective(data, w, labels, lam)
         weights.append(w)
         objectives.append(value)
+        if hard and np.array_equal(update_hard_labels(data, w), labels):
+            reason = StopReason.LABELS_STABLE
+            break
         if not hard and previous_objective is not None and (
             previous_objective - value <= config.objective_tolerance * (1.0 + abs(previous_objective))
         ):
@@ -388,6 +405,75 @@ class TestSupervisedStart:
             assert_same_fit(lone_fit(data, method, lam, config), expected)
 
 
+class TestStopAtTheCap:
+    """Each round ends in the stop test, the last allowed round too.
+
+    So a fit that converges in exactly ``max_iterations`` rounds reports
+    its converged reason and the uncapped fit's bits, and only a fit still
+    moving after its last allowed round stops at the cap.
+    """
+
+    @pytest.mark.parametrize("seed, rounds", [(1, 2), (2, 5), (3, 7)])
+    @pytest.mark.parametrize("entry", ["fit_hard", "fit_starts"])
+    def test_hard_fit_at_its_round_count(self, entry, seed, rounds):
+        data = cap_data(seed)
+        w_sup = ridge_solve(data.labeled_features, data.labels, 0.0)
+
+        def fit(config):
+            if entry == "fit_hard":
+                return fit_hard(data, 0.0, config)
+            return fit_starts(data, [w_sup], "hard", 0.0, config)[0]
+
+        uncapped = fit(SolverConfig())
+        assert uncapped.iterations == rounds
+        assert uncapped.trace.stop_reason is StopReason.LABELS_STABLE
+        at_cap = fit(SolverConfig(max_iterations=rounds))
+        assert at_cap.trace.converged
+        assert_same_fit(at_cap, uncapped)
+        below = fit(SolverConfig(max_iterations=rounds - 1))
+        assert not below.trace.converged
+        assert below.trace.stop_reason is StopReason.MAX_ITERATIONS
+        assert below.iterations == rounds - 1
+        np.testing.assert_array_equal(below.trace.weight_path, uncapped.trace.weight_path[:-1])
+
+    @pytest.mark.parametrize("cap", [5, 7, 9])
+    def test_block_with_starts_at_and_past_the_cap(self, cap):
+        # Eight random starts run 1-14 rounds; the 404-row design fits
+        # them in one block. At each cap one start converges in its last
+        # allowed round and others are still moving.
+        data = cap_data(2)
+        starts = 2.0 * np.random.default_rng(0).standard_normal((8, data.n_features))
+        uncapped = fit_starts(data, starts, "hard")
+        natural = [fit.iterations for fit in uncapped]
+        assert natural == [2, 1, 1, 14, 2, 9, 7, 5]
+        capped = fit_starts(data, starts, "hard", 0.0, SolverConfig(max_iterations=cap))
+        for fit, alone in zip(capped, uncapped):
+            if alone.iterations <= cap:
+                assert_same_fit(fit, alone)
+            else:
+                assert fit.trace.stop_reason is StopReason.MAX_ITERATIONS
+                assert fit.iterations == cap
+                np.testing.assert_array_equal(
+                    fit.trace.weight_path, alone.trace.weight_path[:cap]
+                )
+        reasons = [fit.trace.stop_reason for fit in capped]
+        assert reasons.count(StopReason.MAX_ITERATIONS) == sum(n > cap for n in natural)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("data", ["clusters", "u30"])
+    def test_soft_fit_at_its_round_count_is_unchanged(self, data, lam):
+        data = cap_data(2) if data == "clusters" else make_dataset(
+            np.random.default_rng(0), 8, 30, 3
+        )
+        uncapped = fit_soft(data, lam)
+        rounds = uncapped.iterations
+        assert uncapped.trace.stop_reason is StopReason.OBJECTIVE_TOLERANCE
+        assert_same_fit(fit_soft(data, lam, SolverConfig(max_iterations=rounds)), uncapped)
+        below = fit_soft(data, lam, SolverConfig(max_iterations=rounds - 1))
+        assert below.trace.stop_reason is StopReason.MAX_ITERATIONS
+        assert below.iterations == rounds - 1
+
+
 class TestFitDatasets:
     """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's final bits."""
 
@@ -417,8 +503,10 @@ class TestFitDatasets:
     def test_equals_lone_fits(self, method, lam, count):
         # The round cap stops some datasets and not others, so they leave
         # the stack in different rounds; stacks of one and three datasets
-        # take the first ones.
-        config = SolverConfig(max_iterations={"soft": 20, "hard": 3}[method])
+        # take the first ones. The hard fits run 1-4 rounds (lam 0) and
+        # 1-3 (lam 0.5), so a cap of 2 stops some at the cap and ends
+        # others on stable labels in the last allowed round.
+        config = SolverConfig(max_iterations={"soft": 20, "hard": 2}[method])
         datasets = self.datasets()
         alone = [lone_fit(data, method, lam, config) for data in datasets]
         reasons = {result.trace.stop_reason for result in alone}
@@ -491,7 +579,29 @@ class TestBufferedLoop:
         return known, design, ridge_operator(design, lam), starts
 
     @staticmethod
-    def check_against_allocating_loop(max_iterations, problem, lam, hard):
+    def expected_reasons(config, problem, lam, hard, expected):
+        """The frozen loop's stop reasons, but stable where its round cap met a fixed point.
+
+        The frozen loop tests hard stability at the top of the next round,
+        so a start whose last allowed round is a fixed point stops there
+        at the cap. One round more shows which starts those are: the
+        frozen loop then stops them on stable labels after exactly the
+        capped number of rounds.
+        """
+        if not hard:
+            return expected.reasons
+        more = SolverConfig(max_iterations=config.max_iterations + 1)
+        longer = allocating_run_descent(more, *problem, lam, hard)
+        return [
+            StopReason.LABELS_STABLE
+            if reason is StopReason.MAX_ITERATIONS
+            and longer.reasons[i] is StopReason.LABELS_STABLE
+            and longer.rounds[i] == config.max_iterations
+            else reason
+            for i, reason in enumerate(expected.reasons)
+        ]
+
+    def check_against_allocating_loop(self, max_iterations, problem, lam, hard):
         """Run both loops on ``problem``, compare every final and path entry, return the finals."""
         config = SolverConfig(max_iterations=max_iterations)
         path, expected_path = [], []
@@ -499,7 +609,7 @@ class TestBufferedLoop:
         expected = allocating_run_descent(config, *problem, lam, hard, expected_path)
         for name in ("weights", "objectives", "labels", "rounds"):
             assert_same_bits(getattr(finals, name), getattr(expected, name))
-        assert finals.reasons == expected.reasons
+        assert finals.reasons == self.expected_reasons(config, problem, lam, hard, expected)
         assert len(path) == len(expected_path)
         # Each entry is tagged with its round; below the trace limit every round is kept.
         assert [iteration for iteration, *_ in path] == list(range(len(path)))
