@@ -59,6 +59,7 @@ _EXPORTS = {
             "fit_hard",
             "fit_soft",
             "fit_starts",
+            "minimize_soft",
             "update_hard_labels",
             "update_soft_labels",
             "update_weights",

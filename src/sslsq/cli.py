@@ -51,7 +51,7 @@ from .errors import (
     SchemaError,
 )
 from .model import _check_lam, label_objective, ridge_solve, supervised_objective
-from .selflearn import SolverConfig, StopReason, fit_hard, fit_soft, update_weights
+from .selflearn import SolverConfig, StopReason, fit_hard, minimize_soft, update_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -227,7 +227,8 @@ def cmd_fit(args):
 
     if args.method in ("soft", "hard"):
         config = SolverConfig()
-        fit = (fit_soft if args.method == "soft" else fit_hard)(data, lam, config)
+        # The soft fit is the soft optimum, by Newton; the hard fit is BCD's fixed point.
+        fit = (minimize_soft if args.method == "soft" else fit_hard)(data, lam, config)
         if fit.trace.stop_reason is StopReason.MAX_ITERATIONS:
             print(
                 f"warning: {args.method} fit stopped at the round cap of "
@@ -579,7 +580,9 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit one classifier and print a summary")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=["supervised", "soft", "hard", "oracle"], required=True)
+    p.add_argument("--method", choices=["supervised", "soft", "hard", "oracle"], required=True,
+                   help="soft: the soft optimum, by active-set Newton; "
+                        "hard: hard-label BCD from the supervised fit")
     p.add_argument("--test", default=None, help="fully labeled CSV for test error")
     p.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     _add_common(p)

@@ -18,6 +18,13 @@ problem and solver, through ``_fit_stack``, which keeps only each fit's
 final weights, objective, stop reason and round count. A fit with no
 unlabeled rows takes the same loop: it runs one round, the supervised
 fit, and stops with the solver's converged stop reason.
+
+``minimize_soft`` reaches the soft objective's minimum by another road.
+With the soft labels eliminated the objective is the convex, piecewise
+quadratic g(w) = ||X_l w - y||^2 + lam ||w||^2 + sum_u dist(x_i.w, [0, 1])^2,
+and an active-set (semismooth) Newton method minimizes it exactly with
+one ridge solve per clamped set it visits, where BCD converges only at
+the rate of the missing information.
 """
 
 from __future__ import annotations
@@ -51,15 +58,26 @@ __all__ = [
     "fit_hard",
     "fit_soft",
     "fit_starts",
+    "minimize_soft",
     "update_hard_labels",
     "update_soft_labels",
     "update_weights",
 ]
 
 class StopReason(enum.Enum):
+    """Why a fit stopped; every reason but MAX_ITERATIONS means it converged.
+
+    LABELS_STABLE: hard BCD's next round would impute the same labels.
+    OBJECTIVE_TOLERANCE: soft BCD's relative objective decrease fell to
+    the tolerance. MAX_ITERATIONS: the round cap. CLAMPED_SET_STABLE:
+    ``minimize_soft``'s next round would repeat its last one, at g's
+    minimum.
+    """
+
     LABELS_STABLE = "labels-stable"
     OBJECTIVE_TOLERANCE = "objective-tolerance"
     MAX_ITERATIONS = "max-iterations"
+    CLAMPED_SET_STABLE = "clamped-set-stable"
 
 
 @dataclass(frozen=True)
@@ -70,7 +88,9 @@ class SolverConfig:
     ``objective_tolerance``, the hard solver when a round's weights would
     impute the labels they were fitted on; each tests after every round,
     the last allowed one too. A fit still working after
-    ``max_iterations`` rounds stops with MAX_ITERATIONS.
+    ``max_iterations`` rounds stops with MAX_ITERATIONS. For
+    ``minimize_soft`` a round is one Newton step, and
+    ``objective_tolerance`` is unused.
     """
 
     max_iterations: int = 1000
@@ -110,7 +130,7 @@ _TRACE_LIMIT = 10_000
 
 @dataclass
 class FitTrace:
-    """Per-round weights and objectives of a descent run; objectives are non-increasing.
+    """Per-round weights and objectives of a fit; objectives are non-increasing.
 
     Entry k of ``rounds`` and ``objectives`` and row k of ``weight_path``
     describe one kept round. A run longer than 10,000 rounds (the fixed
@@ -433,6 +453,16 @@ def _fit(data, starts, method, lam, config):
     # The design stays fixed over the fit, so it is factorized once.
     solve = ridge_operator(design, lam)
     rows = max(1, _BLOCK_ELEMENTS // design.shape[0])
+    # A start whose decision values overflow is refused before any descent
+    # runs; each block's product is the one its descent starts with.
+    for first in range(0, len(starts), rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.matmul(starts[first : first + rows, None, :], data.unlabeled_features.T)
+        finite = np.isfinite(scores).all(axis=(1, 2))
+        if not finite.all():
+            raise InvalidInputError(
+                f"start {first + int(np.argmin(finite))}: its decision values overflow"
+            )
     results = []
     for first in range(0, len(starts), rows):
         path = []
@@ -471,6 +501,115 @@ def fit_hard(data, lam=0.0, config=SolverConfig()):
     return _fit(data, [w_sup], "hard", lam, config)[0]
 
 
+def _soft_value(data, w, lam):
+    """g(w), the soft objective with its labels eliminated, and the decision values ``X_u w``.
+
+    Each long sum is an ``einsum``, which BLAS does not thread, so a
+    BLAS thread count does not change the order of its terms.
+    """
+    residual = data.labeled_features @ w - data.labels
+    scores = data.unlabeled_features @ w
+    excess = scores - scores.clip(0.0, 1.0)
+    value = np.einsum("i,i->", residual, residual) + np.einsum("i,i->", excess, excess)
+    if lam:
+        value += lam * np.einsum("i,i->", w, w)
+    return float(value), scores
+
+
+def _clamp_pattern(scores):
+    """Each decision value's clamp: -1 below 0, +1 above 1, 0 in between."""
+    return (scores > 1.0).astype(np.int8) - (scores < 0.0)
+
+
+def minimize_soft(data, lam=0.0, config=SolverConfig()):
+    """The soft-label objective's minimum, by active-set Newton on g(w).
+
+    Eliminating the labels leaves the convex piecewise quadratic
+    g(w) = ||X_l w - y||^2 + lam ||w||^2 + sum_u dist(x_i.w, [0, 1])^2,
+    whose minimizer, with its labels ``clip(X_u w, 0, 1)``, minimizes the
+    soft-label objective. Starting from the supervised solution, every
+    round takes the clamp pattern of ``X_u w`` (rows below 0 and above 1
+    are clamped to 0 and 1) and solves that piece: one ``ridge_solve``
+    on the labeled rows and the clamped rows, with targets 0 or 1. A
+    full step to the piece's solution is taken when g falls, and always
+    when the solution lands on the pattern it was solved on, for it is
+    then g's exact minimizer, however g's last bits move; a full step's
+    weights are the solve's output itself. Otherwise the step is halved
+    until g falls. When no step moves w and lowers g, w is a minimizer
+    to working precision (as where a rank-deficient piece at ``lam = 0``
+    has many minimizers) and the round keeps it. Either way every
+    further round would repeat the last one, so the next round is run
+    without its solve: it keeps the weights and stops with
+    CLAMPED_SET_STABLE. A converged trace thus ends in two rows with
+    equal weights; with no unlabeled rows it is two rows of the
+    supervised fit. Each round keeps one trace row, its weights and g at
+    them, and g never rises along it. The trace keeps every round, so
+    ``config.max_iterations`` caps the rounds and the trace length; a fit
+    still working then stops with MAX_ITERATIONS. The final round needs
+    a round of its own, so a cap of 1 always stops there.
+    ``config.objective_tolerance`` is unused. Each long sum of g is an
+    ``einsum``, whose order BLAS does not thread; the fit has the same
+    bits with OpenBLAS at 1 and 2 threads, but each round's
+    ``ridge_solve`` still runs through BLAS and LAPACK.
+
+    (Mangasarian, Optim. Methods Softw. 17, 2002; Keerthi & DeCoste,
+    JMLR 6, 2005.) ``fit_soft`` descends the same objective by BCD from
+    the same start, the path the basin and restart studies examine.
+    """
+    lam = _check_lam(lam)
+    labeled, unlabeled, labels = data.labeled_features, data.unlabeled_features, data.labels
+    w = ridge_solve(labeled, labels, lam)
+    value, scores = _soft_value(data, w, lam)
+    pattern = _clamp_pattern(scores)
+    weights, values = [], []
+    # True once the next round would repeat the last one: it is then run
+    # without its solve, and the fit stops.
+    stable = False
+    reason = StopReason.MAX_ITERATIONS
+    for _ in range(config.max_iterations):
+        if stable:
+            weights.append(w)
+            values.append(value)
+            reason = StopReason.CLAMPED_SET_STABLE
+            break
+        clamped = pattern != 0
+        target = ridge_solve(
+            np.concatenate([labeled, unlabeled[clamped]]),
+            np.concatenate([labels, pattern[clamped] > 0]),
+            lam,
+        )
+        step_value, step_scores = _soft_value(data, target, lam)
+        step_pattern = _clamp_pattern(step_scores)
+        stable = np.array_equal(step_pattern, pattern)
+        if not (stable or step_value < value):
+            direction, fraction = target - w, 0.5
+            while True:
+                target = w + fraction * direction
+                if np.array_equal(target, w):
+                    # No step lowers g: w is a minimizer to working
+                    # precision, and every further round would repeat this one.
+                    target, step_value, step_scores, step_pattern = w, value, scores, pattern
+                    stable = True
+                    break
+                step_value, step_scores = _soft_value(data, target, lam)
+                if step_value < value:
+                    step_pattern = _clamp_pattern(step_scores)
+                    break
+                fraction *= 0.5
+        w, value, scores, pattern = target, step_value, step_scores, step_pattern
+        weights.append(w)
+        values.append(value)
+    imputed = scores.clip(0.0, 1.0)
+    trace = FitTrace(
+        rounds=np.arange(len(values)),
+        weight_path=np.array(weights),
+        objectives=np.array(values),
+        final_labels=imputed,
+        stop_reason=reason,
+    )
+    return FitResult(w, imputed, value, trace)
+
+
 def fit_starts(data, starts, method, lam=0.0, config=SolverConfig()):
     """Run one solver ("soft" or "hard") from each of many starting weights.
 
@@ -478,12 +617,14 @@ def fit_starts(data, starts, method, lam=0.0, config=SolverConfig()):
     solution; a start from imputed labels ``q`` is the start
     ``update_weights(data, q, lam)``. Each start's ``FitResult`` has the
     bits a fit from it alone would have, and ``fit_soft``/``fit_hard``
-    are the case of the one start ``ridge_solve(X_l, y, lam)``. The
+    are the case of the one start ``ridge_solve(X_l, y, lam)``
+    (``minimize_soft`` is not a descent and takes no start). The
     starts advance in lock-step as blocks of weight rows, so a round
     costs two matrix products per block rather than per start. Every
     start is checked before any descent runs: a start of the wrong shape
-    raises ``DimensionError`` and one with a non-finite entry
-    ``InvalidInputError``. Returns one ``FitResult`` per start, in order.
+    raises ``DimensionError``, and one with a non-finite entry or whose
+    decision values on the unlabeled rows overflow ``InvalidInputError``.
+    Returns one ``FitResult`` per start, in order.
     """
     return _fit(data, starts, method, lam, config)
 

@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,26 +394,51 @@ class TestFit:
                 "warning: hard fit stopped at the round cap of 4 rounds before converging\n"
             )
 
-    def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys):
-        # Soft BCD on these overlapping clusters is still descending at the
-        # default 1000-round cap; the hard fit on them converges.
+    def test_round_cap_warning_on_stderr_only(self, tmp_path, capsys, monkeypatch):
+        # The soft fit of these overlapping clusters takes 10 Newton rounds,
+        # so a cap of 5 stops it; the hard fit on them converges.
         path = tmp_path / "overlap.csv"
         assert run_cli([
             "generate", "--kind", "two-gaussian-2d", "--seed", "0",
             "--unlabeled", "1000", "--out", str(path),
         ]) == EXIT_OK
         capsys.readouterr()
-        assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_OK
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "SolverConfig", lambda: SolverConfig(max_iterations=5))
+            assert run_cli(["fit", "--data", str(path), "--method", "soft"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "stop_reason = max-iterations" in captured.out
         assert "warning" not in captured.out
         warnings = captured.err.splitlines()
         assert len(warnings) == 1
-        assert warnings[0].startswith("warning:") and "1000 rounds" in warnings[0]
+        assert warnings[0].startswith("warning:") and "5 rounds" in warnings[0]
         assert run_cli(["fit", "--data", str(path), "--method", "hard"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "stop_reason = labels-stable" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("lam", ["0", "1"])
+    def test_soft_fit_is_the_same_at_one_and_two_blas_threads(self, tmp_path, lam):
+        # Each run is a fresh interpreter, as BLAS reads its thread count
+        # once. OpenBLAS splits a 20,000-term dot across its threads, so an
+        # objective summed through BLAS would differ in its last bits.
+        data = tmp_path / "big.csv"
+        assert run_cli(["generate", "--unlabeled", "20000", "--seed", "1",
+                        "--out", str(data)]) == EXIT_OK
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            trace = tmp_path / f"trace{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-m", "sslsq", "fit", "--data", str(data), "--method", "soft",
+                 "--lambda", lam, "--trace", str(trace)],
+                capture_output=True, env=env, timeout=120, check=True)
+            runs.append((done.stdout, done.stderr, trace.read_bytes()))
+        assert b"stop_reason = clamped-set-stable" in runs[0][0]
+        assert runs[0] == runs[1]
 
     def test_oracle_needs_truth_column(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"

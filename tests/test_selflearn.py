@@ -1,6 +1,7 @@
-"""Block coordinate descent: updates, fits, stopping and descent invariants."""
+"""BCD updates, fits, stopping and descent invariants, and the Newton soft fit."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from sslsq import (
     fit_starts,
     generate,
     grad_label_objective_w,
+    grid_soft_minimum,
     label_objective,
+    minimize_soft,
     responsibility_objective,
     ridge_operator,
     ridge_solve,
+    soft_grid_slack,
     supervised_objective,
     update_hard_labels,
     update_soft_labels,
@@ -301,6 +305,170 @@ class TestFitHard:
         assert result.trace.converged
         assert result.trace.stop_reason is StopReason.LABELS_STABLE
         assert_same_fit(result, fit_hard(data, 0.0))
+
+
+class TestOverflowingStart:
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_refused_by_name_before_any_descent(self, monkeypatch, method):
+        # On these 404 rows a start of 1.7e308 overflows its first decision
+        # values and one of 1e307 does not. A block holds 40 starts, so
+        # start 45 is refused before the first block runs.
+        import sslsq.selflearn as selflearn
+
+        data, _ = generate(SyntheticSpec(seed=1, noise_sd=3.0))
+        d = data.n_features
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_starts(data, [np.full(d, 1e307)], method)[0].trace.converged
+
+            def no_descent(*args, **kwargs):
+                raise AssertionError("a descent ran before every start was checked")
+
+            monkeypatch.setattr(selflearn, "_run_descent", no_descent)
+            starts = [np.zeros(d)] * 45 + [np.full(d, 1.7e308)]
+            with pytest.raises(InvalidInputError,
+                               match="^start 45: its decision values overflow$"):
+                fit_starts(data, starts, method)
+
+
+def soft_value(data, w, lam):
+    """g(w): the soft objective at ``w`` with its labels imputed from ``w``."""
+    return label_objective(data, w, update_soft_labels(data, w), lam)
+
+
+def acceptance_instance(rng, max_labeled, max_unlabeled, max_features, min_unlabeled):
+    """The random instances of the acceptance criteria, drawn the same way."""
+    return make_dataset(
+        rng,
+        n_labeled=int(rng.integers(2, max_labeled + 1)),
+        n_unlabeled=int(rng.integers(min_unlabeled, max_unlabeled + 1)),
+        n_features=int(rng.integers(1, max_features + 1)),
+    )
+
+
+def newton_cases(seed, count):
+    """(data, lam) pairs: random, rank-deficient at lam 0, and penalized instances."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        if k % 3 == 1:
+            # Fewer labeled rows than features: the labeled block, and
+            # pieces with few clamped rows, are rank-deficient.
+            d = int(rng.integers(3, 8))
+            cases.append((make_dataset(rng, int(rng.integers(1, d)), int(rng.integers(0, 12)), d),
+                          0.0))
+        else:
+            data = make_dataset(rng, int(rng.integers(2, 30)), int(rng.integers(0, 30)),
+                                int(rng.integers(1, 6)))
+            cases.append((data, 0.0 if k % 3 == 0 else float(rng.choice([0.1, 1.0]))))
+    return cases
+
+
+class TestMinimizeSoft:
+    TIGHT = SolverConfig(max_iterations=20000, objective_tolerance=1e-15)
+
+    def test_at_or_below_tight_bcd(self):
+        for data, lam in newton_cases(1, 60):
+            newton = minimize_soft(data, lam)
+            assert newton.trace.stop_reason is StopReason.CLAMPED_SET_STABLE
+            bcd = soft_value(data, fit_soft(data, lam, self.TIGHT).weights, lam)
+            assert soft_value(data, newton.weights, lam) <= bcd + 1e-12 * (1.0 + abs(bcd))
+            assert newton.final_objective <= bcd + 1e-12 * (1.0 + abs(bcd))
+
+    def test_soft_relaxation_dominates_the_hard_minimum(self):
+        # Criterion 07's soft check, on the same 50 instances.
+        rng = np.random.default_rng(107)
+        for _ in range(50):
+            data = acceptance_instance(rng, 12, 10, 3, 1)
+            best = brute_force_hard_minimum(data, 0.0)
+            assert minimize_soft(data, 0.0).final_objective <= best.objective + 1e-9
+
+    def test_beats_the_grid_up_to_curvature_slack(self):
+        # Criterion 08's check, on the same 30 instances.
+        rng = np.random.default_rng(108)
+        for _ in range(30):
+            data = acceptance_instance(rng, 12, 3, 3, 1)
+            grid = grid_soft_minimum(data, 0.0, step=0.02)
+            slack = soft_grid_slack(data, 0.0, step=0.02)
+            assert minimize_soft(data, 0.0).final_objective - grid.objective - slack <= 0.0
+
+    @pytest.mark.parametrize("design", ["full-rank", "repeated-column", "scaled"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_no_unlabeled_gives_the_ridge_weights(self, design, lam):
+        data = no_unlabeled_dataset(design)
+        fit = minimize_soft(data, lam)
+        weights = ridge_solve(data.labeled_features, data.labels, lam)
+        assert np.max(np.abs(fit.weights - weights)) <= 1e-12 * (1.0 + np.max(np.abs(weights)))
+        assert fit.trace.stop_reason is StopReason.CLAMPED_SET_STABLE and fit.trace.converged
+        assert fit.iterations == 2
+        assert fit.imputed.shape == (0,)
+
+    def test_trace_contract(self):
+        for data, lam in newton_cases(2, 45):
+            fit = minimize_soft(data, lam)
+            trace = fit.trace
+            rows = len(trace.objectives)
+            assert trace.rounds.tolist() == list(range(rows)) and rows == fit.iterations
+            assert trace.weight_path.shape == (rows, data.n_features)
+            assert_monotone(trace, "(newton)")
+            assert np.all(np.diff(trace.objectives)
+                          <= 1e-12 * (1.0 + np.abs(trace.objectives[:-1])))
+            # A converged run's last round repeats the previous one's weights.
+            np.testing.assert_array_equal(trace.weight_path[-1], trace.weight_path[-2])
+            np.testing.assert_array_equal(trace.weight_path[-1], fit.weights)
+            assert trace.objectives[-1] == fit.final_objective
+            np.testing.assert_array_equal(fit.imputed, update_soft_labels(data, fit.weights))
+            assert trace.final_labels is fit.imputed
+            # The check a reader of the trace file can make: the last
+            # objective is that of w with labels imputed from the row before.
+            previous = update_soft_labels(data, trace.weight_path[-2])
+            value = label_objective(data, fit.weights, previous, lam)
+            assert abs(fit.final_objective - value) <= 1e-9 * (1.0 + abs(value))
+            for w, objective in zip(trace.weight_path, trace.objectives):
+                value = soft_value(data, w, lam)
+                assert abs(objective - value) <= 1e-12 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_interior_supervised_start_stops_at_once(self, lam):
+        # Every unlabeled decision value of the supervised fit lies in
+        # [0, 1], so it is the optimum: two rounds, under a cap of two.
+        data = Dataset([[0.0, 1.0], [1.0, 1.0], [3.0, 1.0], [4.0, 1.0]], [0.0, 0.0, 1.0, 1.0],
+                       [[1.5, 1.0], [2.0, 1.0], [2.5, 1.0]])
+        supervised = ridge_solve(data.labeled_features, data.labels, lam)
+        scores = decision_values(data.unlabeled_features, supervised)
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        fit = minimize_soft(data, lam, SolverConfig(max_iterations=2))
+        assert fit.trace.stop_reason is StopReason.CLAMPED_SET_STABLE
+        assert fit.iterations == 2
+        np.testing.assert_allclose(fit.weights, supervised, rtol=0.0, atol=1e-12)
+
+    def test_round_cap(self):
+        # Overlapping 2-D clusters whose soft optimum takes 10 rounds.
+        spec = SyntheticSpec(kind=SyntheticKind.TWO_GAUSSIAN_2D, seed=0, unlabeled_total=1000)
+        data = generate(spec)[0]
+        fit = minimize_soft(data)
+        assert fit.iterations == 10 and fit.trace.converged
+        for cap in (1, 5, 9):
+            capped = minimize_soft(data, 0.0, SolverConfig(max_iterations=cap))
+            assert capped.trace.stop_reason is StopReason.MAX_ITERATIONS
+            assert not capped.trace.converged and capped.iterations == cap
+            np.testing.assert_array_equal(capped.trace.weight_path, fit.trace.weight_path[:cap])
+            np.testing.assert_array_equal(capped.weights, fit.trace.weight_path[cap - 1])
+
+    def test_stationary_at_the_optimum(self):
+        # g's gradient, that of the soft objective with labels clip(X_u w),
+        # vanishes at the result up to rounding.
+        for data, lam in newton_cases(3, 30):
+            fit = minimize_soft(data, lam)
+            gradient = grad_label_objective_w(data, fit.weights, fit.imputed, lam)
+            scale = 1.0 + np.linalg.norm(2.0 * data.labeled_features.T @ data.labels)
+            assert np.linalg.norm(gradient) <= 1e-9 * scale
+
+    def test_objective_tolerance_is_unused(self, rng):
+        data = make_dataset(rng, 6, 8, 2)
+        a = minimize_soft(data, 0.1)
+        b = minimize_soft(data, 0.1, SolverConfig(objective_tolerance=1e-2))
+        np.testing.assert_array_equal(a.trace.weight_path, b.trace.weight_path)
 
 
 def reference_descent(data, lam, config, hard):
