@@ -18,6 +18,8 @@ from .errors import CapacityError, DegenerateInputError, InvalidInputError, NoWi
 from .model import (
     _CLASS_CODES,
     _check_lam,
+    _row_dots,
+    _squared_objective,
     label_objective,
     responsibility_objective,
     ridge_operator,
@@ -95,17 +97,6 @@ def _bottom_diagonal(data, kind):
     raise InvalidInputError(f"unknown hessian kind {kind!r}")
 
 
-def _leading_block(data, lam):
-    """The weights' block ``A = 2 X_e'X_e + 2 lam I``, which both kinds share."""
-    lam = _check_lam(lam)
-    extended = data.extended_features
-    with np.errstate(over="ignore", invalid="ignore"):
-        leading = 2.0 * (extended.T @ extended) + 2.0 * lam * np.eye(data.n_features)
-    if not np.all(np.isfinite(leading)):
-        raise DegenerateInputError("the hessian's weight block overflows double precision")
-    return leading
-
-
 def build_hessian(data, kind, lam=0.0):
     """Assemble the block curvature matrix for the chosen objective kind.
 
@@ -115,11 +106,14 @@ def build_hessian(data, kind, lam=0.0):
     two kinds share their off-diagonal blocks.
     """
     bottom_diagonal = _bottom_diagonal(data, kind)
-    leading = _leading_block(data, lam)
-    coupling = -2.0 * data.unlabeled_features
+    lam = _check_lam(lam)
+    extended, coupling = data.extended_features, -2.0 * data.unlabeled_features
     d, k = data.n_features, data.n_unlabeled
     matrix = np.zeros((d + k, d + k))
-    matrix[:d, :d] = leading
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix[:d, :d] = 2.0 * (extended.T @ extended) + 2.0 * lam * np.eye(d)
+    if not np.all(np.isfinite(matrix[:d, :d])):
+        raise DegenerateInputError("the hessian's weight block overflows double precision")
     matrix[d:, :d] = coupling
     matrix[:d, d:] = coupling.T
     np.fill_diagonal(matrix[d:, d:], bottom_diagonal)
@@ -175,12 +169,13 @@ def find_witness(data, kind, lam=0.0):
     (the trailing block carries -2 on the diagonal); the first one is
     taken, and its value -2 needs no matrix. For the
     responsibility-based kind see ``_responsibility_witness``. Neither
-    builds the (d+U)^2 matrix.
+    builds the (d+U)^2 matrix or its weight block, and each sum over
+    rows goes through ``model._row_dots``.
     """
     bottom_diagonal = _bottom_diagonal(data, kind)
+    lam = _check_lam(lam)
     if kind == HessianKind.RESPONSIBILITY_BASED:
-        return _responsibility_witness(data, _leading_block(data, lam))
-    _check_lam(lam)
+        return _responsibility_witness(data, lam)
     # The form along the first label's unit vector is the label
     # block's diagonal.
     z2 = np.zeros(data.n_unlabeled)
@@ -188,34 +183,41 @@ def find_witness(data, kind, lam=0.0):
     return NonconvexityWitness(np.zeros(data.n_features), z2, bottom_diagonal)
 
 
-def _responsibility_witness(data, leading):
-    """The responsibility kind's witness, given its leading block ``A``.
+def _responsibility_witness(data, lam):
+    """The responsibility kind's witness, from the design alone.
 
     There is none exactly when the unlabeled design matrix is zero, the
     rule that makes the Hessian PSD (see ``_psd_verdict``). Otherwise
     ``z1`` is the largest-norm unlabeled row and ``z2 = c X_u z1``,
     with ``c`` scaled past the threshold at which the cross term
-    dominates the positive leading block, with a factor-2 margin. The
-    trailing block is zero, so ``z'Hz = z1'A z1 - 4 (X_u z1)'z2``: O(U d)
-    time and memory. It rounds differently from the dense ``z @ (H @ z)``,
-    by a few ulps of the terms. Its exact value is ``-z1'A z1 < 0``, so a
-    non-finite or non-negative value means the arithmetic left double
-    range, and is refused.
+    dominates the positive leading block ``A = 2 X_e'X_e + 2 lam I``,
+    with a factor-2 margin. The trailing block is zero, so
+    ``z'Hz = z1'A z1 - 4 (X_u z1)'z2 = z1'A z1 - 4 c |X_u z1|^2``, with
+    ``z1'A z1`` taken as ``2 (|X_e z1|^2 + lam |z1|^2)``: O((L + U) d)
+    time and memory, and no A. It rounds differently from the dense
+    ``z @ (H @ z)``, by a few ulps of the terms. Its exact value is
+    ``-z1'A z1 < 0``, so a non-finite or non-negative value means the
+    arithmetic left double range, and is refused. So is an A that
+    overflows, as ``build_hessian`` refuses it: A is finite when its
+    diagonal is, since ``|A_jk| <= sqrt(A_jj A_kk)``.
     """
+    with np.errstate(over="ignore"):
+        diagonal = 2.0 * _row_dots(data.extended_features.T) + 2.0 * lam
+    if not np.all(np.isfinite(diagonal)):
+        raise DegenerateInputError("the hessian's weight block overflows double precision")
     unlabeled = data.unlabeled_features
     if not np.any(unlabeled):
         raise NoWitnessError("unlabeled features are all zero; the responsibility hessian is PSD")
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
-        z1 = unlabeled[int(np.argmax(row_norms))].copy()
+        z1 = unlabeled[int(np.argmax(_row_dots(unlabeled)))].copy()
         pushed = unlabeled @ z1
-        form = z1 @ (leading @ z1)
-        push = pushed @ pushed
+        form = 2.0 * _squared_objective(data.extended_features @ z1, z1, lam)
+        push = _row_dots(pushed)
         # The form along z2 = c * X_u z1 is form - 4 c |X_u z1|^2;
         # take twice the zero-crossing c for margin against rounding.
-        threshold = form / (4.0 * push)
-        z2 = 2.0 * threshold * pushed
-        value = float(form - 4.0 * (pushed @ z2))
+        c = 2.0 * (form / (4.0 * push))
+        z2 = c * pushed
+        value = float(form - 4.0 * c * push)
     if not (np.isfinite(value) and value < 0.0):
         # In exact arithmetic form >= 2 push > 0 (A contains 2 X_u'X_u), so
         # either a term vanished (underflow) or one left range (overflow).
@@ -328,7 +330,7 @@ def brute_force_hard_minimum(data, lam=0.0):
     extended = data.extended_features
     noise = _VANISH_ULPS * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
     free = np.flatnonzero(np.diagonal(gram) > noise * noise)
-    constant = float(residual @ residual)
+    constant = float(_row_dots(residual))
     linear = columns[:, free].T @ residual
     quadratic = gram[np.ix_(free, free)]
 
@@ -424,7 +426,7 @@ def grid_soft_minimum(data, lam=0.0, step=0.05):
     points = axis[np.indices(shape).reshape(unlabeled_count, axis.size**unlabeled_count).T]
     operator, columns, residual = _label_columns(data, lam)
     objectives = _half_table(
-        float(residual @ residual), columns.T @ residual, columns.T @ columns, points
+        float(_row_dots(residual)), columns.T @ residual, columns.T @ columns, points
     )
     u = points[int(np.argmin(objectives))].copy()
     w = operator @ data.extended_targets(u)

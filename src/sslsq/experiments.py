@@ -76,6 +76,7 @@ CLUSTER_TOLERANCE = 1e-4
 # bench's learning-curve workload, that is 100 repeats per block up to
 # u = 32, then 73, 39 and 20 at u = 64, 128 and 256: 16 blocks in all.
 # There, peak traced memory stays near 1.1 MB at u = 1 and at u = 256.
+# It fits a design of more than 8,192 rows alone, as ``model._row_dots`` needs.
 _BLOCK_DESIGN_ENTRIES = 16384
 
 

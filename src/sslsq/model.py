@@ -261,10 +261,16 @@ def supervised_objective(data, w, lam=0.0):
 def _row_dots(a):
     """``a @ a`` over the last axis: a scalar for a vector, one value per row of a block.
 
-    Each row goes through the same BLAS dot as a lone vector, so a row
-    of a block gets the bits that vector would get.
+    The package's one sum over rows: every objective and witness sums
+    through it. ``einsum`` sums in an order that BLAS does not thread, so
+    no value depends on the BLAS thread count. A row of a block gets its
+    lone bits if it has at most 8,192 entries, numpy's ``einsum`` buffer;
+    on a block of two or more rows a longer row is summed in pieces.
+    One-row blocks and vectors of any length match, so the block caps
+    ``selflearn._BLOCK_ELEMENTS`` and ``experiments._BLOCK_DESIGN_ENTRIES``
+    give a design of more than 8,192 rows one row per block.
     """
-    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
+    return np.einsum("...i,...i->...", a, a)
 
 
 def _squared_objective(residual, w, lam):

@@ -17,7 +17,8 @@ hands it a stack of same-shape problems, one supervised start per
 problem and solver, through ``_fit_stack``, which keeps only each fit's
 final weights, objective, stop reason and round count. A fit with no
 unlabeled rows takes the same loop: it runs one round, the supervised
-fit, and stops with the solver's converged stop reason.
+fit, and stops with the solver's converged stop reason. Every
+objective here sums through ``model._row_dots``, which BLAS does not thread.
 
 ``minimize_soft`` reaches the soft objective's minimum by another road.
 With the soft labels eliminated the objective is the convex, piecewise
@@ -39,11 +40,13 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import (
     _CLASS_CODES,
+    _add_penalty,
     _check_count,
     _check_lam,
     _check_weights,
     _responsibility_value,
     _row_dots,
+    _squared_objective,
     _weight_vector,
     ridge_operator,
     ridge_solve,
@@ -210,7 +213,8 @@ def update_weights(data, imputed, lam=0.0):
 # starts, and at 128 KiB per buffer a round stays in a per-core cache.
 # On a 2-vCPU x86-64 machine with OpenBLAS, 101 starts over a 416-row
 # design ran the studies about 15% faster in blocks of 39 than in one
-# block, and raised peak RSS by 1.4 MB, not 4.5.
+# block, and raised peak RSS by 1.4 MB, not 4.5. It gives a design of
+# more than 8,192 rows one start per block, as ``model._row_dots`` needs.
 _BLOCK_ELEMENTS = 16384
 
 
@@ -263,16 +267,14 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
 
     The rounds write into buffers allocated once per block: the (S, N)
     targets, whose first L columns hold the known labels, fitted values
-    and residuals, the objectives' (S,) row dots and, for the hard
-    solver, its (S, U) 0/1 labels. The working starts own the leading
-    rows, which move up when starts leave. Only the weights are new
-    every round, as ``path`` keeps them. The buffers' 3-D views, (S, 1, N)
-    rows, (S, N, 1) columns and (S, 1, 1) dots, are built once per block
-    and again after each departure, and every round calls numpy's
-    products on them directly. Each product is one BLAS matrix-vector
-    call (or dot) per row, so a row gets the bits it would get alone,
-    which a matrix-matrix product does not promise, and a start's path
-    does not depend on the starts it runs with.
+    and residuals and, for the hard solver, its (S, U) 0/1 labels. The
+    working starts own the leading rows, which move up when starts
+    leave. Only the weights are new every round, as ``path`` keeps them.
+    Every round calls numpy's products directly on (S, 1, N) row views of
+    the buffers, rebuilt after each departure: one BLAS matrix-vector call
+    per row, which a matrix-matrix product does not promise. Each
+    objective is one ``model._row_dots`` pass per row. So a row gets the
+    bits it would get alone, whatever starts it runs with.
     """
     n_labeled = known.shape[-1]
     per_start = design.ndim == 3
@@ -287,16 +289,14 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     residual = np.empty_like(targets)
     n_unlabeled = targets.shape[1] - n_labeled
     flags = np.empty((count, n_unlabeled if hard else 0), dtype=bool)  # soft: no columns
-    dots = np.empty(count)
 
     def views():
         # The working rows' label and score columns and the products' 3-D operands.
-        nonlocal labels, scores, targets3, fitted3, residual_row, residual_col, dots3
+        nonlocal labels, scores, targets3, fitted3
         labels, scores = targets[:, n_labeled:], fitted[:, n_labeled:]
-        targets3, fitted3, dots3 = targets[:, None, :], fitted[:, None, :], dots[:, None, None]
-        residual_row, residual_col = residual[:, None, :], residual[:, :, None]
+        targets3, fitted3 = targets[:, None, :], fitted[:, None, :]
 
-    labels = scores = targets3 = fitted3 = residual_row = residual_col = dots3 = None
+    labels = scores = targets3 = fitted3 = None
     views()
     np.matmul(starts[:, None, :], design_t[..., n_labeled:], out=scores[:, None, :])
     if hard:
@@ -335,9 +335,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
                 residual[:, :n_labeled], scores, labels, W, _CLASS_CODES, lam
             )
         else:
-            # The squared objective; adding 0 * ||W||^2 would not change a bit.
-            np.matmul(residual_row, residual_col, out=dots3)
-            values = dots + lam * _row_dots(W) if lam else dots
+            values = _squared_objective(residual, W, lam)
         # Python floats: a trace stores them, and on one-start blocks, which
         # every large fit runs, the stop test costs less on lists than in numpy.
         values = values.tolist()
@@ -372,9 +370,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
             # Move the kept rows to the front; fancy indexing copies first.
             n = active.size
             targets[:n], fitted[:n], flags[:n] = targets[keep], fitted[keep], flags[keep]
-            targets, fitted, residual, flags, dots = (
-                targets[:n], fitted[:n], residual[:n], flags[:n], dots[:n]
-            )
+            targets, fitted, residual, flags = targets[:n], fitted[:n], residual[:n], flags[:n]
             views()
         previous = values
     else:  # the round cap stops every start still working
@@ -502,18 +498,11 @@ def fit_hard(data, lam=0.0, config=SolverConfig()):
 
 
 def _soft_value(data, w, lam):
-    """g(w), the soft objective with its labels eliminated, and the decision values ``X_u w``.
-
-    Each long sum is an ``einsum``, which BLAS does not thread, so a
-    BLAS thread count does not change the order of its terms.
-    """
+    """g(w), the soft objective with its labels eliminated, and the decision values ``X_u w``."""
     residual = data.labeled_features @ w - data.labels
     scores = data.unlabeled_features @ w
     excess = scores - scores.clip(0.0, 1.0)
-    value = np.einsum("i,i->", residual, residual) + np.einsum("i,i->", excess, excess)
-    if lam:
-        value += lam * np.einsum("i,i->", w, w)
-    return float(value), scores
+    return float(_add_penalty(_row_dots(residual) + _row_dots(excess), w, lam)), scores
 
 
 def _clamp_pattern(scores):
@@ -547,9 +536,9 @@ def minimize_soft(data, lam=0.0, config=SolverConfig()):
     ``config.max_iterations`` caps the rounds and the trace length; a fit
     still working then stops with MAX_ITERATIONS. The final round needs
     a round of its own, so a cap of 1 always stops there.
-    ``config.objective_tolerance`` is unused. Each long sum of g is an
-    ``einsum``, whose order BLAS does not thread; the fit has the same
-    bits with OpenBLAS at 1 and 2 threads, but each round's
+    ``config.objective_tolerance`` is unused. g sums through
+    ``model._row_dots``, whose order BLAS does not thread; the fit has
+    the same bits with OpenBLAS at 1 and 2 threads, but each round's
     ``ridge_solve`` still runs through BLAS and LAPACK.
 
     (Mangasarian, Optim. Methods Softw. 17, 2002; Keerthi & DeCoste,

@@ -22,9 +22,10 @@ its finals and per-round path; ``unpruned_hard_minimum``, the
 meet-in-the-middle search that scored every block of sums in order
 before the search skipped blocks by their lower bounds, kept to pin the
 pruned search's labels, weights and objective;
-``dense_responsibility_witness``, the responsibility witness as it was
-formed from the dense (d+U)^2 Hessian before it was formed from the
-Hessian's blocks, kept to pin the block form's direction and value;
+``dense_responsibility_witness``, the responsibility witness's
+direction, its sums rounded as the package rounds them, with the value
+read off the dense (d+U)^2 Hessian, kept to pin the block form's
+direction and to check its value;
 and ``tiled_grid_soft_minimum``, the soft grid search that solved every
 grid point's targets before the search scored its points from the label
 columns, kept to pin the chosen point and objective.
@@ -60,7 +61,7 @@ from sslsq.datagen import derive_rng
 from sslsq.diagnostics import _grid_axis
 from sslsq.experiments import METHODS
 from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
-from sslsq.model import _CLASS_CODES, _responsibility_value, _squared_objective
+from sslsq.model import _CLASS_CODES, _responsibility_value, _row_dots, _squared_objective
 from sslsq.selflearn import StopReason, _Finals
 
 
@@ -589,15 +590,19 @@ def unpruned_hard_minimum(data, lam=0.0, chunk=4096):
 
 
 def dense_responsibility_witness(data, lam=0.0):
-    """The responsibility witness's ``(z1, z2, z'Hz)``, read off the dense Hessian."""
+    """The responsibility witness's ``(z1, z2, z'Hz)``, with ``z'Hz`` read off the dense Hessian.
+
+    The direction's two sums, ``z1'A z1 = 2 (|X_e z1|^2 + lam |z1|^2)`` and
+    ``|X_u z1|^2``, go through the package's one sum rule, ``_row_dots``,
+    so ``z2`` has the package's bits; ``z'Hz`` is the dense product.
+    """
     H = build_hessian(data, HessianKind.RESPONSIBILITY_BASED, lam).matrix
-    d = data.n_features
     unlabeled = data.unlabeled_features
     row_norms = np.einsum("ij,ij->i", unlabeled, unlabeled)
     z1 = unlabeled[int(np.argmax(row_norms))].copy()
     pushed = unlabeled @ z1
-    leading = float(z1 @ (H[:d, :d] @ z1))
-    threshold = leading / (4.0 * float(pushed @ pushed))
+    leading = float(2.0 * _squared_objective(data.extended_features @ z1, z1, lam))
+    threshold = leading / (4.0 * float(_row_dots(pushed)))
     z2 = 2.0 * threshold * pushed
     z = np.concatenate([z1, z2])
     return z1, z2, float(z @ (H @ z))

@@ -417,27 +417,46 @@ class TestFit:
         assert "stop_reason = labels-stable" in captured.out
         assert captured.err == ""
 
-    @pytest.mark.parametrize("lam", ["0", "1"])
-    def test_soft_fit_is_the_same_at_one_and_two_blas_threads(self, tmp_path, lam):
+    @pytest.mark.parametrize("generate, command, line", [
+        pytest.param(["--unlabeled", "20000"],
+                     ["fit", "--method", "soft", "--lambda", "0", "--trace", "trace.csv"],
+                     b"stop_reason = clamped-set-stable", id="fit-soft-lambda0"),
+        pytest.param(["--unlabeled", "20000"],
+                     ["fit", "--method", "soft", "--lambda", "1", "--trace", "trace.csv"],
+                     b"stop_reason = clamped-set-stable", id="fit-soft-lambda1"),
+        pytest.param(["--unlabeled", "20000"], ["diagnose"],
+                     b"responsibility_witness_value = -", id="diagnose-20k-unlabeled"),
+        pytest.param(["--labeled-per-class", "10000", "--unlabeled", "20"], ["diagnose"],
+                     b"optimality_gap = ", id="diagnose-20k-labeled"),
+        pytest.param(["--unlabeled", "20000"],
+                     ["basin", "--method", "soft", "--starts", "1", "--seed", "1",
+                      "--out", "basin.csv", "--paths", "paths.csv"],
+                     b"unique_optima = ", id="basin-soft-paths"),
+    ])
+    def test_outputs_are_the_same_at_one_and_two_blas_threads(
+        self, tmp_path, generate, command, line
+    ):
         # Each run is a fresh interpreter, as BLAS reads its thread count
         # once. OpenBLAS splits a 20,000-term dot across its threads, so an
-        # objective summed through BLAS would differ in its last bits.
-        data = tmp_path / "big.csv"
-        assert run_cli(["generate", "--unlabeled", "20000", "--seed", "1",
-                        "--out", str(data)]) == EXIT_OK
+        # objective, witness or oracle table summed through BLAS would
+        # differ in its last bits; every file a run writes is compared.
+        data = tmp_path / "data.csv"
+        assert run_cli(["generate", *generate, "--seed", "1", "--out", str(data)]) == EXIT_OK
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         runs = []
         for threads in ("1", "2"):
-            trace = tmp_path / f"trace{threads}.csv"
+            work = tmp_path / f"threads{threads}"
+            work.mkdir()
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads, PYTHONPATH=path)
             done = subprocess.run(
-                [sys.executable, "-m", "sslsq", "fit", "--data", str(data), "--method", "soft",
-                 "--lambda", lam, "--trace", str(trace)],
-                capture_output=True, env=env, timeout=120, check=True)
-            runs.append((done.stdout, done.stderr, trace.read_bytes()))
-        assert b"stop_reason = clamped-set-stable" in runs[0][0]
+                [sys.executable, "-m", "sslsq", command[0], "--data", str(data), *command[1:]],
+                capture_output=True, cwd=work, env=env, timeout=120, check=True)
+            written = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+            runs.append((done.stdout, done.stderr, written))
+        assert line in runs[0][0]
+        assert runs[0][2] or command[0] == "diagnose"
         assert runs[0] == runs[1]
 
     def test_oracle_needs_truth_column(self, tmp_path, capsys):
@@ -577,6 +596,20 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "overflows" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_weight_block_overflow_is_refused_before_any_output(self, tmp_path, capsys):
+        # Only labeled rows reach 1e160, so the witness's direction, an
+        # unlabeled row, has a finite form. The weight block 2 X_e'X_e
+        # overflows all the same, and is refused by name before the first
+        # line, before the hard oracle would warn on the design's norm.
+        path = tmp_path / "wide_labeled.csv"
+        path.write_text("x0,x1,label\n1e160,1,0\n-1e160,2,1\n0,3,\n0,-1,\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["diagnose", "--data", str(path)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the hessian's weight block overflows double precision\n"
 
     @pytest.mark.parametrize("k, witness", [
         (0, -5879.91578455543),

@@ -305,10 +305,11 @@ class TestFindWitness:
         "plain", "rank-deficient design", "features scaled by 1e6", "features scaled by 1e-6",
     ])
     def test_responsibility_matches_the_dense_form(self, rng, monkeypatch, variant):
-        # The direction keeps the dense-era bits. The value, formed from the
-        # blocks, rounds differently from the dense z'Hz: 53 of these 160
-        # instances matched it to the bit, and the widest gap was 8e-16
-        # relative, so 1e-12 leaves a wide margin.
+        # The direction has the reference's bits, whose sums round as the
+        # package's do. The value, formed from the blocks, rounds
+        # differently from the dense z'Hz: 42 of these 160 instances
+        # matched it to the bit, and the widest gap was 7.2e-16 relative,
+        # so 1e-12 leaves a wide margin.
         cases = []
         for _ in range(20):
             data = psd_instance(rng, variant)

@@ -642,6 +642,21 @@ class TestStopAtTheCap:
         assert below.iterations == rounds - 1
 
 
+class TestLongDesign:
+    @pytest.mark.parametrize("method", ["soft", "hard"])
+    def test_each_start_has_its_lone_fit_bits(self, method):
+        # On a block of two or more rows numpy's einsum sums a row longer
+        # than its 8,192-entry buffer in pieces, in another order than the
+        # row alone. So the starts over this 8,596-row design run one per
+        # block; the hard objective sums its 8,196 labeled rows.
+        data = make_dataset(np.random.default_rng(6), 8196, 400, 3)
+        starts = 2.0 * np.random.default_rng(7).standard_normal((3, 3))
+        config = SolverConfig(max_iterations=4)
+        fits = fit_starts(data, starts, method, 0.0, config)
+        for start, fit in zip(starts, fits):
+            assert_same_fit(fit, fit_starts(data, [start], method, 0.0, config)[0])
+
+
 class TestFitDatasets:
     """``_fit_stack`` runs same-shape datasets as one stack, each with a lone fit's final bits."""
 
