@@ -18,11 +18,11 @@ from .errors import CapacityError, DegenerateInputError, InvalidInputError, NoWi
 from .model import (
     _CLASS_CODES,
     _check_lam,
+    _ridge_svd,
     _row_dots,
     _squared_objective,
     label_objective,
     responsibility_objective,
-    ridge_operator,
 )
 
 __all__ = [
@@ -227,20 +227,23 @@ def _responsibility_witness(data, lam):
 
 
 def _label_columns(data, lam):
-    """``P``, the (N + d, U) label columns ``C`` and the base residual ``r``.
+    """``P``, the label columns ``C`` and the base residual ``r``, from one ridge SVD.
 
-    With ``P = ridge_operator(X_e, lam)`` and ``X_lam = [X_e; sqrt(lam) I]``,
-    targets ``t = [y; q]`` get the weights ``P t`` and the objective
-    ``||X_lam P t - [t; 0]||^2 = ||r + C q||^2``, where
-    ``C = X_lam P[:, L:] - E_u`` (``E_u`` the unlabeled rows' unit columns)
-    and ``r = X_lam P[:, :L] y - [y; 0]``.
+    ``model._ridge_svd`` gives ``P = ridge_operator(X_e, lam)`` and ``B``,
+    with ``X_lam P = B B_e'`` (``B_e`` its first N rows) for ``X_lam =
+    [X_e; sqrt(lam) I]`` (no penalty rows at ``lam == 0``). Targets
+    ``t = [y; q]`` get the weights ``P t`` and the objective
+    ``||B B_e' t - [t; 0]||^2 = ||r + C q||^2``, with ``C = B B_u' - E_u``
+    and ``r = B B_l' y - [y; 0]`` (``B_l``, ``B_u`` the labeled and
+    unlabeled rows of ``B``, ``E_u`` the latter's unit columns). Column j
+    of ``C`` has squared norm one minus point j's leverage ``|B_u[j]|^2``:
+    at most 1, whatever the feature units.
     """
-    operator = ridge_operator(data.extended_features, lam)
+    operator, basis = _ridge_svd(data.extended_features, lam)
     labeled, unlabeled_count = data.n_labeled, data.n_unlabeled
-    augmented = np.vstack([data.extended_features, np.sqrt(lam) * np.eye(data.n_features)])
-    columns = augmented @ operator[:, labeled:]
+    columns = basis @ basis[labeled : labeled + unlabeled_count].T
     columns[labeled + np.arange(unlabeled_count), np.arange(unlabeled_count)] -= 1.0
-    residual = augmented @ (operator[:, :labeled] @ data.labels)
+    residual = basis @ (basis[:labeled].T @ data.labels)
     residual[:labeled] -= data.labels
     return operator, columns, residual
 
@@ -261,12 +264,15 @@ def _half_table(constant, linear, quadratic, bits):
 # well-conditioned data, and by 28 on the 1e6-scaled collinear designs.
 _SLACK_ULPS = 1024
 
-# The rounding error of forming a label column of C = X_lam P[:, L:] - E_u,
-# in ulps of ||X_e||_F ||P||_F. A label whose column is no longer than
-# this cannot move the objective. Such columns measured at most 18 of
-# these (interpolating designs up to 1e8-conditioned, and leverage-1
-# points, at lam = 0); every other column at lam = 0 or 0.5 measured at
-# least 1e5. A penalty near 1e-8 puts interpolating columns on both sides.
+# The rounding error of forming a label column of C = B B_u' - E_u, in ulps
+# of its unit scale: its norm is at most 1 (see ``_label_columns``). A label
+# whose column is no longer than this cannot move the objective. On 10,800
+# designs (Gaussian, repeated-column, 1e6- and 1e-6-scaled, integer-tie,
+# duplicated-row, leverage-1, interpolating, and columns scaled from 1e-13
+# to 1e6, at lam = 0, 1e-8 and 0.5), columns of leverage-1 points at lam = 0
+# measured at most 21 of these, and every other column at least 5.8e5. A
+# penalty near 1e-16 of the squared feature scale puts real columns near the
+# cutoff: lam = 1e-8 on 1e8-scaled interpolating designs gave 1,100 to 9,600.
 _VANISH_ULPS = 1024
 
 # The (a, b) sums are scanned in blocks of about this many labelings.
@@ -310,11 +316,14 @@ def brute_force_hard_minimum(data, lam=0.0):
     and the result carries the bits of the same solve a hard fit makes.
     Many exact ties make the rescoring longer.
     A label that cannot move the objective by more than rounding error
-    (its column of ``C`` vanishes) ties with itself flipped, so it is
-    fixed to 0 and only the other labels are enumerated. On a design that
-    fits every labeling exactly at ``lam = 0`` that fixes all of them, and
-    the all-zero labeling is returned, rescored the same way. With no
-    unlabeled rows the one empty labeling is rescored: the supervised fit.
+    (its column of ``C`` vanishes: the point's leverage is 1) ties with
+    itself flipped, so it is fixed to 0 and only the other labels are
+    enumerated. Every column has norm at most 1, so the cutoff is
+    ``_VANISH_ULPS`` ulps whatever the units of the features, down to the
+    SVD's own cutoff. On a design that fits every labeling exactly at
+    ``lam = 0`` that fixes all of them, and the all-zero labeling is
+    returned, rescored the same way. With no unlabeled rows the one empty
+    labeling is rescored: the supervised fit.
     """
     unlabeled_count = data.n_unlabeled
     if unlabeled_count > ENUMERATION_CAP:
@@ -327,8 +336,7 @@ def brute_force_hard_minimum(data, lam=0.0):
     # Label j moves the objective only through column j of C, whose
     # squared norm is gram[j, j]. Labels whose column is rounding error
     # stay 0; only the free ones are enumerated.
-    extended = data.extended_features
-    noise = _VANISH_ULPS * np.finfo(float).eps * np.linalg.norm(extended) * np.linalg.norm(operator)
+    noise = _VANISH_ULPS * np.finfo(float).eps
     free = np.flatnonzero(np.diagonal(gram) > noise * noise)
     constant = float(_row_dots(residual))
     linear = columns[:, free].T @ residual

@@ -68,17 +68,6 @@ METHODS = ("supervised", "soft", "hard", "oracle")
 SOLVERS = ("soft", "hard")
 CLUSTER_TOLERANCE = 1e-4
 
-# The learning curve fits the repeats of one unlabeled count in blocks of R
-# repeats whose stacked designs hold at most this many entries in all,
-# R * (L + U) * d: the designs, their operators and each round's working
-# arrays scale with it. Test rows are not part of a block; they are gathered
-# per scoring chunk. With 10 labeled rows from a 600 x 3 pool, as in the
-# bench's learning-curve workload, that is 100 repeats per block up to
-# u = 32, then 73, 39 and 20 at u = 64, 128 and 256: 16 blocks in all.
-# There, peak traced memory stays near 1.1 MB at u = 1 and at u = 256.
-# It fits a design of more than 8,192 rows alone, as ``model._row_dots`` needs.
-_BLOCK_DESIGN_ENTRIES = 16384
-
 
 def evaluate_error(w, test_features, test_labels):
     """Fraction of test points whose thresholded prediction differs from the truth.
@@ -399,7 +388,17 @@ def run_learning_curve(
     hashes = [[None] * len(u_values) for _ in range(repeats)]
     test_sizes = [data.n_labeled - labeled_count - u for u in u_values]
     for u_index, u in enumerate(u_values):
-        block = max(1, _BLOCK_DESIGN_ENTRIES // ((labeled_count + u) * data.n_features))
+        # Blocks of R repeats whose stacked designs hold at most _BLOCK_ELEMENTS
+        # entries in all, R * (L + U) * d: the designs, their operators and
+        # each round's working arrays scale with it. Test rows are gathered per
+        # scoring chunk instead. With 10 labeled rows from a 600 x 3 pool, as
+        # in the bench's learning-curve workload, that is 100 repeats per
+        # block up to u = 32, then 73, 39 and 20 at u = 64, 128 and 256: 16
+        # blocks in all, at a peak traced memory near 1.1 MB. A design of more
+        # than 8,192 rows is fitted alone, as ``model._row_dots`` needs, and a
+        # label-only pool (d = 0) has no entries, so its repeats share a block.
+        entries = (labeled_count + u) * data.n_features
+        block = max(1, _BLOCK_ELEMENTS // max(1, entries))
         for first in range(0, repeats, block):
             indices = range(first, min(first + block, repeats))
             rngs = [derive_rng(seed, repeat, u_index) for repeat in indices]

@@ -196,10 +196,26 @@ def ridge_operator(features, lam=0.0):
     values below ``max(rows, d) * eps`` times the largest are dropped.
     With ``lam == 0`` nothing is appended and ``P @ t`` is the
     minimum-norm solution, so rank-deficient designs are accepted.
+    ``P`` has the bits of numpy's ``pinv`` with that cutoff.
 
     A stack of designs, shape (R, N, d), gives the stack (R, d, N) of
     their operators, the penalty rows appended to each matrix; each slice
     has the bits of a lone call on that matrix.
+    """
+    return _ridge_svd(features, lam)[0]
+
+
+def _ridge_svd(features, lam):
+    """``ridge_operator(features, lam)`` and ``B``, an orthonormal basis of ``X_lam``'s range.
+
+    Runs the steps of numpy's ``pinv`` on ``X_lam = [X; sqrt(lam) I]``
+    (just ``X`` when ``lam == 0``): a thin SVD ``U S V'``, the cutoff
+    ``max(rows, d) * eps`` times the largest singular value, and
+    ``V S^+ U'``, whose first N columns are the operator. ``B`` is ``U``
+    with the dropped columns zeroed, one row per row of ``X_lam``, so
+    ``X_lam @ P = B @ B[..., :N, :]'`` is the projection onto the fitted
+    values. An empty design gives empty factors, where ``pinv`` has its
+    own branch.
     """
     X = np.asarray(features, dtype=float)
     n, d = X.shape[-2:]
@@ -207,7 +223,13 @@ def ridge_operator(features, lam=0.0):
     if lam > 0.0:
         penalty = np.broadcast_to(np.sqrt(lam) * np.eye(d), X.shape[:-2] + (d, d))
         X = np.concatenate([X, penalty], axis=-2)
-    return np.linalg.pinv(X, rcond=max(X.shape[-2:]) * np.finfo(float).eps)[..., :n]
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    rcond = max(X.shape[-2:]) * np.finfo(float).eps
+    large = s > rcond * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    s = np.divide(1.0, s, where=large, out=s)
+    s[~large] = 0.0
+    pseudo_inverse = np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
+    return pseudo_inverse[..., :n], u * large[..., None, :]
 
 
 def ridge_solve(features, targets, lam=0.0):
@@ -266,9 +288,9 @@ def _row_dots(a):
     no value depends on the BLAS thread count. A row of a block gets its
     lone bits if it has at most 8,192 entries, numpy's ``einsum`` buffer;
     on a block of two or more rows a longer row is summed in pieces.
-    One-row blocks and vectors of any length match, so the block caps
-    ``selflearn._BLOCK_ELEMENTS`` and ``experiments._BLOCK_DESIGN_ENTRIES``
-    give a design of more than 8,192 rows one row per block.
+    One-row blocks and vectors of any length match, so the block cap
+    ``selflearn._BLOCK_ELEMENTS`` gives a design of more than 8,192 rows
+    one row per block.
     """
     return np.einsum("...i,...i->...", a, a)
 

@@ -643,6 +643,27 @@ class TestDiagnose:
             "brute_force_objective = skipped (U > 20)",
         ]
 
+    def test_hard_oracle_does_not_depend_on_feature_units(self, tmp_path, capsys):
+        # The oracle's label columns come from the orthonormal basis of the
+        # ridge SVD, so their vanishing cutoff needs no design norm. Scaled
+        # by that norm it fixed labels that move the objective on x0 times
+        # 1e-13, and printed a "global minimum" above the local fit.
+        plain = tmp_path / "plain.csv"
+        assert run_cli(["generate", "--unlabeled", "20", "--seed", "1",
+                        "--out", str(plain)]) == EXIT_OK
+        header, *rows = plain.read_text().splitlines()
+        scaled = tmp_path / "scaled.csv"
+        pairs = (row.split(",", 1) for row in rows)
+        scaled.write_text("\n".join([header] + [f"{float(x0) * 1e-13!r},{rest}"
+                                                for x0, rest in pairs]) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["diagnose", "--data", str(scaled)]) == EXIT_OK
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert values["brute_force_objective"] == values["hard_from_supervised_objective"]
+        assert float(values["optimality_gap"]) >= 0.0
+
     @pytest.mark.parametrize("scale", [1e-170, 1e-120])
     def test_underflow_is_refused_before_any_output(self, tmp_path, capsys, scale):
         # Nonzero unlabeled features whose witness underflows exit 5: not
@@ -1213,6 +1234,25 @@ class TestLearningCurve:
         assert agg == "\n".join(lines) + "\n"
         assert [row.split(",")[3] == "" for row in lines[1:]] == [
             repeats == 1 or u == 52 for u in u_values for _ in METHODS]
+
+    def test_label_only_file_without_intercept(self, tmp_path, capsys):
+        # With no feature column and no intercept a split's design has no
+        # entries, so the block rule may not divide by the entry count.
+        # Every weight vector is empty, so every cell is the lone reference's.
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "1\n0\n" * 6)
+        out = tmp_path / "lc.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["learning-curve", "--data", str(path), "--labeled", "4",
+                            "--u-values", "0,2,4", "--repeats", "2", "--seed", "1",
+                            "--no-intercept", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "cells = 24\naggregates = 12\n"
+        pool, _ = load_csv(path, intercept=False)
+        errors, *_ = lone_learning_curve(pool, 4, [0, 2, 4], 2, 0.0, 1, SolverConfig())
+        cells = [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+        assert cells == [_fmt(error) for error in errors.reshape(-1)]
 
     @pytest.mark.parametrize("alias", ["same", "relative", "symlink", "hardlink"])
     def test_output_may_not_overwrite_the_input(self, tmp_path, capsys, monkeypatch, alias):

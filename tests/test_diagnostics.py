@@ -484,13 +484,14 @@ class TestBruteForce:
         w = update_weights(data, q, lam)
         return responsibility_objective(data, w, q, ClassEncoding(), lam)
 
+    @staticmethod
+    def plain_responsibility(data, w, q, lam):
+        return responsibility_objective(data, w, q, ClassEncoding(), lam)
+
     def assert_plain_minimum(self, result, data, lam):
         """Same labels, weights and objective bits as the plain enumeration."""
-
-        def objective(data, w, q, lam):
-            return responsibility_objective(data, w, q, ClassEncoding(), lam)
-
-        labels, weights, value = exhaustive_hard_minimum(data, lam, objective, update_weights)
+        labels, weights, value = exhaustive_hard_minimum(
+            data, lam, self.plain_responsibility, update_weights)
         np.testing.assert_array_equal(result.labels, labels)
         np.testing.assert_array_equal(result.weights, weights)
         assert result.objective == value
@@ -516,6 +517,27 @@ class TestBruteForce:
         # worse here, yet the rescored minimum is still the plain one.
         data = scaled_collinear_data(seed)
         self.assert_plain_minimum(brute_force_hard_minimum(data, lam), data, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_plain_enumeration_at_any_column_scale(self, seed, lam):
+        # Two columns scaled by powers of ten from 1e-7 to 1e6, up to 1e13
+        # apart. The label columns come from the ridge SVD's orthonormal
+        # basis, so their vanishing cutoff is unit-scale. Scaled by the
+        # design's and the operator's norms, it fixed labels that move the
+        # objective at 1e-7 and 1e6, on seeds 0 and 1 at lam = 0.
+        rng = np.random.default_rng(seed)
+        base = make_dataset(rng, 3, 6, 2)
+        for small in range(-7, 0):
+            for large in range(7):
+                features = base.extended_features * [10.0**small, 10.0**large]
+                features = np.hstack([features, np.ones((9, 1))])
+                data = Dataset(features[:3], base.labels, features[3:])
+                result = brute_force_hard_minimum(data, lam)
+                labels, _, value = exhaustive_hard_minimum(
+                    data, lam, self.plain_responsibility, update_weights)
+                np.testing.assert_array_equal(result.labels, labels)
+                assert abs(result.objective - value) <= 1e-12 * value
 
     def test_rescores_only_near_minimal_labelings(self, rng, monkeypatch):
         # No per-labeling solve: on generic data only the winner is within

@@ -799,23 +799,22 @@ class TestLearningCurve:
             assert partition_hash == split.partition_hash
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    @pytest.mark.parametrize("chunk", [1, 3])
-    @pytest.mark.parametrize("block", [1, 9, None])
-    def test_stacked_cells_equal_lone_fits(self, monkeypatch, lam, chunk, block):
-        # Eleven repeats run in blocks of one, of nine (so u = 12 spans a
-        # block of nine and one of two) or all at once, and are scored in
-        # chunks of one or of three repeats. u = 0 leaves no unlabeled part
-        # and u = 32 no test set in the 40-row pool; the round cap stops
-        # some soft fits and not others.
+    @pytest.mark.parametrize("elements", [1, 384, 540, 10**9])
+    def test_stacked_cells_equal_lone_fits(self, monkeypatch, lam, elements):
+        # One cap bounds the blocks' design entries and the scoring chunks'
+        # decision values. Eleven repeats run in blocks of one, of ten or
+        # six (384: 36 entries a repeat at u = 4, 60 at u = 12), of nine
+        # (540: u = 12 spans a block of nine and one of two) or all at once,
+        # and are scored in chunks of one, three, four or all eleven
+        # repeats at the 32 test rows of u = 0 and the 28 of u = 4. u = 0
+        # leaves no unlabeled part and u = 32 no test set in the 40-row
+        # pool; the round cap stops some soft fits and not others.
         import sslsq.experiments as experiments
 
         pool = fully_labeled_pool(40, 5, kind=SyntheticKind.TWO_GAUSSIAN_2D, separation=3.0)
         labeled, u_values, repeats = 8, [4, 0, 12, 32], 11
         config = SolverConfig(max_iterations=15)
-        entries = {1: 1, 9: 9 * (labeled + 12) * 3, None: 10**9}[block]
-        monkeypatch.setattr(experiments, "_BLOCK_DESIGN_ENTRIES", entries)
-        # Chunks of three at the 32 test rows of u = 0 and the 28 of u = 4.
-        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", {1: 1, 3: 3 * 4 * 32}[chunk])
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", elements)
         blocks, chunks = [], []
         fit_stack, stacked_errors = experiments._fit_stack, experiments._stacked_errors
 
@@ -834,11 +833,12 @@ class TestLearningCurve:
         sizes = {u: [size for v, size in blocks if v == u] for u in (4, 0, 12)}
         assert sizes == {
             1: {u: [1] * repeats for u in (4, 0, 12)},
-            9: {4: [repeats], 0: [repeats], 12: [9, 2]},
-            None: {u: [repeats] for u in (4, 0, 12)},
-        }[block]
+            384: {4: [10, 1], 0: [repeats], 12: [6, 5]},
+            540: {4: [repeats], 0: [repeats], 12: [9, 2]},
+            10**9: {u: [repeats] for u in (4, 0, 12)},
+        }[elements]
         chunked = [size for test_rows, size in chunks if test_rows in (28, 32)]
-        assert max(chunked) == min(chunk, block or repeats)
+        assert max(chunked) == {1: 1, 384: 3, 540: 4, 10**9: repeats}[elements]
         errors, hashes, test_sizes, fits = lone_learning_curve(
             pool, labeled, u_values, repeats, lam, 3, config)
         reasons = {fit.trace.stop_reason for fit in fits}

@@ -89,6 +89,36 @@ class TestRidgeOperator:
         for matrix, operator in zip(stack, operators):
             np.testing.assert_array_equal(operator, ridge_operator(matrix, lam))
 
+    @staticmethod
+    def pinv_operator(design, lam):
+        """numpy's pseudo-inverse of the design with its penalty rows, cut to its first N columns."""
+        n, d = design.shape[-2:]
+        penalty = np.broadcast_to(np.sqrt(lam) * np.eye(d), design.shape[:-2] + (d, d))
+        augmented = np.concatenate([design, penalty], axis=-2) if lam else design
+        rcond = max(augmented.shape[-2:]) * np.finfo(float).eps
+        return np.linalg.pinv(augmented, rcond=rcond)[..., :n]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(7, 3), (2, 5), (7, 0), (4, 7, 3), (4, 2, 5), (4, 7, 0)])
+    def test_operator_has_the_bits_of_numpy_pinv(self, rng, lam, shape):
+        # The operator runs pinv's own steps over the SVD it shares with the
+        # hard oracle, so it keeps pinv's bits: on tall and wide (N < d)
+        # designs, lone and stacked, full-rank, rank-deficient and zero, and
+        # on designs with no column, where pinv has a branch of its own.
+        full = rng.standard_normal(shape) * np.array([1e-3, 1.0, 1e3, 1.0, 1.0])[: shape[-1]]
+        deficient = full.copy()
+        if shape[-1] >= 2:
+            deficient[..., 1] = 3.0 * deficient[..., 0]
+        for design in (full, deficient, np.zeros(shape)):
+            operator = ridge_operator(design, lam)
+            expected = self.pinv_operator(design, lam)
+            assert operator.shape == expected.shape == shape[:-2] + shape[:-3:-1]
+            assert operator.tobytes() == expected.tobytes()
+
+    def test_negative_penalty_is_refused_on_an_empty_design(self):
+        with pytest.raises(InvalidInputError, match="ridge penalty"):
+            ridge_operator(np.zeros((3, 0)), -1.0)
+
 
 class TestPrediction:
     def test_decision_values_examples(self):
