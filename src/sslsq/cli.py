@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import _check_lam, label_objective, ridge_solve, supervised_objective
+from .model import _check_count, _check_lam, label_objective, ridge_solve, supervised_objective
 from .selflearn import SolverConfig, StopReason, fit_hard, minimize_soft, update_weights
 
 EXIT_OK = 0
@@ -333,6 +333,8 @@ def _basin_test_set(args, data, truth):
 def cmd_basin(args):
     from .experiments import random_init_near_supervised, run_basin_study
 
+    # Refused by the option's name, before any file is read.
+    _check_count(args.starts, "--starts", minimum=1)
     _check_outputs(
         _experiment_outputs(args.out) + [("--paths", args.paths)], _input_files(args).items()
     )

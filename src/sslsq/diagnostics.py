@@ -15,15 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, InvalidInputError, NoWitnessError
-from .model import (
-    _CLASS_CODES,
-    _check_lam,
-    _ridge_svd,
-    _row_dots,
-    _squared_objective,
-    label_objective,
-    responsibility_objective,
-)
+from .model import _check_lam, _ridge_svd, _row_dots, _squared_objective, label_objective
 
 __all__ = [
     "BruteForceResult",
@@ -311,7 +303,8 @@ def brute_force_hard_minimum(data, lam=0.0):
     ``|c| + 2 ||g||_1 + ||A||_1`` (sums of absolute entries). The kept
     set does not depend on the order the blocks are scored in. Each kept
     labeling is rescored exactly, in lexicographic order, with
-    ``w = P t`` and ``responsibility_objective``, and the first strict
+    ``w = P t`` and ``label_objective`` (the responsibility objective at
+    binary labels, summed as a hard fit sums it), and the first strict
     minimum wins. So ties go to the lexicographically smallest labeling,
     and the result carries the bits of the same solve a hard fit makes.
     Many exact ties make the rescoring longer.
@@ -397,9 +390,13 @@ def _block_values(row_values, column_values, cross, low_bits):
 
 
 def _rescored(data, operator, labels, lam):
-    """Labeling ``labels`` with the weights and objective a lone hard solve gives it."""
+    """Labeling ``labels`` with the weights and objective a lone hard solve gives it.
+
+    The objective is ``label_objective`` at the 0/1 targets, the squared
+    objective a hard fit scores its rounds by.
+    """
     w = operator @ np.concatenate([data.labels, labels])
-    return BruteForceResult(labels, w, responsibility_objective(data, w, labels, _CLASS_CODES, lam))
+    return BruteForceResult(labels, w, label_objective(data, w, labels, lam))
 
 
 def _grid_axis(step):

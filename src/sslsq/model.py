@@ -155,9 +155,10 @@ class Dataset:
 class ClassEncoding:
     """Numeric codes for the two classes; defaults to 1 and 0.
 
-    Only the responsibility objective and its two gradients take other
-    codes. The solvers and oracles fit the known 0/1 labels, so they
-    always use the default.
+    Only the responsibility objective and its two gradients read the
+    codes. The solvers and oracles never do: they fit the known 0/1
+    labels, and score 0/1 imputed labels by the squared objective, which
+    equals the responsibility objective at the default codes.
     """
 
     positive_code: float = 1.0
@@ -168,7 +169,8 @@ class ClassEncoding:
             raise InvalidInputError("class codes must differ")
 
 
-# The class codes of every solver and oracle: 1 and 0, as for known labels.
+# The default class codes of the responsibility objective and its
+# gradients: 1 and 0, as for known labels.
 _CLASS_CODES = ClassEncoding()
 
 
@@ -330,26 +332,18 @@ def responsibility_objective(data, w, q, encoding=_CLASS_CODES, lam=0.0):
 
     Each unlabeled point contributes ``q * (s - m)^2 + (1 - q) * (s - n)^2``
     where ``s`` is its decision value and ``(m, n)`` are the class codes.
-    For binary ``q`` this equals ``label_objective`` with ``u = q``.
+    For binary ``q`` this equals ``label_objective`` with ``u = q``, to
+    rounding: the terms are summed in another order (labeled error,
+    penalty, then the per-point mix).
     """
     w = _check_weights(data, w)
     q = _check_responsibilities(data, q)
     lam = _check_lam(lam)
     labeled_residual = data.labeled_features @ w - data.labels
     scores = data.unlabeled_features @ w
-    return float(_responsibility_value(labeled_residual, scores, q, w, encoding, lam))
-
-
-def _responsibility_value(labeled_residual, scores, q, w, encoding, lam):
-    """Responsibility objective from labeled residuals and unlabeled decision values.
-
-    Works per row on blocks as ``_squared_objective`` does. The terms are
-    summed in a fixed order (labeled error, penalty, then the per-point
-    mix) so every caller gets the same bits.
-    """
     m, n = encoding.positive_code, encoding.negative_code
-    mix = np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2, axis=-1)
-    return _add_penalty(_row_dots(labeled_residual), w, lam) + mix
+    mix = np.sum(q * (scores - m) ** 2 + (1.0 - q) * (scores - n) ** 2)
+    return float(_add_penalty(_row_dots(labeled_residual), w, lam) + mix)
 
 
 def grad_label_objective_u(data, w, u):

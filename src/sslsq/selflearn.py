@@ -39,12 +39,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
-    _CLASS_CODES,
     _add_penalty,
     _check_count,
     _check_lam,
     _check_weights,
-    _responsibility_value,
     _row_dots,
     _squared_objective,
     _weight_vector,
@@ -241,9 +239,10 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     (L,), the stacked design ``design`` (N, d) and its ridge operator
     ``solve`` (d, N), or each start has its own: ``known`` (S, L),
     ``design`` (S, N, d) and ``solve`` (S, d, N). ``hard`` picks the
-    solver: 0/1 responsibilities scored by the responsibility objective,
-    or clamped decision values scored by the squared objective, each
-    with ridge penalty ``lam``. Every round imputes the
+    solver's imputation: 0/1 responsibilities or clamped decision
+    values. Both solvers score a round by the squared objective
+    ``||X_e w - t||^2 + lam ||w||^2`` at its targets ``t``, which at 0/1
+    targets is the responsibility objective. Every round imputes the
     labels of all working starts from their decision values, re-fits
     their weights with one product with the ridge operator, and takes
     their objectives and next decision values from one product with the
@@ -266,10 +265,10 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     ``_Finals``.
 
     The rounds write into buffers allocated once per block: the (S, N)
-    targets, whose first L columns hold the known labels, fitted values
-    and residuals and, for the hard solver, its (S, U) 0/1 labels. The
-    working starts own the leading rows, which move up when starts
-    leave. Only the weights are new every round, as ``path`` keeps them.
+    targets, whose first L columns hold the known labels and the rest
+    the imputed ones, fitted values and residuals. The working starts own
+    the leading rows, which move up when starts leave. Only the weights
+    are new every round, as ``path`` keeps them.
     Every round calls numpy's products directly on (S, 1, N) row views of
     the buffers, rebuilt after each departure: one BLAS matrix-vector call
     per row, which a matrix-matrix product does not promise. Each
@@ -288,7 +287,6 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     fitted = np.empty_like(targets)
     residual = np.empty_like(targets)
     n_unlabeled = targets.shape[1] - n_labeled
-    flags = np.empty((count, n_unlabeled if hard else 0), dtype=bool)  # soft: no columns
 
     def views():
         # The working rows' label and score columns and the products' 3-D operands.
@@ -299,8 +297,6 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
     labels = scores = targets3 = fitted3 = None
     views()
     np.matmul(starts[:, None, :], design_t[..., n_labeled:], out=scores[:, None, :])
-    if hard:
-        np.greater(scores, 0.5, out=flags)
     finals = _Finals(
         weights=np.empty(starts.shape),
         objectives=np.empty(count),
@@ -323,19 +319,14 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
 
     for iteration in range(config.max_iterations):
         if hard:
-            np.copyto(labels, flags)
+            np.greater(scores, 0.5, out=labels)
         else:
             scores.clip(0.0, 1.0, out=labels)
         W3 = np.matmul(targets3, operator_t)
         W = W3[:, 0, :]
         np.matmul(W3, design_t, out=fitted3)
         np.subtract(fitted, targets, out=residual)
-        if hard:
-            values = _responsibility_value(
-                residual[:, :n_labeled], scores, labels, W, _CLASS_CODES, lam
-            )
-        else:
-            values = _squared_objective(residual, W, lam)
+        values = _squared_objective(residual, W, lam)
         # Python floats: a trace stores them, and on one-start blocks, which
         # every large fit runs, the stop test costs less on lists than in numpy.
         values = values.tolist()
@@ -348,8 +339,7 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
         # round's (hard), or the objective's relative decrease is within
         # tolerance (soft). With no unlabeled rows round 0 passes it.
         if hard:
-            np.greater(scores, 0.5, out=flags)
-            done = (flags == labels).all(axis=1).tolist()
+            done = ((scores > 0.5) == labels).all(axis=1).tolist()
         elif previous is None:
             done = [n_unlabeled == 0] * active.size
         else:
@@ -369,8 +359,8 @@ def _run_descent(config, known, design, solve, starts, lam, hard, path=None):
                 operator_t, design_t = solve.swapaxes(1, 2), design.swapaxes(1, 2)
             # Move the kept rows to the front; fancy indexing copies first.
             n = active.size
-            targets[:n], fitted[:n], flags[:n] = targets[keep], fitted[keep], flags[keep]
-            targets, fitted, residual, flags = targets[:n], fitted[:n], residual[:n], flags[:n]
+            targets[:n], fitted[:n] = targets[keep], fitted[keep]
+            targets, fitted, residual = targets[:n], fitted[:n], residual[:n]
             views()
         previous = values
     else:  # the round cap stops every start still working
@@ -485,8 +475,10 @@ def fit_hard(data, lam=0.0, config=SolverConfig()):
     """Alternating minimization of the responsibility objective.
 
     Starts from the supervised solution. Every round assigns 0/1
-    responsibilities by thresholding decision values at 0.5, then re-fits
-    the weights on them as class targets. Stops with LABELS_STABLE after
+    responsibilities ``q`` by thresholding decision values at 0.5, then
+    re-fits the weights on them as class targets. Each round's value is
+    ``||X_e w - [y; q]||^2 + lam ||w||^2``, the responsibility objective
+    at binary ``q``. Stops with LABELS_STABLE after
     a round whose weights would assign the same responsibilities again,
     the last allowed round too; equal-objective cycles are cut off by
     ``max_iterations`` with stop reason MAX_ITERATIONS. With no unlabeled

@@ -61,7 +61,7 @@ from sslsq.datagen import derive_rng
 from sslsq.diagnostics import _grid_axis
 from sslsq.experiments import METHODS
 from sslsq.errors import DimensionError, InvalidInputError, ParseError, SchemaError
-from sslsq.model import _CLASS_CODES, _responsibility_value, _row_dots, _squared_objective
+from sslsq.model import _row_dots, _squared_objective
 from sslsq.selflearn import StopReason, _Finals
 
 
@@ -394,13 +394,12 @@ def allocating_run_descent(config, known, design, solve, starts, lam, hard, path
     (L,), the stacked design ``design`` (N, d) and its ridge operator
     ``solve`` (d, N), or each start has its own: ``known`` (S, L),
     ``design`` (S, N, d) and ``solve`` (S, d, N). ``hard`` picks the
-    solver: 0/1 responsibilities scored by the responsibility objective,
-    or clamped decision values scored by the squared objective, each
-    with ridge penalty ``lam``. Every round imputes the
-    labels of all working starts from their decision values, re-fits
-    their weights with one product with the ridge operator, and takes
-    their objectives and next decision values from one product with the
-    design. A start leaves the block, with its rows of any per-start
+    solver: 0/1 responsibilities or clamped decision values, each
+    scored by the squared objective with ridge penalty ``lam``. Every
+    round imputes the labels of all working starts from their decision
+    values, re-fits their weights with one product with the ridge
+    operator, and takes their objectives and next decision values from
+    one product with the design. A start leaves the block, with its rows of any per-start
     stack, in the round it stops: on stable labels (hard), on the
     relative objective decrease (soft) or at ``max_iterations``. With
     no unlabeled rows (N == L), round 0 is the supervised fit, and every
@@ -468,12 +467,7 @@ def allocating_run_descent(config, known, design, solve, starts, lam, hard, path
         fitted = _by_rows(W, design_t)
         # The targets are spent once W is known, so the residual overwrites them.
         residual = np.subtract(fitted, targets, out=targets)
-        if hard:
-            values = _responsibility_value(
-                residual[:, :n_labeled], fitted[:, n_labeled:], labels, W, _CLASS_CODES, lam
-            )
-        else:
-            values = _squared_objective(residual, W, lam)
+        values = _squared_objective(residual, W, lam)
         # Python floats: a trace stores them, and on a one-start block
         # the stop test costs less in Python than in numpy calls.
         values = values.tolist()
@@ -527,7 +521,7 @@ def _half_table(constant, linear, quadratic, bits):
 
 def _rescored(data, operator, labels, lam):
     w = operator @ np.concatenate([data.labels, labels])
-    return labels, w, responsibility_objective(data, w, labels, _CLASS_CODES, lam)
+    return labels, w, label_objective(data, w, labels, lam)
 
 
 def unpruned_hard_minimum(data, lam=0.0, chunk=4096):

@@ -886,6 +886,15 @@ class TestBasin:
                         "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_no_starts_is_refused_by_its_option(self, tmp_path, capsys, starts):
+        data = write_cluster_data(tmp_path)
+        out = tmp_path / "o.csv"
+        assert run_cli(["basin", "--data", str(data), "--method", "hard", "--starts", starts,
+                        "--seed", "1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --starts must be at least 1\n"
+        assert not out.exists()
+
     def test_paths_file(self, tmp_path):
         data = write_cluster_data(tmp_path, unlabeled=30)
         out = tmp_path / "o.csv"

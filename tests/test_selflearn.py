@@ -307,6 +307,56 @@ class TestFitHard:
         assert_same_fit(result, fit_hard(data, 0.0))
 
 
+
+def assert_hard_objective(data, lam, weights, labels, objective):
+    """``objective`` is the squared objective at 0/1 ``labels``, bit for bit.
+
+    That is ``label_objective``, and it is within criterion 03's 1e-12
+    relative of the responsibility objective at those labels.
+    """
+    assert objective == label_objective(data, weights, labels, lam)
+    value = responsibility_objective(data, weights, labels, ClassEncoding(), lam)
+    assert abs(objective - value) <= 1e-12 * abs(value)
+
+
+class TestHardObjective:
+    """Hard BCD scores each round as soft BCD does: by the squared objective."""
+
+    @staticmethod
+    def assert_trace(data, lam, start, trace):
+        # Round k's labels are those its previous weights impute.
+        previous = start
+        for w, objective in zip(trace.weight_path, trace.objectives):
+            assert_hard_objective(data, lam, w, update_hard_labels(data, previous), objective)
+            previous = w
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fit_hard_trace(self, seed, lam):
+        for data in (cap_data(seed), make_dataset(np.random.default_rng(seed), 8, 30, 3)):
+            fit = fit_hard(data, lam)
+            assert fit.iterations > 1
+            self.assert_trace(data, lam, ridge_solve(data.labeled_features, data.labels, lam),
+                              fit.trace)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_lock_step_starts_leaving_in_different_rounds(self, lam):
+        data = cap_data(2)
+        starts = 2.0 * np.random.default_rng(0).standard_normal((8, data.n_features))
+        fits = fit_starts(data, starts, "hard", lam)
+        assert len({fit.iterations for fit in fits}) > 2
+        for start, fit in zip(starts, fits):
+            self.assert_trace(data, lam, start, fit.trace)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_stacked_finals(self, lam):
+        datasets = TestFitDatasets.datasets()
+        *_, hard = TestFitDatasets.fit_stack(datasets, lam)
+        assert len(set(hard.rounds.tolist())) > 1
+        for i, data in enumerate(datasets):
+            assert_hard_objective(data, lam, hard.weights[i], hard.labels[i], hard.objectives[i])
+
+
 class TestOverflowingStart:
     @pytest.mark.parametrize("method", ["soft", "hard"])
     def test_refused_by_name_before_any_descent(self, monkeypatch, method):
@@ -485,10 +535,7 @@ def reference_descent(data, lam, config, hard):
     for _ in range(config.max_iterations):
         labels = update_hard_labels(data, w) if hard else update_soft_labels(data, w)
         w = update_weights(data, labels, lam)
-        if hard:
-            value = responsibility_objective(data, w, labels, ClassEncoding(), lam)
-        else:
-            value = label_objective(data, w, labels, lam)
+        value = label_objective(data, w, labels, lam)
         weights.append(w)
         objectives.append(value)
         if hard and np.array_equal(update_hard_labels(data, w), labels):
